@@ -6,13 +6,12 @@ __version__ = "0.1.0"
 from .geometry import Quaternion, Transform, compose, invert, apply, slerp
 from .scene import Scene, parse_scene, serialize_scene, validate_chain
 from .planner import PlannedPath, TargetPose, assign_orientations, interpolate_risk, rebase
-from .codegen import RobotProgram, emit, lower, workspace_lint
+from .codegen import RobotProgram, emit, load_program, lower, workspace_lint
 from .simulate import (
     Environment,
     ForceConfig,
     SeamConfig,
     SimTrace,
-    load_program,
     run_force,
     run_seam,
 )

@@ -20,7 +20,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .codegen import CodegenError, emit, lower, workspace_lint
+from .codegen import (
+    CodegenError,
+    ProgramParseError,
+    emit,
+    load_program,
+    lower,
+    workspace_lint,
+)
 from .geometry import GeometryError, Transform, rotation_about_z
 from .planner import PlanningError, assign_orientations, interpolate_risk, rebase
 from .scene import PathSegment, Scene, SceneError, ScenePath, parse_scene
@@ -28,10 +35,8 @@ from .simulate import (
     ControllerKind,
     Environment,
     ForceConfig,
-    ProgramParseError,
     SeamConfig,
     SimulationError,
-    load_program,
     run_force,
     run_seam,
 )
@@ -108,7 +113,7 @@ def cmd_compile(args) -> int:
             if seg.risk
         ]
         if risk_segments:
-            v_mag = args.speed_override or min(s.speed for s in risk_segments)
+            v_mag = min(s.speed for s in risk_segments)
             plan = interpolate_risk(plan, v_mag, args.interp_dt)
         program = lower(plan)
         findings = []

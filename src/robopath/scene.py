@@ -281,7 +281,6 @@ def _build_scene(data) -> Scene:
     if not isinstance(data["frames"], list):
         raise SceneValidationError("frames: expected a list")
     frames = []
-    seen = set()
     for i, entry in enumerate(data["frames"]):
         where = f"frames[{i}]"
         _expect_keys(entry, ["name", "rotation", "origin"], [], where)
@@ -290,9 +289,6 @@ def _build_scene(data) -> Scene:
             raise SceneValidationError(
                 f'{where}: frame name "{UNIVERSE}" is reserved for the universe frame'
             )
-        if name in seen:
-            raise SceneValidationError(f"duplicate frame name {name!r}")
-        seen.add(name)
         rotation = _rotation(entry["rotation"], f"{where}.rotation")
         origin = _point(entry["origin"], f"{where}.origin")
         try:

@@ -20,159 +20,28 @@ Runs are fully deterministic for a given program, environment, and config.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .codegen import Instruction, Opcode, RobotProgram, fmt_num
-from .geometry import GeometryError, Quaternion, Transform, apply
-from .planner import MotionKind, TargetPose
+from .codegen import RobotProgram, fmt_num
+from .geometry import Transform, apply
 
 
 class SimulationError(ValueError):
     """A run cannot start (bad program geometry or configuration)."""
 
 
-class ProgramParseError(ValueError):
-    """Program text violates the grammar; `line` is 1-based."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class SeamLost(Exception):
-    """The seam sensor found no joint within its sensing range."""
+    """The seam sensor found no joint within its sensing range; `err_y` and
+    `err_z` are the path-frame offsets to the closest seam point."""
 
-
-# ---------------------------------------------------------------------------
-# program loading (inverse of codegen.emit)
-# ---------------------------------------------------------------------------
-
-_TARGET_RE = re.compile(
-    r"^TARGET\s+([A-Za-z_]\w*)\s*=\s*\[([^\]]*)\]\s*,\s*\[([^\]]*)\]$"
-)
-
-_OPCODE_KIND = {
-    Opcode.MOVEJ: MotionKind.JOINT,
-    Opcode.MOVEL: MotionKind.LINEAR,
-    Opcode.MOVES: MotionKind.SPLINE_VIA,
-}
-
-
-def _floats(text: str, count: int, line_no: int) -> list[float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
-        raise ProgramParseError(f"expected {count} numbers, got {len(parts)}", line_no)
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ProgramParseError(f"bad number in {text!r}", line_no) from None
-
-
-def load_program(text: str) -> RobotProgram:
-    """Parse program text back into a RobotProgram.
-
-    All values are kept exactly as written, so a load/emit cycle is
-    lossless. Raises ProgramParseError with the offending line number.
-    """
-    name = None
-    raw_targets: dict[str, tuple[list[float], list[float]]] = {}
-    moves: list[tuple[int, Opcode, tuple[str, ...], float]] = []
-    ended = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if ended:
-            raise ProgramParseError("content after END", line_no)
-        if name is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "PROGRAM":
-                raise ProgramParseError("expected PROGRAM header", line_no)
-            name = parts[1]
-            continue
-        if line == "END":
-            ended = True
-            continue
-        if line.startswith("TARGET"):
-            if moves:
-                raise ProgramParseError("TARGET after motion statements", line_no)
-            m = _TARGET_RE.match(line)
-            if not m:
-                raise ProgramParseError("malformed TARGET statement", line_no)
-            tname = m.group(1)
-            if tname in raw_targets:
-                raise ProgramParseError(f"duplicate target {tname!r}", line_no)
-            position = _floats(m.group(2), 3, line_no)
-            quat = _floats(m.group(3), 4, line_no)
-            raw_targets[tname] = (position, quat)
-            continue
-        parts = line.split()
-        try:
-            opcode = Opcode(parts[0])
-        except ValueError:
-            raise ProgramParseError(f"unknown opcode {parts[0]!r}", line_no) from None
-        n_names = 2 if opcode is Opcode.MOVEC else 1
-        if len(parts) != n_names + 3 or parts[n_names + 1] != "SPEED":
-            raise ProgramParseError(f"malformed {opcode.value} statement", line_no)
-        names = tuple(parts[1 : 1 + n_names])
-        for t in names:
-            if t not in raw_targets:
-                raise ProgramParseError(f"undeclared target {t!r}", line_no)
-        try:
-            speed = float(parts[-1])
-        except ValueError:
-            raise ProgramParseError(f"bad speed {parts[-1]!r}", line_no) from None
-        moves.append((line_no, opcode, names, speed))
-
-    if name is None:
-        raise ProgramParseError("empty program", 1)
-    if not ended:
-        raise ProgramParseError("missing END", len(text.splitlines()) or 1)
-
-    targets: dict[str, TargetPose] = {}
-    instructions: list[Instruction] = []
-    group = 0
-    in_spline = False
-
-    def make_pose(tname, kind, speed, line_no):
-        position, quat = raw_targets[tname]
-        try:
-            # components kept exactly as written so values survive reload
-            orientation = Quaternion(*quat)
-        except GeometryError as exc:
-            raise ProgramParseError(f"target {tname!r}: {exc}", line_no) from exc
-        try:
-            return TargetPose(position, orientation, kind, speed)
-        except ValueError as exc:
-            raise ProgramParseError(f"target {tname!r}: {exc}", line_no) from exc
-
-    for line_no, opcode, names, speed in moves:
-        if opcode is Opcode.MOVEC:
-            targets[names[0]] = make_pose(names[0], MotionKind.CIRCULAR_VIA, speed, line_no)
-            targets[names[1]] = make_pose(names[1], MotionKind.CIRCULAR_END, speed, line_no)
-            instructions.append(Instruction(opcode, names, speed))
-            in_spline = False
-            continue
-        kind = _OPCODE_KIND[opcode]
-        if opcode is Opcode.MOVES:
-            if not in_spline:
-                group += 1
-                in_spline = True
-            instructions.append(Instruction(opcode, names, speed, group))
-        else:
-            in_spline = False
-            instructions.append(Instruction(opcode, names, speed))
-        targets[names[0]] = make_pose(names[0], kind, speed, line_no)
-
-    unused = set(raw_targets) - set(targets)
-    if unused:
-        raise ProgramParseError(f"unreferenced targets {sorted(unused)}", 1)
-    return RobotProgram(name, targets, tuple(instructions))
+    def __init__(self, message: str, err_y: float, err_z: float):
+        super().__init__(message)
+        self.err_y = err_y
+        self.err_z = err_z
 
 
 # ---------------------------------------------------------------------------
@@ -459,25 +328,23 @@ def quantize(value: float, resolution: float) -> float:
 
 def seam_sensor(
     true_seam: np.ndarray,
-    tool,
+    tool: np.ndarray,
     travel: np.ndarray,
     sensing_range_mm: float = 50.0,
 ) -> tuple[float, float]:
     """Signed Y/Z offsets from the tool point to the closest point of the
     true seam, in the path frame of the travel direction.
 
-    `tool` is a TargetPose or a bare point. Raises SeamLost when the seam
-    is farther than the sensing range.
+    Raises SeamLost, carrying those offsets, when the seam is farther than
+    the sensing range.
     """
-    if isinstance(tool, TargetPose):
-        tool = tool.position
-    tool = np.asarray(tool, dtype=float)
     closest, dist = _closest_on_polyline(true_seam, tool)
-    if dist > sensing_range_mm:
-        raise SeamLost(f"closest seam point is {dist:.1f} mm away")
-    _, y_axis, z_axis = _path_frame(np.asarray(travel, dtype=float))
+    _, y_axis, z_axis = _path_frame(travel)
     d = closest - tool
-    return float(d @ y_axis), float(d @ z_axis)
+    err_y, err_z = float(d @ y_axis), float(d @ z_axis)
+    if dist > sensing_range_mm:
+        raise SeamLost(f"closest seam point is {dist:.1f} mm away", err_y, err_z)
+    return err_y, err_z
 
 
 def run_seam(
@@ -509,12 +376,8 @@ def run_seam(
         tool = nominal + corr_y * y_axis + corr_z * z_axis
         try:
             err_y, err_z = seam_sensor(true_seam, tool, direction, cfg.sensing_range_mm)
-        except SeamLost:
-            closest, _ = _closest_on_polyline(true_seam, tool)
-            d = closest - tool
-            rows.append(
-                (t, *nominal, float(d @ y_axis), float(d @ z_axis), corr_y, corr_z)
-            )
+        except SeamLost as lost:
+            rows.append((t, *nominal, lost.err_y, lost.err_z, corr_y, corr_z))
             status = "ABORTED"
             break
         step_y = min(cfg.max_step_mm, max(-cfg.max_step_mm, cfg.gain_y * err_y))

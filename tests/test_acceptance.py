@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FIXTURES, random_transform
 from robopath.cli import main as cli_main
-from robopath.codegen import emit, lower
+from robopath.codegen import emit, load_program, lower
 from robopath.geometry import (
     Quaternion,
     Transform,
@@ -38,7 +38,6 @@ from robopath.simulate import (
     FuzzyPIController,
     SeamConfig,
     fuzzy_pi_step,
-    load_program,
     run_force,
     run_seam,
 )

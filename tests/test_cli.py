@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import robopath.cli
 from conftest import FIXTURES
 from robopath.cli import main
+from robopath.simulate import SimTrace
 
 
 def run(capsys, *argv):
@@ -92,6 +94,19 @@ def test_compile_strict_workspace_violation_exits_2(tmp_path, capsys):
     assert "lint failure" in err
 
 
+def test_compile_non_finite_speed_exits_1(tmp_path, capsys):
+    text = (FIXTURES / "straight_seam.scene.json").read_text()
+    text = text.replace('"speed": 10.0', '"speed": 1e400')  # parses as inf
+    assert "1e400" in text
+    scene_file = tmp_path / "fast.json"
+    scene_file.write_text(text)
+    out = tmp_path / "fast.prog"
+    code, _, err = run(capsys, *compile_args(scene_file, out))
+    assert code == 1
+    assert err.startswith("error:") and "non-finite" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -175,6 +190,24 @@ def test_simulate_bad_program_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "line 2" in err
 
 
+@pytest.mark.parametrize("speed", ["inf", "nan", "1e3", "1_0"])
+def test_simulate_rejects_non_decimal_speed(tmp_path, capsys, speed):
+    text = (FIXTURES / "straight_seam.prog").read_text().replace(
+        "MOVEJ t1 SPEED 10.0000", f"MOVEJ t1 SPEED {speed}"
+    )
+    assert speed in text
+    bad = tmp_path / "bad.prog"
+    bad.write_text(text)
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        capsys, "simulate", "--program", str(bad), "--scenario", "seam", "--out", str(out)
+    )
+    line = text.splitlines().index(f"MOVEJ t1 SPEED {speed}") + 1
+    assert code == 1
+    assert err.startswith(f"error: line {line}: bad speed")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -235,3 +268,29 @@ def test_simulate_manifest_records_resolved_config(tmp_path, capsys):
     assert cfg["rate_hz"] == 5.0
     assert cfg["resolution_mm"] == 0.01
     assert cfg["max_step_mm"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark's tracer wraps
+# ---------------------------------------------------------------------------
+
+TRACED_CLI_NAMES = (
+    "parse_scene",
+    "rebase",
+    "assign_orientations",
+    "interpolate_risk",
+    "lower",
+    "workspace_lint",
+    "emit",
+    "load_program",
+    "run_seam",
+    "run_force",
+)
+
+
+def test_cli_binds_every_traced_stage():
+    """The benchmark times each stage by replacing these names in
+    robopath.cli; a stage called some other way would read zero."""
+    for name in TRACED_CLI_NAMES:
+        assert callable(getattr(robopath.cli, name, None)), name
+    assert callable(SimTrace.to_csv)

@@ -1,23 +1,27 @@
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_rotation
+from conftest import finite, quaternions, random_rotation
 from robopath.codegen import (
     CodegenError,
     Instruction,
     LintFinding,
     Opcode,
+    ProgramParseError,
     RobotProgram,
     emit,
     fmt_num,
+    load_program,
     lower,
     workspace_lint,
 )
 from robopath.geometry import Quaternion, rotation_to_quaternion
 from robopath.planner import MotionKind, PlannedPath, TargetPose
 from robopath.scene import Workspace
-from robopath.simulate import load_program
 
 
 def pose(x, kind=MotionKind.LINEAR, speed=10.0, interpolated=False, quat=None):
@@ -77,8 +81,13 @@ def test_lower_spline_run_shares_group():
         pose(40, MotionKind.SPLINE_VIA),
     ]
     program = lower(plan(poses))
-    groups = [i.group for i in program.instructions]
-    assert groups == [None, 1, 1, None, 2]
+    assert [i.opcode for i in program.instructions] == [
+        Opcode.MOVEJ,
+        Opcode.MOVES,
+        Opcode.MOVES,
+        Opcode.MOVEL,
+        Opcode.MOVES,
+    ]
 
 
 def test_lower_rejects_unpaired_circular_via():
@@ -120,6 +129,15 @@ def test_emit_identity_target_line():
         "TARGET t1 = [0.0000, 0.0000, 0.0000], [1.0000, 0.0000, 0.0000, 0.0000]"
         in text.splitlines()
     )
+
+
+def test_emit_writes_the_quaternion_sign_a_reload_keeps():
+    # w is positive but rounds to 0.0000; reloaded, the rounded components
+    # take the canonical sign (first nonzero one positive)
+    q = Quaternion(1e-17, -0.6, 0.8, 0.0)
+    text = emit(lower(plan([pose(0, MotionKind.JOINT, quat=q)])))
+    assert "TARGET t1 = [0.0000, 0.0000, 0.0000], [0.0000, 0.6000, -0.8000, 0.0000]" in text
+    assert emit(load_program(text)) == text
 
 
 def test_emit_layout_and_determinism():
@@ -182,6 +200,80 @@ def test_emit_load_round_trip_randomized():
             # ...because the loader preserves the emitted text values exactly
             emitted = [float(fmt_num(v)) for v in original.orientation.as_array()]
             assert list(got.orientation.as_array()) == emitted
+
+
+# Each step of a random plan is the run of motion kinds that one move takes.
+_STEPS = (
+    (MotionKind.JOINT,),
+    (MotionKind.LINEAR,),
+    (MotionKind.SPLINE_VIA,),
+    (MotionKind.CIRCULAR_VIA, MotionKind.CIRCULAR_END),
+)
+
+
+@st.composite
+def random_plans(draw):
+    steps = draw(st.lists(st.sampled_from(_STEPS), min_size=1, max_size=6))
+    poses = [
+        TargetPose(
+            [draw(finite(-1000, 1000)) for _ in range(3)],
+            draw(quaternions()),
+            kind,
+            draw(finite(0.01, 1000)),
+        )
+        for step in steps
+        for kind in step
+    ]
+    return plan(poses)
+
+
+@given(random_plans())
+def test_emit_load_emit_is_identity_and_keeps_motion_kinds(path):
+    program = lower(path)
+    text = emit(program)
+    loaded = load_program(text)
+    assert emit(loaded) == text
+    assert list(loaded.targets) == list(program.targets)
+    for name, original in program.targets.items():
+        assert loaded.targets[name].motion_kind is original.motion_kind
+
+
+_JUNK_TOKENS = ("inf", "nan", "1e3", "1_0", "+", "t99", "MOVEC", "SPEED", "END")
+
+
+@st.composite
+def mutated_program_texts(draw):
+    """A valid program's lines with some dropped, duplicated, swapped or
+    retokenised (one word replaced by a word of the program or junk)."""
+    lines = emit(lower(draw(random_plans()))).splitlines()
+    words = sorted({w for line in lines for w in re.findall(r"[^\s\[\],=]+", line)})
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "retokenise"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            parts = re.split(r"([\s\[\],=]+)", lines[i])
+            k = draw(st.sampled_from(range(0, len(parts), 2)))
+            parts[k] = draw(st.sampled_from(words + list(_JUNK_TOKENS)))
+            lines[i] = "".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_program_texts())
+def test_load_mutated_text_raises_only_parse_errors(text):
+    try:
+        loaded = load_program(text)
+    except ProgramParseError:
+        return
+    assert load_program(emit(loaded)) == loaded
 
 
 # ---------------------------------------------------------------------------

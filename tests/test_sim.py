@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robopath.codegen import emit, lower
+from robopath.codegen import ProgramParseError, emit, load_program, lower
 from robopath.geometry import Quaternion, Transform
 from robopath.planner import MotionKind, PlannedPath, TargetPose
 from robopath.simulate import (
@@ -12,13 +12,11 @@ from robopath.simulate import (
     ForceConfig,
     FuzzyPIController,
     PIController,
-    ProgramParseError,
     SeamConfig,
     SeamLost,
     SimulationError,
     _fuzzy_increment,
     fuzzy_pi_step,
-    load_program,
     pi_step,
     quantize,
     run_force,
@@ -69,6 +67,12 @@ def test_load_structural_errors():
         load_program("PROGRAM p\nMOVEJ t9 SPEED 1.0\nEND\n")
     with pytest.raises(ProgramParseError, match="after END"):
         load_program("PROGRAM p\nEND\nMOVEJ t1 SPEED 1.0\n")
+    target = "TARGET {} = [0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]\n"
+    header = "PROGRAM p\n" + target.format("t1") + target.format("t2")
+    with pytest.raises(ProgramParseError, match="line 4: target 't1' referenced twice"):
+        load_program(header + "MOVEC t1 t1 SPEED 1.0\nEND\n")
+    with pytest.raises(ProgramParseError, match="line 5: target 't1' referenced twice"):
+        load_program(header + "MOVEJ t1 SPEED 1.0\nMOVEL t1 SPEED 1.0\nEND\n")
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +103,9 @@ def test_sensor_reads_vertical_offset():
 
 def test_sensor_loses_distant_seam():
     seam = SEAM_X + np.array([0.0, 60.0, 0.0])
-    with pytest.raises(SeamLost):
+    with pytest.raises(SeamLost) as lost:
         seam_sensor(seam, np.array([50.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-
-def test_sensor_accepts_target_pose():
-    seam = SEAM_X + np.array([0.0, 1.0, 0.0])
-    tool = TargetPose([50.0, 0.0, 0.0], Quaternion.identity(), MotionKind.LINEAR, 5.0)
-    assert seam_sensor(seam, tool, np.array([1.0, 0.0, 0.0])) == (1.0, 0.0)
+    assert (lost.value.err_y, lost.value.err_z) == (60.0, 0.0)
 
 
 def test_golden_program_loads_with_expected_targets():
