@@ -64,6 +64,8 @@ class Instruction:
     speed: float
 
     def __post_init__(self):
+        if not (self.speed > 0.0 and math.isfinite(self.speed)):
+            raise CodegenError(f"instruction speed must be positive and finite, got {self.speed}")
         expected = len(_OPCODE_KINDS[self.opcode])
         if len(self.targets) != expected:
             raise CodegenError(

@@ -49,6 +49,8 @@ def rotation_matrix(values) -> np.ndarray:
 
 def rotation_about_z(angle_rad: float) -> np.ndarray:
     """Rotation matrix for a right-handed rotation about the Z axis."""
+    if not math.isfinite(angle_rad):
+        raise GeometryError(f"rotation angle must be finite, got {angle_rad}")
     c, s = math.cos(angle_rad), math.sin(angle_rad)
     return rotation_matrix([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 

@@ -10,6 +10,7 @@ tool reorientations become gradual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,8 +58,8 @@ class TargetPose:
 
     def __post_init__(self):
         object.__setattr__(self, "position", vec3(self.position))
-        if not self.speed > 0.0:
-            raise PlanningError(f"target speed must be positive, got {self.speed}")
+        if not (self.speed > 0.0 and math.isfinite(self.speed)):
+            raise PlanningError(f"target speed must be positive and finite, got {self.speed}")
 
     def __eq__(self, other):
         if not isinstance(other, TargetPose):

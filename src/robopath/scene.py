@@ -27,6 +27,7 @@ CHAIN_TOL millimetres.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -197,7 +198,10 @@ def parse_scene(text: str) -> Scene:
     returns a partially valid scene.
     """
     try:
-        data = json.loads(text)
+        # every number becomes a float: no integer field exists, and an
+        # over-long integer literal overflows to inf (rejected in _number)
+        # rather than hitting the int conversion limit
+        data = json.loads(text, parse_constant=_reject_constant, parse_int=float)
     except json.JSONDecodeError as exc:
         raise SceneParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}", exc.lineno, exc.colno
@@ -209,6 +213,10 @@ def parse_scene(text: str) -> Scene:
             "; ".join(d.message for d in problems)
         )
     return scene
+
+
+def _reject_constant(name: str):
+    raise SceneParseError(f"non-finite number {name} is not valid JSON")
 
 
 def _expect_keys(obj, required, optional, where):
@@ -223,9 +231,11 @@ def _expect_keys(obj, required, optional, where):
 
 
 def _number(value, where) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not isinstance(value, float):  # parse_scene reads every JSON number as a float
         raise SceneValidationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    if not math.isfinite(value):  # a literal such as 1e400 overflows to inf
+        raise SceneValidationError(f"{where}: non-finite number {value!r}")
+    return value
 
 
 def _point(value, where) -> list[float]:

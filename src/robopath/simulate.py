@@ -20,8 +20,11 @@ Runs are fully deterministic for a given program, environment, and config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from bisect import bisect_left
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -49,6 +52,14 @@ class SeamLost(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(config) -> None:
+    """Every float field of a configuration must be finite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SimulationError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Environment:
     """The perturbed 'real' cell: a rigid miscalibration offset, optional
@@ -60,6 +71,7 @@ class Environment:
     stiffness_n_per_mm: float = 10.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.roughness_mm < 0.0:
             raise SimulationError("roughness amplitude must be >= 0")
         if not self.stiffness_n_per_mm > 0.0:
@@ -76,6 +88,7 @@ class SeamConfig:
     sensing_range_mm: float = 50.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.rate_hz > 0.0 or not self.resolution_mm > 0.0:
             raise SimulationError("rate and resolution must be > 0")
         if self.gain_y < 0.0 or self.gain_z < 0.0:
@@ -103,6 +116,7 @@ class ForceConfig:
     contact_timeout_s: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.rate_hz > 0.0:
             raise SimulationError("rate must be > 0")
         if not self.setpoint_n > 0.0:
@@ -253,32 +267,54 @@ def program_waypoints(program: RobotProgram) -> tuple[np.ndarray, np.ndarray]:
     return np.array(points), np.array(speeds[1:])
 
 
+def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (n, 3) arrays, summed x + y + z."""
+    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+
+
 class _PathProfile:
     """Time-parameterized traversal of a waypoint polyline at per-leg speeds."""
 
     def __init__(self, points: np.ndarray, leg_speeds: np.ndarray):
-        legs = []
-        for i in range(len(points) - 1):
-            a, b = points[i], points[i + 1]
-            length = float(np.linalg.norm(b - a))
-            if length < 1e-12:
-                continue  # reorientation in place, no travel time
-            legs.append((a, (b - a) / length, length, length / leg_speeds[i]))
-        if not legs:
+        span = points[1:] - points[:-1]
+        lengths = np.sqrt(_dot_rows(span, span))
+        moves = lengths >= 1e-12  # a shorter leg reorients in place, no travel time
+        if not moves.any():
             raise SimulationError("program path has zero length")
-        self.legs = legs
-        self.total_time = sum(leg[3] for leg in legs)
+        lengths = lengths[moves]
+        self.starts = points[:-1][moves]
+        self.directions = span[moves] / lengths[:, None]
+        self.lengths = lengths.tolist()
+        self.durations = lengths / leg_speeds[moves]
+        self.ends = list(accumulate(self.durations.tolist()))  # cumulative end times
+        self.total_time = self.ends[-1]
+        # The rounding in `ends` and in a running remainder of `at` together
+        # stays below this bound times max(t, total_time).
+        self._tie_tol = 2.0 * len(self.ends) * sys.float_info.epsilon
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nominal position and unit travel direction at time t (clamped)."""
-        remaining = t
-        for start, direction, length, duration in self.legs:
-            if remaining <= duration:
-                frac = 0.0 if duration == 0.0 else remaining / duration
-                return start + direction * (length * min(1.0, frac)), direction
-            remaining -= duration
-        start, direction, length, _ = self.legs[-1]
-        return start + direction * length, direction
+        """Nominal position and unit travel direction at time t (clamped).
+
+        The leg is the first whose running remainder `t - d0 - ... - d(i-1)`
+        is at most its duration d(i). `bisect` over the cumulative end times
+        finds it unless t lies within rounding of a leg boundary, where the
+        running subtraction itself decides, so the chosen leg (and with it
+        the travel direction) does not depend on summation order.
+        """
+        ends = self.ends
+        i = bisect_left(ends, t)  # ends[i - 1] < t <= ends[i]
+        tol = self._tie_tol * max(t, self.total_time)
+        if (i < len(ends) and ends[i] - t <= tol) or (i > 0 and t - ends[i - 1] <= tol):
+            left = np.subtract.accumulate(np.concatenate(([t], self.durations)))
+            hits = np.flatnonzero(left[:-1] <= self.durations)
+            i = int(hits[0]) if hits.size else len(ends)
+            remaining = float(left[i])
+        else:
+            remaining = t - (ends[i - 1] if i else 0.0)
+        if i == len(ends):
+            return self.starts[-1] + self.directions[-1] * self.lengths[-1], self.directions[-1]
+        frac = min(1.0, remaining / self.durations[i])
+        return self.starts[i] + self.directions[i] * (self.lengths[i] * frac), self.directions[i]
 
 
 def _path_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,27 +329,38 @@ def _path_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return x, y, z
 
 
-def _closest_on_polyline(points: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
-    best = None
-    best_d = math.inf
-    for i in range(len(points) - 1):
-        a, b = points[i], points[i + 1]
-        w = b - a
-        denom = float(w @ w)
-        if denom < 1e-24:
-            candidate = a
-        else:
-            frac = min(1.0, max(0.0, float((p - a) @ w) / denom))
-            candidate = a + frac * w
-        d = float(np.linalg.norm(candidate - p))
-        if d < best_d:
-            best, best_d = candidate, d
-    return best, best_d
+class _Polyline:
+    """A polyline's segments as arrays, built once for many closest-point
+    queries: start points `a`, spans `w = b - a` and `w . w`."""
+
+    def __init__(self, points: np.ndarray):
+        points = np.asarray(points, dtype=float)
+        self.a = points[:-1]
+        self.w = points[1:] - self.a
+        ww = _dot_rows(self.w, self.w)
+        self.degenerate = ww < 1e-24  # a zero-length segment is its start point
+        self.ww = np.where(self.degenerate, 1.0, ww)
+
+    def closest(self, p: np.ndarray) -> tuple[np.ndarray, float]:
+        """Closest point to p over all segments and its distance; on a tie
+        the first segment wins."""
+        frac = np.clip(_dot_rows(p - self.a, self.w) / self.ww, 0.0, 1.0)
+        frac[self.degenerate] = 0.0
+        candidates = self.a + frac[:, None] * self.w
+        gap = candidates - p
+        dist = np.sqrt(_dot_rows(gap, gap))
+        i = int(np.argmin(dist))
+        return candidates[i], float(dist[i])
 
 
 def _tick_count(profile: _PathProfile, rate_hz: float, duration_s: Optional[float]) -> int:
+    if duration_s is not None and not (duration_s >= 0.0 and math.isfinite(duration_s)):
+        raise SimulationError(f"duration must be finite and >= 0, got {duration_s}")
     span = profile.total_time if duration_s is None else min(duration_s, profile.total_time)
-    return int(math.floor(span * rate_hz + 1e-9)) + 1
+    ticks = span * rate_hz
+    if not math.isfinite(ticks):
+        raise SimulationError(f"{span} s at {rate_hz} Hz is too many ticks")
+    return int(math.floor(ticks + 1e-9)) + 1
 
 
 def quantize(value: float, resolution: float) -> float:
@@ -327,7 +374,7 @@ def quantize(value: float, resolution: float) -> float:
 
 
 def seam_sensor(
-    true_seam: np.ndarray,
+    true_seam: np.ndarray | _Polyline,
     tool: np.ndarray,
     travel: np.ndarray,
     sensing_range_mm: float = 50.0,
@@ -336,9 +383,12 @@ def seam_sensor(
     true seam, in the path frame of the travel direction.
 
     Raises SeamLost, carrying those offsets, when the seam is farther than
-    the sensing range.
+    the sensing range. Pass a `_Polyline` to reuse its segment arrays
+    across calls.
     """
-    closest, dist = _closest_on_polyline(true_seam, tool)
+    if not isinstance(true_seam, _Polyline):
+        true_seam = _Polyline(true_seam)
+    closest, dist = true_seam.closest(tool)
     _, y_axis, z_axis = _path_frame(travel)
     d = closest - tool
     err_y, err_z = float(d @ y_axis), float(d @ z_axis)
@@ -362,7 +412,7 @@ def run_seam(
     """
     points, leg_speeds = program_waypoints(program)
     profile = _PathProfile(points, leg_speeds)
-    true_seam = np.array([apply(env.offset, p) for p in points])
+    true_seam = _Polyline(points @ env.offset.rotation.T + env.offset.origin)
     n_ticks = _tick_count(profile, cfg.rate_hz, duration_s)
 
     corr_y = 0.0

@@ -208,6 +208,35 @@ def test_simulate_rejects_non_decimal_speed(tmp_path, capsys, speed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", ["seam", "force"])
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--rate", "inf"),
+        ("--rate", "nan"),
+        ("--duration", "nan"),
+        ("--duration", "-1"),
+        ("--rate", "1e308"),
+        ("--rot-z-deg", "inf"),
+        ("--roughness", "nan"),
+    ],
+    ids="=".join,
+)
+def test_simulate_rejects_bad_number_option(tmp_path, capsys, scenario, option):
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        capsys,
+        "simulate",
+        "--program", str(FIXTURES / "straight_seam.prog"),
+        "--scenario", scenario,
+        *option,
+        "--out", str(out),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 
+import math
 import re
 
 import numpy as np
@@ -345,3 +346,18 @@ def test_instruction_arity_checked():
         Instruction(Opcode.MOVEC, ("t1",), 5.0)
     with pytest.raises(CodegenError):
         Instruction(Opcode.MOVEL, ("t1", "t2"), 5.0)
+
+
+@pytest.mark.parametrize("speed", [0.0, math.inf, math.nan])
+def test_instruction_speed_must_be_positive_and_finite(speed):
+    with pytest.raises(CodegenError, match="positive and finite"):
+        Instruction(Opcode.MOVEL, ("t1",), speed)
+
+
+def test_load_rejects_decimal_speed_that_overflows():
+    text = emit(lower(plan([pose(0, MotionKind.JOINT, 5.0), pose(9, speed=5.0)])))
+    huge = "1" + "0" * 400 + ".0"  # plain decimal, but inf as a float
+    text = text.replace("MOVEL t2 SPEED 5.0000", f"MOVEL t2 SPEED {huge}")
+    assert huge in text
+    with pytest.raises(ProgramParseError, match="line 5: target 't2'.*finite"):
+        load_program(text)

@@ -370,6 +370,12 @@ def test_bad_interpolation_config_errors():
         interpolate_risk(plan, 10.0, -1.0)
 
 
+@pytest.mark.parametrize("speed", [0.0, -1.0, math.inf, math.nan])
+def test_target_speed_must_be_positive_and_finite(speed):
+    with pytest.raises(PlanningError, match="positive and finite"):
+        TargetPose([0.0, 0.0, 0.0], Quaternion.identity(), MotionKind.LINEAR, speed)
+
+
 def test_consecutive_identical_poses_forbidden():
     pose = TargetPose([0, 0, 0], Quaternion.identity(), MotionKind.JOINT, 10.0)
     with pytest.raises(PlanningError, match="identical"):

@@ -138,6 +138,24 @@ def test_rejected_file_raises_without_partial_scene():
         parse_scene(json.dumps(d))
 
 
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_json_constant_rejected(constant):
+    text = json.dumps(MINIMAL).replace('"speed": 5.0', f'"speed": {constant}')
+    assert constant in text
+    with pytest.raises(SceneParseError, match=f"non-finite number {constant}"):
+        parse_scene(text)
+
+
+@pytest.mark.parametrize(
+    "literal", ["1e400", "-1e400", "1" * 5000], ids=["1e400", "-1e400", "5000_digits"]
+)
+def test_overflowing_number_literal_rejected(literal):
+    text = json.dumps(MINIMAL).replace("[10.0, 0.0, 0.0]", f"[{literal}, 0.0, 0.0]")
+    assert literal in text
+    with pytest.raises(SceneValidationError, match="non-finite number"):
+        parse_scene(text)
+
+
 # ---------------------------------------------------------------------------
 # validate_chain
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from robopath.codegen import ProgramParseError, emit, load_program, lower
 from robopath.geometry import Quaternion, Transform
@@ -15,6 +16,8 @@ from robopath.simulate import (
     SeamConfig,
     SeamLost,
     SimulationError,
+    _PathProfile,
+    _Polyline,
     _fuzzy_increment,
     fuzzy_pi_step,
     pi_step,
@@ -106,6 +109,121 @@ def test_sensor_loses_distant_seam():
     with pytest.raises(SeamLost) as lost:
         seam_sensor(seam, np.array([50.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     assert (lost.value.err_y, lost.value.err_z) == (60.0, 0.0)
+
+
+def closest_by_loop(points, p):
+    """Per-segment scan, the reference for `_Polyline.closest`: a segment
+    with |w|^2 < 1e-24 is its start point, frac is clamped to [0, 1], and only
+    a strictly smaller distance replaces the best, so the first minimum wins."""
+    px, py, pz = p
+    best, best_d = None, math.inf
+    for (ax, ay, az), (bx, by, bz) in zip(points[:-1], points[1:]):
+        wx, wy, wz = bx - ax, by - ay, bz - az
+        denom = wx * wx + wy * wy + wz * wz
+        if denom < 1e-24:
+            candidate = (ax, ay, az)
+        else:
+            frac = ((px - ax) * wx + (py - ay) * wy + (pz - az) * wz) / denom
+            frac = min(1.0, max(0.0, frac))
+            candidate = (ax + frac * wx, ay + frac * wy, az + frac * wz)
+        gx, gy, gz = candidate[0] - px, candidate[1] - py, candidate[2] - pz
+        d = math.sqrt(gx * gx + gy * gy + gz * gz)
+        if d < best_d:
+            best, best_d = candidate, d
+    return best, best_d
+
+
+# Small integer grids repeat points (zero-length segments) and put many
+# segments at exactly the same distance (ties); sub-picometre steps make
+# segments below the 1e-24 mm^2 cut-off that are not exactly zero; free
+# floats cover the rest.
+grid_coord = st.integers(-3, 3).map(float)
+tiny_coord = st.sampled_from([1e-13, -4e-13])
+free_coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+coords = st.one_of(grid_coord, tiny_coord, free_coord)
+points3 = st.tuples(coords, coords, coords)
+
+
+@given(st.lists(points3, min_size=2, max_size=12), points3)
+@example([(0.0, 0.0, 0.0), (1e-13, 0.0, 0.0)], (5.0, 0.0, 0.0))
+def test_closest_point_matches_per_segment_loop(points, p):
+    point, dist = _Polyline(np.array(points)).closest(np.array(p))
+    ref_point, ref_dist = closest_by_loop(points, p)
+    assert tuple(point.tolist()) == ref_point
+    assert dist == ref_dist
+
+
+def test_closest_point_first_minimum_wins():
+    # a square around the origin: every side is 1 mm away
+    square = np.array([[-1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, -1.0, 0.0]])
+    point, dist = _Polyline(square).closest(np.zeros(3))
+    assert point.tolist() == [0.0, 1.0, 0.0] and dist == 1.0
+    point, _ = _Polyline(square[::-1].copy()).closest(np.zeros(3))
+    assert point.tolist() == [0.0, -1.0, 0.0]
+
+
+def at_by_rescan(points, speeds, t):
+    """Linear rescan, the reference for `_PathProfile.at`: skip legs shorter
+    than 1e-12 mm, then walk the legs subtracting each duration from t until
+    the remainder fits in a leg; past the end, hold the last leg's end."""
+    legs = []
+    for a, b, speed in zip(points[:-1], points[1:], speeds):
+        span = b - a
+        length = math.sqrt(span[0] * span[0] + span[1] * span[1] + span[2] * span[2])
+        if length >= 1e-12:
+            legs.append((a, span / length, length, length / speed))
+    remaining = t
+    for i, (start, direction, length, duration) in enumerate(legs):
+        if remaining <= duration:
+            return i, start + direction * (length * min(1.0, remaining / duration))
+        remaining -= duration
+    start, direction, length, _ = legs[-1]
+    return len(legs) - 1, start + direction * length
+
+
+leg_points = st.lists(st.tuples(grid_coord, grid_coord, grid_coord), min_size=2, max_size=10)
+
+
+@given(leg_points, st.data())
+def test_path_profile_matches_linear_rescan(points, data):
+    points = np.array(points)
+    speeds = np.array(
+        data.draw(st.lists(st.sampled_from([0.3, 1.0, 2.5, 7.0, 10.0]),
+                           min_size=len(points) - 1, max_size=len(points) - 1))
+    )
+    try:
+        profile = _PathProfile(points, speeds)
+    except SimulationError:
+        return  # every leg has zero length
+    boundary = data.draw(st.sampled_from(profile.ends))
+    times = [
+        0.0,
+        boundary,  # a leg boundary, and its neighbouring floats
+        math.nextafter(boundary, math.inf),
+        math.nextafter(boundary, -math.inf),
+        data.draw(st.floats(0.0, profile.total_time)),
+        profile.total_time * 1.5,
+    ]
+    for t in times:
+        leg, position = at_by_rescan(points, speeds, t)
+        got_position, got_direction = profile.at(t)
+        assert np.array_equal(got_direction, profile.directions[leg]), t
+        assert np.abs(got_position - position).max() <= 1e-9
+
+
+def test_path_profile_leg_choice_where_summation_order_matters():
+    # 0.1 + 0.2 rounds up, so bisecting the cumulative end times alone would
+    # put t = 0.1 + 0.2 on the second leg, while the running remainder
+    # (t - 0.1 = 0.20000000000000004 > 0.2) puts it on the third
+    points = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.1, 0.2, 0.0], [0.1, 0.2, 1.0]])
+    profile = _PathProfile(points, np.ones(3))
+    t = profile.ends[1]
+    assert t == 0.1 + 0.2 and t - profile.ends[0] > profile.durations[1]
+    leg, position = at_by_rescan(points, np.ones(3), t)
+    assert leg == 2
+    got_position, got_direction = profile.at(t)
+    assert got_direction.tolist() == [0.0, 0.0, 1.0]
+    assert np.abs(got_position - position).max() <= 1e-9
 
 
 def test_golden_program_loads_with_expected_targets():
