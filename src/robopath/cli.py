@@ -13,6 +13,7 @@ still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -49,6 +50,7 @@ _ERRORS = (
     ProgramParseError,
     SimulationError,
     OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -105,16 +107,7 @@ def cmd_compile(args) -> int:
             plan = by_name[args.path]
         else:
             plan = plans[0]
-        risk_segments = [
-            seg
-            for p in scene.paths
-            if p.name == plan.name
-            for seg in p.segments
-            if seg.risk
-        ]
-        if risk_segments:
-            v_mag = min(s.speed for s in risk_segments)
-            plan = interpolate_risk(plan, v_mag, args.interp_dt)
+        plan = interpolate_risk(plan, args.interp_dt)
         program = lower(plan)
         findings = []
         if scene.workspace is not None:
@@ -163,7 +156,7 @@ def cmd_simulate(args) -> int:
         )
         if args.scenario == "seam":
             cfg = SeamConfig(
-                rate_hz=args.rate if args.rate is not None else 5.0,
+                rate_hz=args.rate if args.rate is not None else SeamConfig.rate_hz,
                 resolution_mm=args.resolution,
                 gain_y=args.gain_y,
                 gain_z=args.gain_z,
@@ -171,7 +164,7 @@ def cmd_simulate(args) -> int:
             trace = run_seam(program, env, cfg, args.duration)
         else:
             cfg = ForceConfig(
-                rate_hz=args.rate if args.rate is not None else 20.0,
+                rate_hz=args.rate if args.rate is not None else ForceConfig.rate_hz,
                 setpoint_n=args.setpoint,
                 controller=ControllerKind(args.controller),
                 kp=args.kp,
@@ -188,8 +181,7 @@ def cmd_simulate(args) -> int:
             "roughness_mm": args.roughness,
             "stiffness_n_per_mm": args.stiffness,
             "duration_s": args.duration,
-            "config": {k: (v.value if isinstance(v, ControllerKind) else v)
-                       for k, v in vars(cfg).items() if not k.startswith("_")},
+            "config": dataclasses.asdict(cfg),
             "out": str(out),
         }
         _write_manifest(out, "simulate", program_path, options, args.seed)
@@ -227,12 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--path", help="path name to compile (default: first path)")
     c.add_argument(
         "--interp-dt", type=float, default=0.1,
-        help="sampling width for risk-area interpolation, seconds (default 0.1)",
+        help="sampling width for risk-area interpolation, seconds (default %(default)s)",
     )
-    c.add_argument(
-        "--speed-override", type=float, default=None,
-        help="replace every segment speed, mm/s",
-    )
+    c.add_argument("--speed-override", type=float, help="replace every segment speed, mm/s")
     c.add_argument(
         "--strict", action="store_true",
         help="exit 2 when any target lies outside the declared workspace",
@@ -250,31 +239,37 @@ def build_parser() -> argparse.ArgumentParser:
         "--rot-z-deg", type=float, default=0.0,
         help="workpiece rotation about z, degrees",
     )
-    s.add_argument("--gain-y", type=float, default=1.0, help="seam gain, Y axis")
-    s.add_argument("--gain-z", type=float, default=1.0, help="seam gain, Z axis")
+    s.add_argument("--gain-y", type=float, default=SeamConfig.gain_y, help="seam gain, Y axis")
+    s.add_argument("--gain-z", type=float, default=SeamConfig.gain_z, help="seam gain, Z axis")
     s.add_argument(
-        "--rate", type=float, default=None,
-        help="control rate, Hz (default 5 seam / 20 force)",
+        "--rate", type=float,
+        help=f"control rate, Hz (default {SeamConfig.rate_hz:g} seam / "
+        f"{ForceConfig.rate_hz:g} force)",
     )
     s.add_argument(
-        "--resolution", type=float, default=0.01,
+        "--resolution", type=float, default=SeamConfig.resolution_mm,
         help="robot correction resolution, mm (seam)",
     )
-    s.add_argument("--setpoint", type=float, default=20.0, help="contact force, N")
-    s.add_argument("--controller", choices=["pi", "fuzzy"], default="pi")
-    s.add_argument("--kp", type=float, default=0.02, help="PI proportional gain, mm/N")
-    s.add_argument("--ki", type=float, default=0.5, help="PI integral gain, mm/(N s)")
     s.add_argument(
-        "--stiffness", type=float, default=10.0, help="surface stiffness, N/mm"
+        "--setpoint", type=float, default=ForceConfig.setpoint_n, help="contact force, N"
     )
     s.add_argument(
-        "--roughness", type=float, default=0.0,
+        "--controller", choices=[k.value for k in ControllerKind],
+        default=ForceConfig.controller.value,
+    )
+    s.add_argument("--kp", type=float, default=ForceConfig.kp, help="PI proportional gain, mm/N")
+    s.add_argument("--ki", type=float, default=ForceConfig.ki, help="PI integral gain, mm/(N s)")
+    s.add_argument(
+        "--stiffness", type=float, default=Environment.stiffness_n_per_mm,
+        help="surface stiffness, N/mm",
+    )
+    s.add_argument(
+        "--roughness", type=float, default=Environment.roughness_mm,
         help="surface roughness amplitude, mm (force)",
     )
-    s.add_argument("--seed", type=int, default=0, help="roughness RNG seed")
+    s.add_argument("--seed", type=int, default=Environment.seed, help="roughness RNG seed")
     s.add_argument(
-        "--duration", type=float, default=None,
-        help="cap simulated time, seconds (default: full path)",
+        "--duration", type=float, help="cap simulated time, seconds (default: full path)"
     )
     s.add_argument("--out", required=True, help="trace CSV to write")
     s.set_defaults(func=cmd_simulate)

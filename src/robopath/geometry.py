@@ -149,10 +149,6 @@ class Transform:
     def identity(cls) -> "Transform":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_quaternion(cls, q: Quaternion, origin) -> "Transform":
-        return cls(quaternion_to_rotation(q), origin)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transform):
             return NotImplemented

@@ -223,23 +223,27 @@ def assign_orientations(scene: Scene) -> list[PlannedPath]:
 # ---------------------------------------------------------------------------
 
 
-def interpolate_risk(path: PlannedPath, v_mag: float, dt: float) -> PlannedPath:
+def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
     """Densify risk-flagged regions of a planned path.
 
-    Every maximal run of risk segments is rebuilt: each straight section of
-    the run is split into n = max(1, round(length / (v_mag * dt))) equal
-    steps with exact endpoints, and orientations sweep from the run's entry
-    quaternion to its exit quaternion, parameterized by cumulative arc
-    length. Generated poses are linear moves flagged ``interpolated``.
-    Non-risk poses pass through untouched; paths without risk flags are
-    returned unchanged.
+    The design speed v is the smallest speed among the poses of risk-flagged
+    segments, that is, the smallest risk segment speed. Every maximal run of
+    risk segments is rebuilt: each straight section of the run is split into
+    n = max(1, round(length / (v * dt))) equal steps with exact endpoints,
+    and orientations sweep from the run's entry quaternion to its exit
+    quaternion, parameterized by cumulative arc length. Generated poses are
+    linear moves flagged ``interpolated``. Non-risk poses pass through
+    untouched; paths without risk flags are returned unchanged.
     """
-    if not v_mag > 0.0:
-        raise PlanningError(f"interpolation speed must be positive, got {v_mag}")
-    if not dt > 0.0:
-        raise PlanningError(f"sampling width must be positive, got {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise PlanningError(f"sampling width must be positive and finite, got {dt}")
     if not any(path.segment_risk):
         return path
+    v_mag = min(
+        pose.speed
+        for pose, src in zip(path.poses, path.source_segments)
+        if path.segment_risk[src]
+    )
 
     last_pose_of_segment: dict[int, int] = {}
     for idx, src in enumerate(path.source_segments):

@@ -193,9 +193,9 @@ class Diagnostic:
 def parse_scene(text: str) -> Scene:
     """Parse and fully validate a scene document.
 
-    Raises SceneParseError for malformed JSON (with line/column) and
-    SceneValidationError for any schema or invariant violation. Never
-    returns a partially valid scene.
+    Raises SceneParseError for malformed JSON (with line/column) or JSON
+    nested too deeply to decode, and SceneValidationError for any schema or
+    invariant violation. Never returns a partially valid scene.
     """
     try:
         # every number becomes a float: no integer field exists, and an
@@ -206,6 +206,8 @@ def parse_scene(text: str) -> Scene:
         raise SceneParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}", exc.lineno, exc.colno
         ) from exc
+    except RecursionError as exc:
+        raise SceneParseError("JSON nesting is too deep") from exc
     scene = _build_scene(data)
     problems = validate_chain(scene)
     if problems:

@@ -162,7 +162,6 @@ _RULE = tuple(tuple(min(4, max(0, i + j - 2)) for j in range(5)) for i in range(
 
 # Rules grouped into mirror pairs (i, j) <-> (4-i, 4-j); summing each pair
 # before accumulating keeps the defuzzified output exactly odd-symmetric.
-_SELF_MIRROR = (2, 2)
 _MIRROR_PAIRS = tuple(
     ((i, j), (4 - i, 4 - j))
     for i in range(5)
@@ -228,7 +227,6 @@ FORCE_COLUMNS = ("t_s", "x_mm", "y_mm", "z_mm", "force_N", "setpoint_N", "disp_m
 
 @dataclass(frozen=True)
 class SimTrace:
-    kind: str
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
     status: str  # OK | ABORTED
@@ -435,7 +433,7 @@ def run_seam(
         corr_y = quantize(corr_y + step_y, cfg.resolution_mm)
         corr_z = quantize(corr_z + step_z, cfg.resolution_mm)
         rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
-    return SimTrace("seam", SEAM_COLUMNS, tuple(rows), status)
+    return SimTrace(SEAM_COLUMNS, tuple(rows), status)
 
 
 # ---------------------------------------------------------------------------
@@ -494,4 +492,4 @@ def run_force(
                 break
         else:
             lost_for = 0.0
-    return SimTrace("force", FORCE_COLUMNS, tuple(rows), status)
+    return SimTrace(FORCE_COLUMNS, tuple(rows), status)

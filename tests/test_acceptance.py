@@ -114,13 +114,13 @@ def test_criterion_3_interpolation():
         a = rng.uniform(-200, 200, size=3)
         b = a + rng.uniform(5, 150, size=3) * rng.choice([-1.0, 1.0], size=3)
         q_exit = Quaternion.from_axis_angle(rng.normal(size=3), rng.uniform(0.2, 2.5))
+        v, dt = float(rng.uniform(1, 30)), float(rng.uniform(0.05, 1.0))
         poses = (
-            TargetPose(a, q_entry, MotionKind.JOINT, 10.0),
-            TargetPose(b, q_exit, MotionKind.LINEAR, 10.0),
+            TargetPose(a, q_entry, MotionKind.JOINT, v),
+            TargetPose(b, q_exit, MotionKind.LINEAR, v),
         )
         plan = PlannedPath("p", poses, (0, 0), (True,))
-        v, dt = float(rng.uniform(1, 30)), float(rng.uniform(0.05, 1.0))
-        out = interpolate_risk(plan, v, dt)
+        out = interpolate_risk(plan, dt)
 
         w = b - a
         length = float(np.linalg.norm(w))
@@ -166,7 +166,7 @@ def test_criterion_4_codegen_goldens(tmp_path, capsys):
         scene = rebase(parse_scene((FIXTURES / scene_name).read_text()), "B")
         (plan,) = assign_orientations(scene)
         if any(plan.segment_risk):
-            plan = interpolate_risk(plan, 10.0, 0.5)
+            plan = interpolate_risk(plan, 0.5)
         program = lower(plan)
         loaded = load_program(emit(program))
         for name, original in program.targets.items():

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import robopath.cli
 from conftest import FIXTURES
@@ -104,6 +107,76 @@ def test_compile_non_finite_speed_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, *compile_args(scene_file, out))
     assert code == 1
     assert err.startswith("error:") and "non-finite" in err
+    assert not out.exists()
+
+
+def test_compile_speed_override_matches_rewritten_scene(tmp_path, capsys):
+    """Risk spacing follows the override exactly as it follows scene speeds."""
+    text = (FIXTURES / "butt_joint.scene.json").read_text()
+    slow = tmp_path / "slow.json"
+    slow.write_text(text.replace('"speed": 10.0', '"speed": 5.0'))
+    assert '"speed": 10.0' not in slow.read_text()
+
+    overridden = tmp_path / "override.prog"
+    rewritten = tmp_path / "rewritten.prog"
+    code, _, err = run(
+        capsys,
+        *compile_args(FIXTURES / "butt_joint.scene.json", overridden,
+                      speed_override=5, interp_dt=0.5),
+    )
+    assert code == 0, err
+    assert run(capsys, *compile_args(slow, rewritten, interp_dt=0.5))[0] == 0
+    assert overridden.read_bytes() == rewritten.read_bytes()
+    assert overridden.read_bytes() != (FIXTURES / "butt_joint.prog").read_bytes()
+
+
+def two_path_scene(tmp_path):
+    """straight_seam plus a second, shorter path named 'second'."""
+    scene = json.loads((FIXTURES / "straight_seam.scene.json").read_text())
+    second = json.loads(json.dumps(scene["paths"][0]))
+    second["name"] = "second"
+    second["segments"][0]["points"] = [[0.0, 10.0, 0.0], [40.0, 10.0, 0.0]]
+    scene["paths"].append(second)
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps(scene))
+    scene["paths"] = [second]
+    only = tmp_path / "only_second.json"
+    only.write_text(json.dumps(scene))
+    return both, only
+
+
+def test_compile_path_selects_named_path(tmp_path, capsys):
+    both, only = two_path_scene(tmp_path)
+    picked = tmp_path / "picked.prog"
+    expected = tmp_path / "expected.prog"
+    code, _, err = run(capsys, *compile_args(both, picked, path="second"))
+    assert code == 0, err
+    assert run(capsys, *compile_args(only, expected))[0] == 0
+    assert picked.read_bytes() == expected.read_bytes()
+    assert picked.read_text().startswith("PROGRAM second\n")
+    manifest = json.loads((tmp_path / "picked.prog.manifest.json").read_text())
+    assert manifest["options"]["path"] == "second"
+
+
+def test_compile_unknown_path_exits_1(tmp_path, capsys):
+    both, _ = two_path_scene(tmp_path)
+    out = tmp_path / "x.prog"
+    code, _, err = run(capsys, *compile_args(both, out, path="third"))
+    assert code == 1
+    assert err.startswith("error:") and "third" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scene", ["butt_joint", "straight_seam"])
+@pytest.mark.parametrize("dt", ["0", "-1", "inf", "nan"])
+def test_compile_rejects_bad_interp_dt(tmp_path, capsys, scene, dt):
+    """Risky (butt_joint) and risk-free (straight_seam) scenes alike."""
+    out = tmp_path / "x.prog"
+    code, _, err = run(
+        capsys, *compile_args(FIXTURES / f"{scene}.scene.json", out, interp_dt=dt)
+    )
+    assert code == 1
+    assert err.startswith("error:") and "sampling width" in err
     assert not out.exists()
 
 
@@ -235,6 +308,35 @@ def test_simulate_rejects_bad_number_option(tmp_path, capsys, scenario, option):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# hostile input files
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@given(data=st.binary())
+@example(data=b"\xff\xfe not utf-8")
+@example(data=b"[" * 1000 + b"]" * 1000)
+def test_cli_exits_1_on_arbitrary_input_bytes(hostile_dir, data):
+    given_file = hostile_dir / "input"
+    given_file.write_bytes(data)
+    out = hostile_dir / "out"
+    for argv in (
+        compile_args(given_file, out),
+        ["simulate", "--program", str(given_file), "--scenario", "seam", "--out", str(out)],
+    ):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == 1
+        assert stderr.getvalue().startswith("error:")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

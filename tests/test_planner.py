@@ -223,7 +223,7 @@ def test_uniform_spacing_example():
         Quaternion.from_axis_angle([0, 0, 1], math.radians(90)),
         [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
     )
-    out = interpolate_risk(plan, v_mag=10.0, dt=0.25)
+    out = interpolate_risk(plan, dt=0.25)
     xs = [p.position[0] for p in out.poses]
     np.testing.assert_allclose(xs, [0.0, 2.5, 5.0, 7.5, 10.0], atol=1e-12)
     assert len(out.poses) == 4 + 1
@@ -238,7 +238,7 @@ def test_orientation_sweep_midpoint_example():
         q90,
         [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
     )
-    out = interpolate_risk(plan, v_mag=10.0, dt=0.25)
+    out = interpolate_risk(plan, dt=0.25)
     mid = out.poses[2]  # at x = 5.0, half the run length
     np.testing.assert_allclose(
         [mid.orientation.w, mid.orientation.x, mid.orientation.y, mid.orientation.z],
@@ -252,7 +252,7 @@ def test_no_risk_is_identity():
     pose_a = TargetPose([0, 0, 0], Quaternion.identity(), MotionKind.JOINT, 10.0)
     pose_b = TargetPose([10, 0, 0], Quaternion.identity(), MotionKind.LINEAR, 10.0)
     plan = PlannedPath("p", (pose_a, pose_b), (0, 0), (False,))
-    assert interpolate_risk(plan, 10.0, 0.1) is plan
+    assert interpolate_risk(plan, 0.1) is plan
 
 
 def test_rerunning_after_consumption_is_identity():
@@ -261,9 +261,9 @@ def test_rerunning_after_consumption_is_identity():
         Quaternion.from_axis_angle([0, 0, 1], 1.0),
         [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
     )
-    once = interpolate_risk(plan, 10.0, 0.25)
+    once = interpolate_risk(plan, 0.25)
     assert not any(once.segment_risk)
-    assert interpolate_risk(once, 10.0, 0.25) is once
+    assert interpolate_risk(once, 0.25) is once
 
 
 def test_sections_equidistant_collinear_and_monotone():
@@ -273,9 +273,9 @@ def test_sections_equidistant_collinear_and_monotone():
         pts = [rng.uniform(-200, 200, size=3)]
         for _ in range(3):
             pts.append(pts[-1] + rng.uniform(5, 80, size=3) * rng.choice([-1, 1], 3))
-        plan = risk_plan(Quaternion.identity(), q_exit, pts)
         v, dt = float(rng.uniform(1, 30)), float(rng.uniform(0.05, 1.0))
-        out = interpolate_risk(plan, v, dt)
+        plan = risk_plan(Quaternion.identity(), q_exit, pts, speed=v)
+        out = interpolate_risk(plan, dt)
 
         # per-section spacing uniform and collinear with the section
         run_lengths = [np.linalg.norm(pts[i + 1] - pts[i]) for i in range(len(pts) - 1)]
@@ -317,9 +317,11 @@ def test_pose_count_matches_subdivision_oracle():
             while np.linalg.norm(step) < 1.0:
                 step = rng.uniform(-60, 60, size=3)
             pts.append(pts[-1] + step)
-        plan = risk_plan(Quaternion.identity(), Quaternion.from_axis_angle([0, 1, 0], 0.7), pts)
         v, dt = float(rng.uniform(1, 20)), float(rng.uniform(0.05, 0.8))
-        out = interpolate_risk(plan, v, dt)
+        plan = risk_plan(
+            Quaternion.identity(), Quaternion.from_axis_angle([0, 1, 0], 0.7), pts, speed=v
+        )
+        out = interpolate_risk(plan, dt)
         expected = 1 + sum(
             max(1, round(float(np.linalg.norm(pts[i + 1] - pts[i])) / (v * dt)))
             for i in range(k)
@@ -336,13 +338,29 @@ def test_non_risk_poses_untouched():
         TargetPose([30, 0, 0], q, MotionKind.LINEAR, 10.0),
     )
     plan = PlannedPath("p", poses, (0, 0, 1, 2), (False, True, False))
-    out = interpolate_risk(plan, 10.0, 0.5)
+    out = interpolate_risk(plan, 0.5)
     assert out.poses[0] == poses[0]
     assert out.poses[1] == poses[1]  # run entry pose passes through untouched
     assert out.poses[-1] == poses[3]
     generated = out.poses[2:-1]
     assert all(p.interpolated for p in generated)
     assert len(generated) == 2  # 10 mm section at 5 mm steps
+
+
+def test_design_speed_is_slowest_risk_segment():
+    # a slow plain segment, then risk segments at 20 and 5 mm/s: spacing is
+    # 5 mm/s * 0.5 s, so each 10 mm section splits into 4 steps
+    kinds = [MotionKind.JOINT] + [MotionKind.LINEAR] * 3
+    speeds = (1.0, 1.0, 20.0, 5.0)
+    poses = tuple(
+        TargetPose([10.0 * i, 0, 0], Quaternion.identity(), kinds[i], v)
+        for i, v in enumerate(speeds)
+    )
+    plan = PlannedPath("p", poses, (0, 0, 1, 2), (False, True, True))
+    out = interpolate_risk(plan, 0.5)
+    xs = [p.position[0] for p in out.poses]
+    np.testing.assert_allclose(xs, [0.0, 10.0] + [10.0 + 2.5 * k for k in range(1, 9)])
+    assert [p.speed for p in out.poses[2:]] == [20.0] * 4 + [5.0] * 4
 
 
 def test_zero_length_risk_section_errors():
@@ -355,7 +373,7 @@ def test_zero_length_risk_section_errors():
     )
     plan = PlannedPath("p", poses, (0, 0), (True,))
     with pytest.raises(PlanningError, match="zero-length"):
-        interpolate_risk(plan, 10.0, 0.1)
+        interpolate_risk(plan, 0.1)
 
 
 def test_bad_interpolation_config_errors():
@@ -364,10 +382,9 @@ def test_bad_interpolation_config_errors():
         Quaternion.from_axis_angle([0, 0, 1], 1.0),
         [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
     )
-    with pytest.raises(PlanningError):
-        interpolate_risk(plan, 0.0, 0.1)
-    with pytest.raises(PlanningError):
-        interpolate_risk(plan, 10.0, -1.0)
+    for dt in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(PlanningError, match="sampling width"):
+            interpolate_risk(plan, dt)
 
 
 @pytest.mark.parametrize("speed", [0.0, -1.0, math.inf, math.nan])
@@ -391,7 +408,7 @@ def test_butt_joint_plan_smooths_orientation_change():
     scene = parse_scene((FIXTURES / "butt_joint.scene.json").read_text())
     rebased = rebase(scene, "B")
     (plan,) = assign_orientations(rebased)
-    out = interpolate_risk(plan, v_mag=10.0, dt=0.5)
+    out = interpolate_risk(plan, dt=0.5)
     assert not any(out.segment_risk)
     # orientation change is now gradual: max per-step angle well below the
     # single abrupt change in the raw plan

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import FIXTURES, random_transform
 from robopath.scene import (
@@ -10,6 +11,7 @@ from robopath.scene import (
     PathSegment,
     Scene,
     ScenePath,
+    SceneError,
     SceneParseError,
     SceneValidationError,
     SegmentKind,
@@ -154,6 +156,25 @@ def test_overflowing_number_literal_rejected(literal):
     assert literal in text
     with pytest.raises(SceneValidationError, match="non-finite number"):
         parse_scene(text)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.text() | json_values.map(json.dumps))
+@example("[" * 1000 + "]" * 1000)
+@example('{"a": ' * 1000 + "0" + "}" * 1000)
+@example("[" * 100000)
+def test_parse_scene_raises_only_scene_errors(text):
+    try:
+        parse_scene(text)
+    except SceneError:
+        pass
 
 
 # ---------------------------------------------------------------------------
