@@ -2,6 +2,13 @@
 text, which `emit` writes and `load_program` reads back. The grammar, its
 number pattern and the opcode-to-motion-kind table are defined here once.
 
+The IR is columnar: a `RobotProgram` holds its targets as a read-only
+(n, 3) position array and (n, 4) quaternion array in reference order, plus
+the move instructions, which give each target its motion kind and speed.
+`RobotProgram.targets` is a read-only name -> TargetPose view that builds a
+pose only when one is looked up. `load_program` fills the columns without
+building a pose per target; it checks the target block as arrays.
+
 Program grammar (one statement per line, LF endings):
 
     program := "PROGRAM" name NL { target } { move } "END" NL
@@ -19,10 +26,16 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import chain
+from typing import NoReturn
 
-from .geometry import Quaternion
+import numpy as np
+
+from .geometry import NEAR_UNIT_TOL, Quaternion
 from .planner import MotionKind, PlannedPath, TargetPose
 from .scene import Workspace
 
@@ -75,17 +88,76 @@ class Instruction:
 
 @dataclass(frozen=True)
 class RobotProgram:
+    """A program's targets as columns, in reference order, plus its moves.
+
+    Row i of `positions` (n, 3) and `orientations` (n, 4; w, x, y, z in
+    canonical sign) is the i-th target the moves reference. A float array
+    passed in is kept without a copy and made read-only, so pass arrays the
+    program may own. A target's motion kind and speed are those of the move
+    that references it. `target_names` is derived from the moves, and
+    `targets` views the columns as a name -> TargetPose mapping.
+    """
+
     name: str
-    targets: dict[str, TargetPose] = field(compare=False)
+    positions: np.ndarray = field(compare=False)
+    orientations: np.ndarray = field(compare=False)
     instructions: tuple[Instruction, ...] = ()
+    target_names: tuple[str, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        referenced = [t for ins in self.instructions for t in ins.targets]
+        referenced = tuple(t for ins in self.instructions for t in ins.targets)
         if len(set(referenced)) != len(referenced):
             raise CodegenError("a target is referenced by more than one instruction")
-        declared = set(self.targets)
-        if set(referenced) != declared:
-            raise CodegenError("declared targets and instruction references differ")
+        for attr, width in (("positions", 3), ("orientations", 4)):
+            column = np.asarray(getattr(self, attr), dtype=float)
+            if column.shape != (len(referenced), width):
+                raise CodegenError(
+                    f"{attr} has shape {column.shape}, expected ({len(referenced)}, {width})"
+                )
+            column.setflags(write=False)
+            object.__setattr__(self, attr, column)
+        object.__setattr__(self, "target_names", referenced)
+
+    @cached_property
+    def targets(self) -> Mapping[str, TargetPose]:
+        return _TargetView(self)
+
+
+class _TargetView(Mapping):
+    """Read-only name -> TargetPose view of a program's columns; a pose is
+    built only when it is looked up."""
+
+    def __init__(self, program: RobotProgram):
+        self._program = program
+
+    @cached_property
+    def _index(self) -> dict[str, tuple[int, Instruction, int]]:
+        """Name -> (row, referencing instruction, operand position)."""
+        program = self._program
+        owners = [(ins, k) for ins in program.instructions for k in range(len(ins.targets))]
+        return {
+            name: (row, ins, k)
+            for row, (name, (ins, k)) in enumerate(zip(program.target_names, owners))
+        }
+
+    def __getitem__(self, name: str) -> TargetPose:
+        row, ins, k = self._index[name]
+        program = self._program
+        return TargetPose(
+            program.positions[row],
+            Quaternion(*program.orientations[row].tolist()),
+            _OPCODE_KINDS[ins.opcode][k],
+            ins.speed,
+        )
+
+    def __contains__(self, name) -> bool:
+        return name in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._program.target_names)
+
+    def __len__(self) -> int:
+        return len(self._program.target_names)
 
 
 def fmt_num(value: float) -> str:
@@ -105,7 +177,6 @@ def lower(path: PlannedPath) -> RobotProgram:
     named t1, t2, ... in path order and never deduplicated, so every pose
     stays traceable to its source index.
     """
-    targets: dict[str, TargetPose] = {}
     instructions: list[Instruction] = []
     poses = path.poses
     i = 0
@@ -122,10 +193,14 @@ def lower(path: PlannedPath) -> RobotProgram:
                     f"path {path.name!r}: circular via at pose {i - 1} has no end pose"
                 )
             names.append(f"t{i + 1}")
-            targets[names[-1]] = poses[i]
             i += 1
         instructions.append(Instruction(opcode, tuple(names), poses[i - 1].speed))
-    return RobotProgram(path.name, targets, tuple(instructions))
+    positions = np.array([pose.position for pose in poses])
+    quats = (pose.orientation for pose in poses)
+    orientations = np.fromiter(
+        chain.from_iterable((q.w, q.x, q.y, q.z) for q in quats), float, 4 * len(poses)
+    )
+    return RobotProgram(path.name, positions, orientations.reshape(-1, 4), tuple(instructions))
 
 
 # A quaternion text whose w reads 0.0000 and whose first nonzero component is
@@ -133,28 +208,36 @@ def lower(path: PlannedPath) -> RobotProgram:
 _FLIPPED_ON_RELOAD_RE = re.compile(r"0\.0000, (?:0\.0000, )*-")
 
 
-def _fmt_quaternion(q: Quaternion) -> str:
-    text = f"{fmt_num(q.w)}, {fmt_num(q.x)}, {fmt_num(q.y)}, {fmt_num(q.z)}"
+def _fmt_quaternion(w: float, x: float, y: float, z: float) -> str:
+    text = f"{fmt_num(w)}, {fmt_num(x)}, {fmt_num(y)}, {fmt_num(z)}"
     if _FLIPPED_ON_RELOAD_RE.match(text):
         # the same rotation, written with the sign a reload gives it
-        text = f"{fmt_num(-q.w)}, {fmt_num(-q.x)}, {fmt_num(-q.y)}, {fmt_num(-q.z)}"
+        text = f"{fmt_num(-w)}, {fmt_num(-x)}, {fmt_num(-y)}, {fmt_num(-z)}"
     return text
 
 
+def _target_line(name: str, position: np.ndarray, quat: np.ndarray) -> str:
+    x, y, z = position.tolist()
+    return (
+        f"TARGET {name} = [{fmt_num(x)}, {fmt_num(y)}, {fmt_num(z)}], "
+        f"[{_fmt_quaternion(*quat.tolist())}]\n"
+    )
+
+
 def emit(program: RobotProgram) -> str:
-    """Deterministic program text; identical programs emit identical bytes."""
-    lines = [f"PROGRAM {program.name}"]
-    for name, pose in program.targets.items():
-        x, y, z = pose.position
-        lines.append(
-            f"TARGET {name} = [{fmt_num(x)}, {fmt_num(y)}, {fmt_num(z)}], "
-            f"[{_fmt_quaternion(pose.orientation)}]"
-        )
-    for ins in program.instructions:
-        names = " ".join(ins.targets)
-        lines.append(f"{ins.opcode.value} {names} SPEED {fmt_num(ins.speed)}")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    """Deterministic program text; identical programs emit identical bytes.
+
+    The target block and the move block are joined one after the other, so
+    the line strings of only one block are alive at a time.
+    """
+    targets = "".join(
+        map(_target_line, program.target_names, program.positions, program.orientations)
+    )
+    moves = "".join(
+        f"{ins.opcode.value} {' '.join(ins.targets)} SPEED {fmt_num(ins.speed)}\n"
+        for ins in program.instructions
+    )
+    return f"PROGRAM {program.name}\n{targets}{moves}END\n"
 
 
 _NUM = r"\s*([+-]?[0-9]+(?:\.[0-9]+)?)\s*"  # grammar `num`, with its blanks
@@ -165,6 +248,9 @@ _TARGET_RE = re.compile(
 )
 
 
+_OPCODES = {op.value: op for op in Opcode}
+
+
 def load_program(text: str) -> RobotProgram:
     """Parse program text back into a RobotProgram.
 
@@ -172,10 +258,19 @@ def load_program(text: str) -> RobotProgram:
     lossless. Targets are ordered by their reference in the moves, each
     taking its motion kind from the opcode table. Raises ProgramParseError
     with the offending line number.
+
+    The target block is checked as arrays once it is complete, at the first
+    move. A target those checks reject is rebuilt as a TargetPose at the
+    move that references it, so the error carries the constructor's message
+    and that move's line.
     """
     name = None
-    declared: dict[str, list[float]] = {}  # x, y, z, w, qx, qy, qz
-    targets: dict[str, TargetPose] = {}
+    declared: dict[str, int] = {}  # target name -> its row in `values`
+    values: list[float] = []  # x, y, z, w, qx, qy, qz of each declared target
+    table = None  # `values` as an (n, 7) array, quaternions in canonical sign
+    rejected: set[int] = set()  # rows that fail the pose checks
+    rows: list[int] = []  # declared row of each referenced target, in order
+    referenced: set[str] = set()
     instructions: list[Instruction] = []
     ended = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -199,16 +294,16 @@ def load_program(text: str) -> RobotProgram:
             m = _TARGET_RE.fullmatch(line)
             if not m:
                 raise ProgramParseError("malformed TARGET statement", line_no)
-            tname, *values = m.groups()
+            tname, *numbers = m.groups()
             if tname in declared:
                 raise ProgramParseError(f"duplicate target {tname!r}", line_no)
-            declared[tname] = [float(v) for v in values]
+            declared[tname] = len(declared)
+            values.extend(map(float, numbers))
             continue
         parts = line.split()
-        try:
-            opcode = Opcode(parts[0])
-        except ValueError:
-            raise ProgramParseError(f"unknown opcode {parts[0]!r}", line_no) from None
+        opcode = _OPCODES.get(parts[0])
+        if opcode is None:
+            raise ProgramParseError(f"unknown opcode {parts[0]!r}", line_no)
         kinds = _OPCODE_KINDS[opcode]
         n_names = len(kinds)
         if len(parts) != n_names + 3 or parts[n_names + 1] != "SPEED":
@@ -216,29 +311,62 @@ def load_program(text: str) -> RobotProgram:
         if not _NUMBER_RE.fullmatch(parts[-1]):
             raise ProgramParseError(f"bad speed {parts[-1]!r}", line_no)
         speed = float(parts[-1])
+        speed_ok = speed > 0.0 and math.isfinite(speed)
+        if table is None:  # the first move: every target is declared
+            table, rejected = _check_targets(values)
         names = tuple(parts[1 : 1 + n_names])
         for t, kind in zip(names, kinds):
-            if t not in declared:
+            row = declared.get(t)
+            if row is None:
                 raise ProgramParseError(f"undeclared target {t!r}", line_no)
-            if t in targets:
+            if t in referenced:
                 raise ProgramParseError(f"target {t!r} referenced twice", line_no)
-            values = declared[t]
-            try:
-                # components kept exactly as written so values survive reload
-                quat = Quaternion(*values[3:])
-                targets[t] = TargetPose(values[:3], quat, kind, speed)
-            except ValueError as exc:
-                raise ProgramParseError(f"target {t!r}: {exc}", line_no) from exc
+            if row in rejected or not speed_ok:
+                _reject_target(t, values[7 * row : 7 * row + 7], kind, speed, line_no)
+            referenced.add(t)
+            rows.append(row)
         instructions.append(Instruction(opcode, names, speed))
 
     if name is None:
         raise ProgramParseError("empty program", 1)
     if not ended:
         raise ProgramParseError("missing END", len(text.splitlines()) or 1)
-    unused = set(declared) - set(targets)
+    unused = set(declared) - referenced
     if unused:
         raise ProgramParseError(f"unreferenced targets {sorted(unused)}", 1)
-    return RobotProgram(name, targets, tuple(instructions))
+    if table is None:
+        table = np.empty((0, 7))
+    table = table[rows]
+    return RobotProgram(name, table[:, :3], table[:, 3:], tuple(instructions))
+
+
+def _check_targets(values: list[float]) -> tuple[np.ndarray, set[int]]:
+    """The declared targets as an (n, 7) array with each quaternion in
+    canonical sign, and the rows a TargetPose would reject: a non-finite
+    number or a quaternion norm off 1 by more than NEAR_UNIT_TOL."""
+    table = np.array(values, dtype=float).reshape(-1, 7)
+    q = table[:, 3:]
+    w, x, y, z = q.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # summed w, x, y, z like the Quaternion constructor, so the bits agree
+        norm = np.sqrt(w * w + x * x + y * y + z * z)
+        ok = np.isfinite(table).all(axis=1) & (np.abs(norm - 1.0) <= NEAR_UNIT_TOL)
+    # canonical sign: the first nonzero component is positive
+    first = q[np.arange(len(q)), (q != 0.0).argmax(axis=1)]
+    flip = first < 0.0
+    q[flip] = -q[flip]
+    return table, set(np.flatnonzero(~ok).tolist())
+
+
+def _reject_target(
+    t: str, row: list[float], kind: MotionKind, speed: float, line_no: int
+) -> NoReturn:
+    """Raise the error building target t's pose gives, at line_no."""
+    try:
+        TargetPose(row[:3], Quaternion(*row[3:]), kind, speed)
+    except ValueError as exc:
+        raise ProgramParseError(f"target {t!r}: {exc}", line_no) from exc
+    raise AssertionError(f"target {t!r} passes the pose checks it was rejected by")
 
 
 @dataclass(frozen=True)
@@ -251,19 +379,20 @@ class LintFinding:
 
 
 def workspace_lint(program: RobotProgram, workspace: Workspace) -> list[LintFinding]:
-    """Flag every target coordinate outside the box; bounds are inclusive."""
+    """Flag every target coordinate outside the box; bounds are inclusive.
+    Findings are ordered by target, then axis."""
+    positions = program.positions
+    outside = (positions < workspace.lo) | (positions > workspace.hi)
     findings = []
-    for name, pose in program.targets.items():
-        for k, axis in enumerate("xyz"):
-            v = float(pose.position[k])
-            lo, hi = float(workspace.lo[k]), float(workspace.hi[k])
-            if v < lo or v > hi:
-                findings.append(
-                    LintFinding(
-                        name,
-                        axis,
-                        f"target {name} {axis}={v:.4f} outside workspace "
-                        f"[{lo:.4f}, {hi:.4f}]",
-                    )
-                )
+    for row, k in zip(*np.nonzero(outside)):
+        name, axis = program.target_names[row], "xyz"[k]
+        v = float(positions[row, k])
+        lo, hi = float(workspace.lo[k]), float(workspace.hi[k])
+        findings.append(
+            LintFinding(
+                name,
+                axis,
+                f"target {name} {axis}={v:.4f} outside workspace [{lo:.4f}, {hi:.4f}]",
+            )
+        )
     return findings

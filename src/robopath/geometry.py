@@ -21,7 +21,8 @@ class GeometryError(ValueError):
 def vec3(values) -> np.ndarray:
     """Coerce to a finite (3,) float vector; returns a read-only copy."""
     v = np.array(values, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
+    x, y, z = v.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise GeometryError(f"vector has non-finite components: {v!r}")
     v.setflags(write=False)
     return v
@@ -76,10 +77,10 @@ class Quaternion:
     z: float
 
     def __post_init__(self):
-        comps = (self.w, self.x, self.y, self.z)
-        if not all(math.isfinite(c) for c in comps):
+        w, x, y, z = comps = (self.w, self.x, self.y, self.z)
+        if not (math.isfinite(w) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise GeometryError(f"quaternion has non-finite components: {comps}")
-        norm = math.sqrt(sum(c * c for c in comps))
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
         if abs(norm - 1.0) > NEAR_UNIT_TOL:
             raise GeometryError(f"quaternion norm is {norm!r}, not 1")
         if _needs_sign_flip(comps):

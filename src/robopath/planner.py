@@ -33,6 +33,11 @@ from .scene import Frame, Scene, ScenePath, SegmentKind, UNIVERSE, Workspace
 POSITION_TOL = 1e-6  # mm
 ANGLE_TOL = 1e-7  # rad
 
+# Most poses risk interpolation may generate for one path, about 30 times the
+# largest benchmark program; a finer sampling width is refused before any
+# pose is built.
+MAX_INTERPOLATED_POSES = 200_000
+
 
 class PlanningError(ValueError):
     """A scene cannot be planned (unknown frame, degenerate geometry, bad config)."""
@@ -233,7 +238,10 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
     and orientations sweep from the run's entry quaternion to its exit
     quaternion, parameterized by cumulative arc length. Generated poses are
     linear moves flagged ``interpolated``. Non-risk poses pass through
-    untouched; paths without risk flags are returned unchanged.
+    untouched; paths without risk flags are returned unchanged. If the
+    sections would take more than MAX_INTERPOLATED_POSES steps in all
+    (counted before rounding), PlanningError is raised before any pose is
+    generated.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise PlanningError(f"sampling width must be positive and finite, got {dt}")
@@ -260,18 +268,13 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
     if start is not None:
         runs.append((start, len(path.segment_risk) - 1))
 
-    new_poses: list[TargetPose] = []
-    new_sources: list[int] = []
-    cursor = 0
+    step_mm = v_mag * dt
+    sections = []  # (entry, exit, section lengths, unrounded step counts) of each run
+    total_steps = 0.0
     for seg_a, seg_b in runs:
         entry = 0 if seg_a == 0 else last_pose_of_segment[seg_a - 1]
         exit_ = last_pose_of_segment[seg_b]
-
-        new_poses.extend(path.poses[cursor : entry + 1])
-        new_sources.extend(path.source_segments[cursor : entry + 1])
-        cursor = exit_ + 1
-
-        section_lengths = []
+        lengths = []
         for i in range(entry, exit_):
             length = float(
                 np.linalg.norm(path.poses[i + 1].position - path.poses[i].position)
@@ -281,7 +284,24 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
                     f"path {path.name!r}: zero-length section at pose {i} inside a "
                     f"risk region"
                 )
-            section_lengths.append(length)
+            lengths.append(length)
+        # an underflowing step length has no finite count
+        steps = [length / step_mm if step_mm > 0.0 else math.inf for length in lengths]
+        total_steps += sum(steps)
+        sections.append((entry, exit_, lengths, steps))
+    if not total_steps <= MAX_INTERPOLATED_POSES:
+        raise PlanningError(
+            f"path {path.name!r}: sampling width {dt} s at {v_mag} mm/s would generate "
+            f"about {total_steps:.3g} poses, more than {MAX_INTERPOLATED_POSES}"
+        )
+
+    new_poses: list[TargetPose] = []
+    new_sources: list[int] = []
+    cursor = 0
+    for entry, exit_, section_lengths, steps in sections:
+        new_poses.extend(path.poses[cursor : entry + 1])
+        new_sources.extend(path.source_segments[cursor : entry + 1])
+        cursor = exit_ + 1
         total = sum(section_lengths)
 
         q_entry = path.poses[entry].orientation
@@ -291,7 +311,7 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
             pa = path.poses[entry + s]
             pb = path.poses[entry + s + 1]
             direction = pb.position - pa.position
-            n = max(1, round(length / (v_mag * dt)))
+            n = max(1, round(steps[s]))
             for j in range(1, n + 1):
                 if j == n:
                     position = pb.position

@@ -253,16 +253,13 @@ class SimTrace:
 
 
 def program_waypoints(program: RobotProgram) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered motion waypoints and per-leg speeds from the instruction list."""
-    points = []
-    speeds = []
-    for ins in program.instructions:
-        for tname in ins.targets:
-            points.append(program.targets[tname].position)
-            speeds.append(ins.speed)
-    if len(points) < 2:
+    """Ordered motion waypoints and per-leg speeds. Every target is
+    referenced once, in column order, so the waypoints are the position
+    column itself; a leg runs at the speed of the move that reaches it."""
+    if len(program.positions) < 2:
         raise SimulationError("program needs at least two targets to traverse")
-    return np.array(points), np.array(speeds[1:])
+    speeds = [ins.speed for ins in program.instructions for _ in ins.targets]
+    return program.positions, np.array(speeds[1:])
 
 
 def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, strategies as st
 import robopath.cli
 from conftest import FIXTURES
 from robopath.cli import main
+from robopath.planner import MAX_INTERPOLATED_POSES
 from robopath.simulate import SimTrace
 
 
@@ -177,6 +179,21 @@ def test_compile_rejects_bad_interp_dt(tmp_path, capsys, scene, dt):
     )
     assert code == 1
     assert err.startswith("error:") and "sampling width" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt", ["1e-6", "1e-300"])
+def test_compile_refuses_pose_budget_quickly(tmp_path, capsys, dt):
+    """A tiny sampling width would generate ~1e7 poses (or an infinite
+    count); the budget refuses it before any pose is built."""
+    out = tmp_path / "x.prog"
+    started = time.perf_counter()
+    code, _, err = run(
+        capsys, *compile_args(FIXTURES / "butt_joint.scene.json", out, interp_dt=dt)
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert err.startswith("error:") and str(MAX_INTERPOLATED_POSES) in err
     assert not out.exists()
 
 

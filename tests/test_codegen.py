@@ -1,13 +1,17 @@
 
 import math
 import re
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import finite, quaternions, random_rotation
 from robopath.codegen import (
+    _NUMBER_RE,
+    _OPCODE_KINDS,
+    _TARGET_RE,
     CodegenError,
     Instruction,
     LintFinding,
@@ -23,6 +27,7 @@ from robopath.codegen import (
 from robopath.geometry import Quaternion, rotation_to_quaternion
 from robopath.planner import MotionKind, PlannedPath, TargetPose
 from robopath.scene import Workspace
+from robopath.simulate import SimulationError, program_waypoints
 
 
 def pose(x, kind=MotionKind.LINEAR, speed=10.0, interpolated=False, quat=None):
@@ -277,6 +282,193 @@ def test_load_mutated_text_raises_only_parse_errors(text):
     assert load_program(emit(loaded)) == loaded
 
 
+def reference_load(text):
+    """The per-target loader `load_program` replaced, kept as a brute-force
+    reference: one Quaternion and one TargetPose per target, validated as
+    each move references it. Returns (name, {target: pose}, instructions)."""
+    name = None
+    declared = {}
+    targets = {}
+    instructions = []
+    ended = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if ended:
+            raise ProgramParseError("content after END", line_no)
+        if name is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "PROGRAM":
+                raise ProgramParseError("expected PROGRAM header", line_no)
+            name = parts[1]
+            continue
+        if line == "END":
+            ended = True
+            continue
+        if line.startswith("TARGET"):
+            if instructions:
+                raise ProgramParseError("TARGET after motion statements", line_no)
+            m = _TARGET_RE.fullmatch(line)
+            if not m:
+                raise ProgramParseError("malformed TARGET statement", line_no)
+            tname, *values = m.groups()
+            if tname in declared:
+                raise ProgramParseError(f"duplicate target {tname!r}", line_no)
+            declared[tname] = [float(v) for v in values]
+            continue
+        parts = line.split()
+        try:
+            opcode = Opcode(parts[0])
+        except ValueError:
+            raise ProgramParseError(f"unknown opcode {parts[0]!r}", line_no) from None
+        kinds = _OPCODE_KINDS[opcode]
+        n_names = len(kinds)
+        if len(parts) != n_names + 3 or parts[n_names + 1] != "SPEED":
+            raise ProgramParseError(f"malformed {opcode.value} statement", line_no)
+        if not _NUMBER_RE.fullmatch(parts[-1]):
+            raise ProgramParseError(f"bad speed {parts[-1]!r}", line_no)
+        speed = float(parts[-1])
+        names = tuple(parts[1 : 1 + n_names])
+        for t, kind in zip(names, kinds):
+            if t not in declared:
+                raise ProgramParseError(f"undeclared target {t!r}", line_no)
+            if t in targets:
+                raise ProgramParseError(f"target {t!r} referenced twice", line_no)
+            values = declared[t]
+            try:
+                quat = Quaternion(*values[3:])
+                targets[t] = TargetPose(values[:3], quat, kind, speed)
+            except ValueError as exc:
+                raise ProgramParseError(f"target {t!r}: {exc}", line_no) from exc
+        instructions.append(Instruction(opcode, names, speed))
+
+    if name is None:
+        raise ProgramParseError("empty program", 1)
+    if not ended:
+        raise ProgramParseError("missing END", len(text.splitlines()) or 1)
+    unused = set(declared) - set(targets)
+    if unused:
+        raise ProgramParseError(f"unreferenced targets {sorted(unused)}", 1)
+    return name, targets, tuple(instructions)
+
+
+_TARGET_LINE_RE = re.compile(r"TARGET (\S+) = \[(.*)\], \[(.*)\]")
+_HUGE = "1" + "0" * 400 + ".0"  # a plain decimal that is inf as a float
+
+
+@st.composite
+def edited_program_texts(draw):
+    """A valid program with targeted edits: quaternions with w = 0 and
+    negative later components, norms on either side of NEAR_UNIT_TOL, an
+    overflowing decimal in a target or a speed, and duplicate, undeclared
+    or twice-referenced targets."""
+    lines = emit(lower(draw(random_plans()))).splitlines()
+    targets = [i for i, line in enumerate(lines) if line.startswith("TARGET")]
+    moves = [i for i, line in enumerate(lines) if line.startswith("MOVE")]
+    names = [_TARGET_LINE_RE.fullmatch(lines[i]).group(1) for i in targets]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(
+            ["w0", "norm", "huge_target", "huge_speed", "duplicate", "undeclared", "twice"]
+        ))
+        i = draw(st.sampled_from(targets))
+        tname, position, quat = _TARGET_LINE_RE.fullmatch(lines[i]).groups()
+        numbers = position.split(", ") + quat.split(", ")
+        if edit == "w0":
+            signs = draw(st.lists(st.sampled_from(["", "-"]), min_size=3, max_size=3))
+            body = draw(st.sampled_from([("0.6000", "0.8000", "0.0000"),
+                                         ("0.0000", "1.0000", "0.0000"),
+                                         ("0.0000", "0.0000", "1.0000"),
+                                         ("0.5774", "0.5774", "0.5774")]))
+            w = draw(st.sampled_from(["0.0000", "-0.0000"]))
+            numbers[3:] = [w] + [s + c for s, c in zip(signs, body)]
+        elif edit == "norm":
+            k = draw(st.integers(0, 3))
+            numbers[3:] = ["0.0000"] * 4
+            numbers[3 + k] = draw(st.sampled_from(["", "-"])) + draw(st.sampled_from(
+                ["0.9994", "0.9995", "0.9996", "1.0004", "1.0005", "1.0006", "1.0010"]
+            ))
+        elif edit == "huge_target":
+            numbers[draw(st.integers(0, 6))] = draw(st.sampled_from([_HUGE, "-" + _HUGE]))
+        elif edit == "huge_speed":
+            j = draw(st.sampled_from(moves))
+            lines[j] = lines[j].rsplit(" ", 1)[0] + " " + _HUGE
+            continue
+        elif edit == "duplicate":
+            tname = draw(st.sampled_from(names))
+        else:
+            j = draw(st.sampled_from(moves))
+            parts = lines[j].split()
+            k = draw(st.integers(1, len(parts) - 3))
+            parts[k] = "t99" if edit == "undeclared" else draw(st.sampled_from(names))
+            lines[j] = " ".join(parts)
+            continue
+        lines[i] = (
+            f"TARGET {tname} = [{', '.join(numbers[:3])}], [{', '.join(numbers[3:])}]"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    random_plans().map(lambda path: emit(lower(path))),
+    mutated_program_texts(),
+    edited_program_texts(),
+))
+def test_load_agrees_with_per_target_reference(text):
+    try:
+        name, targets, instructions = reference_load(text)
+    except ProgramParseError as expected:
+        with pytest.raises(ProgramParseError) as got:
+            load_program(text)
+        assert (str(got.value), got.value.line) == (str(expected), expected.line)
+        return
+    loaded = load_program(text)
+    assert loaded.name == name
+    assert loaded.instructions == instructions
+    assert loaded.target_names == tuple(targets)
+    for row, (t, pose) in enumerate(targets.items()):
+        got = loaded.targets[t]
+        assert got.position.tolist() == pose.position.tolist()
+        assert got.orientation == pose.orientation
+        assert got.motion_kind is pose.motion_kind
+        assert got.speed == pose.speed
+        assert loaded.positions[row].tolist() == pose.position.tolist()
+        assert loaded.orientations[row].tolist() == pose.orientation.as_array().tolist()
+
+
+@given(random_plans())
+def test_program_waypoints_match_per_instruction_gather(path):
+    for program in (lower(path), load_program(emit(lower(path)))):
+        points, speeds = [], []
+        for ins in program.instructions:
+            for t in ins.targets:
+                points.append(program.targets[t].position)
+                speeds.append(ins.speed)
+        if len(points) < 2:
+            with pytest.raises(SimulationError, match="two targets"):
+                program_waypoints(program)
+            continue
+        got_points, got_speeds = program_waypoints(program)
+        assert got_points.tolist() == np.array(points).tolist()
+        assert got_speeds.tolist() == speeds[1:]
+
+
+def test_program_columns_are_read_only_and_targets_a_lazy_view():
+    program = lower(plan([pose(0, MotionKind.JOINT), pose(10, speed=7.0)]))
+    assert program.positions.shape == (2, 3) and program.orientations.shape == (2, 4)
+    for column in (program.positions, program.orientations):
+        with pytest.raises(ValueError):
+            column[0, 0] = 1.0
+    assert isinstance(program.targets, Mapping)
+    assert len(program.targets) == 2 and "t2" in program.targets and "t3" not in program.targets
+    assert program.targets["t2"] == pose(10, speed=7.0)
+    with pytest.raises(KeyError):
+        program.targets["t3"]
+    with pytest.raises(TypeError):
+        program.targets["t1"] = pose(5)
+
+
 # ---------------------------------------------------------------------------
 # workspace lint
 # ---------------------------------------------------------------------------
@@ -315,12 +507,14 @@ def test_lint_agrees_with_bruteforce_on_random_programs():
         positions = rng.uniform(-60, 60, size=(int(rng.integers(2, 5)), 3))
         program = program_at(*positions)
         findings = workspace_lint(program, box)
-        expected = set()
+        expected = []  # by target, then axis
         for idx, p in enumerate(positions):
             for k, axis in enumerate("xyz"):
                 if p[k] < lo[k] or p[k] > hi[k]:
-                    expected.add((f"t{idx + 1}", axis))
-        assert {(f.target, f.axis) for f in findings} == expected
+                    message = (f"target t{idx + 1} {axis}={p[k]:.4f} outside workspace "
+                               f"[{lo[k]:.4f}, {hi[k]:.4f}]")
+                    expected.append((f"t{idx + 1}", axis, message))
+        assert [(f.target, f.axis, f.message) for f in findings] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +527,8 @@ def test_program_rejects_reused_target():
     with pytest.raises(CodegenError):
         RobotProgram(
             "p",
-            {"t1": t},
+            [t.position],
+            [t.orientation.as_array()],
             (
                 Instruction(Opcode.MOVEJ, ("t1",), 5.0),
                 Instruction(Opcode.MOVEL, ("t1",), 5.0),

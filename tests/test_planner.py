@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, random_transform, rodrigues
+from robopath import planner
 from robopath.geometry import (
     Quaternion,
     Transform,
@@ -385,6 +386,26 @@ def test_bad_interpolation_config_errors():
     for dt in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(PlanningError, match="sampling width"):
             interpolate_risk(plan, dt)
+
+
+def test_pose_budget_refuses_fine_sampling(monkeypatch):
+    monkeypatch.setattr(planner, "MAX_INTERPOLATED_POSES", 10)
+    plan = risk_plan(
+        Quaternion.identity(),
+        Quaternion.from_axis_angle([0, 0, 1], 1.0),
+        [np.array([0.0, 0.0, 0.0]), np.array([5.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
+    )
+    assert len(interpolate_risk(plan, 0.1).poses) == 1 + 10  # two 5-step sections
+    with pytest.raises(PlanningError, match="more than 10"):
+        interpolate_risk(plan, 0.09)  # 2 x 5.6 steps
+    slow = risk_plan(
+        Quaternion.identity(),
+        Quaternion.from_axis_angle([0, 0, 1], 1.0),
+        [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
+        speed=1e-3,
+    )
+    with pytest.raises(PlanningError, match="more than 10"):
+        interpolate_risk(slow, 5e-324)  # the step length underflows to 0
 
 
 @pytest.mark.parametrize("speed", [0.0, -1.0, math.inf, math.nan])
