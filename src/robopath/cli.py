@@ -31,7 +31,7 @@ from .codegen import (
 )
 from .geometry import GeometryError, Transform, rotation_about_z
 from .planner import PlanningError, assign_orientations, interpolate_risk, rebase
-from .scene import PathSegment, Scene, SceneError, ScenePath, parse_scene
+from .scene import SceneError, parse_scene
 from .simulate import (
     ControllerKind,
     Environment,
@@ -76,28 +76,12 @@ def _write_manifest(out: Path, subcommand: str, input_path: Path, options: dict,
     )
 
 
-def _override_speeds(scene: Scene, speed: float) -> Scene:
-    paths = tuple(
-        ScenePath(
-            p.name,
-            tuple(
-                PathSegment(s.kind, s.points, s.tool_frame, s.risk, speed)
-                for s in p.segments
-            ),
-        )
-        for p in scene.paths
-    )
-    return Scene(scene.frames, paths, scene.workspace, scene.units)
-
-
 def cmd_compile(args) -> int:
     scene_path = Path(args.scene)
     try:
         scene = parse_scene(scene_path.read_text())
-        if args.speed_override is not None:
-            if not args.speed_override > 0.0:
-                return _fail("--speed-override must be positive")
-            scene = _override_speeds(scene, args.speed_override)
+        if args.speed_override is not None and not 0.0 < args.speed_override < math.inf:
+            return _fail("--speed-override must be positive and finite")
         scene = rebase(scene, args.base)
         plans = assign_orientations(scene)
         if args.path is not None:
@@ -107,6 +91,8 @@ def cmd_compile(args) -> int:
             plan = by_name[args.path]
         else:
             plan = plans[0]
+        if args.speed_override is not None:  # as if it replaced every segment speed
+            plan = dataclasses.replace(plan, speeds=[args.speed_override] * len(plan.kinds))
         plan = interpolate_risk(plan, args.interp_dt)
         program = lower(plan)
         findings = []

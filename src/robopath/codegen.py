@@ -1,10 +1,12 @@
-"""The robot program: its IR, `lower` from planned poses, and the program
+"""The robot program: its IR, `lower` from a planned path, and the program
 text, which `emit` writes and `load_program` reads back. The grammar, its
 number pattern and the opcode-to-motion-kind table are defined here once.
 
 The IR is columnar: a `RobotProgram` holds its targets as a read-only
 (n, 3) position array and (n, 4) quaternion array in reference order, plus
 the move instructions, which give each target its motion kind and speed.
+`lower` names the planned poses and groups them into moves; the program
+takes the planned path's position and quaternion columns as they are.
 `RobotProgram.targets` is a read-only name -> TargetPose view that builds a
 pose only when one is looked up. `load_program` fills the columns without
 building a pose per target; it checks the target block as arrays.
@@ -30,13 +32,12 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import NoReturn
 
 import numpy as np
 
-from .geometry import NEAR_UNIT_TOL, Quaternion
-from .planner import MotionKind, PlannedPath, TargetPose
+from .geometry import NEAR_UNIT_TOL, Quaternion, canonical_sign
+from .planner import MotionKind, PlannedPath, PoseView, TargetPose
 from .scene import Workspace
 
 
@@ -86,7 +87,7 @@ class Instruction:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobotProgram:
     """A program's targets as columns, in reference order, plus its moves.
 
@@ -95,14 +96,15 @@ class RobotProgram:
     passed in is kept without a copy and made read-only, so pass arrays the
     program may own. A target's motion kind and speed are those of the move
     that references it. `target_names` is derived from the moves, and
-    `targets` views the columns as a name -> TargetPose mapping.
+    `targets` views the columns as a name -> TargetPose mapping. Programs
+    are equal when their names, moves and both columns are equal.
     """
 
     name: str
-    positions: np.ndarray = field(compare=False)
-    orientations: np.ndarray = field(compare=False)
+    positions: np.ndarray
+    orientations: np.ndarray
     instructions: tuple[Instruction, ...] = ()
-    target_names: tuple[str, ...] = field(init=False, compare=False)
+    target_names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         referenced = tuple(t for ins in self.instructions for t in ins.targets)
@@ -118,6 +120,16 @@ class RobotProgram:
             object.__setattr__(self, attr, column)
         object.__setattr__(self, "target_names", referenced)
 
+    def __eq__(self, other):
+        if not isinstance(other, RobotProgram):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.instructions == other.instructions
+            and np.array_equal(self.positions, other.positions)
+            and np.array_equal(self.orientations, other.orientations)
+        )
+
     @cached_property
     def targets(self) -> Mapping[str, TargetPose]:
         return _TargetView(self)
@@ -131,27 +143,18 @@ class _TargetView(Mapping):
         self._program = program
 
     @cached_property
-    def _index(self) -> dict[str, tuple[int, Instruction, int]]:
-        """Name -> (row, referencing instruction, operand position)."""
-        program = self._program
-        owners = [(ins, k) for ins in program.instructions for k in range(len(ins.targets))]
-        return {
-            name: (row, ins, k)
-            for row, (name, (ins, k)) in enumerate(zip(program.target_names, owners))
-        }
+    def _rows(self) -> dict[str, int]:
+        return {name: row for row, name in enumerate(self._program.target_names)}
+
+    @cached_property
+    def _poses(self) -> PoseView:
+        p = self._program
+        kinds = [k for ins in p.instructions for k in _OPCODE_KINDS[ins.opcode]]
+        speeds = [ins.speed for ins in p.instructions for _ in ins.targets]
+        return PoseView(p.positions, p.orientations, kinds, speeds, [False] * len(kinds))
 
     def __getitem__(self, name: str) -> TargetPose:
-        row, ins, k = self._index[name]
-        program = self._program
-        return TargetPose(
-            program.positions[row],
-            Quaternion(*program.orientations[row].tolist()),
-            _OPCODE_KINDS[ins.opcode][k],
-            ins.speed,
-        )
-
-    def __contains__(self, name) -> bool:
-        return name in self._index
+        return self._poses[self._rows[name]]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._program.target_names)
@@ -169,38 +172,34 @@ def fmt_num(value: float) -> str:
 
 
 def lower(path: PlannedPath) -> RobotProgram:
-    """Map poses onto motion instructions.
+    """Name the poses and group them into motion instructions.
 
     Each opcode takes the run of poses whose motion kinds match its row of
     the opcode table: one pose for joint, linear and spline moves, a
     circular via pose followed by a circular end pose for MOVEC. Targets are
     named t1, t2, ... in path order and never deduplicated, so every pose
-    stays traceable to its source index.
+    stays traceable to its source index. The program takes the path's
+    position and orientation columns as they are.
     """
     instructions: list[Instruction] = []
-    poses = path.poses
+    kinds, speeds = path.kinds, path.speeds.tolist()
     i = 0
-    while i < len(poses):
-        opcode = _OPCODE_OF_FIRST_KIND.get(poses[i].motion_kind)
+    while i < len(kinds):
+        opcode = _OPCODE_OF_FIRST_KIND.get(kinds[i])
         if opcode is None:
             raise CodegenError(
                 f"path {path.name!r}: circular end at pose {i} has no via pose"
             )
         names = []
         for kind in _OPCODE_KINDS[opcode]:
-            if i == len(poses) or poses[i].motion_kind is not kind:
+            if i == len(kinds) or kinds[i] is not kind:
                 raise CodegenError(
                     f"path {path.name!r}: circular via at pose {i - 1} has no end pose"
                 )
             names.append(f"t{i + 1}")
             i += 1
-        instructions.append(Instruction(opcode, tuple(names), poses[i - 1].speed))
-    positions = np.array([pose.position for pose in poses])
-    quats = (pose.orientation for pose in poses)
-    orientations = np.fromiter(
-        chain.from_iterable((q.w, q.x, q.y, q.z) for q in quats), float, 4 * len(poses)
-    )
-    return RobotProgram(path.name, positions, orientations.reshape(-1, 4), tuple(instructions))
+        instructions.append(Instruction(opcode, tuple(names), speeds[i - 1]))
+    return RobotProgram(path.name, path.positions, path.orientations, tuple(instructions))
 
 
 # A quaternion text whose w reads 0.0000 and whose first nonzero component is
@@ -345,16 +344,12 @@ def _check_targets(values: list[float]) -> tuple[np.ndarray, set[int]]:
     canonical sign, and the rows a TargetPose would reject: a non-finite
     number or a quaternion norm off 1 by more than NEAR_UNIT_TOL."""
     table = np.array(values, dtype=float).reshape(-1, 7)
-    q = table[:, 3:]
-    w, x, y, z = q.T
+    w, x, y, z = table[:, 3:].T
     with np.errstate(over="ignore", invalid="ignore"):
         # summed w, x, y, z like the Quaternion constructor, so the bits agree
         norm = np.sqrt(w * w + x * x + y * y + z * z)
         ok = np.isfinite(table).all(axis=1) & (np.abs(norm - 1.0) <= NEAR_UNIT_TOL)
-    # canonical sign: the first nonzero component is positive
-    first = q[np.arange(len(q)), (q != 0.0).argmax(axis=1)]
-    flip = first < 0.0
-    q[flip] = -q[flip]
+    canonical_sign(table[:, 3:])
     return table, set(np.flatnonzero(~ok).tolist())
 
 

@@ -221,32 +221,46 @@ def quaternion_to_rotation(q: Quaternion) -> np.ndarray:
     )
 
 
-def slerp(q0: Quaternion, q1: Quaternion, t: float) -> Quaternion:
-    """Spherical linear interpolation along the shortest great-circle arc.
+def canonical_sign(q: np.ndarray) -> np.ndarray:
+    """Negate, in place, each row of an (n, 4) quaternion array whose first
+    nonzero component is negative; returns q."""
+    flip = q[np.arange(len(q)), (q != 0.0).argmax(axis=1)] < 0.0
+    q[flip] = -q[flip]
+    return q
+
+
+def slerp(q0, q1, t) -> np.ndarray:
+    """Spherical linear interpolation of unit quaternions q0 and q1, given as
+    (w, x, y, z) arrays, along the shortest great-circle arc at each t of an
+    array in [0, 1]. Returns a (len(t), 4) array in canonical sign.
 
     Q(t) = sin((1-t)*theta)/sin(theta) * q0 + sin(t*theta)/sin(theta) * q1,
     with theta = acos(q0 . q1). When q0 . q1 < 0, q1 is negated first so the
     short arc is taken; below SLERP_MIN_ANGLE the weights degenerate and a
-    normalized linear interpolation is used instead.
+    normalized linear interpolation is used instead. t == 0 and t == 1 give
+    q0 and q1 exactly.
     """
-    if not 0.0 <= t <= 1.0:
-        raise GeometryError(f"slerp parameter t={t!r} outside [0, 1]")
-    if t == 0.0:
-        return q0
-    if t == 1.0:
-        return q1
-    a = q0.as_array()
-    b = q1.as_array()
+    t = np.asarray(t, dtype=float)
+    outside = ~((t >= 0.0) & (t <= 1.0))
+    if outside.any():
+        raise GeometryError(f"slerp parameter t={float(t[outside][0])!r} outside [0, 1]")
+    a, b = np.array(q0, dtype=float), np.array(q1, dtype=float)
     dot = float(a @ b)
     if dot < 0.0:
         b = -b
         dot = -dot
-    theta = math.acos(min(1.0, dot))
+    theta = math.acos(min(1.0, dot))  # math.acos: np.arccos differs in the last bit
+    tc = t[:, None]
     if theta < SLERP_MIN_ANGLE:
-        mixed = (1.0 - t) * a + t * b
+        mixed = (1.0 - tc) * a + tc * b
     else:
         sin_theta = math.sin(theta)
-        mixed = (math.sin((1.0 - t) * theta) / sin_theta) * a + (
-            math.sin(t * theta) / sin_theta
+        mixed = (np.sin((1.0 - tc) * theta) / sin_theta) * a + (
+            np.sin(tc * theta) / sin_theta
         ) * b
-    return Quaternion.unit(*mixed)
+    w, x, y, z = mixed.T
+    # summed w, x, y, z like Quaternion.unit, so the bits agree
+    out = canonical_sign(mixed / np.sqrt(w * w + x * x + y * y + z * z)[:, None])
+    out[t == 0.0] = q0
+    out[t == 1.0] = q1
+    return out

@@ -1,6 +1,10 @@
 """Turn a scene into ordered target poses: rebase into the calibration frame,
 attach tool orientations, and densify risk-flagged regions.
 
+A `PlannedPath` holds its poses as columns (positions, quaternions, motion
+kinds, speeds, interpolated flags, source segments), the same table a
+`RobotProgram` takes; no stage builds an object per pose.
+
 Risk smoothing subdivides each straight section of a flagged region into
 equally spaced points (the count set by the design speed and sampling width)
 and sweeps the orientation from the region's entry quaternion to its exit
@@ -10,24 +14,26 @@ tool reorientations become gradual.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from .geometry import (
     Quaternion,
     Transform,
-    angle_between,
-    apply,
     compose,
     invert,
     rotation_to_quaternion,
     slerp,
     vec3,
 )
-from .scene import Frame, Scene, ScenePath, SegmentKind, UNIVERSE, Workspace
+from .scene import Frame, Scene, SegmentKind, UNIVERSE, Workspace
 
 # Consecutive poses must differ by more than one of these.
 POSITION_TOL = 1e-6  # mm
@@ -78,32 +84,69 @@ class TargetPose:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlannedPath:
-    """Ordered pose sequence for one path, with per-pose source segment indices.
-
-    `segment_risk` carries each source segment's risk flag; interpolation
-    consumes the flags, so a smoothed path holds all-False entries.
+    """Ordered poses of one path as columns: row i of `positions` (n, 3),
+    `orientations` (n, 4; w, x, y, z in canonical sign), `kinds`, `speeds`,
+    `interpolated` and `source_segments` (never decreasing) is pose i. The
+    arrays are kept without a copy and made read-only; `poses` views the rows
+    as TargetPose objects. `segment_risk` carries each source segment's risk
+    flag; interpolation consumes the flags, so a smoothed path holds
+    all-False entries.
     """
 
     name: str
-    poses: tuple[TargetPose, ...]
-    source_segments: tuple[int, ...]
+    positions: np.ndarray
+    orientations: np.ndarray
+    kinds: tuple[MotionKind, ...]
+    speeds: np.ndarray
+    interpolated: np.ndarray
+    source_segments: np.ndarray
     segment_risk: tuple[bool, ...]
 
     def __post_init__(self):
-        if not self.poses:
-            raise PlanningError(f"planned path {self.name!r} is empty")
-        if len(self.poses) != len(self.source_segments):
-            raise PlanningError("pose and source-segment lists differ in length")
-        for i in range(1, len(self.poses)):
-            a, b = self.poses[i - 1], self.poses[i]
-            dist = float(np.linalg.norm(a.position - b.position))
-            angle = angle_between(a.orientation, b.orientation)
-            if dist <= POSITION_TOL and angle <= ANGLE_TOL:
-                raise PlanningError(
-                    f"path {self.name!r}: poses {i - 1} and {i} are identical"
-                )
+        for attr in ("positions", "orientations", "speeds", "interpolated", "source_segments"):
+            column = np.asarray(getattr(self, attr))
+            column.setflags(write=False)
+            object.__setattr__(self, attr, column)
+        q = self.orientations
+        angle = np.arccos(np.minimum(1.0, np.abs(np.vecdot(q[:-1], q[1:]))))
+        same = (_section_lengths(self.positions) <= POSITION_TOL) & (angle <= ANGLE_TOL)
+        if same.any():
+            i = int(same.argmax()) + 1
+            raise PlanningError(f"path {self.name!r}: poses {i - 1} and {i} are identical")
+
+    @cached_property
+    def poses(self) -> Sequence[TargetPose]:
+        return PoseView(
+            self.positions, self.orientations, self.kinds, self.speeds, self.interpolated
+        )
+
+
+class PoseView(Sequence):
+    """Read-only view of pose columns that builds a TargetPose per lookup."""
+
+    def __init__(self, positions, orientations, kinds, speeds, interpolated):
+        self._columns = (positions, orientations, kinds, speeds, interpolated)
+
+    def __getitem__(self, i: int) -> TargetPose:
+        positions, orientations, kinds, speeds, interpolated = self._columns
+        return TargetPose(
+            positions[i],
+            Quaternion(*orientations[i].tolist()),
+            kinds[i],
+            float(speeds[i]),
+            bool(interpolated[i]),
+        )
+
+    def __len__(self) -> int:
+        return len(self._columns[2])
+
+
+def _section_lengths(positions: np.ndarray) -> np.ndarray:
+    """Distance from each pose to the next, with np.linalg.norm's bits."""
+    d = np.diff(positions, axis=0)
+    return np.sqrt(np.vecdot(d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -125,34 +168,29 @@ def rebase(scene: Scene, base: str) -> Scene:
             raise PlanningError(f"unknown base frame {base!r}")
         base_to_universe = frame.transform
     universe_to_base = invert(base_to_universe)
+    rot_t, origin = universe_to_base.rotation.T, universe_to_base.origin
 
     frames = tuple(
         Frame(f.name, compose(universe_to_base, f.transform)) for f in scene.frames
     )
-    paths = []
-    for path in scene.paths:
-        segments = []
-        for seg in path.segments:
-            pts = np.array([apply(universe_to_base, p) for p in seg.points])
-            segments.append(
-                type(seg)(seg.kind, pts, seg.tool_frame, seg.risk, seg.speed)
-            )
-        paths.append(ScenePath(path.name, tuple(segments)))
+    paths = tuple(
+        dataclasses.replace(
+            path,
+            segments=tuple(
+                dataclasses.replace(seg, points=seg.points @ rot_t + origin)
+                for seg in path.segments
+            ),
+        )
+        for path in scene.paths
+    )
 
     workspace = scene.workspace
     if workspace is not None:
-        corners = np.array(
-            [
-                apply(universe_to_base, [x, y, z])
-                for x in (workspace.lo[0], workspace.hi[0])
-                for y in (workspace.lo[1], workspace.hi[1])
-                for z in (workspace.lo[2], workspace.hi[2])
-            ]
-        )
+        corners = np.array(list(product(*zip(workspace.lo, workspace.hi)))) @ rot_t + origin
         # rotated box re-boxed as its enclosing axis-aligned hull
         workspace = Workspace(corners.min(axis=0), corners.max(axis=0))
 
-    return Scene(frames, tuple(paths), workspace, scene.units)
+    return Scene(frames, paths, workspace, scene.units)
 
 
 # ---------------------------------------------------------------------------
@@ -179,45 +217,35 @@ def assign_orientations(scene: Scene) -> list[PlannedPath]:
     path is a joint-interpolated approach move; every other pose's motion
     kind and speed come from the segment traversed to reach it.
     """
-    frames = scene.frame_map()
-    quats: dict[str, Quaternion] = {}
+    quats = {f.name: rotation_to_quaternion(f.transform.rotation).as_array() for f in scene.frames}
     for path in scene.paths:
         for seg in path.segments:
-            if seg.tool_frame not in frames:
+            if seg.tool_frame not in quats:
                 raise PlanningError(
                     f"path {path.name!r}: tool frame {seg.tool_frame!r} is not declared"
-                )
-            if seg.tool_frame not in quats:
-                quats[seg.tool_frame] = rotation_to_quaternion(
-                    frames[seg.tool_frame].transform.rotation
                 )
 
     planned = []
     for path in scene.paths:
-        poses: list[TargetPose] = []
-        sources: list[int] = []
-        n = len(path.segments)
-        for i, seg in enumerate(path.segments):
-            quat = quats[seg.tool_frame]
-            if i == 0:
-                poses.append(
-                    TargetPose(seg.points[0], quat, MotionKind.JOINT, seg.speed)
-                )
-                sources.append(0)
-            for p in seg.points[1:-1]:
-                poses.append(TargetPose(p, quat, _VIA_KIND[seg.kind], seg.speed))
-                sources.append(i)
-            end_quat = quats[path.segments[i + 1].tool_frame] if i + 1 < n else quat
-            poses.append(
-                TargetPose(seg.points[-1], end_quat, _END_KIND[seg.kind], seg.speed)
-            )
-            sources.append(i)
+        segs = path.segments
+        kinds = [MotionKind.JOINT]
+        sources = [0]  # the segment each pose belongs to
+        tools = [0]  # the segment whose tool frame orients each pose
+        for i, seg in enumerate(segs):
+            vias = len(seg.points) - 2  # none on a line
+            kinds += [_VIA_KIND.get(seg.kind)] * vias + [_END_KIND[seg.kind]]
+            sources += [i] * (vias + 1)
+            tools += [i] * vias + [min(i + 1, len(segs) - 1)]
         planned.append(
             PlannedPath(
                 path.name,
-                tuple(poses),
-                tuple(sources),
-                tuple(seg.risk for seg in path.segments),
+                np.concatenate([segs[0].points[:1]] + [seg.points[1:] for seg in segs]),
+                np.array([quats[seg.tool_frame] for seg in segs])[tools],
+                tuple(kinds),
+                np.array([seg.speed for seg in segs])[sources],
+                np.zeros(len(kinds), dtype=bool),
+                sources,
+                tuple(seg.risk for seg in segs),
             )
         )
     return planned
@@ -237,54 +265,38 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
     n = max(1, round(length / (v * dt))) equal steps with exact endpoints,
     and orientations sweep from the run's entry quaternion to its exit
     quaternion, parameterized by cumulative arc length. Generated poses are
-    linear moves flagged ``interpolated``. Non-risk poses pass through
-    untouched; paths without risk flags are returned unchanged. If the
-    sections would take more than MAX_INTERPOLATED_POSES steps in all
-    (counted before rounding), PlanningError is raised before any pose is
-    generated.
+    linear moves flagged ``interpolated``, with their section end's speed and
+    source. Non-risk poses pass through untouched; paths without risk flags
+    are returned unchanged. If the sections would take more than
+    MAX_INTERPOLATED_POSES steps in all (counted before rounding),
+    PlanningError is raised before any pose is generated.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise PlanningError(f"sampling width must be positive and finite, got {dt}")
-    if not any(path.segment_risk):
+    risk = np.array(path.segment_risk, dtype=bool)
+    if not risk.any():
         return path
-    v_mag = min(
-        pose.speed
-        for pose, src in zip(path.poses, path.source_segments)
-        if path.segment_risk[src]
-    )
+    sources = path.source_segments
+    v_mag = float(path.speeds[risk[sources]].min())
 
-    last_pose_of_segment: dict[int, int] = {}
-    for idx, src in enumerate(path.source_segments):
-        last_pose_of_segment[src] = idx
+    # each maximal risk run, from the last pose before its first segment (or
+    # the path's first pose) to the last pose of its last segment
+    edges = np.diff(risk.astype(int), prepend=0, append=0)
+    entries = np.maximum(0, np.searchsorted(sources, np.flatnonzero(edges == 1)) - 1)
+    exits = np.searchsorted(sources, np.flatnonzero(edges == -1) - 1, side="right") - 1
 
-    runs = []  # (first_segment, last_segment) of each maximal risk run
-    start = None
-    for i, flag in enumerate(path.segment_risk):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(path.segment_risk) - 1))
-
+    all_lengths = _section_lengths(path.positions)
     step_mm = v_mag * dt
     sections = []  # (entry, exit, section lengths, unrounded step counts) of each run
     total_steps = 0.0
-    for seg_a, seg_b in runs:
-        entry = 0 if seg_a == 0 else last_pose_of_segment[seg_a - 1]
-        exit_ = last_pose_of_segment[seg_b]
-        lengths = []
-        for i in range(entry, exit_):
-            length = float(
-                np.linalg.norm(path.poses[i + 1].position - path.poses[i].position)
-            )
+    for entry, exit_ in zip(entries.tolist(), exits.tolist()):
+        lengths = all_lengths[entry:exit_].tolist()
+        for i, length in enumerate(lengths, start=entry):
             if length < POSITION_TOL:
                 raise PlanningError(
                     f"path {path.name!r}: zero-length section at pose {i} inside a "
                     f"risk region"
                 )
-            lengths.append(length)
         # an underflowing step length has no finite count
         steps = [length / step_mm if step_mm > 0.0 else math.inf for length in lengths]
         total_steps += sum(steps)
@@ -295,44 +307,43 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
             f"about {total_steps:.3g} poses, more than {MAX_INTERPOLATED_POSES}"
         )
 
-    new_poses: list[TargetPose] = []
-    new_sources: list[int] = []
+    rows = []  # blocks of the input rows output poses copy, or take speed and source from
+    new_positions, new_orientations = [], []  # of the generated poses
     cursor = 0
-    for entry, exit_, section_lengths, steps in sections:
-        new_poses.extend(path.poses[cursor : entry + 1])
-        new_sources.extend(path.source_segments[cursor : entry + 1])
+    for entry, exit_, lengths, steps in sections:
+        counts = np.maximum(1, np.rint(steps)).astype(int)  # rint rounds half to even, like round
+        s = np.repeat(np.arange(len(counts)), counts)  # the section of each step
+        ends = np.cumsum(counts) - 1  # the step that ends each section
+        frac = (np.arange(len(s)) - ends[s] + counts[s]) / counts[s]  # j / n of step j of n
+
+        start = path.positions[entry + s]
+        positions = start + (path.positions[entry + s + 1] - start) * frac[:, None]
+        positions[ends] = path.positions[entry + 1 : exit_ + 1]
+        walked = np.cumsum([0.0] + lengths[:-1])  # sequential sums
+        t = np.minimum(1.0, (walked[s] + all_lengths[entry + s] * frac) / sum(lengths))
+        t[-1] = 1.0  # the run's exit pose takes q_exit exactly
+        new_positions.append(positions)
+        new_orientations.append(slerp(path.orientations[entry], path.orientations[exit_], t))
+
+        rows += [np.arange(cursor, entry + 1), entry + s + 1]  # passed through, generated
         cursor = exit_ + 1
-        total = sum(section_lengths)
+    rows.append(np.arange(cursor, len(path.kinds)))
 
-        q_entry = path.poses[entry].orientation
-        q_exit = path.poses[exit_].orientation
-        walked = 0.0
-        for s, length in enumerate(section_lengths):
-            pa = path.poses[entry + s]
-            pb = path.poses[entry + s + 1]
-            direction = pb.position - pa.position
-            n = max(1, round(steps[s]))
-            for j in range(1, n + 1):
-                if j == n:
-                    position = pb.position
-                else:
-                    position = pa.position + direction * (j / n)
-                if s == len(section_lengths) - 1 and j == n:
-                    quat = q_exit
-                else:
-                    t = min(1.0, (walked + length * (j / n)) / total)
-                    quat = slerp(q_entry, q_exit, t)
-                new_poses.append(
-                    TargetPose(position, quat, MotionKind.LINEAR, pb.speed, True)
-                )
-                new_sources.append(path.source_segments[entry + s + 1])
-            walked += length
-
-    new_poses.extend(path.poses[cursor:])
-    new_sources.extend(path.source_segments[cursor:])
+    generated = np.repeat(np.arange(len(rows)) % 2 == 1, [len(block) for block in rows])
+    rows = np.concatenate(rows)
+    positions = path.positions[rows]
+    positions[generated] = np.concatenate(new_positions)
+    orientations = path.orientations[rows]
+    orientations[generated] = np.concatenate(new_orientations)
+    kinds = np.array(path.kinds, dtype=object)[rows]
+    kinds[generated] = MotionKind.LINEAR
     return PlannedPath(
         path.name,
-        tuple(new_poses),
-        tuple(new_sources),
+        positions,
+        orientations,
+        tuple(kinds),
+        path.speeds[rows],
+        path.interpolated[rows] | generated,
+        sources[rows],
         (False,) * len(path.segment_risk),
     )

@@ -49,7 +49,7 @@ CHAIN_TOL = 1e-6
 # Reserved name of the implicit universe frame.
 UNIVERSE = "U"
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # Matrices this far from orthonormal are re-projected onto the nearest
 # rotation (hand-written files carry rounded entries); anything worse errors.
@@ -247,7 +247,7 @@ def _point(value, where) -> list[float]:
 
 
 def _name(value, where) -> str:
-    if not isinstance(value, str) or not _NAME_RE.match(value):
+    if not isinstance(value, str) or not _NAME_RE.fullmatch(value):
         raise SceneValidationError(
             f"{where}: name {value!r} must match [A-Za-z_][A-Za-z0-9_]*"
         )
@@ -377,6 +377,8 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
         out.append(
             Diagnostic("no_frames", "scene declares no frame besides the universe")
         )
+    if not scene.paths:
+        out.append(Diagnostic("no_paths", "scene declares no path"))
 
     for path in scene.paths:
         if not path.segments:

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import assume, settings, strategies as st
 
 from robopath.geometry import Quaternion, Transform
+from robopath.planner import PlannedPath
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -46,6 +47,20 @@ def quaternions(draw):
 def transforms(draw):
     origin = np.array([draw(finite(-1000, 1000)) for _ in range(3)])
     return Transform(draw(rotations()), origin)
+
+
+def plan_of(name, poses, source_segments, segment_risk):
+    """A PlannedPath whose columns hold the given TargetPose objects."""
+    return PlannedPath(
+        name,
+        np.array([p.position for p in poses]),
+        np.array([p.orientation.as_array() for p in poses]),
+        tuple(p.motion_kind for p in poses),
+        np.array([p.speed for p in poses]),
+        np.array([p.interpolated for p in poses]),
+        source_segments,
+        segment_risk,
+    )
 
 
 def random_rotation(rng):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, random_transform
+from conftest import FIXTURES, plan_of, random_transform
 from robopath.cli import main as cli_main
 from robopath.codegen import emit, load_program, lower
 from robopath.geometry import (
@@ -24,7 +24,6 @@ from robopath.geometry import (
 )
 from robopath.planner import (
     MotionKind,
-    PlannedPath,
     TargetPose,
     assign_orientations,
     interpolate_risk,
@@ -52,7 +51,7 @@ def straight_program(length=100.0, speed=10.0):
         TargetPose([0.0, 0.0, 0.0], Quaternion.identity(), MotionKind.JOINT, speed),
         TargetPose([length, 0.0, 0.0], Quaternion.identity(), MotionKind.LINEAR, speed),
     )
-    return lower(PlannedPath("seam", poses, (0, 0), (False,)))
+    return lower(plan_of("seam", poses, (0, 0), (False,)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +118,7 @@ def test_criterion_3_interpolation():
             TargetPose(a, q_entry, MotionKind.JOINT, v),
             TargetPose(b, q_exit, MotionKind.LINEAR, v),
         )
-        plan = PlannedPath("p", poses, (0, 0), (True,))
+        plan = plan_of("p", poses, (0, 0), (True,))
         out = interpolate_risk(plan, dt)
 
         w = b - a
@@ -137,14 +136,12 @@ def test_criterion_3_interpolation():
             t = k / (len(out.poses) - 1)
             assert abs(angle_between(q_entry, pose.orientation) - t * theta) < 1e-7
 
-    mid = slerp(
-        Quaternion.identity(),
-        Quaternion.from_axis_angle([0, 0, 1], math.radians(90)),
-        0.5,
+    (mid,) = slerp(
+        Quaternion.identity().as_array(),
+        Quaternion.from_axis_angle([0, 0, 1], math.radians(90)).as_array(),
+        [0.5],
     )
-    assert np.abs(
-        mid.as_array() - np.array([0.92388, 0.0, 0.0, 0.38268])
-    ).max() < 1e-5
+    assert np.abs(mid - np.array([0.92388, 0.0, 0.0, 0.38268])).max() < 1e-5
     ok(3, "risk interpolation spacing/collinearity/slerp linearity + 45-degree midpoint")
 
 

@@ -83,6 +83,26 @@ def test_compile_invalid_scene_exits_1(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda scene: scene.update(paths=[]),
+        lambda scene: scene["paths"][0].update(name="weld_seam\n"),
+    ],
+    ids=["no_paths", "path_name_newline"],
+)
+def test_compile_scene_outside_the_grammar_exits_1(tmp_path, capsys, edit):
+    scene = json.loads((FIXTURES / "straight_seam.scene.json").read_text())
+    edit(scene)
+    scene_file = tmp_path / "bad.json"
+    scene_file.write_text(json.dumps(scene))
+    out = tmp_path / "bad.prog"
+    code, _, err = run(capsys, *compile_args(scene_file, out))
+    assert code == 1
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 def test_compile_strict_workspace_violation_exits_2(tmp_path, capsys):
     scene = json.loads((FIXTURES / "straight_seam.scene.json").read_text())
     scene["workspace"] = {"min": [0.0, 0.0, 0.0], "max": [50.0, 50.0, 50.0]}
@@ -179,6 +199,18 @@ def test_compile_rejects_bad_interp_dt(tmp_path, capsys, scene, dt):
     )
     assert code == 1
     assert err.startswith("error:") and "sampling width" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("speed", ["0", "-1", "inf", "nan"])
+def test_compile_rejects_bad_speed_override(tmp_path, capsys, speed):
+    out = tmp_path / "x.prog"
+    code, _, err = run(
+        capsys,
+        *compile_args(FIXTURES / "butt_joint.scene.json", out, speed_override=speed),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "--speed-override" in err
     assert not out.exists()
 
 

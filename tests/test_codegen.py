@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import finite, quaternions, random_rotation
+from conftest import finite, plan_of, quaternions, random_rotation
 from robopath.codegen import (
     _NUMBER_RE,
     _OPCODE_KINDS,
@@ -25,7 +25,7 @@ from robopath.codegen import (
     workspace_lint,
 )
 from robopath.geometry import Quaternion, rotation_to_quaternion
-from robopath.planner import MotionKind, PlannedPath, TargetPose
+from robopath.planner import MotionKind, TargetPose
 from robopath.scene import Workspace
 from robopath.simulate import SimulationError, program_waypoints
 
@@ -37,7 +37,7 @@ def pose(x, kind=MotionKind.LINEAR, speed=10.0, interpolated=False, quat=None):
 
 
 def plan(poses, name="p"):
-    return PlannedPath(name, tuple(poses), (0,) * len(poses), (False,))
+    return plan_of(name, tuple(poses), (0,) * len(poses), (False,))
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +534,14 @@ def test_program_rejects_reused_target():
                 Instruction(Opcode.MOVEL, ("t1",), 5.0),
             ),
         )
+
+
+def test_programs_differing_only_in_a_target_are_unequal():
+    program = lower(plan([pose(0, MotionKind.JOINT), pose(10)]))
+    assert program == lower(plan([pose(0, MotionKind.JOINT), pose(10)]))
+    assert program != lower(plan([pose(0, MotionKind.JOINT), pose(99)]))
+    turned = Quaternion.from_axis_angle([0, 0, 1], 0.5)
+    assert program != lower(plan([pose(0, MotionKind.JOINT), pose(10, quat=turned)]))
 
 
 def test_instruction_arity_checked():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import FIXTURES, random_transform, rodrigues
+from conftest import FIXTURES, finite, plan_of, random_transform, rodrigues
 from robopath import planner
 from robopath.geometry import (
+    SLERP_MIN_ANGLE,
+    GeometryError,
     Quaternion,
     Transform,
     angle_between,
@@ -15,7 +18,6 @@ from robopath.geometry import (
 )
 from robopath.planner import (
     MotionKind,
-    PlannedPath,
     PlanningError,
     TargetPose,
     assign_orientations,
@@ -141,7 +143,7 @@ def test_single_segment_two_poses():
     expected = rotation_to_quaternion(rotz(30))
     for pose in plan.poses:
         assert angle_between(pose.orientation, expected) < 1e-12
-    assert plan.source_segments == (0, 0)
+    assert plan.source_segments.tolist() == [0, 0]
 
 
 def test_boundary_pose_takes_next_segments_tool():
@@ -193,7 +195,7 @@ def test_spline_kinds_and_sources():
         MotionKind.SPLINE_VIA,
         MotionKind.SPLINE_VIA,
     ]
-    assert plan.source_segments == (0, 0, 0, 0)
+    assert plan.source_segments.tolist() == [0, 0, 0, 0]
 
 
 def test_dangling_tool_frame_errors():
@@ -215,7 +217,7 @@ def risk_plan(entry_quat, exit_quat, points, speed=10.0):
         quat = exit_quat if i == len(points) - 1 else entry_quat
         poses.append(TargetPose(p, quat, MotionKind.LINEAR, speed))
         sources.append(i - 1)
-    return PlannedPath("p", tuple(poses), tuple(sources), (True,) * (len(points) - 1))
+    return plan_of("p", tuple(poses), tuple(sources), (True,) * (len(points) - 1))
 
 
 def test_uniform_spacing_example():
@@ -252,7 +254,7 @@ def test_orientation_sweep_midpoint_example():
 def test_no_risk_is_identity():
     pose_a = TargetPose([0, 0, 0], Quaternion.identity(), MotionKind.JOINT, 10.0)
     pose_b = TargetPose([10, 0, 0], Quaternion.identity(), MotionKind.LINEAR, 10.0)
-    plan = PlannedPath("p", (pose_a, pose_b), (0, 0), (False,))
+    plan = plan_of("p", (pose_a, pose_b), (0, 0), (False,))
     assert interpolate_risk(plan, 0.1) is plan
 
 
@@ -338,12 +340,12 @@ def test_non_risk_poses_untouched():
         TargetPose([20, 0, 0], q, MotionKind.LINEAR, 10.0),
         TargetPose([30, 0, 0], q, MotionKind.LINEAR, 10.0),
     )
-    plan = PlannedPath("p", poses, (0, 0, 1, 2), (False, True, False))
+    plan = plan_of("p", poses, (0, 0, 1, 2), (False, True, False))
     out = interpolate_risk(plan, 0.5)
     assert out.poses[0] == poses[0]
     assert out.poses[1] == poses[1]  # run entry pose passes through untouched
     assert out.poses[-1] == poses[3]
-    generated = out.poses[2:-1]
+    generated = list(out.poses)[2:-1]
     assert all(p.interpolated for p in generated)
     assert len(generated) == 2  # 10 mm section at 5 mm steps
 
@@ -357,11 +359,11 @@ def test_design_speed_is_slowest_risk_segment():
         TargetPose([10.0 * i, 0, 0], Quaternion.identity(), kinds[i], v)
         for i, v in enumerate(speeds)
     )
-    plan = PlannedPath("p", poses, (0, 0, 1, 2), (False, True, True))
+    plan = plan_of("p", poses, (0, 0, 1, 2), (False, True, True))
     out = interpolate_risk(plan, 0.5)
     xs = [p.position[0] for p in out.poses]
     np.testing.assert_allclose(xs, [0.0, 10.0] + [10.0 + 2.5 * k for k in range(1, 9)])
-    assert [p.speed for p in out.poses[2:]] == [20.0] * 4 + [5.0] * 4
+    assert [p.speed for p in out.poses][2:] == [20.0] * 4 + [5.0] * 4
 
 
 def test_zero_length_risk_section_errors():
@@ -372,7 +374,7 @@ def test_zero_length_risk_section_errors():
         TargetPose([0, 0, 0], Quaternion.identity(), MotionKind.JOINT, 10.0),
         TargetPose([0, 0, 0], q, MotionKind.LINEAR, 10.0),
     )
-    plan = PlannedPath("p", poses, (0, 0), (True,))
+    plan = plan_of("p", poses, (0, 0), (True,))
     with pytest.raises(PlanningError, match="zero-length"):
         interpolate_risk(plan, 0.1)
 
@@ -408,6 +410,241 @@ def test_pose_budget_refuses_fine_sampling(monkeypatch):
         interpolate_risk(slow, 5e-324)  # the step length underflows to 0
 
 
+def reference_slerp(q0, q1, t):
+    """The scalar slerp of two Quaternions that geometry.slerp replaced with
+    an array of t; part of reference_interpolate_risk."""
+    if not 0.0 <= t <= 1.0:
+        raise GeometryError(f"slerp parameter t={t!r} outside [0, 1]")
+    if t == 0.0:
+        return q0
+    if t == 1.0:
+        return q1
+    a = q0.as_array()
+    b = q1.as_array()
+    dot = float(a @ b)
+    if dot < 0.0:
+        b = -b
+        dot = -dot
+    theta = math.acos(min(1.0, dot))
+    if theta < SLERP_MIN_ANGLE:
+        mixed = (1.0 - t) * a + t * b
+    else:
+        sin_theta = math.sin(theta)
+        mixed = (math.sin((1.0 - t) * theta) / sin_theta) * a + (
+            math.sin(t * theta) / sin_theta
+        ) * b
+    return Quaternion.unit(*mixed)
+
+
+def reference_interpolate_risk(path, dt):
+    """The per-pose interpolate_risk the columnar one replaced, kept as a
+    brute-force reference: one TargetPose per pose and one slerp per
+    generated pose."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise PlanningError(f"sampling width must be positive and finite, got {dt}")
+    if not any(path.segment_risk):
+        return path
+    poses = list(path.poses)
+    source_segments = path.source_segments.tolist()
+    v_mag = min(
+        pose.speed
+        for pose, src in zip(poses, source_segments)
+        if path.segment_risk[src]
+    )
+
+    last_pose_of_segment = {}
+    for idx, src in enumerate(source_segments):
+        last_pose_of_segment[src] = idx
+
+    runs = []  # (first_segment, last_segment) of each maximal risk run
+    start = None
+    for i, flag in enumerate(path.segment_risk):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(path.segment_risk) - 1))
+
+    step_mm = v_mag * dt
+    sections = []
+    total_steps = 0.0
+    for seg_a, seg_b in runs:
+        entry = 0 if seg_a == 0 else last_pose_of_segment[seg_a - 1]
+        exit_ = last_pose_of_segment[seg_b]
+        lengths = []
+        for i in range(entry, exit_):
+            length = float(
+                np.linalg.norm(poses[i + 1].position - poses[i].position)
+            )
+            if length < planner.POSITION_TOL:
+                raise PlanningError(
+                    f"path {path.name!r}: zero-length section at pose {i} inside a "
+                    f"risk region"
+                )
+            lengths.append(length)
+        steps = [length / step_mm if step_mm > 0.0 else math.inf for length in lengths]
+        total_steps += sum(steps)
+        sections.append((entry, exit_, lengths, steps))
+    if not total_steps <= planner.MAX_INTERPOLATED_POSES:
+        raise PlanningError(
+            f"path {path.name!r}: sampling width {dt} s at {v_mag} mm/s would generate "
+            f"about {total_steps:.3g} poses, more than {planner.MAX_INTERPOLATED_POSES}"
+        )
+
+    new_poses = []
+    new_sources = []
+    cursor = 0
+    for entry, exit_, section_lengths, steps in sections:
+        new_poses.extend(poses[cursor : entry + 1])
+        new_sources.extend(source_segments[cursor : entry + 1])
+        cursor = exit_ + 1
+        total = sum(section_lengths)
+
+        q_entry = poses[entry].orientation
+        q_exit = poses[exit_].orientation
+        walked = 0.0
+        for s, length in enumerate(section_lengths):
+            pa = poses[entry + s]
+            pb = poses[entry + s + 1]
+            direction = pb.position - pa.position
+            n = max(1, round(steps[s]))
+            for j in range(1, n + 1):
+                if j == n:
+                    position = pb.position
+                else:
+                    position = pa.position + direction * (j / n)
+                if s == len(section_lengths) - 1 and j == n:
+                    quat = q_exit
+                else:
+                    t = min(1.0, (walked + length * (j / n)) / total)
+                    quat = reference_slerp(q_entry, q_exit, t)
+                new_poses.append(
+                    TargetPose(position, quat, MotionKind.LINEAR, pb.speed, True)
+                )
+                new_sources.append(source_segments[entry + s + 1])
+            walked += length
+
+    new_poses.extend(poses[cursor:])
+    new_sources.extend(source_segments[cursor:])
+    return plan_of(path.name, new_poses, new_sources, (False,) * len(path.segment_risk))
+
+
+# Tool orientations for the reference property: Q1 is within SLERP_MIN_ANGLE
+# of Q0, Q2 . Q3 < 0 in canonical sign, and Q5 as the planner holds it has a
+# w*w + x*x + y*y + z*z other than exactly 1, so normalizing it changes its bits.
+_TOOL_QUATS = (
+    Quaternion.identity(),
+    Quaternion.from_axis_angle([0, 0, 1], 1e-7),
+    Quaternion(0.5, 0.5, 0.5, 0.5),
+    Quaternion(0.5, -0.5, -0.5, -0.5),
+    Quaternion.from_axis_angle([1, 1, 0], 1.2),
+    Quaternion.from_axis_angle([1, 2, 3], 1.86),
+)
+_TOOL_FRAMES = tuple(
+    Frame(f"Q{i}", Transform(quaternion_to_rotation(q), [0.0, 0.0, 0.0]))
+    for i, q in enumerate(_TOOL_QUATS)
+)
+_POINT_COUNTS = {"line": 1, "arc": 2, "spline": 3}  # points after the start
+
+
+def plan_of_segments(start, segments):
+    """The planned path of segments chained from `start`; each segment is
+    (kind, points after its start, tool index, risk, speed)."""
+    segs = []
+    for kind, points, tool, risk, speed in segments:
+        segs.append(
+            PathSegment(SegmentKind(kind), np.array([start, *points], dtype=float),
+                        f"Q{tool}", risk, speed)
+        )
+        start = points[-1]
+    (plan,) = assign_orientations(Scene(_TOOL_FRAMES, (ScenePath("p", tuple(segs)),)))
+    return plan
+
+
+@st.composite
+def risk_plans(draw):
+    point = st.lists(finite(-50, 50), min_size=3, max_size=3)
+    segments = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(sorted(_POINT_COUNTS)))
+        segments.append((
+            kind,
+            [draw(point) for _ in range(_POINT_COUNTS[kind])],
+            draw(st.integers(0, len(_TOOL_QUATS) - 1)),
+            draw(st.booleans()),
+            draw(finite(2, 20)),
+        ))
+    try:
+        return plan_of_segments(draw(point), segments)
+    except PlanningError:  # consecutive identical poses
+        assume(False)
+
+
+@settings(deadline=None)
+@given(risk_plans(), finite(0.2, 2.0))
+@example(  # t reaches 1.0 by rounding before the run's last pose
+    plan_of_segments([1e11, 0, 0], [("line", [[0, 0, 0]], 0, True, 1e6),
+                                    ("line", [[2e-6, 0, 0]], 5, True, 1e6)]), 100.0)
+@example(  # a run of ten sections, whose pairwise and sequential sums differ
+    plan_of_segments([0, 0, 0], [("line", [[2 * k, k * k, k % 5]], k % 6, True, 5.0)
+                                 for k in range(1, 11)]), 0.5)
+@example(  # theta below SLERP_MIN_ANGLE
+    plan_of_segments([0, 0, 0], [("line", [[10, 0, 0]], 0, False, 5.0),
+                                 ("line", [[20, 0, 0]], 0, True, 5.0),
+                                 ("line", [[30, 0, 0]], 1, False, 5.0)]), 0.3)
+@example(  # q_entry . q_exit < 0
+    plan_of_segments([0, 0, 0], [("line", [[10, 0, 0]], 2, True, 5.0),
+                                 ("line", [[10, 7, 0]], 3, False, 5.0)]), 0.3)
+@example(  # runs at the path's start and end, an arc just before the second
+    plan_of_segments([0, 0, 0], [("line", [[10, 0, 0]], 4, True, 5.0),
+                                 ("arc", [[15, 5, 0], [20, 0, 0]], 2, False, 9.0),
+                                 ("spline", [[25, 1, 0], [30, -1, 0], [35, 0, 0]], 0, True, 7.0),
+                                 ("line", [[40, 0, 0]], 3, True, 3.0)]), 0.5)
+@example(  # several runs
+    plan_of_segments([0, 0, 0], [("line", [[10, 0, 0]], 0, False, 5.0),
+                                 ("line", [[20, 0, 0]], 4, True, 5.0),
+                                 ("line", [[30, 0, 0]], 2, False, 5.0),
+                                 ("line", [[30, 10, 0]], 3, True, 2.5),
+                                 ("line", [[30, 20, 0]], 0, False, 5.0)]), 0.7)
+@example(  # zero-length section inside a run
+    plan_of_segments([0, 0, 0], [("line", [[10, 0, 0]], 0, True, 5.0),
+                                 ("line", [[10, 0, 0]], 4, True, 5.0),
+                                 ("line", [[20, 0, 0]], 0, False, 5.0)]), 0.5)
+@example(  # over the pose budget
+    plan_of_segments([0, 0, 0], [("line", [[10, 0, 0]], 0, True, 5.0)]), 1e-9)
+def test_interpolate_risk_matches_per_pose_reference(plan, dt):
+    try:
+        want = reference_interpolate_risk(plan, dt)
+    except PlanningError as exc:
+        with pytest.raises(PlanningError) as got:
+            interpolate_risk(plan, dt)
+        assert str(got.value) == str(exc)
+        return
+    got = interpolate_risk(plan, dt)
+    for attr in ("positions", "orientations", "speeds", "interpolated", "source_segments"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), attr
+    assert got.kinds == want.kinds
+    assert got.segment_risk == want.segment_risk
+
+
+def test_plan_columns_are_read_only_and_poses_a_lazy_view(monkeypatch):
+    (plan,) = assign_orientations(chain_scene([[0, 0, 0], [10, 0, 0], [20, 0, 0]]))
+    for column in (plan.positions, plan.orientations, plan.speeds, plan.interpolated,
+                   plan.source_segments):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    built = []
+    monkeypatch.setattr(planner, "TargetPose", lambda *a: built.append(a) or TargetPose(*a))
+    assert len(plan.poses) == 3 and not built
+    pose = plan.poses[1]
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert pose == TargetPose([10, 0, 0], Quaternion.identity(), MotionKind.LINEAR, 10.0)
+
+
 @pytest.mark.parametrize("speed", [0.0, -1.0, math.inf, math.nan])
 def test_target_speed_must_be_positive_and_finite(speed):
     with pytest.raises(PlanningError, match="positive and finite"):
@@ -417,7 +654,7 @@ def test_target_speed_must_be_positive_and_finite(speed):
 def test_consecutive_identical_poses_forbidden():
     pose = TargetPose([0, 0, 0], Quaternion.identity(), MotionKind.JOINT, 10.0)
     with pytest.raises(PlanningError, match="identical"):
-        PlannedPath("p", (pose, pose), (0, 0), (False,))
+        plan_of("p", (pose, pose), (0, 0), (False,))
 
 
 # ---------------------------------------------------------------------------

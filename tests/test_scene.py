@@ -105,6 +105,27 @@ def test_dangling_tool_frame_rejected():
         parse_scene(json.dumps(d))
 
 
+@pytest.mark.parametrize("where", ["frame", "path", "tool_frame"])
+def test_name_with_trailing_newline_rejected(where):
+    # `$` also matches before a final newline; a name must match in full
+    d = doc()
+    if where == "frame":  # renamed together with the tool frame that names it
+        d["frames"][0]["name"] = "B\n"
+        d["paths"][0]["segments"][0]["tool_frame"] = "B\n"
+    elif where == "path":
+        d["paths"][0]["name"] = "p\n"
+    else:
+        d["paths"][0]["segments"][0]["tool_frame"] = "B\n"
+    with pytest.raises(SceneValidationError, match="must match"):
+        parse_scene(json.dumps(d))
+
+
+def test_scene_without_paths_rejected():
+    with pytest.raises(SceneValidationError, match="no path"):
+        parse_scene(json.dumps(doc(paths=[])))
+    assert [d.code for d in validate_chain(Scene((frame_b(),), ()))] == ["no_paths"]
+
+
 def test_quaternion_rotation_input():
     d = doc()
     s = math.sin(math.pi / 4)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import plan_of
 from robopath.codegen import ProgramParseError, emit, load_program, lower
 from robopath.geometry import Quaternion, Transform
-from robopath.planner import MotionKind, PlannedPath, TargetPose
+from robopath.planner import MotionKind, TargetPose
 from robopath.simulate import (
     ControllerKind,
     Environment,
@@ -33,7 +34,7 @@ def straight_program(length=100.0, speed=10.0, name="seam"):
         TargetPose([0.0, 0.0, 0.0], Quaternion.identity(), MotionKind.JOINT, speed),
         TargetPose([length, 0.0, 0.0], Quaternion.identity(), MotionKind.LINEAR, speed),
     )
-    return lower(PlannedPath(name, poses, (0, 0), (False,)))
+    return lower(plan_of(name, poses, (0, 0), (False,)))
 
 
 def offset_env(x=0.0, y=0.0, z=0.0, rot_z_deg=0.0, **kwargs):
@@ -532,6 +533,6 @@ def test_quantize_multiples():
 
 def test_run_requires_two_targets():
     pose = TargetPose([0, 0, 0], Quaternion.identity(), MotionKind.JOINT, 5.0)
-    single = lower(PlannedPath("p", (pose,), (0,), (False,)))
+    single = lower(plan_of("p", (pose,), (0,), (False,)))
     with pytest.raises(SimulationError, match="two targets"):
         run_seam(single, Environment(), SeamConfig())
