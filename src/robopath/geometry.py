@@ -157,9 +157,6 @@ class Transform:
             self.origin, other.origin
         )
 
-    def __hash__(self):
-        return hash((self.rotation.tobytes(), self.origin.tobytes()))
-
 
 def compose(a: Transform, b: Transform) -> Transform:
     """Chain two transforms: (a o b) maps p to a(b(p))."""

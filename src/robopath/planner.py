@@ -158,7 +158,9 @@ def rebase(scene: Scene, base: str) -> Scene:
     """Re-express every frame and path point relative to the named base frame.
 
     The base frame itself becomes the identity; the universe name rebases
-    onto the scene's own coordinates (a no-op).
+    onto the scene's own coordinates (a no-op). Finite scene numbers can
+    overflow when mapped, so a path whose rebased points are not all finite
+    raises PlanningError (a workspace, SceneValidationError).
     """
     if base == UNIVERSE:
         base_to_universe = Transform.identity()
@@ -173,24 +175,27 @@ def rebase(scene: Scene, base: str) -> Scene:
     frames = tuple(
         Frame(f.name, compose(universe_to_base, f.transform)) for f in scene.frames
     )
-    paths = tuple(
-        dataclasses.replace(
-            path,
-            segments=tuple(
-                dataclasses.replace(seg, points=seg.points @ rot_t + origin)
-                for seg in path.segments
-            ),
-        )
-        for path in scene.paths
-    )
+    paths = []
+    for path in scene.paths:
+        segs = path.segments
+        points = np.concatenate([seg.points for seg in segs] or [np.empty((0, 3))])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            points = points @ rot_t + origin
+        if not np.isfinite(points).all():
+            raise PlanningError(f"path {path.name!r}: rebased points are not finite")
+        split = np.split(points, np.cumsum([len(seg.points) for seg in segs[:-1]]))
+        segments = tuple(dataclasses.replace(seg, points=p) for seg, p in zip(segs, split))
+        paths.append(dataclasses.replace(path, segments=segments))
 
     workspace = scene.workspace
     if workspace is not None:
-        corners = np.array(list(product(*zip(workspace.lo, workspace.hi)))) @ rot_t + origin
+        corners = np.array(list(product(*zip(workspace.lo, workspace.hi))))
+        with np.errstate(over="ignore", invalid="ignore"):  # Workspace checks the result
+            corners = corners @ rot_t + origin
         # rotated box re-boxed as its enclosing axis-aligned hull
         workspace = Workspace(corners.min(axis=0), corners.max(axis=0))
 
-    return Scene(frames, paths, workspace, scene.units)
+    return Scene(frames, tuple(paths), workspace, scene.units)
 
 
 # ---------------------------------------------------------------------------

@@ -84,22 +84,20 @@ _POINT_COUNT = {SegmentKind.LINE: 2, SegmentKind.ARC: 3, SegmentKind.SPLINE: Non
 MIN_SPLINE_POINTS = 3
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Frame:
     name: str
     transform: Transform
 
-    def __eq__(self, other):
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return self.name == other.name and self.transform == other.transform
-
-    def __hash__(self):
-        return hash((self.name, self.transform))
-
 
 @dataclass(frozen=True, eq=False)
 class PathSegment:
+    """One curve of a path. `points` is kept without a copy and made
+    read-only; its shape and values are trusted: `parse_scene` checks them
+    for a file, and `validate_chain` checks the point count and spacing of a
+    scene built in code.
+    """
+
     kind: SegmentKind
     points: np.ndarray  # (n, 3), universe coordinates
     tool_frame: str
@@ -107,13 +105,7 @@ class PathSegment:
     speed: float
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-            raise SceneValidationError(
-                f"segment points must be an (n>=2, 3) array, got shape {pts.shape}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise SceneValidationError("segment points contain non-finite values")
+        pts = np.asarray(self.points, dtype=float)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -127,9 +119,6 @@ class PathSegment:
             and self.risk == other.risk
             and self.speed == other.speed
         )
-
-    def __hash__(self):
-        return hash((self.kind, self.points.tobytes(), self.tool_frame, self.risk, self.speed))
 
 
 @dataclass(frozen=True)
@@ -159,9 +148,6 @@ class Workspace:
         if not isinstance(other, Workspace):
             return NotImplemented
         return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
-
-    def __hash__(self):
-        return hash((self.lo.tobytes(), self.hi.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -384,6 +370,12 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
         if not path.segments:
             out.append(Diagnostic("empty_path", f"path {path.name!r} has no segments", path.name))
             continue
+        # distance from each point to the next in file order: a segment's
+        # own steps, then the step across the join into the next segment
+        points = np.concatenate([seg.points for seg in path.segments])
+        with np.errstate(over="ignore"):  # a step too long to square is inf, still far
+            dist = np.linalg.norm(np.diff(points, axis=0), axis=1).tolist()
+        row = 0  # the step leaving segment j's first point
         for j, seg in enumerate(path.segments):
             expected = _POINT_COUNT[seg.kind]
             n = len(seg.points)
@@ -407,8 +399,7 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
                         j,
                     )
                 )
-            gaps = np.linalg.norm(np.diff(seg.points, axis=0), axis=1)
-            if np.any(gaps <= CHAIN_TOL):
+            if any(d <= CHAIN_TOL for d in dist[row : row + n - 1]):
                 out.append(
                     Diagnostic(
                         "coincident_points",
@@ -438,20 +429,17 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
                         j,
                     )
                 )
-            if j > 0:
-                gap = float(
-                    np.linalg.norm(seg.points[0] - path.segments[j - 1].points[-1])
-                )
-                if gap > CHAIN_TOL:
-                    out.append(
-                        Diagnostic(
-                            "chain_break",
-                            f"path {path.name!r}: segments {j - 1} and {j} do not "
-                            f"chain (gap {gap:.6g} mm)",
-                            path.name,
-                            j,
-                        )
+            if j > 0 and dist[row - 1] > CHAIN_TOL:
+                out.append(
+                    Diagnostic(
+                        "chain_break",
+                        f"path {path.name!r}: segments {j - 1} and {j} do not "
+                        f"chain (gap {dist[row - 1]:.6g} mm)",
+                        path.name,
+                        j,
                     )
+                )
+            row += n
     return out
 
 

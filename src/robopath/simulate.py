@@ -32,6 +32,10 @@ import numpy as np
 from .codegen import RobotProgram, fmt_num
 from .geometry import Transform, apply
 
+# Most ticks one run may take, about 50 times the longest benchmark run; a
+# longer run is refused before any tick runs, since each tick adds a trace row.
+MAX_TICKS = 200_000
+
 
 class SimulationError(ValueError):
     """A run cannot start (bad program geometry or configuration)."""
@@ -74,6 +78,8 @@ class Environment:
         _check_finite(self)
         if self.roughness_mm < 0.0:
             raise SimulationError("roughness amplitude must be >= 0")
+        if self.seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed}")
         if not self.stiffness_n_per_mm > 0.0:
             raise SimulationError("surface stiffness must be > 0")
 
@@ -352,10 +358,10 @@ def _tick_count(profile: _PathProfile, rate_hz: float, duration_s: Optional[floa
     if duration_s is not None and not (duration_s >= 0.0 and math.isfinite(duration_s)):
         raise SimulationError(f"duration must be finite and >= 0, got {duration_s}")
     span = profile.total_time if duration_s is None else min(duration_s, profile.total_time)
-    ticks = span * rate_hz
-    if not math.isfinite(ticks):
-        raise SimulationError(f"{span} s at {rate_hz} Hz is too many ticks")
-    return int(math.floor(ticks + 1e-9)) + 1
+    ticks = span * rate_hz + 1e-9
+    if not ticks < MAX_TICKS:  # also refuses inf and nan
+        raise SimulationError(f"{span} s at {rate_hz} Hz is more than {MAX_TICKS} ticks")
+    return math.floor(ticks) + 1
 
 
 def quantize(value: float, resolution: float) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import time
 
 import numpy as np
@@ -129,6 +130,42 @@ def test_compile_non_finite_speed_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, *compile_args(scene_file, out))
     assert code == 1
     assert err.startswith("error:") and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda scene: scene["paths"][0].update(
+            segments=[
+                {
+                    "kind": "line",
+                    "points": [[1.7e308, 1.7e308, 0.0], [1.6e308, 1.7e308, 0.0]],
+                    "tool_frame": "C",
+                    "risk": False,
+                    "speed": 10.0,
+                }
+            ]
+        ),
+        lambda scene: scene.update(
+            workspace={"min": [-1.7e308, -1.7e308, 0.0], "max": [1.7e308, 1.7e308, 1.0]}
+        ),
+    ],
+    ids=["path", "workspace"],
+)
+def test_compile_numbers_overflowing_in_the_base_frame_exit_1(tmp_path, capsys, edit):
+    # finite in the file, but rotating frame B by 22.5 degrees maps them past
+    # the largest float
+    scene = json.loads((FIXTURES / "butt_joint.scene.json").read_text())
+    half = math.radians(22.5) / 2
+    scene["frames"][0]["rotation"] = {"quat": [math.cos(half), 0.0, 0.0, math.sin(half)]}
+    edit(scene)
+    scene_file = tmp_path / "huge.json"
+    scene_file.write_text(json.dumps(scene))
+    out = tmp_path / "huge.prog"
+    code, _, err = run(capsys, *compile_args(scene_file, out))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -339,8 +376,10 @@ def test_simulate_rejects_non_decimal_speed(tmp_path, capsys, speed):
         ("--duration", "nan"),
         ("--duration", "-1"),
         ("--rate", "1e308"),
+        ("--rate", "1e9"),
         ("--rot-z-deg", "inf"),
         ("--roughness", "nan"),
+        ("--seed", "-1"),
     ],
     ids="=".join,
 )

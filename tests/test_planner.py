@@ -129,6 +129,15 @@ def test_rebase_unknown_frame():
         rebase(scene, "nope")
 
 
+def test_rebase_keeps_a_path_without_segments():
+    b = Frame("B", Transform(rotz(30), [5.0, 0.0, 0.0]))
+    scene = chain_scene([[0, 0, 0], [10, 0, 0]], frames=(b,))
+    scene = Scene(scene.frames, scene.paths + (ScenePath("empty", ()),))
+    out = rebase(scene, "B")
+    assert out.paths[1] == ScenePath("empty", ())
+    assert out.paths[0].segments[0].points.shape == (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # assign_orientations
 # ---------------------------------------------------------------------------

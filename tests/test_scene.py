@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import FIXTURES, random_transform
 from robopath.scene import (
+    _POINT_COUNT,
+    CHAIN_TOL,
+    MIN_SPLINE_POINTS,
+    Diagnostic,
     Frame,
     PathSegment,
     Scene,
@@ -270,6 +274,152 @@ def test_empty_path_and_missing_frames_diagnosed():
     scene = Scene((), (ScenePath("p", ()),))
     codes = {d.code for d in validate_chain(scene)}
     assert codes == {"no_frames", "empty_path"}
+
+
+def reference_validate_chain(scene):
+    """validate_chain with two norm calls per segment: the reference the
+    one-pass version must match diagnostic for diagnostic."""
+    out = []
+    names = set()
+    for frame in scene.frames:
+        if frame.name in names:
+            out.append(Diagnostic("duplicate_frame", f"duplicate frame name {frame.name!r}"))
+        names.add(frame.name)
+    if not names:
+        out.append(
+            Diagnostic("no_frames", "scene declares no frame besides the universe")
+        )
+    if not scene.paths:
+        out.append(Diagnostic("no_paths", "scene declares no path"))
+
+    for path in scene.paths:
+        if not path.segments:
+            out.append(Diagnostic("empty_path", f"path {path.name!r} has no segments", path.name))
+            continue
+        for j, seg in enumerate(path.segments):
+            expected = _POINT_COUNT[seg.kind]
+            n = len(seg.points)
+            if expected is not None and n != expected:
+                out.append(
+                    Diagnostic(
+                        "point_count",
+                        f"path {path.name!r} segment {j}: {seg.kind.value} needs "
+                        f"{expected} points, got {n}",
+                        path.name,
+                        j,
+                    )
+                )
+            elif expected is None and n < MIN_SPLINE_POINTS:
+                out.append(
+                    Diagnostic(
+                        "point_count",
+                        f"path {path.name!r} segment {j}: spline needs at least "
+                        f"{MIN_SPLINE_POINTS} points, got {n}",
+                        path.name,
+                        j,
+                    )
+                )
+            gaps = np.linalg.norm(np.diff(seg.points, axis=0), axis=1)
+            if np.any(gaps <= CHAIN_TOL):
+                out.append(
+                    Diagnostic(
+                        "coincident_points",
+                        f"path {path.name!r} segment {j}: consecutive points closer "
+                        f"than {CHAIN_TOL} mm",
+                        path.name,
+                        j,
+                    )
+                )
+            if seg.tool_frame not in names:
+                out.append(
+                    Diagnostic(
+                        "unknown_tool_frame",
+                        f"path {path.name!r} segment {j}: tool frame "
+                        f"{seg.tool_frame!r} is not declared",
+                        path.name,
+                        j,
+                    )
+                )
+            if not seg.speed > 0.0:
+                out.append(
+                    Diagnostic(
+                        "bad_speed",
+                        f"path {path.name!r} segment {j}: speed must be positive, "
+                        f"got {seg.speed}",
+                        path.name,
+                        j,
+                    )
+                )
+            if j > 0:
+                gap = float(
+                    np.linalg.norm(seg.points[0] - path.segments[j - 1].points[-1])
+                )
+                if gap > CHAIN_TOL:
+                    out.append(
+                        Diagnostic(
+                            "chain_break",
+                            f"path {path.name!r}: segments {j - 1} and {j} do not "
+                            f"chain (gap {gap:.6g} mm)",
+                            path.name,
+                            j,
+                        )
+                    )
+    return out
+
+
+# steps between consecutive points and across joins: none, either side of
+# CHAIN_TOL, and ordinary lengths; an axis step of exactly CHAIN_TOL from the
+# origin keeps the distance exact
+STEP_LENGTHS = [f * CHAIN_TOL for f in (0.0, 0.5, 0.999, 1.0, 1.001, 3.0)]
+
+
+@st.composite
+def steps(draw):
+    direction = draw(
+        st.sampled_from([(1.0, 0.0, 0.0), (0.0, 0.0, -1.0)])
+        | st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    )
+    direction = np.array(direction)
+    assume(np.linalg.norm(direction) > 0.1)
+    length = draw(st.sampled_from(STEP_LENGTHS) | st.floats(0.01, 100.0))
+    return direction / np.linalg.norm(direction) * length
+
+
+@st.composite
+def code_built_scenes(draw):
+    """Scenes built in code, with duplicate or missing frames, empty paths,
+    wrong point counts, close points, chain breaks, undeclared tool frames
+    and non-positive speeds."""
+    names = draw(st.lists(st.sampled_from(["B", "C"]), max_size=3))
+    frames = tuple(Frame(name, Transform.identity()) for name in names)
+    paths = []
+    for i in range(draw(st.integers(0, 3))):
+        start = st.just((0.0, 0.0, 0.0)) | st.tuples(*[st.floats(-500.0, 500.0)] * 3)
+        point = np.array(draw(start))
+        segments = []
+        for j in range(draw(st.integers(0, 4))):
+            if j > 0 and draw(st.booleans()):  # otherwise the segments chain exactly
+                point = point + draw(steps())
+            points = [point]
+            for _ in range(draw(st.integers(1, 5)) - 1):
+                point = point + draw(steps())
+                points.append(point)
+            segments.append(
+                PathSegment(
+                    draw(st.sampled_from(SegmentKind)),
+                    np.array(points),
+                    draw(st.sampled_from(["B", "C", "X"])),
+                    draw(st.booleans()),
+                    draw(st.sampled_from([5.0, 0.0, -2.0, math.nan])),
+                )
+            )
+        paths.append(ScenePath(f"p{i}", tuple(segments)))
+    return Scene(frames, tuple(paths))
+
+
+@given(code_built_scenes())
+def test_validate_chain_matches_per_segment_reference(scene):
+    assert validate_chain(scene) == reference_validate_chain(scene)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from robopath.codegen import ProgramParseError, emit, load_program, lower
 from robopath.geometry import Quaternion, Transform
 from robopath.planner import MotionKind, TargetPose
 from robopath.simulate import (
+    MAX_TICKS,
     ControllerKind,
     Environment,
     ForceConfig,
@@ -20,8 +21,10 @@ from robopath.simulate import (
     _PathProfile,
     _Polyline,
     _fuzzy_increment,
+    _tick_count,
     fuzzy_pi_step,
     pi_step,
+    program_waypoints,
     quantize,
     run_force,
     run_seam,
@@ -529,6 +532,14 @@ def test_force_trace_header():
 def test_quantize_multiples():
     assert quantize(0.504, 0.01) == pytest.approx(0.5, abs=1e-15)
     assert quantize(-0.017, 0.01) == pytest.approx(-0.02, abs=1e-15)
+
+
+def test_tick_budget_admits_max_ticks_and_refuses_more():
+    profile = _PathProfile(*program_waypoints(straight_program()))
+    assert profile.total_time == 10.0
+    assert _tick_count(profile, (MAX_TICKS - 1) / 10.0, None) == MAX_TICKS
+    with pytest.raises(SimulationError, match=f"more than {MAX_TICKS} ticks"):
+        _tick_count(profile, MAX_TICKS / 10.0, None)
 
 
 def test_run_requires_two_targets():
