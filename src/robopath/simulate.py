@@ -12,7 +12,12 @@ Two scenarios are modeled:
   modeled as a unilateral linear spring (force = stiffness * penetration,
   zero when separated). A PI or fuzzy-PI controller turns the force error
   into a normal-direction displacement. Surface roughness is seeded
-  zero-mean Gaussian height noise sampled once per tick.
+  zero-mean Gaussian height noise, drawn as one block with one value per
+  tick (the same stream as one draw per tick).
+
+Each run builds its tick schedule once: every tick's path leg and nominal
+point, and the path frame of each leg the ticks visit. Only the closed loop
+itself steps tick by tick.
 
 Runs are fully deterministic for a given program, environment, and config.
 """
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate
@@ -30,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .codegen import RobotProgram, fmt_num
-from .geometry import Transform, apply
+from .geometry import Transform
 
 # Most ticks one run may take, about 50 times the longest benchmark run; a
 # longer run is refused before any tick runs, since each tick adds a trace row.
@@ -168,16 +172,17 @@ _RULE = tuple(tuple(min(4, max(0, i + j - 2)) for j in range(5)) for i in range(
 
 # Rules grouped into mirror pairs (i, j) <-> (4-i, 4-j); summing each pair
 # before accumulating keeps the defuzzified output exactly odd-symmetric.
-_MIRROR_PAIRS = tuple(
-    ((i, j), (4 - i, 4 - j))
+# Each entry holds both rules' set indices and output centers.
+_MIRROR_RULES = tuple(
+    (i, j, 4 - i, 4 - j, _CENTERS[_RULE[i][j]], _CENTERS[_RULE[4 - i][4 - j]])
     for i in range(5)
     for j in range(5)
     if (i, j) < (4 - i, 4 - j)
 )
 
 
-def _memberships(v: float) -> tuple[float, ...]:
-    return tuple(max(0.0, 1.0 - abs(v - c) * 2.0) for c in _CENTERS)
+def _memberships(v: float) -> list[float]:
+    return [max(0.0, 1.0 - abs(v - c) * 2.0) for c in _CENTERS]
 
 
 def _fuzzy_increment(e: float, de: float) -> float:
@@ -186,11 +191,11 @@ def _fuzzy_increment(e: float, de: float) -> float:
     md = _memberships(de)
     num = 0.0
     den = 0.0
-    for (i, j), (mi, mj) in _MIRROR_PAIRS:
+    for i, j, mi, mj, c1, c2 in _MIRROR_RULES:
         w1 = min(me[i], md[j])
         w2 = min(me[mi], md[mj])
         den += w1 + w2
-        num += w1 * _CENTERS[_RULE[i][j]] + w2 * _CENTERS[_RULE[mi][mj]]
+        num += w1 * c1 + w2 * c2
     den += min(me[2], md[2])  # self-mirrored center rule, output ZE
     if den == 0.0:
         return 0.0
@@ -282,40 +287,52 @@ class _PathProfile:
         moves = lengths >= 1e-12  # a shorter leg reorients in place, no travel time
         if not moves.any():
             raise SimulationError("program path has zero length")
-        lengths = lengths[moves]
+        self.lengths = lengths[moves]
         self.starts = points[:-1][moves]
-        self.directions = span[moves] / lengths[:, None]
-        self.lengths = lengths.tolist()
-        self.durations = lengths / leg_speeds[moves]
-        self.ends = list(accumulate(self.durations.tolist()))  # cumulative end times
-        self.total_time = self.ends[-1]
-        # The rounding in `ends` and in a running remainder of `at` together
-        # stays below this bound times max(t, total_time).
+        self.directions = span[moves] / self.lengths[:, None]
+        self.durations = self.lengths / leg_speeds[moves]
+        # cumulative end times, summed left to right
+        self.ends = np.array(list(accumulate(self.durations.tolist())))
+        self.total_time = float(self.ends[-1])
+        # The rounding in `ends` and in a running remainder of `schedule`
+        # together stays below this bound times max(t, total_time).
         self._tie_tol = 2.0 * len(self.ends) * sys.float_info.epsilon
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nominal position and unit travel direction at time t (clamped).
+    def schedule(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Leg index and nominal position at each of `times` (clamped).
 
-        The leg is the first whose running remainder `t - d0 - ... - d(i-1)`
-        is at most its duration d(i). `bisect` over the cumulative end times
-        finds it unless t lies within rounding of a leg boundary, where the
-        running subtraction itself decides, so the chosen leg (and with it
-        the travel direction) does not depend on summation order.
+        A time's leg is the first whose running remainder
+        `t - d0 - ... - d(i-1)` is at most its duration d(i). A search over
+        the cumulative end times finds it unless t lies within rounding of a
+        leg boundary, where the running subtraction itself decides, one time
+        at a time, so the chosen leg (and with it the travel direction) does
+        not depend on summation order.
         """
-        ends = self.ends
-        i = bisect_left(ends, t)  # ends[i - 1] < t <= ends[i]
-        tol = self._tie_tol * max(t, self.total_time)
-        if (i < len(ends) and ends[i] - t <= tol) or (i > 0 and t - ends[i - 1] <= tol):
-            left = np.subtract.accumulate(np.concatenate(([t], self.durations)))
-            hits = np.flatnonzero(left[:-1] <= self.durations)
-            i = int(hits[0]) if hits.size else len(ends)
-            remaining = float(left[i])
-        else:
-            remaining = t - (ends[i - 1] if i else 0.0)
-        if i == len(ends):
-            return self.starts[-1] + self.directions[-1] * self.lengths[-1], self.directions[-1]
-        frac = min(1.0, remaining / self.durations[i])
-        return self.starts[i] + self.directions[i] * (self.lengths[i] * frac), self.directions[i]
+        ends, durations = self.ends, self.durations
+        n = len(ends)
+        legs = np.searchsorted(ends, times)  # ends[i - 1] < t <= ends[i]
+        remaining = times - np.where(legs > 0, ends[np.maximum(legs - 1, 0)], 0.0)
+        tol = self._tie_tol * np.maximum(times, self.total_time)
+        tie = ((legs < n) & (ends[np.minimum(legs, n - 1)] - times <= tol)) | (
+            (legs > 0) & (remaining <= tol)
+        )
+        for k in np.flatnonzero(tie):
+            left = np.subtract.accumulate(np.concatenate(([times[k]], durations)))
+            hits = np.flatnonzero(left[:-1] <= durations)
+            legs[k] = hits[0] if hits.size else n
+            remaining[k] = left[legs[k]]
+        past = legs == n  # past the end: hold the last leg's end point
+        legs[past] = n - 1
+        frac = np.minimum(1.0, remaining / durations[legs])
+        frac[past] = 1.0
+        along = self.lengths[legs] * frac
+        return legs, self.starts[legs] + self.directions[legs] * along[:, None]
+
+    def frames(self, legs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The path frames of the distinct legs in `legs`, as a (u, 3, 3)
+        array of x, y and z axes, and the row of each leg's frame in it."""
+        visited, frame_of = np.unique(legs, return_inverse=True)
+        return np.array([_path_frame(self.directions[i]) for i in visited]), frame_of
 
 
 def _path_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -389,8 +406,19 @@ def seam_sensor(
     """
     if not isinstance(true_seam, _Polyline):
         true_seam = _Polyline(true_seam)
-    closest, dist = true_seam.closest(tool)
     _, y_axis, z_axis = _path_frame(travel)
+    return _sense(true_seam, tool, y_axis, z_axis, sensing_range_mm)
+
+
+def _sense(
+    true_seam: _Polyline,
+    tool: np.ndarray,
+    y_axis: np.ndarray,
+    z_axis: np.ndarray,
+    sensing_range_mm: float,
+) -> tuple[float, float]:
+    """`seam_sensor` in a path frame given by its y and z axes."""
+    closest, dist = true_seam.closest(tool)
     d = closest - tool
     err_y, err_z = float(d @ y_axis), float(d @ z_axis)
     if dist > sensing_range_mm:
@@ -414,19 +442,19 @@ def run_seam(
     points, leg_speeds = program_waypoints(program)
     profile = _PathProfile(points, leg_speeds)
     true_seam = _Polyline(points @ env.offset.rotation.T + env.offset.origin)
-    n_ticks = _tick_count(profile, cfg.rate_hz, duration_s)
+    times = np.arange(_tick_count(profile, cfg.rate_hz, duration_s)) / cfg.rate_hz
+    legs, nominals = profile.schedule(times)
+    frames, frame_of = profile.frames(legs)
+    y_axes, z_axes = frames[frame_of, 1], frames[frame_of, 2]
 
     corr_y = 0.0
     corr_z = 0.0
     rows = []
     status = "OK"
-    for k in range(n_ticks):
-        t = k / cfg.rate_hz
-        nominal, direction = profile.at(t)
-        _, y_axis, z_axis = _path_frame(direction)
+    for t, nominal, y_axis, z_axis in zip(times.tolist(), nominals, y_axes, z_axes):
         tool = nominal + corr_y * y_axis + corr_z * z_axis
         try:
-            err_y, err_z = seam_sensor(true_seam, tool, direction, cfg.sensing_range_mm)
+            err_y, err_z = _sense(true_seam, tool, y_axis, z_axis, cfg.sensing_range_mm)
         except SeamLost as lost:
             rows.append((t, *nominal, lost.err_y, lost.err_z, corr_y, corr_z))
             status = "ABORTED"
@@ -460,9 +488,15 @@ def run_force(
     """
     points, leg_speeds = program_waypoints(program)
     profile = _PathProfile(points, leg_speeds)
-    n_ticks = _tick_count(profile, cfg.rate_hz, duration_s)
+    times = np.arange(_tick_count(profile, cfg.rate_hz, duration_s)) / cfg.rate_hz
+    legs, nominals = profile.schedule(times)
+    frames, frame_of = profile.frames(legs)
+    # the offset surface's shift along each tick's normal, plus roughness
+    shifted = nominals @ env.offset.rotation.T + env.offset.origin
+    shifts = _dot_rows(shifted - nominals, frames[frame_of, 2])
+    if env.roughness_mm > 0.0:
+        shifts += env.roughness_mm * np.random.default_rng(env.seed).standard_normal(len(times))
     dt = 1.0 / cfg.rate_hz
-    rng = np.random.default_rng(env.seed)
 
     if cfg.controller is ControllerKind.PI:
         controller = PIController(cfg.kp, cfg.ki, cfg.output_limit_mm)
@@ -477,17 +511,11 @@ def run_force(
     lost_for = 0.0
     rows = []
     status = "OK"
-    for k in range(n_ticks):
-        t = k / cfg.rate_hz
-        nominal, direction = profile.at(t)
-        _, _, z_axis = _path_frame(direction)
-        surface_shift = float((apply(env.offset, nominal) - nominal) @ z_axis)
-        if env.roughness_mm > 0.0:
-            surface_shift += env.roughness_mm * float(rng.standard_normal())
+    for t, x, y, z, surface_shift in zip(times.tolist(), *nominals.T.tolist(), shifts.tolist()):
         force = max(0.0, cfg.setpoint_n + env.stiffness_n_per_mm * (surface_shift + disp))
         error = cfg.setpoint_n - force
         disp = step(controller, error, dt)
-        rows.append((t, *nominal, force, cfg.setpoint_n, disp))
+        rows.append((t, x, y, z, force, cfg.setpoint_n, disp))
         if force == 0.0:
             lost_for += dt
             if lost_for > cfg.contact_timeout_s:

@@ -1,15 +1,27 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import plan_of
-from robopath.codegen import ProgramParseError, emit, load_program, lower
-from robopath.geometry import Quaternion, Transform
+from conftest import axes, finite, plan_of, rodrigues
+from robopath import simulate
+from robopath.codegen import (
+    Instruction,
+    Opcode,
+    ProgramParseError,
+    RobotProgram,
+    emit,
+    load_program,
+    lower,
+)
+from robopath.geometry import Quaternion, Transform, apply
 from robopath.planner import MotionKind, TargetPose
 from robopath.simulate import (
+    FORCE_COLUMNS,
     MAX_TICKS,
+    SEAM_COLUMNS,
     ControllerKind,
     Environment,
     ForceConfig,
@@ -17,8 +29,12 @@ from robopath.simulate import (
     PIController,
     SeamConfig,
     SeamLost,
+    SimTrace,
     SimulationError,
+    _CENTERS,
+    _RULE,
     _PathProfile,
+    _path_frame,
     _Polyline,
     _fuzzy_increment,
     _tick_count,
@@ -167,9 +183,10 @@ def test_closest_point_first_minimum_wins():
 
 
 def at_by_rescan(points, speeds, t):
-    """Linear rescan, the reference for `_PathProfile.at`: skip legs shorter
-    than 1e-12 mm, then walk the legs subtracting each duration from t until
-    the remainder fits in a leg; past the end, hold the last leg's end."""
+    """Linear rescan, the reference for `_PathProfile.schedule`: skip legs
+    shorter than 1e-12 mm, then walk the legs subtracting each duration from
+    t until the remainder fits in a leg; past the end, hold the last leg's
+    end. Returns the leg's index among the moving legs and the position."""
     legs = []
     for a, b, speed in zip(points[:-1], points[1:], speeds):
         span = b - a
@@ -185,49 +202,47 @@ def at_by_rescan(points, speeds, t):
     return len(legs) - 1, start + direction * length
 
 
+def check_schedule_against_rescan(points, speeds, profile, times):
+    legs, positions = profile.schedule(np.array(times))
+    for t, got_leg, got_position in zip(times, legs, positions):
+        leg, position = at_by_rescan(points, speeds, t)
+        assert got_leg == leg, t
+        assert np.array_equal(profile.directions[got_leg], profile.directions[leg]), t
+        assert np.abs(got_position - position).max() <= 1e-9, t
+
+
 leg_points = st.lists(st.tuples(grid_coord, grid_coord, grid_coord), min_size=2, max_size=10)
+leg_speeds = st.sampled_from([0.3, 1.0, 2.5, 7.0, 10.0])
 
 
 @given(leg_points, st.data())
 def test_path_profile_matches_linear_rescan(points, data):
     points = np.array(points)
     speeds = np.array(
-        data.draw(st.lists(st.sampled_from([0.3, 1.0, 2.5, 7.0, 10.0]),
-                           min_size=len(points) - 1, max_size=len(points) - 1))
+        data.draw(st.lists(leg_speeds, min_size=len(points) - 1, max_size=len(points) - 1))
     )
     try:
         profile = _PathProfile(points, speeds)
     except SimulationError:
         return  # every leg has zero length
-    boundary = data.draw(st.sampled_from(profile.ends))
-    times = [
-        0.0,
-        boundary,  # a leg boundary, and its neighbouring floats
-        math.nextafter(boundary, math.inf),
-        math.nextafter(boundary, -math.inf),
-        data.draw(st.floats(0.0, profile.total_time)),
-        profile.total_time * 1.5,
-    ]
-    for t in times:
-        leg, position = at_by_rescan(points, speeds, t)
-        got_position, got_direction = profile.at(t)
-        assert np.array_equal(got_direction, profile.directions[leg]), t
-        assert np.abs(got_position - position).max() <= 1e-9
+    times = [0.0, data.draw(st.floats(0.0, profile.total_time)), profile.total_time * 1.5]
+    for boundary in profile.ends.tolist():  # each leg boundary and its neighbouring floats
+        times += [boundary, math.nextafter(boundary, math.inf), math.nextafter(boundary, -math.inf)]
+    check_schedule_against_rescan(points, speeds, profile, times)
 
 
 def test_path_profile_leg_choice_where_summation_order_matters():
-    # 0.1 + 0.2 rounds up, so bisecting the cumulative end times alone would
+    # 0.1 + 0.2 rounds up, so searching the cumulative end times alone would
     # put t = 0.1 + 0.2 on the second leg, while the running remainder
     # (t - 0.1 = 0.20000000000000004 > 0.2) puts it on the third
     points = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.1, 0.2, 0.0], [0.1, 0.2, 1.0]])
     profile = _PathProfile(points, np.ones(3))
     t = profile.ends[1]
     assert t == 0.1 + 0.2 and t - profile.ends[0] > profile.durations[1]
-    leg, position = at_by_rescan(points, np.ones(3), t)
-    assert leg == 2
-    got_position, got_direction = profile.at(t)
-    assert got_direction.tolist() == [0.0, 0.0, 1.0]
-    assert np.abs(got_position - position).max() <= 1e-9
+    assert at_by_rescan(points, np.ones(3), t)[0] == 2
+    legs, _ = profile.schedule(np.array([t]))
+    assert profile.directions[legs[0]].tolist() == [0.0, 0.0, 1.0]
+    check_schedule_against_rescan(points, np.ones(3), profile, [t])
 
 
 def test_golden_program_loads_with_expected_targets():
@@ -547,3 +562,217 @@ def test_run_requires_two_targets():
     single = lower(plan_of("p", (pose,), (0,), (False,)))
     with pytest.raises(SimulationError, match="two targets"):
         run_seam(single, Environment(), SeamConfig())
+
+
+# ---------------------------------------------------------------------------
+# batched replay against the per-tick references
+# ---------------------------------------------------------------------------
+
+
+def reference_memberships(v):
+    return tuple(max(0.0, 1.0 - abs(v - c) * 2.0) for c in _CENTERS)
+
+
+REFERENCE_MIRROR_PAIRS = tuple(
+    ((i, j), (4 - i, 4 - j)) for i in range(5) for j in range(5) if (i, j) < (4 - i, 4 - j)
+)
+
+
+def reference_fuzzy_increment(e, de):
+    """The `_fuzzy_increment` that the flat rule table replaced: rule pairs
+    looked up through the nested rule table, summed in mirror-pair order."""
+    me = reference_memberships(e)
+    md = reference_memberships(de)
+    num = 0.0
+    den = 0.0
+    for (i, j), (mi, mj) in REFERENCE_MIRROR_PAIRS:
+        w1 = min(me[i], md[j])
+        w2 = min(me[mi], md[mj])
+        den += w1 + w2
+        num += w1 * _CENTERS[_RULE[i][j]] + w2 * _CENTERS[_RULE[mi][mj]]
+    den += min(me[2], md[2])
+    if den == 0.0:
+        return 0.0
+    return num / den
+
+
+def reference_at(profile, t):
+    """The per-time `_PathProfile.at` that `schedule` replaced: bisection
+    over the end times, with the running subtraction deciding near a leg
+    boundary. Returns the nominal position and the travel direction."""
+    ends = profile.ends.tolist()
+    i = bisect_left(ends, t)
+    tol = profile._tie_tol * max(t, profile.total_time)
+    if (i < len(ends) and ends[i] - t <= tol) or (i > 0 and t - ends[i - 1] <= tol):
+        left = np.subtract.accumulate(np.concatenate(([t], profile.durations)))
+        hits = np.flatnonzero(left[:-1] <= profile.durations)
+        i = int(hits[0]) if hits.size else len(ends)
+        remaining = float(left[i])
+    else:
+        remaining = t - (ends[i - 1] if i else 0.0)
+    if i == len(ends):
+        return profile.starts[-1] + profile.directions[-1] * profile.lengths[-1], profile.directions[-1]
+    frac = min(1.0, remaining / profile.durations[i])
+    return profile.starts[i] + profile.directions[i] * (profile.lengths[i] * frac), profile.directions[i]
+
+
+def reference_run_seam(program, env, cfg, duration_s=None):
+    """The per-tick `run_seam`: leg, nominal point and frame found each tick."""
+    points, leg_speeds = program_waypoints(program)
+    profile = _PathProfile(points, leg_speeds)
+    true_seam = _Polyline(points @ env.offset.rotation.T + env.offset.origin)
+    corr_y = corr_z = 0.0
+    rows = []
+    status = "OK"
+    for k in range(_tick_count(profile, cfg.rate_hz, duration_s)):
+        t = k / cfg.rate_hz
+        nominal, direction = reference_at(profile, t)
+        _, y_axis, z_axis = _path_frame(direction)
+        tool = nominal + corr_y * y_axis + corr_z * z_axis
+        try:
+            err_y, err_z = seam_sensor(true_seam, tool, direction, cfg.sensing_range_mm)
+        except SeamLost as lost:
+            rows.append((t, *nominal, lost.err_y, lost.err_z, corr_y, corr_z))
+            status = "ABORTED"
+            break
+        step_y = min(cfg.max_step_mm, max(-cfg.max_step_mm, cfg.gain_y * err_y))
+        step_z = min(cfg.max_step_mm, max(-cfg.max_step_mm, cfg.gain_z * err_z))
+        corr_y = quantize(corr_y + step_y, cfg.resolution_mm)
+        corr_z = quantize(corr_z + step_z, cfg.resolution_mm)
+        rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
+    return SimTrace(SEAM_COLUMNS, tuple(rows), status)
+
+
+def reference_run_force(program, env, cfg, duration_s=None):
+    """The per-tick `run_force`: leg, nominal point, frame, surface shift
+    and roughness draw found each tick."""
+    points, leg_speeds = program_waypoints(program)
+    profile = _PathProfile(points, leg_speeds)
+    dt = 1.0 / cfg.rate_hz
+    rng = np.random.default_rng(env.seed)
+    if cfg.controller is ControllerKind.PI:
+        controller = PIController(cfg.kp, cfg.ki, cfg.output_limit_mm)
+        step = pi_step
+    else:
+        controller = FuzzyPIController(
+            cfg.error_scale, cfg.derror_scale, cfg.output_scale, cfg.output_limit_mm
+        )
+        step = fuzzy_pi_step
+    disp = 0.0
+    lost_for = 0.0
+    rows = []
+    status = "OK"
+    for k in range(_tick_count(profile, cfg.rate_hz, duration_s)):
+        t = k / cfg.rate_hz
+        nominal, direction = reference_at(profile, t)
+        _, _, z_axis = _path_frame(direction)
+        surface_shift = float((apply(env.offset, nominal) - nominal) @ z_axis)
+        if env.roughness_mm > 0.0:
+            surface_shift += env.roughness_mm * float(rng.standard_normal())
+        force = max(0.0, cfg.setpoint_n + env.stiffness_n_per_mm * (surface_shift + disp))
+        error = cfg.setpoint_n - force
+        disp = step(controller, error, dt)
+        rows.append((t, *nominal, force, cfg.setpoint_n, disp))
+        if force == 0.0:
+            lost_for += dt
+            if lost_for > cfg.contact_timeout_s:
+                status = "ABORTED"
+                break
+        else:
+            lost_for = 0.0
+    return SimTrace(FORCE_COLUMNS, tuple(rows), status)
+
+
+def polyline_program(points, speeds):
+    """A program that joint-moves to the first point and moves linearly
+    through the rest, reaching point i + 1 at speeds[i]."""
+    names = tuple(f"t{i + 1}" for i in range(len(points)))
+    moves = [Instruction(Opcode.MOVEJ, names[:1], speeds[0])]
+    moves += [Instruction(Opcode.MOVEL, (name,), v) for name, v in zip(names[1:], speeds)]
+    orientations = np.tile([1.0, 0.0, 0.0, 0.0], (len(points), 1))
+    return RobotProgram("poly", np.array(points, dtype=float), orientations, tuple(moves))
+
+
+# Fuzzy inputs on and next to the set centres, where memberships tie or vanish.
+fuzzy_edges = [c + d for c in (-1.0, -0.5, 0.0, 0.5, 1.0) for d in (0.0, 1e-12, -1e-12)]
+fuzzy_inputs = st.one_of(st.sampled_from(fuzzy_edges + [-0.0]), finite(-1.0, 1.0))
+
+
+@given(fuzzy_inputs, fuzzy_inputs)
+def test_fuzzy_increment_matches_reference_bitwise(e, de):
+    assert _fuzzy_increment(e, de).hex() == reference_fuzzy_increment(e, de).hex()
+
+
+replay_points = st.lists(
+    st.tuples(grid_coord, grid_coord, grid_coord).map(lambda p: tuple(4.0 * c for c in p)),
+    min_size=2,
+    max_size=8,
+)
+
+
+@st.composite
+def replay_cases(draw):
+    """A random polyline program and a cell rotated about any axis."""
+    points = draw(replay_points)
+    speeds = draw(st.lists(st.sampled_from([5.0, 7.0, 10.0, 25.0]),
+                           min_size=len(points) - 1, max_size=len(points) - 1))
+    if not any(a != b for a, b in zip(points, points[1:])):
+        points.append(tuple(c + 1.0 for c in points[-1]))  # at least one moving leg
+        speeds.append(5.0)
+    angle = draw(st.sampled_from([0.0, 0.01, 0.3, 3.0]))
+    offset = Transform(
+        rodrigues(draw(axes()), angle),
+        [draw(st.sampled_from([0.0, 0.7, -2.0, 6.0])) for _ in range(3)],
+    )
+    env = Environment(
+        offset=offset,
+        roughness_mm=draw(st.sampled_from([0.0, 0.05, 1.0])),
+        seed=draw(st.integers(0, 3)),
+    )
+    return polyline_program(points, speeds), env, draw(st.sampled_from([1.0, 5.0, 20.0, 33.0]))
+
+
+@settings(max_examples=60, deadline=None)  # the per-tick reference is slow
+@given(replay_cases(), st.sampled_from(list(ControllerKind)), st.sampled_from([0.05, 0.5, 100.0]))
+@example(  # the surface drops 4 mm away from the path: contact is lost for good
+    (polyline_program([(0, 0, 0), (0, 10, 0), (10, 10, 3)], [5.0, 5.0]), offset_env(z=-4.0), 20.0),
+    ControllerKind.PI,
+    0.05,
+)
+def test_force_replay_matches_per_tick_reference(case, controller, timeout_s):
+    program, env, rate = case
+    cfg = ForceConfig(rate_hz=rate, controller=controller, contact_timeout_s=timeout_s)
+    trace, reference = run_force(program, env, cfg), reference_run_force(program, env, cfg)
+    assert trace.to_csv() == reference.to_csv()
+    # run_force sums the surface shift x + y + z and the reference takes a
+    # BLAS dot, so a row may differ in the last bits, never more.
+    assert np.abs(trace.data - reference.data).max() <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)  # the per-tick reference is slow
+@given(replay_cases(), st.sampled_from([1.0, 4.0, 50.0]))
+def test_seam_replay_matches_per_tick_reference(case, sensing_range_mm):
+    program, env, rate = case
+    cfg = SeamConfig(rate_hz=rate, sensing_range_mm=sensing_range_mm)
+    trace, reference = run_seam(program, env, cfg), reference_run_seam(program, env, cfg)
+    assert trace.rows == reference.rows
+    assert trace.to_csv() == reference.to_csv()
+
+
+def test_path_frames_scale_with_ticks_not_program_legs(monkeypatch):
+    calls = []
+
+    def counting_frame(direction):
+        calls.append(1)
+        return _path_frame(direction)
+
+    monkeypatch.setattr(simulate, "_path_frame", counting_frame)
+    # a 2000-leg zigzag of legs over 5 mm long, replayed for 2 s at 10 mm/s,
+    # which reaches at most 5 of its legs
+    points = [(5.0 * i, 2.0 * (i % 2), 0.0) for i in range(2001)]
+    program = polyline_program(points, [10.0] * 2000)
+    for run, cfg in ((run_seam, SeamConfig(rate_hz=5.0)), (run_force, ForceConfig(rate_hz=20.0))):
+        calls.clear()
+        trace = run(program, offset_env(z=0.5), cfg, duration_s=2.0)
+        assert len(trace.rows) > 5
+        assert 0 < len(calls) <= 5
