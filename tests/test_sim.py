@@ -212,14 +212,14 @@ def check_schedule_against_rescan(points, speeds, profile, times):
 
 
 leg_points = st.lists(st.tuples(grid_coord, grid_coord, grid_coord), min_size=2, max_size=10)
-leg_speeds = st.sampled_from([0.3, 1.0, 2.5, 7.0, 10.0])
 
 
 @given(leg_points, st.data())
 def test_path_profile_matches_linear_rescan(points, data):
     points = np.array(points)
     speeds = np.array(
-        data.draw(st.lists(leg_speeds, min_size=len(points) - 1, max_size=len(points) - 1))
+        data.draw(st.lists(st.sampled_from([0.3, 1.0, 2.5, 7.0, 10.0]),
+                           min_size=len(points) - 1, max_size=len(points) - 1))
     )
     try:
         profile = _PathProfile(points, speeds)
