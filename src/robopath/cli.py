@@ -59,14 +59,24 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _write_manifest(out: Path, subcommand: str, input_path: Path, options: dict, seed):
+def _read_input(path: Path) -> tuple[str, str]:
+    """The file's text as strict UTF-8 and the SHA-256 digest of the bytes
+    it was decoded from; the file is read once, so the manifest records the
+    bytes that were parsed."""
+    data = path.read_bytes()
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+
+
+def _write_manifest(
+    out: Path, subcommand: str, input_path: Path, digest: str, options: dict, seed
+):
     manifest = {
         "tool": "robopath",
         "version": __version__,
         "subcommand": subcommand,
         "inputs": {
             "path": str(input_path),
-            "sha256": hashlib.sha256(input_path.read_bytes()).hexdigest(),
+            "sha256": digest,
         },
         "options": options,
         "seed": seed,
@@ -79,7 +89,8 @@ def _write_manifest(out: Path, subcommand: str, input_path: Path, options: dict,
 def cmd_compile(args) -> int:
     scene_path = Path(args.scene)
     try:
-        scene = parse_scene(scene_path.read_text())
+        scene_text, scene_digest = _read_input(scene_path)
+        scene = parse_scene(scene_text)
         if args.speed_override is not None and not 0.0 < args.speed_override < math.inf:
             return _fail("--speed-override must be positive and finite")
         scene = rebase(scene, args.base)
@@ -105,6 +116,7 @@ def cmd_compile(args) -> int:
             out,
             "compile",
             scene_path,
+            scene_digest,
             {
                 "scene": str(scene_path),
                 "base": args.base,
@@ -130,7 +142,8 @@ def cmd_compile(args) -> int:
 def cmd_simulate(args) -> int:
     program_path = Path(args.program)
     try:
-        program = load_program(program_path.read_text())
+        program_text, program_digest = _read_input(program_path)
+        program = load_program(program_text)
         env = Environment(
             offset=Transform(
                 rotation_about_z(math.radians(args.rot_z_deg)),
@@ -170,7 +183,7 @@ def cmd_simulate(args) -> int:
             "config": dataclasses.asdict(cfg),
             "out": str(out),
         }
-        _write_manifest(out, "simulate", program_path, options, args.seed)
+        _write_manifest(out, "simulate", program_path, program_digest, options, args.seed)
     except _ERRORS as exc:
         return _fail(str(exc))
 

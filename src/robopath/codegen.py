@@ -32,6 +32,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import NoReturn
 
 import numpy as np
@@ -163,12 +164,53 @@ class _TargetView(Mapping):
         return len(self._program.target_names)
 
 
-def fmt_num(value: float) -> str:
-    """Fixed-point, four decimals, no exponent, no negative zero."""
-    if not math.isfinite(value):
+# A number written fixed-point with four decimals reads 0.0000 (or -0.0000)
+# exactly when its magnitude is below this: the double 5e-5 lies just above
+# 0.00005, and Python formats the exact binary value correctly rounded.
+_READS_ZERO = 5e-5
+
+# Rows formatted per `%` operation: few enough that a block's argument tuple
+# and text stay small beside the finished text.
+_BLOCK_ROWS = 256
+
+
+def fixed_point(row_template: str, numbers: np.ndarray, labels=None) -> Iterator[str]:
+    """The text of the rows of `numbers`, an (n, k) array, in blocks of up
+    to _BLOCK_ROWS rows. Each row is written as `row_template % (label, *row)`,
+    or as `row_template % tuple(row)` without `labels`; every number a
+    `%.4f` field takes is fixed-point with four decimals, no exponent and no
+    negative zero.
+
+    Raises CodegenError for the first non-finite number in row order, before
+    any text is made.
+    """
+    bad = ~np.isfinite(numbers)
+    if bad.any():
+        value = float(numbers.flat[bad.argmax()])
         raise CodegenError(f"cannot write non-finite number {value}")
-    text = f"{value:.4f}"
-    return "0.0000" if text == "-0.0000" else text
+    # a generator runs nothing until it is read, so the check above is eager
+    return _fixed_point_blocks(row_template, numbers, labels)
+
+
+def _fixed_point_blocks(row_template, numbers, labels) -> Iterator[str]:
+    width = numbers.shape[1] + (labels is not None)
+    for lo in range(0, len(numbers), _BLOCK_ROWS):
+        block = numbers[lo : lo + _BLOCK_ROWS]
+        # a number that reads zero is written as 0.0, so never as -0.0000
+        block = np.where(np.abs(block) < _READS_ZERO, 0.0, block)
+        if labels is None:
+            args = block.ravel().tolist()
+        else:
+            args = [None] * (len(block) * width)
+            args[0::width] = labels[lo : lo + _BLOCK_ROWS]
+            for j in range(1, width):
+                args[j::width] = block[:, j - 1].tolist()
+        yield row_template * len(block) % tuple(args)
+
+
+def fmt_num(value: float) -> str:
+    """One number as `fixed_point` writes it."""
+    return "".join(fixed_point("%.4f", np.array([[value]])))
 
 
 def lower(path: PlannedPath) -> RobotProgram:
@@ -202,41 +244,38 @@ def lower(path: PlannedPath) -> RobotProgram:
     return RobotProgram(path.name, path.positions, path.orientations, tuple(instructions))
 
 
-# A quaternion text whose w reads 0.0000 and whose first nonzero component is
-# negative; reloaded, the Quaternion constructor's canonical sign flips it.
-_FLIPPED_ON_RELOAD_RE = re.compile(r"0\.0000, (?:0\.0000, )*-")
-
-
-def _fmt_quaternion(w: float, x: float, y: float, z: float) -> str:
-    text = f"{fmt_num(w)}, {fmt_num(x)}, {fmt_num(y)}, {fmt_num(z)}"
-    if _FLIPPED_ON_RELOAD_RE.match(text):
-        # the same rotation, written with the sign a reload gives it
-        text = f"{fmt_num(-w)}, {fmt_num(-x)}, {fmt_num(-y)}, {fmt_num(-z)}"
-    return text
-
-
-def _target_line(name: str, position: np.ndarray, quat: np.ndarray) -> str:
-    x, y, z = position.tolist()
-    return (
-        f"TARGET {name} = [{fmt_num(x)}, {fmt_num(y)}, {fmt_num(z)}], "
-        f"[{_fmt_quaternion(*quat.tolist())}]\n"
-    )
+_TARGET_LINE = "TARGET %s = [%.4f, %.4f, %.4f], [%.4f, %.4f, %.4f, %.4f]\n"
 
 
 def emit(program: RobotProgram) -> str:
-    """Deterministic program text; identical programs emit identical bytes.
+    """Deterministic program text; identical programs emit identical bytes."""
+    instructions = program.instructions
+    targets = fixed_point(_TARGET_LINE, _target_table(program), program.target_names)
+    moves = fixed_point(
+        "%s SPEED %.4f\n",
+        np.array([ins.speed for ins in instructions]).reshape(-1, 1),
+        [f"{ins.opcode.value} {' '.join(ins.targets)}" for ins in instructions],
+    )
+    return "".join(chain([f"PROGRAM {program.name}\n"], targets, moves, ["END\n"]))
 
-    The target block and the move block are joined one after the other, so
-    the line strings of only one block are alive at a time.
+
+def _target_table(program: RobotProgram) -> np.ndarray:
+    """The targets as an (n, 7) array of x, y, z, w, qx, qy, qz, each
+    quaternion written with the sign a reload keeps.
+
+    A quaternion whose w reads 0.0000 and whose first other component not
+    reading 0.0000 is negative is negated: the same rotation, with the sign
+    the Quaternion constructor's canonical sign gives its text on reload.
     """
-    targets = "".join(
-        map(_target_line, program.target_names, program.positions, program.orientations)
-    )
-    moves = "".join(
-        f"{ins.opcode.value} {' '.join(ins.targets)} SPEED {fmt_num(ins.speed)}\n"
-        for ins in program.instructions
-    )
-    return f"PROGRAM {program.name}\n{targets}{moves}END\n"
+    table = np.hstack([program.positions, program.orientations])
+    q = table[:, 3:]
+    nonzero = np.abs(q) >= _READS_ZERO
+    first = nonzero[:, 1:].argmax(axis=1) + 1  # of x, y, z; x when none
+    flip = ~nonzero[:, 0] & (q[np.arange(len(q)), first] < 0.0)
+    # a row with a non-finite number keeps its signs for fixed_point's error
+    flip &= np.isfinite(q).all(axis=1)
+    q[flip] = -q[flip]
+    return table
 
 
 _NUM = r"\s*([+-]?[0-9]+(?:\.[0-9]+)?)\s*"  # grammar `num`, with its blanks

@@ -226,38 +226,49 @@ def canonical_sign(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def slerp(q0, q1, t) -> np.ndarray:
-    """Spherical linear interpolation of unit quaternions q0 and q1, given as
+def slerp(q0, q1, t, arc=None) -> np.ndarray:
+    """Spherical linear interpolation of unit quaternions, given as
     (w, x, y, z) arrays, along the shortest great-circle arc at each t of an
-    array in [0, 1]. Returns a (len(t), 4) array in canonical sign.
+    array in [0, 1]. q0 and q1 are one pair of (4,) arrays, or (k, 4) arrays
+    of k arcs with `arc` giving the arc of each t. Returns a (len(t), 4)
+    array in canonical sign.
 
     Q(t) = sin((1-t)*theta)/sin(theta) * q0 + sin(t*theta)/sin(theta) * q1,
     with theta = acos(q0 . q1). When q0 . q1 < 0, q1 is negated first so the
     short arc is taken; below SLERP_MIN_ANGLE the weights degenerate and a
     normalized linear interpolation is used instead. t == 0 and t == 1 give
-    q0 and q1 exactly.
+    q0 and q1 exactly. Each row has the bits a call with its own pair alone
+    gives.
     """
     t = np.asarray(t, dtype=float)
     outside = ~((t >= 0.0) & (t <= 1.0))
     if outside.any():
         raise GeometryError(f"slerp parameter t={float(t[outside][0])!r} outside [0, 1]")
-    a, b = np.array(q0, dtype=float), np.array(q1, dtype=float)
-    dot = float(a @ b)
-    if dot < 0.0:
-        b = -b
-        dot = -dot
-    theta = math.acos(min(1.0, dot))  # math.acos: np.arccos differs in the last bit
-    tc = t[:, None]
-    if theta < SLERP_MIN_ANGLE:
-        mixed = (1.0 - tc) * a + tc * b
-    else:
-        sin_theta = math.sin(theta)
-        mixed = (np.sin((1.0 - tc) * theta) / sin_theta) * a + (
-            np.sin(tc * theta) / sin_theta
-        ) * b
+    q0 = np.asarray(q0, dtype=float).reshape(-1, 4)
+    q1 = np.asarray(q1, dtype=float).reshape(-1, 4)
+    arc = np.zeros(len(t), dtype=int) if arc is None else np.asarray(arc)
+    dot = np.vecdot(q0, q1)  # a @ b per arc, with its bits
+    flip = dot < 0.0
+    b = np.where(flip[:, None], -q1, q1)
+    dot = np.where(flip, -dot, dot)
+    # math.acos and math.sin per arc: np.arccos differs in the last bit
+    theta = [math.acos(min(1.0, d)) for d in dot.tolist()]
+    sin_theta = np.array([math.sin(th) for th in theta])[arc]
+    theta = np.array(theta)[arc]
+
+    # the weights of q0 and q1; below SLERP_MIN_ANGLE, 1 - t and t, since
+    # dividing by sin(theta) would blow up
+    w0, w1 = 1.0 - t, t.copy()
+    far = theta >= SLERP_MIN_ANGLE
+    th, st = theta[far], sin_theta[far]
+    w0[far] = np.sin(w0[far] * th) / st
+    w1[far] = np.sin(t[far] * th) / st
+    mixed = w0[:, None] * q0[arc] + w1[:, None] * b[arc]
     w, x, y, z = mixed.T
     # summed w, x, y, z like Quaternion.unit, so the bits agree
     out = canonical_sign(mixed / np.sqrt(w * w + x * x + y * y + z * z)[:, None])
-    out[t == 0.0] = q0
-    out[t == 1.0] = q1
+    ends = t == 0.0
+    out[ends] = q0[arc[ends]]
+    ends = t == 1.0
+    out[ends] = q1[arc[ends]]
     return out

@@ -290,56 +290,66 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
     entries = np.maximum(0, np.searchsorted(sources, np.flatnonzero(edges == 1)) - 1)
     exits = np.searchsorted(sources, np.flatnonzero(edges == -1) - 1, side="right") - 1
 
-    all_lengths = _section_lengths(path.positions)
+    # every section of every run, by the pose it starts at; runs are disjoint
+    # and in path order
+    n_sections = exits - entries
+    run = np.repeat(np.arange(len(entries)), n_sections)  # the run of each section
+    first = np.cumsum(n_sections) - n_sections  # each run's first section
+    start = np.arange(len(run)) - first[run] + entries[run]
+    lengths = _section_lengths(path.positions)[start]
+    short = lengths < POSITION_TOL
+    if short.any():
+        raise PlanningError(
+            f"path {path.name!r}: zero-length section at pose {int(start[short.argmax()])} "
+            f"inside a risk region"
+        )
     step_mm = v_mag * dt
-    sections = []  # (entry, exit, section lengths, unrounded step counts) of each run
-    total_steps = 0.0
-    for entry, exit_ in zip(entries.tolist(), exits.tolist()):
-        lengths = all_lengths[entry:exit_].tolist()
-        for i, length in enumerate(lengths, start=entry):
-            if length < POSITION_TOL:
-                raise PlanningError(
-                    f"path {path.name!r}: zero-length section at pose {i} inside a "
-                    f"risk region"
-                )
-        # an underflowing step length has no finite count
-        steps = [length / step_mm if step_mm > 0.0 else math.inf for length in lengths]
-        total_steps += sum(steps)
-        sections.append((entry, exit_, lengths, steps))
+    if step_mm > 0.0:
+        with np.errstate(over="ignore"):  # an overflowing count is over the budget
+            steps = lengths / step_mm  # unrounded step counts
+    else:  # an underflowing step length has no finite count
+        steps = np.full(len(lengths), math.inf)
+    last = first + n_sections - 1  # each run's last section
+    total_steps = float(np.cumsum(_run_cumsum(steps, n_sections)[last])[-1])
     if not total_steps <= MAX_INTERPOLATED_POSES:
         raise PlanningError(
             f"path {path.name!r}: sampling width {dt} s at {v_mag} mm/s would generate "
             f"about {total_steps:.3g} poses, more than {MAX_INTERPOLATED_POSES}"
         )
 
-    rows = []  # blocks of the input rows output poses copy, or take speed and source from
-    new_positions, new_orientations = [], []  # of the generated poses
-    cursor = 0
-    for entry, exit_, lengths, steps in sections:
-        counts = np.maximum(1, np.rint(steps)).astype(int)  # rint rounds half to even, like round
-        s = np.repeat(np.arange(len(counts)), counts)  # the section of each step
-        ends = np.cumsum(counts) - 1  # the step that ends each section
-        frac = (np.arange(len(s)) - ends[s] + counts[s]) / counts[s]  # j / n of step j of n
+    counts = np.maximum(1, np.rint(steps)).astype(int)  # rint rounds half to even, like round
+    s = np.repeat(np.arange(len(counts)), counts)  # the section of each generated pose
+    ends = np.cumsum(counts) - 1  # the pose that ends each section
+    frac = (np.arange(len(s)) - ends[s] + counts[s]) / counts[s]  # j / n of step j of n
+    p0 = path.positions[start[s]]
+    new_positions = p0 + (path.positions[start[s] + 1] - p0) * frac[:, None]
+    new_positions[ends] = path.positions[start + 1]
+    walked = _run_cumsum(lengths, n_sections)  # through each section's end
+    total = walked[last]
+    walked = np.concatenate([[0.0], walked[:-1]])  # to each section's start
+    walked[first] = 0.0
+    t = np.minimum(1.0, (walked[s] + lengths[s] * frac) / total[run[s]])
+    t[ends[last]] = 1.0  # each run's exit pose takes q_exit exactly
+    new_orientations = slerp(
+        path.orientations[entries], path.orientations[exits], t, run[s]
+    )
 
-        start = path.positions[entry + s]
-        positions = start + (path.positions[entry + s + 1] - start) * frac[:, None]
-        positions[ends] = path.positions[entry + 1 : exit_ + 1]
-        walked = np.cumsum([0.0] + lengths[:-1])  # sequential sums
-        t = np.minimum(1.0, (walked[s] + all_lengths[entry + s] * frac) / sum(lengths))
-        t[-1] = 1.0  # the run's exit pose takes q_exit exactly
-        new_positions.append(positions)
-        new_orientations.append(slerp(path.orientations[entry], path.orientations[exit_], t))
-
-        rows += [np.arange(cursor, entry + 1), entry + s + 1]  # passed through, generated
-        cursor = exit_ + 1
-    rows.append(np.arange(cursor, len(path.kinds)))
-
-    generated = np.repeat(np.arange(len(rows)) % 2 == 1, [len(block) for block in rows])
-    rows = np.concatenate(rows)
+    # output rows: blocks of input rows passed through, before, between and
+    # after the runs, alternating with each run's generated poses, which take
+    # speed and source from their section's end
+    blocks = np.empty(2 * len(entries) + 1, dtype=int)
+    blocks[0::2] = np.append(entries, len(path.kinds) - 1) - np.insert(exits, 0, -1)
+    blocks[1::2] = np.diff(ends[last], prepend=-1)
+    generated = np.repeat(np.arange(len(blocks)) % 2 == 1, blocks)
+    passed = np.ones(len(path.kinds), dtype=bool)
+    passed[start + 1] = False  # the poses each run rebuilds
+    rows = np.empty(len(generated), dtype=int)
+    rows[~generated] = np.flatnonzero(passed)
+    rows[generated] = start[s] + 1
     positions = path.positions[rows]
-    positions[generated] = np.concatenate(new_positions)
+    positions[generated] = new_positions
     orientations = path.orientations[rows]
-    orientations[generated] = np.concatenate(new_orientations)
+    orientations[generated] = new_orientations
     kinds = np.array(path.kinds, dtype=object)[rows]
     kinds[generated] = MotionKind.LINEAR
     return PlannedPath(
@@ -352,3 +362,25 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
         sources[rows],
         (False,) * len(path.segment_risk),
     )
+
+
+def _run_cumsum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Running sums of `values` within each of its consecutive runs of
+    `counts` (each at least 1) entries, added one after the other from the
+    run's first entry, as a Python loop adds them.
+
+    np.cumsum along the rows of a zero-padded runs x entries table does
+    this; runs are grouped by the bit length of their count, one table per
+    group, so the padding at most doubles the memory whatever the counts.
+    """
+    out = np.empty(len(values))
+    run = np.repeat(np.arange(len(counts)), counts)
+    col = np.arange(len(values)) - (np.cumsum(counts) - counts)[run]
+    width = np.frexp(counts)[1]  # the bit length of each count
+    for bits in np.flatnonzero(np.bincount(width)).tolist():  # np.unique would import numpy.ma
+        group = width[run] == bits
+        rows = np.cumsum(width == bits)[run[group]] - 1  # the run's row in the table
+        table = np.zeros((rows[-1] + 1, 1 << bits))
+        table[rows, col[group]] = values[group]
+        out[group] = np.cumsum(table, axis=1)[rows, col[group]]
+    return out

@@ -28,12 +28,12 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
 
-from .codegen import RobotProgram, fmt_num
+from .codegen import RobotProgram, fixed_point
 from .geometry import Transform
 
 # Most ticks one run may take, about 50 times the longest benchmark run; a
@@ -251,11 +251,16 @@ class SimTrace:
         return np.array(self.rows, dtype=float)
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns + ("status",))]
-        for i, row in enumerate(self.rows):
-            status = "ABORTED" if self.aborted and i == len(self.rows) - 1 else "OK"
-            lines.append(",".join(fmt_num(v) for v in row) + f",{status}")
-        return "\n".join(lines) + "\n"
+        """Header, then each row fixed-point with its status: OK, or ABORTED
+        on the last row of an aborted run."""
+        data = self.data.reshape(len(self.rows), len(self.columns))
+        numbers = ",".join(["%.4f"] * len(self.columns))
+        ok = len(data) - self.aborted
+        return "".join(chain(
+            [",".join(self.columns + ("status",)) + "\n"],
+            fixed_point(numbers + ",OK\n", data[:ok]),
+            fixed_point(numbers + ",ABORTED\n", data[ok:]),
+        ))
 
 
 # ---------------------------------------------------------------------------

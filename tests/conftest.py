@@ -1,11 +1,12 @@
 """Shared strategies and builders for the test suite."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, settings, strategies as st
 
-from robopath.geometry import Quaternion, Transform
+from robopath.geometry import SLERP_MIN_ANGLE, GeometryError, Quaternion, Transform
 from robopath.planner import PlannedPath
 
 settings.register_profile("deterministic", derandomize=True)
@@ -72,3 +73,29 @@ def random_rotation(rng):
 
 def random_transform(rng, span=1000.0):
     return Transform(random_rotation(rng), rng.uniform(-span, span, size=3))
+
+
+def reference_slerp(q0, q1, t):
+    """The scalar slerp of two Quaternions that geometry.slerp replaced with
+    arrays of t and arcs; part of test_planner's reference_interpolate_risk."""
+    if not 0.0 <= t <= 1.0:
+        raise GeometryError(f"slerp parameter t={t!r} outside [0, 1]")
+    if t == 0.0:
+        return q0
+    if t == 1.0:
+        return q1
+    a = q0.as_array()
+    b = q1.as_array()
+    dot = float(a @ b)
+    if dot < 0.0:
+        b = -b
+        dot = -dot
+    theta = math.acos(min(1.0, dot))
+    if theta < SLERP_MIN_ANGLE:
+        mixed = (1.0 - t) * a + t * b
+    else:
+        sin_theta = math.sin(theta)
+        mixed = (math.sin((1.0 - t) * theta) / sin_theta) * a + (
+            math.sin(t * theta) / sin_theta
+        ) * b
+    return Quaternion.unit(*mixed)

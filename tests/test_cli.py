@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -487,6 +488,36 @@ def test_simulate_manifest_records_resolved_config(tmp_path, capsys):
     assert cfg["rate_hz"] == 5.0
     assert cfg["resolution_mm"] == 0.01
     assert cfg["max_step_mm"] == 0.5
+
+
+@pytest.mark.parametrize("subcommand", ["compile", "simulate"])
+def test_manifest_hashes_the_bytes_that_were_parsed(tmp_path, capsys, monkeypatch, subcommand):
+    # the input file is rewritten right after it is read, as a concurrent
+    # writer could; the manifest records the digest of the bytes the run used
+    given_file = tmp_path / "input"
+    if subcommand == "compile":
+        data = (FIXTURES / "butt_joint.scene.json").read_bytes()
+        stage, argv = "parse_scene", compile_args(given_file, tmp_path / "out", interp_dt=0.5)
+    else:
+        data = (FIXTURES / "straight_seam.prog").read_bytes()
+        stage = "load_program"
+        argv = ["simulate", "--program", str(given_file), "--scenario", "seam",
+                "--out", str(tmp_path / "out")]
+    given_file.write_bytes(data)
+    parsed = []
+    real_stage = getattr(robopath.cli, stage)
+
+    def parse_then_rewrite(text):
+        parsed.append(text)
+        given_file.write_bytes(data + b"\n")
+        return real_stage(text)
+
+    monkeypatch.setattr(robopath.cli, stage, parse_then_rewrite)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert parsed == [data.decode("utf-8")]
+    assert manifest["inputs"]["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------

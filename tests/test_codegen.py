@@ -5,7 +5,7 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import finite, plan_of, quaternions, random_rotation
 from robopath.codegen import (
@@ -27,7 +27,13 @@ from robopath.codegen import (
 from robopath.geometry import Quaternion, rotation_to_quaternion
 from robopath.planner import MotionKind, TargetPose
 from robopath.scene import Workspace
-from robopath.simulate import SimulationError, program_waypoints
+from robopath.simulate import (
+    FORCE_COLUMNS,
+    SEAM_COLUMNS,
+    SimTrace,
+    SimulationError,
+    program_waypoints,
+)
 
 
 def pose(x, kind=MotionKind.LINEAR, speed=10.0, interpolated=False, quat=None):
@@ -171,6 +177,157 @@ def test_fmt_num_no_negative_zero_and_fixed_point():
     assert fmt_num(-1e-9) == "0.0000"
     assert fmt_num(1234.56789) == "1234.5679"
     assert fmt_num(-2.5) == "-2.5000"
+
+
+def test_numbers_below_5e_5_read_zero_and_others_do_not():
+    below = float(np.nextafter(5e-5, 0.0))
+    for sign in (1.0, -1.0):
+        assert f"{sign * below:.4f}" in ("0.0000", "-0.0000")
+        assert f"{sign * 5e-5:.4f}" == f"{sign * 0.0001:.4f}"
+        assert fmt_num(sign * below) == "0.0000"
+        assert fmt_num(sign * 5e-5) == fmt_num(sign * float(np.nextafter(5e-5, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# emit and to_csv against the per-value formatter
+# ---------------------------------------------------------------------------
+
+
+def reference_fmt_num(value):
+    """The per-value formatter the table one replaced."""
+    if not math.isfinite(value):
+        raise CodegenError(f"cannot write non-finite number {value}")
+    text = f"{value:.4f}"
+    return "0.0000" if text == "-0.0000" else text
+
+
+_REFERENCE_FLIPPED_RE = re.compile(r"0\.0000, (?:0\.0000, )*-")
+
+
+def reference_emit(program):
+    """The per-line emit the table one replaced: one formatter call per
+    number, and the reload sign decided from each quaternion's text."""
+
+    def quaternion(w, x, y, z):
+        text = ", ".join(map(reference_fmt_num, (w, x, y, z)))
+        if _REFERENCE_FLIPPED_RE.match(text):
+            text = ", ".join(map(reference_fmt_num, (-w, -x, -y, -z)))
+        return text
+
+    targets = "".join(
+        f"TARGET {name} = [{', '.join(map(reference_fmt_num, p.tolist()))}], "
+        f"[{quaternion(*q.tolist())}]\n"
+        for name, p, q in zip(program.target_names, program.positions, program.orientations)
+    )
+    moves = "".join(
+        f"{ins.opcode.value} {' '.join(ins.targets)} SPEED {reference_fmt_num(ins.speed)}\n"
+        for ins in program.instructions
+    )
+    return f"PROGRAM {program.name}\n{targets}{moves}END\n"
+
+
+def reference_to_csv(trace):
+    """The per-value SimTrace.to_csv the table one replaced."""
+    lines = [",".join(trace.columns + ("status",))]
+    for i, row in enumerate(trace.rows):
+        status = "ABORTED" if trace.aborted and i == len(trace.rows) - 1 else "OK"
+        lines.append(",".join(reference_fmt_num(v) for v in row) + f",{status}")
+    return "\n".join(lines) + "\n"
+
+
+def same_text_or_error(got, want):
+    """Both calls give the same text, or the same CodegenError message."""
+    try:
+        expected = want()
+    except CodegenError as exc:
+        with pytest.raises(CodegenError) as raised:
+            got()
+        assert str(raised.value) == str(exc)
+        return
+    assert got() == expected
+
+
+_BELOW = float(np.nextafter(5e-5, 0.0))
+_ABOVE = float(np.nextafter(5e-5, 1.0))
+# numbers at the edge of reading 0.0000, in both signs
+_EDGES = [v for e in (5e-5, _BELOW, _ABOVE, 0.00004999, 0.0, 1e-17) for v in (e, -e)]
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+def table_numbers(large=1e17):
+    """Numbers that stress fixed-point writing: edges of reading zero,
+    large values and ordinary ones."""
+    return st.one_of(
+        st.sampled_from(_EDGES),
+        finite(-large, large),
+        finite(-2.0, 2.0),
+        st.sampled_from([large, -large, 1e300, -1e300, 0.5, -0.5, 1.00005, -2.00015]),
+    )
+
+
+@st.composite
+def quaternion_rows(draw):
+    """(w, x, y, z), often with w reading zero and a negative x, y or z."""
+    if draw(st.booleans()):
+        w = draw(st.sampled_from([v for v in _EDGES if abs(v) < 5e-5]))
+        rest = st.one_of(st.sampled_from(_EDGES), st.sampled_from([-0.6, -0.8, 0.6, -1.0]))
+        return [w] + [draw(rest) for _ in range(3)]
+    return [draw(table_numbers()) for _ in range(4)]
+
+
+@st.composite
+def table_programs(draw):
+    """A RobotProgram of any numbers, a few of them non-finite at times."""
+    n = draw(st.integers(0, 12))
+    positions = [[draw(table_numbers()) for _ in range(3)] for _ in range(n)]
+    orientations = [draw(quaternion_rows()) for _ in range(n)]
+    if n and draw(st.integers(0, 4)) == 0:
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, 6))
+        (positions if col < 3 else orientations)[row][col % 3 if col < 3 else col - 3] = (
+            draw(st.sampled_from(_NON_FINITE))
+        )
+    instructions, i = [], 0
+    while i < n:
+        opcode = Opcode.MOVEC if i + 1 < n and draw(st.booleans()) else Opcode.MOVEL
+        arity = len(_OPCODE_KINDS[opcode])
+        speed = draw(st.one_of(st.sampled_from([1e-9, _BELOW, 5e-5, 1e17]), finite(1e-3, 1e3)))
+        instructions.append(Instruction(opcode, tuple(f"t{i + k + 1}" for k in range(arity)), speed))
+        i += arity
+    return RobotProgram(
+        "p", np.array(positions).reshape(n, 3), np.array(orientations).reshape(n, 4),
+        tuple(instructions),
+    )
+
+
+@settings(max_examples=200)
+@given(table_programs())
+@example(RobotProgram("p", [[0.0, -1e-17, 5e-5]], [[-1e-17, -0.0, _BELOW, -0.8]],
+                      (Instruction(Opcode.MOVEJ, ("t1",), 1e-9),)))
+@example(RobotProgram("p", [[1.0, 2.0, 3.0]], [[1e-17, -0.6, math.inf, 0.0]],
+                      (Instruction(Opcode.MOVEJ, ("t1",), 1.0),)))
+@example(RobotProgram("p", [[1.0, 2.0, 3.0]], [[0.0, -math.inf, 0.5, 0.0]],
+                      (Instruction(Opcode.MOVEJ, ("t1",), 1.0),)))
+def test_emit_matches_per_value_reference(program):
+    same_text_or_error(lambda: emit(program), lambda: reference_emit(program))
+
+
+@st.composite
+def traces(draw):
+    columns = draw(st.sampled_from([SEAM_COLUMNS, FORCE_COLUMNS]))
+    n = draw(st.integers(0, 8))
+    values = st.one_of(table_numbers(), st.sampled_from(_NON_FINITE)) if draw(
+        st.integers(0, 4)) == 0 else table_numbers()
+    rows = tuple(tuple(draw(values) for _ in columns) for _ in range(n))
+    return SimTrace(columns, rows, draw(st.sampled_from(["OK", "ABORTED"])))
+
+
+@settings(max_examples=200)
+@given(traces())
+@example(SimTrace(FORCE_COLUMNS, ((0.0, -1e-17, _BELOW, -5e-5, 1e17, -0.0, 0.00004999),),
+                  "ABORTED"))
+@example(SimTrace(FORCE_COLUMNS, ((0.0,) * 6 + (math.nan,), (-math.inf,) * 7), "ABORTED"))
+def test_to_csv_matches_per_value_reference(trace):
+    same_text_or_error(trace.to_csv, lambda: reference_to_csv(trace))
 
 
 # ---------------------------------------------------------------------------

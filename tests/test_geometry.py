@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import finite, quaternions, rodrigues, transforms
+from conftest import finite, quaternions, reference_slerp, rodrigues, transforms
 from robopath.geometry import (
     GeometryError,
     Quaternion,
@@ -267,6 +267,55 @@ def test_slerp_unit_norm_and_angle_linearity(q0, q1, t):
     assert abs(norm - 1.0) < 1e-9
     theta = angle_between(q0, q1)
     assert abs(angle_between(q0, r) - t * theta) < 1e-7
+
+
+@st.composite
+def slerp_arcs(draw):
+    """(q0, q1, t) of one arc: q1 is sometimes within SLERP_MIN_ANGLE of q0
+    or on the far side of it (q0 . q1 < 0)."""
+    q0 = draw(quaternions()).as_array()
+    q1 = draw(st.one_of(
+        quaternions().map(Quaternion.as_array),
+        st.just(Quaternion.unit(*(q0 + [0.0, 0.0, 0.0, 1e-8])).as_array()),
+        st.just(-q0),
+    ))
+    return q0, q1, draw(st.lists(finite(0, 1), min_size=1, max_size=5))
+
+
+@given(st.lists(slerp_arcs(), min_size=1, max_size=6))
+def test_slerp_of_many_arcs_matches_one_arc_at_a_time(arcs):
+    q0 = np.array([a for a, _, _ in arcs])
+    q1 = np.array([b for _, b, _ in arcs])
+    t = np.concatenate([ts for _, _, ts in arcs])
+    arc = np.repeat(np.arange(len(arcs)), [len(ts) for _, _, ts in arcs])
+    want = np.concatenate([slerp(a, b, ts) for a, b, ts in arcs])
+    assert slerp(q0, q1, t, arc).tobytes() == want.tobytes()
+
+
+@given(slerp_arcs())
+def test_slerp_matches_scalar_reference(case):
+    q0, q1, ts = case
+    a, b = Quaternion(*q0), Quaternion(*q1)  # -q0 becomes q0, as the planner holds it
+    want = [reference_slerp(a, b, t).as_array() for t in ts]
+    assert slerp(a.as_array(), b.as_array(), ts).tobytes() == np.array(want).tobytes()
+
+
+def test_slerp_matches_scalar_reference_on_random_arcs():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        a, b = (Quaternion.unit(*rng.normal(size=4)) for _ in range(2))
+        ts = rng.random(3)
+        want = [reference_slerp(a, b, t).as_array() for t in ts]
+        assert slerp(a.as_array(), b.as_array(), ts).tobytes() == np.array(want).tobytes()
+
+
+@given(st.lists(st.tuples(quaternions(), quaternions()), min_size=1, max_size=20))
+def test_row_dot_has_the_bits_of_a_dot_per_pair(pairs):
+    # slerp takes q0 . q1 of every arc with one np.vecdot; it must give the
+    # bits of `a @ b`, which a slerp of one arc took
+    a = np.array([p.as_array() for p, _ in pairs])
+    b = np.array([q.as_array() for _, q in pairs]) * 1.0000001
+    assert np.vecdot(a, b).tolist() == [float(x @ y) for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import FIXTURES, finite, plan_of, random_transform, rodrigues
+from conftest import FIXTURES, finite, plan_of, random_transform, reference_slerp, rodrigues
 from robopath import planner
 from robopath.geometry import (
     SLERP_MIN_ANGLE,
@@ -419,30 +419,13 @@ def test_pose_budget_refuses_fine_sampling(monkeypatch):
         interpolate_risk(slow, 5e-324)  # the step length underflows to 0
 
 
-def reference_slerp(q0, q1, t):
-    """The scalar slerp of two Quaternions that geometry.slerp replaced with
-    an array of t; part of reference_interpolate_risk."""
-    if not 0.0 <= t <= 1.0:
-        raise GeometryError(f"slerp parameter t={t!r} outside [0, 1]")
-    if t == 0.0:
-        return q0
-    if t == 1.0:
-        return q1
-    a = q0.as_array()
-    b = q1.as_array()
-    dot = float(a @ b)
-    if dot < 0.0:
-        b = -b
-        dot = -dot
-    theta = math.acos(min(1.0, dot))
-    if theta < SLERP_MIN_ANGLE:
-        mixed = (1.0 - t) * a + t * b
-    else:
-        sin_theta = math.sin(theta)
-        mixed = (math.sin((1.0 - t) * theta) / sin_theta) * a + (
-            math.sin(t * theta) / sin_theta
-        ) * b
-    return Quaternion.unit(*mixed)
+def sequential_sum(values):
+    """The values added one after the other, as the builtin sum adds floats
+    before Python 3.12 (from 3.12 it compensates rounding)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def reference_interpolate_risk(path, dt):
@@ -494,7 +477,7 @@ def reference_interpolate_risk(path, dt):
                 )
             lengths.append(length)
         steps = [length / step_mm if step_mm > 0.0 else math.inf for length in lengths]
-        total_steps += sum(steps)
+        total_steps += sequential_sum(steps)
         sections.append((entry, exit_, lengths, steps))
     if not total_steps <= planner.MAX_INTERPOLATED_POSES:
         raise PlanningError(
@@ -509,7 +492,7 @@ def reference_interpolate_risk(path, dt):
         new_poses.extend(poses[cursor : entry + 1])
         new_sources.extend(source_segments[cursor : entry + 1])
         cursor = exit_ + 1
-        total = sum(section_lengths)
+        total = sequential_sum(section_lengths)
 
         q_entry = poses[entry].orientation
         q_exit = poses[exit_].orientation
@@ -576,7 +559,7 @@ def plan_of_segments(start, segments):
 def risk_plans(draw):
     point = st.lists(finite(-50, 50), min_size=3, max_size=3)
     segments = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 24))):
         kind = draw(st.sampled_from(sorted(_POINT_COUNTS)))
         segments.append((
             kind,
@@ -623,6 +606,17 @@ def risk_plans(draw):
                                  ("line", [[20, 0, 0]], 0, False, 5.0)]), 0.5)
 @example(  # over the pose budget
     plan_of_segments([0, 0, 0], [("line", [[10, 0, 0]], 0, True, 5.0)]), 1e-9)
+@example(  # a run with theta below SLERP_MIN_ANGLE, then a run with q_entry . q_exit < 0
+    plan_of_segments([0, 0, 0], [("line", [[10, 0, 0]], 0, False, 5.0),
+                                 ("line", [[20, 0, 0]], 0, True, 5.0),
+                                 ("spline", [[25, 2, 0], [30, -1, 0], [35, 0, 0]], 0, True, 4.0),
+                                 ("line", [[35, 10, 0]], 1, False, 5.0),
+                                 ("arc", [[40, 15, 0], [45, 10, 0]], 2, True, 6.0),
+                                 ("line", [[45, 0, 0]], 2, True, 5.0),
+                                 ("line", [[55, 0, 0]], 3, False, 5.0)]), 0.4)
+@example(  # exactly one section in every run
+    plan_of_segments([0, 0, 0], [("line", [[10 * k + 10, k % 3, 0]], k % 6, k % 3 == 1, 5.0)
+                                 for k in range(24)]), 0.3)
 def test_interpolate_risk_matches_per_pose_reference(plan, dt):
     try:
         want = reference_interpolate_risk(plan, dt)
@@ -637,6 +631,35 @@ def test_interpolate_risk_matches_per_pose_reference(plan, dt):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), attr
     assert got.kinds == want.kinds
     assert got.segment_risk == want.segment_risk
+
+
+def test_pose_budget_adds_step_counts_in_path_order(monkeypatch):
+    # a run of ten sections, whose unrounded step counts sum to different
+    # bits pairwise and one after the other; the budget takes the latter
+    plan = plan_of_segments([0, 0, 0], [("line", [[2 * k, k * k, k % 5]], k % 6, True, 5.0)
+                                        for k in range(1, 11)])
+    steps = np.linalg.norm(np.diff(plan.positions, axis=0), axis=1) / (5.0 * 0.5)
+    total = sequential_sum(steps.tolist())
+    assert float(np.sum(steps)) != total
+    monkeypatch.setattr(planner, "MAX_INTERPOLATED_POSES", total)
+    interpolate_risk(plan, 0.5)
+    monkeypatch.setattr(planner, "MAX_INTERPOLATED_POSES", float(np.nextafter(total, 0.0)))
+    with pytest.raises(PlanningError, match="more than"):
+        interpolate_risk(plan, 0.5)
+
+
+@given(st.lists(st.lists(finite(0, 1e6), min_size=1, max_size=40), min_size=1, max_size=30))
+@example([[0.1] * 1000] + [[0.3, 0.7]] * 5 + [[1e6, 1e-6, 1.0]])
+def test_run_cumsum_adds_each_run_in_order(runs):
+    values = np.array([v for run in runs for v in run])
+    want = []
+    for run in runs:
+        total = 0.0
+        for v in run:
+            total += v
+            want.append(total)
+    got = planner._run_cumsum(values, np.array([len(run) for run in runs]))
+    assert got.tolist() == want
 
 
 def test_plan_columns_are_read_only_and_poses_a_lazy_view(monkeypatch):
