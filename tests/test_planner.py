@@ -7,8 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import FIXTURES, finite, plan_of, random_transform, reference_slerp, rodrigues
 from robopath import planner
 from robopath.geometry import (
-    SLERP_MIN_ANGLE,
-    GeometryError,
     Quaternion,
     Transform,
     angle_between,
