@@ -237,8 +237,8 @@ def slerp(q0, q1, t, arc=None) -> np.ndarray:
     with theta = acos(q0 . q1). When q0 . q1 < 0, q1 is negated first so the
     short arc is taken; below SLERP_MIN_ANGLE the weights degenerate and a
     normalized linear interpolation is used instead. t == 0 and t == 1 give
-    q0 and q1 exactly. Each row has the bits a call with its own pair alone
-    gives.
+    q0 and q1 exactly, up to canonical sign. Each row has the bits a call
+    with its own pair alone gives.
     """
     t = np.asarray(t, dtype=float)
     outside = ~((t >= 0.0) & (t <= 1.0))
@@ -266,9 +266,9 @@ def slerp(q0, q1, t, arc=None) -> np.ndarray:
     mixed = w0[:, None] * q0[arc] + w1[:, None] * b[arc]
     w, x, y, z = mixed.T
     # summed w, x, y, z like Quaternion.unit, so the bits agree
-    out = canonical_sign(mixed / np.sqrt(w * w + x * x + y * y + z * z)[:, None])
+    out = mixed / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
     ends = t == 0.0
     out[ends] = q0[arc[ends]]
     ends = t == 1.0
     out[ends] = q1[arc[ends]]
-    return out
+    return canonical_sign(out)

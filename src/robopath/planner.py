@@ -303,12 +303,10 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
             f"path {path.name!r}: zero-length section at pose {int(start[short.argmax()])} "
             f"inside a risk region"
         )
-    step_mm = v_mag * dt
-    if step_mm > 0.0:
-        with np.errstate(over="ignore"):  # an overflowing count is over the budget
-            steps = lengths / step_mm  # unrounded step counts
-    else:  # an underflowing step length has no finite count
-        steps = np.full(len(lengths), math.inf)
+    # an overflowing count is over the budget, and so is the inf that a step
+    # length underflowing to 0.0 gives
+    with np.errstate(over="ignore", divide="ignore"):
+        steps = lengths / (v_mag * dt)  # unrounded step counts
     last = first + n_sections - 1  # each run's last section
     total_steps = float(np.cumsum(_run_cumsum(steps, n_sections)[last])[-1])
     if not total_steps <= MAX_INTERPOLATED_POSES:
@@ -334,18 +332,14 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
         path.orientations[entries], path.orientations[exits], t, run[s]
     )
 
-    # output rows: blocks of input rows passed through, before, between and
-    # after the runs, alternating with each run's generated poses, which take
-    # speed and source from their section's end
-    blocks = np.empty(2 * len(entries) + 1, dtype=int)
-    blocks[0::2] = np.append(entries, len(path.kinds) - 1) - np.insert(exits, 0, -1)
-    blocks[1::2] = np.diff(ends[last], prepend=-1)
-    generated = np.repeat(np.arange(len(blocks)) % 2 == 1, blocks)
-    passed = np.ones(len(path.kinds), dtype=bool)
-    passed[start + 1] = False  # the poses each run rebuilds
-    rows = np.empty(len(generated), dtype=int)
-    rows[~generated] = np.flatnonzero(passed)
-    rows[generated] = start[s] + 1
+    # output rows: every input row once, except that each section's end pose
+    # stands for the section's generated poses, which take its speed and source
+    rebuilt = np.zeros(len(path.kinds), dtype=bool)
+    rebuilt[start + 1] = True
+    reps = np.ones(len(path.kinds), dtype=int)
+    reps[start + 1] = counts
+    rows = np.repeat(np.arange(len(path.kinds)), reps)
+    generated = np.repeat(rebuilt, reps)
     positions = path.positions[rows]
     positions[generated] = new_positions
     orientations = path.orientations[rows]
@@ -367,20 +361,12 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
 def _run_cumsum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Running sums of `values` within each of its consecutive runs of
     `counts` (each at least 1) entries, added one after the other from the
-    run's first entry, as a Python loop adds them.
-
-    np.cumsum along the rows of a zero-padded runs x entries table does
-    this; runs are grouped by the bit length of their count, one table per
-    group, so the padding at most doubles the memory whatever the counts.
+    run's first entry, as a Python loop adds them: np.cumsum along the rows
+    of one runs x length table per distinct run length.
     """
     out = np.empty(len(values))
-    run = np.repeat(np.arange(len(counts)), counts)
-    col = np.arange(len(values)) - (np.cumsum(counts) - counts)[run]
-    width = np.frexp(counts)[1]  # the bit length of each count
-    for bits in np.flatnonzero(np.bincount(width)).tolist():  # np.unique would import numpy.ma
-        group = width[run] == bits
-        rows = np.cumsum(width == bits)[run[group]] - 1  # the run's row in the table
-        table = np.zeros((rows[-1] + 1, 1 << bits))
-        table[rows, col[group]] = values[group]
-        out[group] = np.cumsum(table, axis=1)[rows, col[group]]
+    length = np.repeat(counts, counts)  # the length of each entry's run
+    for n in np.flatnonzero(np.bincount(counts)).tolist():  # np.unique would import numpy.ma
+        group = length == n
+        out[group] = np.cumsum(values[group].reshape(-1, n), axis=1).ravel()
     return out

@@ -28,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -105,6 +105,13 @@ class SeamConfig:
             raise SimulationError("gains must be >= 0")
         if not self.max_step_mm > 0.0 or not self.sensing_range_mm > 0.0:
             raise SimulationError("step limit and sensing range must be > 0")
+        # the largest correction a run can reach, in resolution steps, must
+        # be finite for quantize to round it
+        if not math.isfinite(MAX_TICKS * self.max_step_mm / self.resolution_mm):
+            raise SimulationError(
+                f"resolution {self.resolution_mm} mm is too fine for a "
+                f"{self.max_step_mm} mm step limit"
+            )
 
 
 class ControllerKind(str, Enum):
@@ -129,6 +136,8 @@ class ForceConfig:
         _check_finite(self)
         if not self.rate_hz > 0.0:
             raise SimulationError("rate must be > 0")
+        if not math.isfinite(1.0 / self.rate_hz):
+            raise SimulationError(f"rate {self.rate_hz} Hz has no finite tick period")
         if not self.setpoint_n > 0.0:
             raise SimulationError("force setpoint must be > 0")
         if min(self.kp, self.ki, self.error_scale, self.derror_scale, self.output_scale) < 0.0:
@@ -297,7 +306,7 @@ class _PathProfile:
         self.directions = span[moves] / self.lengths[:, None]
         self.durations = self.lengths / leg_speeds[moves]
         # cumulative end times, summed left to right
-        self.ends = np.array(list(accumulate(self.durations.tolist())))
+        self.ends = np.cumsum(self.durations)
         self.total_time = float(self.ends[-1])
         # The rounding in `ends` and in a running remainder of `schedule`
         # together stays below this bound times max(t, total_time).
@@ -367,11 +376,12 @@ class _Polyline:
     def closest(self, p: np.ndarray) -> tuple[np.ndarray, float]:
         """Closest point to p over all segments and its distance; on a tie
         the first segment wins."""
-        frac = np.clip(_dot_rows(p - self.a, self.w) / self.ww, 0.0, 1.0)
-        frac[self.degenerate] = 0.0
-        candidates = self.a + frac[:, None] * self.w
-        gap = candidates - p
-        dist = np.sqrt(_dot_rows(gap, gap))
+        with np.errstate(over="ignore"):  # an infinite distance is out of range
+            frac = np.clip(_dot_rows(p - self.a, self.w) / self.ww, 0.0, 1.0)
+            frac[self.degenerate] = 0.0
+            candidates = self.a + frac[:, None] * self.w
+            gap = candidates - p
+            dist = np.sqrt(_dot_rows(gap, gap))
         i = int(np.argmin(dist))
         return candidates[i], float(dist[i])
 
@@ -497,10 +507,15 @@ def run_force(
     legs, nominals = profile.schedule(times)
     frames, frame_of = profile.frames(legs)
     # the offset surface's shift along each tick's normal, plus roughness
-    shifted = nominals @ env.offset.rotation.T + env.offset.origin
-    shifts = _dot_rows(shifted - nominals, frames[frame_of, 2])
-    if env.roughness_mm > 0.0:
-        shifts += env.roughness_mm * np.random.default_rng(env.seed).standard_normal(len(times))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        shifted = nominals @ env.offset.rotation.T + env.offset.origin
+        shifts = _dot_rows(shifted - nominals, frames[frame_of, 2])
+        if env.roughness_mm > 0.0:
+            rng = np.random.default_rng(env.seed)
+            shifts += env.roughness_mm * rng.standard_normal(len(times))
+    finite = np.isfinite(shifts)
+    if not finite.all():
+        raise SimulationError(f"surface shift at t = {times[finite.argmin()]} s is not finite")
     dt = 1.0 / cfg.rate_hz
 
     if cfg.controller is ControllerKind.PI:

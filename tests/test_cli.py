@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -399,6 +400,46 @@ def test_simulate_rejects_bad_number_option(tmp_path, capsys, scenario, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, option, message",
+    [
+        ("seam", ("--resolution", "1e-320", "--offset-x", "1"), "resolution 1e-320 mm"),
+        ("force", ("--rate", "1e-320"), "rate 1e-320 Hz"),
+        ("force", ("--roughness", "1e308"), "surface shift"),
+    ],
+)
+def test_simulate_refuses_overflowing_replay_arithmetic(
+    tmp_path, capsys, scenario, option, message
+):
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        capsys,
+        "simulate",
+        "--program", str(FIXTURES / "butt_joint.prog"),
+        "--scenario", scenario,
+        *option,
+        "--out", str(out),
+    )
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_simulate_seam_lost_at_an_overflowing_distance(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, stdout, _ = run(
+        capsys,
+        "simulate",
+        "--program", str(FIXTURES / "butt_joint.prog"),
+        "--scenario", "seam",
+        "--offset-x", "1e200",
+        "--out", str(out),
+    )
+    assert code == 3
+    assert "ABORTED" in stdout
+    assert out.read_text().splitlines()[-1].endswith(",ABORTED")
+
+
 # ---------------------------------------------------------------------------
 # hostile input files
 # ---------------------------------------------------------------------------
@@ -544,3 +585,39 @@ def test_cli_binds_every_traced_stage():
     for name in TRACED_CLI_NAMES:
         assert callable(getattr(robopath.cli, name, None)), name
     assert callable(SimTrace.to_csv)
+
+
+def test_cli_calls_each_traced_stage_once_through_its_binding(tmp_path, capsys, monkeypatch):
+    """A stage that runs but not through its robopath.cli name would read
+    zero in the benchmark even though the name is still bound."""
+    calls = collections.Counter()
+
+    def counted(name, stage):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED_CLI_NAMES:
+        monkeypatch.setattr(robopath.cli, name, counted(name, getattr(robopath.cli, name)))
+    monkeypatch.setattr(SimTrace, "to_csv", counted("to_csv", SimTrace.to_csv))
+
+    program = tmp_path / "butt.prog"
+    code, _, err = run(
+        capsys, *compile_args(FIXTURES / "butt_joint.scene.json", program, interp_dt=0.5)
+    )
+    assert code == 0, err
+    compile_stages = ("parse_scene", "rebase", "assign_orientations", "interpolate_risk",
+                      "lower", "workspace_lint", "emit")
+    assert calls == collections.Counter(compile_stages)
+    for scenario, stage in (("seam", "run_seam"), ("force", "run_force")):
+        calls.clear()
+        code, _, err = run(
+            capsys,
+            "simulate",
+            "--program", str(program),
+            "--scenario", scenario,
+            "--out", str(tmp_path / f"{scenario}.csv"),
+        )
+        assert code == 0, err
+        assert calls == collections.Counter(("load_program", stage, "to_csv"))

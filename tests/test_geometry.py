@@ -227,6 +227,16 @@ def test_slerp_endpoints_exact():
     assert slerp_quats(q0, q1, [0.0, 1.0]) == [q0, q1]
 
 
+def test_slerp_endpoints_in_canonical_sign():
+    # q1 = (-0.6, 0.8, 0, 0) is the same rotation as (0.6, -0.8, 0, 0)
+    out = slerp([1.0, 0.0, 0.0, 0.0], [-0.6, 0.8, 0.0, 0.0], [0.999999, 1.0])
+    assert out[1].tolist() == [0.6, -0.8, 0.0, 0.0]
+    assert out[0, 0] > 0.0
+    assert slerp([-0.6, 0.8, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0]).tolist() == [
+        [0.6, -0.8, 0.0, 0.0]
+    ]
+
+
 def test_slerp_midpoint_example():
     q0 = Quaternion.identity()
     q1 = Quaternion.from_axis_angle([0, 0, 1], math.radians(90))

@@ -417,6 +417,18 @@ def test_pose_budget_refuses_fine_sampling(monkeypatch):
         interpolate_risk(slow, 5e-324)  # the step length underflows to 0
 
 
+def test_pose_budget_refuses_a_step_length_that_underflows():
+    plan = risk_plan(
+        Quaternion.identity(),
+        Quaternion.from_axis_angle([0, 0, 1], 1.0),
+        [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
+        speed=1e-300,
+    )
+    assert 1e-300 * 1e-30 == 0.0
+    with pytest.raises(PlanningError, match="about inf poses"):
+        interpolate_risk(plan, 1e-30)
+
+
 def sequential_sum(values):
     """The values added one after the other, as the builtin sum adds floats
     before Python 3.12 (from 3.12 it compensates rounding)."""
