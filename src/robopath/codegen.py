@@ -2,14 +2,15 @@
 text, which `emit` writes and `load_program` reads back. The grammar, its
 number pattern and the opcode-to-motion-kind table are defined here once.
 
-The IR is columnar: a `RobotProgram` holds its targets as a read-only
-(n, 3) position array and (n, 4) quaternion array in reference order, plus
-the move instructions, which give each target its motion kind and speed.
-`lower` names the planned poses and groups them into moves; the program
-takes the planned path's position and quaternion columns as they are.
-`RobotProgram.targets` is a read-only name -> TargetPose view that builds a
-pose only when one is looked up. `load_program` fills the columns without
-building a pose per target; it checks the target block as arrays.
+The IR is one table, `RobotProgram(name, target_names, positions,
+orientations, opcodes, speeds)`: a row per target in reference order and a
+row per move, each target's motion kind and speed derived once from its
+move's row of the opcode table. `lower` names the planned poses and groups
+them into moves with array masks, taking the path's position and quaternion
+columns as they are. `RobotProgram.targets` is a read-only name ->
+TargetPose view that builds a pose only when one is looked up. `load_program`
+fills the columns without building a pose per target; it checks the target
+block as arrays.
 
 Program grammar (one statement per line, LF endings):
 
@@ -32,7 +33,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, islice
 from typing import NoReturn
 
 import numpy as np
@@ -70,98 +71,109 @@ _OPCODE_KINDS = {
     Opcode.MOVES: (MotionKind.SPLINE_VIA,),
 }
 _OPCODE_OF_FIRST_KIND = {kinds[0]: op for op, kinds in _OPCODE_KINDS.items()}
+_OPCODES = {op.value: op for op in Opcode}
 
 
 @dataclass(frozen=True)
 class Instruction:
+    """One move as a plain record; only `RobotProgram.instructions` builds it."""
+
     opcode: Opcode
     targets: tuple[str, ...]
     speed: float
 
-    def __post_init__(self):
-        if not (self.speed > 0.0 and math.isfinite(self.speed)):
-            raise CodegenError(f"instruction speed must be positive and finite, got {self.speed}")
-        expected = len(_OPCODE_KINDS[self.opcode])
-        if len(self.targets) != expected:
-            raise CodegenError(
-                f"{self.opcode.value} takes {expected} target(s), got {len(self.targets)}"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class RobotProgram:
-    """A program's targets as columns, in reference order, plus its moves.
+    """A program as columns: one row per target, in reference order, and
+    one row per move.
 
-    Row i of `positions` (n, 3) and `orientations` (n, 4; w, x, y, z in
-    canonical sign) is the i-th target the moves reference. A float array
-    passed in is kept without a copy and made read-only, so pass arrays the
-    program may own. A target's motion kind and speed are those of the move
-    that references it. `target_names` is derived from the moves, and
-    `targets` views the columns as a name -> TargetPose mapping. Programs
-    are equal when their names, moves and both columns are equal.
+    Target i is `target_names[i]` at `positions[i]` (x, y, z) and
+    `orientations[i]` (w, x, y, z in canonical sign). Move j is `opcodes[j]`
+    at `speeds[j]` and takes the next `arities[j]` targets, one per kind in
+    its row of the opcode table; `target_kinds` and `target_speeds` give
+    each target its move's kind and speed. Arrays passed in are kept without
+    a copy and made read-only. Programs are equal when all six columns are.
     """
 
     name: str
+    target_names: tuple[str, ...]
     positions: np.ndarray
     orientations: np.ndarray
-    instructions: tuple[Instruction, ...] = ()
-    target_names: tuple[str, ...] = field(init=False)
+    opcodes: tuple[Opcode, ...]
+    speeds: np.ndarray
+    arities: np.ndarray = field(init=False, repr=False)
+    target_kinds: tuple[MotionKind, ...] = field(init=False, repr=False)
+    target_speeds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        referenced = tuple(t for ins in self.instructions for t in ins.targets)
-        if len(set(referenced)) != len(referenced):
+        names, opcodes = tuple(self.target_names), tuple(self.opcodes)
+        kinds = [_OPCODE_KINDS[op] for op in opcodes]
+        arities = np.array([len(k) for k in kinds], dtype=np.intp)
+        if len(set(names)) != len(names):
             raise CodegenError("a target is referenced by more than one instruction")
-        for attr, width in (("positions", 3), ("orientations", 4)):
+        if arities.sum() != len(names):
+            raise CodegenError(f"the moves take {arities.sum()} target(s), got {len(names)}")
+        shapes = {"positions": (len(names), 3), "orientations": (len(names), 4),
+                  "speeds": arities.shape}
+        for attr, shape in shapes.items():
             column = np.asarray(getattr(self, attr), dtype=float)
-            if column.shape != (len(referenced), width):
-                raise CodegenError(
-                    f"{attr} has shape {column.shape}, expected ({len(referenced)}, {width})"
-                )
+            if column.shape != shape:
+                raise CodegenError(f"{attr} has shape {column.shape}, expected {shape}")
             column.setflags(write=False)
             object.__setattr__(self, attr, column)
-        object.__setattr__(self, "target_names", referenced)
+        bad = ~(self.speeds > 0.0) | ~np.isfinite(self.speeds)
+        if bad.any():
+            raise CodegenError(
+                f"instruction speed must be positive and finite, got {self.speeds[bad.argmax()]}"
+            )
+        target_speeds = np.repeat(self.speeds, arities)
+        arities.setflags(write=False)
+        target_speeds.setflags(write=False)
+        vars(self).update(  # frozen: set the normalized and derived columns directly
+            target_names=names, opcodes=opcodes, arities=arities,
+            target_kinds=tuple(chain.from_iterable(kinds)), target_speeds=target_speeds,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, RobotProgram):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.instructions == other.instructions
-            and np.array_equal(self.positions, other.positions)
-            and np.array_equal(self.orientations, other.orientations)
-        )
+        columns = ("positions", "orientations", "speeds")
+        return (self.name, self.target_names, self.opcodes) == (
+            other.name, other.target_names, other.opcodes
+        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
 
     @cached_property
     def targets(self) -> Mapping[str, TargetPose]:
-        return _TargetView(self)
+        poses = PoseView(self.positions, self.orientations, self.target_kinds,
+                         self.target_speeds, [False] * len(self.target_names))
+        return _TargetView(self.target_names, poses)
+
+    @cached_property
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The moves as Instruction records, built on first use."""
+        names = iter(self.target_names)
+        return tuple(
+            Instruction(op, tuple(islice(names, arity)), speed)
+            for op, arity, speed in zip(self.opcodes, self.arities, self.speeds.tolist())
+        )
 
 
 class _TargetView(Mapping):
-    """Read-only name -> TargetPose view of a program's columns; a pose is
-    built only when it is looked up."""
+    """Read-only name -> TargetPose view of pose columns; a pose is built
+    only when it is looked up."""
 
-    def __init__(self, program: RobotProgram):
-        self._program = program
-
-    @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {name: row for row, name in enumerate(self._program.target_names)}
-
-    @cached_property
-    def _poses(self) -> PoseView:
-        p = self._program
-        kinds = [k for ins in p.instructions for k in _OPCODE_KINDS[ins.opcode]]
-        speeds = [ins.speed for ins in p.instructions for _ in ins.targets]
-        return PoseView(p.positions, p.orientations, kinds, speeds, [False] * len(kinds))
+    def __init__(self, names: tuple[str, ...], poses: PoseView):
+        self._rows, self._poses = {name: row for row, name in enumerate(names)}, poses
 
     def __getitem__(self, name: str) -> TargetPose:
         return self._poses[self._rows[name]]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._program.target_names)
+        return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._program.target_names)
+        return len(self._rows)
 
 
 # A number written fixed-point with four decimals reads 0.0000 (or -0.0000)
@@ -214,34 +226,30 @@ def fmt_num(value: float) -> str:
 
 
 def lower(path: PlannedPath) -> RobotProgram:
-    """Name the poses and group them into motion instructions.
+    """Name the poses and group them into moves.
 
     Each opcode takes the run of poses whose motion kinds match its row of
     the opcode table: one pose for joint, linear and spline moves, a
-    circular via pose followed by a circular end pose for MOVEC. Targets are
-    named t1, t2, ... in path order and never deduplicated, so every pose
-    stays traceable to its source index. The program takes the path's
-    position and orientation columns as they are.
+    circular via pose followed by a circular end pose for MOVEC, at the end
+    pose's speed. Targets are named t1, t2, ... in path order and never
+    deduplicated, so every pose stays traceable to its source index. The
+    program takes the path's position and orientation columns as they are.
     """
-    instructions: list[Instruction] = []
-    kinds, speeds = path.kinds, path.speeds.tolist()
-    i = 0
-    while i < len(kinds):
-        opcode = _OPCODE_OF_FIRST_KIND.get(kinds[i])
-        if opcode is None:
-            raise CodegenError(
-                f"path {path.name!r}: circular end at pose {i} has no via pose"
-            )
-        names = []
-        for kind in _OPCODE_KINDS[opcode]:
-            if i == len(kinds) or kinds[i] is not kind:
-                raise CodegenError(
-                    f"path {path.name!r}: circular via at pose {i - 1} has no end pose"
-                )
-            names.append(f"t{i + 1}")
-            i += 1
-        instructions.append(Instruction(opcode, tuple(names), speeds[i - 1]))
-    return RobotProgram(path.name, path.positions, path.orientations, tuple(instructions))
+    kinds = path.kinds
+    via = np.array([k is MotionKind.CIRCULAR_VIA for k in kinds], dtype=bool)
+    end = np.array([k is MotionKind.CIRCULAR_END for k in kinds], dtype=bool)
+    # pose i is a circular end exactly when pose i - 1 is a circular via
+    unpaired = np.append(end, False) != np.insert(via, 0, False)
+    if unpaired.any():
+        i = int(unpaired.argmax())
+        if i < len(kinds) and end[i]:
+            raise CodegenError(f"path {path.name!r}: circular end at pose {i} has no via pose")
+        raise CodegenError(f"path {path.name!r}: circular via at pose {i - 1} has no end pose")
+    opcodes = tuple(_OPCODE_OF_FIRST_KIND[k] for k in compress(kinds, ~end))
+    names = tuple(f"t{i}" for i in range(1, len(kinds) + 1))
+    return RobotProgram(
+        path.name, names, path.positions, path.orientations, opcodes, path.speeds[~via]
+    )
 
 
 _TARGET_LINE = "TARGET %s = [%.4f, %.4f, %.4f], [%.4f, %.4f, %.4f, %.4f]\n"
@@ -249,13 +257,12 @@ _TARGET_LINE = "TARGET %s = [%.4f, %.4f, %.4f], [%.4f, %.4f, %.4f, %.4f]\n"
 
 def emit(program: RobotProgram) -> str:
     """Deterministic program text; identical programs emit identical bytes."""
-    instructions = program.instructions
+    names = np.array(program.target_names, dtype=object)
+    last = np.cumsum(program.arities) - 1  # the last target of each move
+    vias = np.where(program.arities == 2, names[last - 1] + " ", "")  # a MOVEC's via
+    labels = (np.array(program.opcodes, dtype=object) + " " + vias + names[last]).tolist()
     targets = fixed_point(_TARGET_LINE, _target_table(program), program.target_names)
-    moves = fixed_point(
-        "%s SPEED %.4f\n",
-        np.array([ins.speed for ins in instructions]).reshape(-1, 1),
-        [f"{ins.opcode.value} {' '.join(ins.targets)}" for ins in instructions],
-    )
+    moves = fixed_point("%s SPEED %.4f\n", program.speeds.reshape(-1, 1), labels)
     return "".join(chain([f"PROGRAM {program.name}\n"], targets, moves, ["END\n"]))
 
 
@@ -286,9 +293,6 @@ _TARGET_RE = re.compile(
 )
 
 
-_OPCODES = {op.value: op for op in Opcode}
-
-
 def load_program(text: str) -> RobotProgram:
     """Parse program text back into a RobotProgram.
 
@@ -307,9 +311,9 @@ def load_program(text: str) -> RobotProgram:
     values: list[float] = []  # x, y, z, w, qx, qy, qz of each declared target
     table = None  # `values` as an (n, 7) array, quaternions in canonical sign
     rejected: set[int] = set()  # rows that fail the pose checks
-    rows: list[int] = []  # declared row of each referenced target, in order
-    referenced: set[str] = set()
-    instructions: list[Instruction] = []
+    referenced: dict[str, int] = {}  # target name -> declared row, in reference order
+    opcodes: list[Opcode] = []
+    speeds: list[float] = []
     ended = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -327,7 +331,7 @@ def load_program(text: str) -> RobotProgram:
             ended = True
             continue
         if line.startswith("TARGET"):
-            if instructions:
+            if opcodes:
                 raise ProgramParseError("TARGET after motion statements", line_no)
             m = _TARGET_RE.fullmatch(line)
             if not m:
@@ -352,8 +356,7 @@ def load_program(text: str) -> RobotProgram:
         speed_ok = speed > 0.0 and math.isfinite(speed)
         if table is None:  # the first move: every target is declared
             table, rejected = _check_targets(values)
-        names = tuple(parts[1 : 1 + n_names])
-        for t, kind in zip(names, kinds):
+        for t, kind in zip(parts[1 : 1 + n_names], kinds):
             row = declared.get(t)
             if row is None:
                 raise ProgramParseError(f"undeclared target {t!r}", line_no)
@@ -361,21 +364,19 @@ def load_program(text: str) -> RobotProgram:
                 raise ProgramParseError(f"target {t!r} referenced twice", line_no)
             if row in rejected or not speed_ok:
                 _reject_target(t, values[7 * row : 7 * row + 7], kind, speed, line_no)
-            referenced.add(t)
-            rows.append(row)
-        instructions.append(Instruction(opcode, names, speed))
+            referenced[t] = row
+        opcodes.append(opcode)
+        speeds.append(speed)
 
     if name is None:
         raise ProgramParseError("empty program", 1)
     if not ended:
         raise ProgramParseError("missing END", len(text.splitlines()) or 1)
-    unused = set(declared) - referenced
+    unused = declared.keys() - referenced.keys()
     if unused:
         raise ProgramParseError(f"unreferenced targets {sorted(unused)}", 1)
-    if table is None:
-        table = np.empty((0, 7))
-    table = table[rows]
-    return RobotProgram(name, table[:, :3], table[:, 3:], tuple(instructions))
+    table = np.empty((0, 7)) if table is None else table[list(referenced.values())]
+    return RobotProgram(name, tuple(referenced), table[:, :3], table[:, 3:], tuple(opcodes), speeds)
 
 
 def _check_targets(values: list[float]) -> tuple[np.ndarray, set[int]]:

@@ -283,8 +283,7 @@ def program_waypoints(program: RobotProgram) -> tuple[np.ndarray, np.ndarray]:
     column itself; a leg runs at the speed of the move that reaches it."""
     if len(program.positions) < 2:
         raise SimulationError("program needs at least two targets to traverse")
-    speeds = [ins.speed for ins in program.instructions for _ in ins.targets]
-    return program.positions, np.array(speeds[1:])
+    return program.positions, program.target_speeds[1:]
 
 
 def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -516,6 +515,15 @@ def run_force(
     finite = np.isfinite(shifts)
     if not finite.all():
         raise SimulationError(f"surface shift at t = {times[finite.argmin()]} s is not finite")
+    # both controllers clamp |disp| to the output limit, so this bounds every tick's force
+    max_shift = float(np.abs(shifts).max())
+    if not math.isfinite(
+        cfg.setpoint_n + env.stiffness_n_per_mm * (max_shift + cfg.output_limit_mm)
+    ):
+        raise SimulationError(
+            f"contact force bound {cfg.setpoint_n} N + {env.stiffness_n_per_mm} N/mm * "
+            f"({max_shift} mm shift + {cfg.output_limit_mm} mm output limit) is not finite"
+        )
     dt = 1.0 / cfg.rate_hz
 
     if cfg.controller is ControllerKind.PI:

@@ -51,11 +51,12 @@ def test_compile_butt_joint_matches_golden(tmp_path, capsys):
     assert manifest["options"]["interp_dt_s"] == 0.5
 
 
-def test_compile_profile_matches_golden(tmp_path, capsys):
-    out = tmp_path / "profile.prog"
-    code, _, _ = run(capsys, *compile_args(FIXTURES / "profile.scene.json", out))
+@pytest.mark.parametrize("name", ["profile", "straight_seam"])
+def test_compile_profile_matches_golden(tmp_path, capsys, name):
+    out = tmp_path / f"{name}.prog"
+    code, _, _ = run(capsys, *compile_args(FIXTURES / f"{name}.scene.json", out))
     assert code == 0
-    assert out.read_bytes() == (FIXTURES / "profile.prog").read_bytes()
+    assert out.read_bytes() == (FIXTURES / f"{name}.prog").read_bytes()
 
 
 def test_compile_missing_base_frame_exits_1(tmp_path, capsys):
@@ -406,6 +407,8 @@ def test_simulate_rejects_bad_number_option(tmp_path, capsys, scenario, option):
         ("seam", ("--resolution", "1e-320", "--offset-x", "1"), "resolution 1e-320 mm"),
         ("force", ("--rate", "1e-320"), "rate 1e-320 Hz"),
         ("force", ("--roughness", "1e308"), "surface shift"),
+        ("force", ("--offset-z", "1e308"), "contact force bound"),
+        ("force", ("--stiffness", "1e307", "--offset-z", "100"), "contact force bound"),
     ],
 )
 def test_simulate_refuses_overflowing_replay_arithmetic(

@@ -2,6 +2,7 @@
 import math
 import re
 from collections.abc import Mapping
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import finite, plan_of, quaternions, random_rotation
 from robopath.codegen import (
     _NUMBER_RE,
     _OPCODE_KINDS,
+    _OPCODE_OF_FIRST_KIND,
     _TARGET_RE,
     CodegenError,
     Instruction,
@@ -286,27 +288,27 @@ def table_programs(draw):
         (positions if col < 3 else orientations)[row][col % 3 if col < 3 else col - 3] = (
             draw(st.sampled_from(_NON_FINITE))
         )
-    instructions, i = [], 0
+    opcodes, speeds, i = [], [], 0
     while i < n:
         opcode = Opcode.MOVEC if i + 1 < n and draw(st.booleans()) else Opcode.MOVEL
-        arity = len(_OPCODE_KINDS[opcode])
-        speed = draw(st.one_of(st.sampled_from([1e-9, _BELOW, 5e-5, 1e17]), finite(1e-3, 1e3)))
-        instructions.append(Instruction(opcode, tuple(f"t{i + k + 1}" for k in range(arity)), speed))
-        i += arity
+        opcodes.append(opcode)
+        speeds.append(draw(st.one_of(st.sampled_from([1e-9, _BELOW, 5e-5, 1e17]), finite(1e-3, 1e3))))
+        i += len(_OPCODE_KINDS[opcode])
     return RobotProgram(
-        "p", np.array(positions).reshape(n, 3), np.array(orientations).reshape(n, 4),
-        tuple(instructions),
+        "p", tuple(f"t{k + 1}" for k in range(n)),
+        np.array(positions).reshape(n, 3), np.array(orientations).reshape(n, 4),
+        tuple(opcodes), speeds,
     )
 
 
 @settings(max_examples=200)
 @given(table_programs())
-@example(RobotProgram("p", [[0.0, -1e-17, 5e-5]], [[-1e-17, -0.0, _BELOW, -0.8]],
-                      (Instruction(Opcode.MOVEJ, ("t1",), 1e-9),)))
-@example(RobotProgram("p", [[1.0, 2.0, 3.0]], [[1e-17, -0.6, math.inf, 0.0]],
-                      (Instruction(Opcode.MOVEJ, ("t1",), 1.0),)))
-@example(RobotProgram("p", [[1.0, 2.0, 3.0]], [[0.0, -math.inf, 0.5, 0.0]],
-                      (Instruction(Opcode.MOVEJ, ("t1",), 1.0),)))
+@example(RobotProgram("p", ("t1",), [[0.0, -1e-17, 5e-5]], [[-1e-17, -0.0, _BELOW, -0.8]],
+                      (Opcode.MOVEJ,), [1e-9]))
+@example(RobotProgram("p", ("t1",), [[1.0, 2.0, 3.0]], [[1e-17, -0.6, math.inf, 0.0]],
+                      (Opcode.MOVEJ,), [1.0]))
+@example(RobotProgram("p", ("t1",), [[1.0, 2.0, 3.0]], [[0.0, -math.inf, 0.5, 0.0]],
+                      (Opcode.MOVEJ,), [1.0]))
 def test_emit_matches_per_value_reference(program):
     same_text_or_error(lambda: emit(program), lambda: reference_emit(program))
 
@@ -375,8 +377,8 @@ _STEPS = (
 
 
 @st.composite
-def random_plans(draw):
-    steps = draw(st.lists(st.sampled_from(_STEPS), min_size=1, max_size=6))
+def random_plans(draw, step_kinds=_STEPS):
+    steps = draw(st.lists(st.sampled_from(step_kinds), min_size=1, max_size=6))
     poses = [
         TargetPose(
             [draw(finite(-1000, 1000)) for _ in range(3)],
@@ -399,6 +401,66 @@ def test_emit_load_emit_is_identity_and_keeps_motion_kinds(path):
     assert list(loaded.targets) == list(program.targets)
     for name, original in program.targets.items():
         assert loaded.targets[name].motion_kind is original.motion_kind
+
+
+def reference_lower(path):
+    """The per-pose `lower` the column one replaced, kept as a reference:
+    one Instruction per move, the path checked pose by pose as the moves
+    are grouped. Returns the moves."""
+    instructions = []
+    kinds, speeds = path.kinds, path.speeds.tolist()
+    i = 0
+    while i < len(kinds):
+        opcode = _OPCODE_OF_FIRST_KIND.get(kinds[i])
+        if opcode is None:
+            raise CodegenError(
+                f"path {path.name!r}: circular end at pose {i} has no via pose"
+            )
+        names = []
+        for kind in _OPCODE_KINDS[opcode]:
+            if i == len(kinds) or kinds[i] is not kind:
+                raise CodegenError(
+                    f"path {path.name!r}: circular via at pose {i - 1} has no end pose"
+                )
+            names.append(f"t{i + 1}")
+            i += 1
+        instructions.append(Instruction(opcode, tuple(names), speeds[i - 1]))
+    return tuple(instructions)
+
+
+# single circular poses, which leave a via or an end unpaired
+_UNPAIRED_STEPS = _STEPS + ((MotionKind.CIRCULAR_VIA,), (MotionKind.CIRCULAR_END,))
+
+
+@given(st.one_of(random_plans(), random_plans(_UNPAIRED_STEPS)))
+@example(plan([pose(0, MotionKind.JOINT), pose(10, MotionKind.CIRCULAR_VIA), pose(20)]))
+@example(plan([pose(0, MotionKind.JOINT), pose(10), pose(20, MotionKind.CIRCULAR_END)]))
+@example(plan([pose(0, MotionKind.JOINT), pose(10), pose(20, MotionKind.CIRCULAR_VIA)]))
+def test_lower_matches_per_pose_reference(path):
+    try:
+        instructions = reference_lower(path)
+    except CodegenError as expected:
+        with pytest.raises(CodegenError) as got:
+            lower(path)
+        assert str(got.value) == str(expected)
+        return
+    program = lower(path)
+    assert program.instructions == instructions
+    names = tuple(t for ins in instructions for t in ins.targets)
+    reference = SimpleNamespace(
+        name=path.name, target_names=names, positions=path.positions,
+        orientations=path.orientations, instructions=instructions,
+    )
+    assert emit(program) == reference_emit(reference)
+    assert tuple(program.targets) == names
+    for ins in instructions:
+        for t, kind in zip(ins.targets, _OPCODE_KINDS[ins.opcode]):
+            row = int(t[1:]) - 1
+            got = program.targets[t]
+            assert got.motion_kind is kind
+            assert got == TargetPose(
+                path.positions[row], Quaternion(*path.orientations[row].tolist()), kind, ins.speed
+            )
 
 
 _JUNK_TOKENS = ("inf", "nan", "1e3", "1_0", "+", "t99", "MOVEC", "SPEED", "END")
@@ -684,12 +746,11 @@ def test_program_rejects_reused_target():
     with pytest.raises(CodegenError):
         RobotProgram(
             "p",
-            [t.position],
-            [t.orientation.as_array()],
-            (
-                Instruction(Opcode.MOVEJ, ("t1",), 5.0),
-                Instruction(Opcode.MOVEL, ("t1",), 5.0),
-            ),
+            ("t1", "t1"),
+            [t.position] * 2,
+            [t.orientation.as_array()] * 2,
+            (Opcode.MOVEJ, Opcode.MOVEL),
+            [5.0, 5.0],
         )
 
 
@@ -699,19 +760,26 @@ def test_programs_differing_only_in_a_target_are_unequal():
     assert program != lower(plan([pose(0, MotionKind.JOINT), pose(99)]))
     turned = Quaternion.from_axis_angle([0, 0, 1], 0.5)
     assert program != lower(plan([pose(0, MotionKind.JOINT), pose(10, quat=turned)]))
+    # the move columns count too
+    assert program != lower(plan([pose(0, MotionKind.JOINT), pose(10, MotionKind.SPLINE_VIA)]))
+    assert program != lower(plan([pose(0, MotionKind.JOINT), pose(10, speed=11.0)]))
+
+
+def one_pose_columns(n):
+    return [[0.0, 0.0, 0.0]] * n, [[1.0, 0.0, 0.0, 0.0]] * n
 
 
 def test_instruction_arity_checked():
     with pytest.raises(CodegenError):
-        Instruction(Opcode.MOVEC, ("t1",), 5.0)
+        RobotProgram("p", ("t1",), *one_pose_columns(1), (Opcode.MOVEC,), [5.0])
     with pytest.raises(CodegenError):
-        Instruction(Opcode.MOVEL, ("t1", "t2"), 5.0)
+        RobotProgram("p", ("t1", "t2"), *one_pose_columns(2), (Opcode.MOVEL,), [5.0])
 
 
 @pytest.mark.parametrize("speed", [0.0, math.inf, math.nan])
 def test_instruction_speed_must_be_positive_and_finite(speed):
     with pytest.raises(CodegenError, match="positive and finite"):
-        Instruction(Opcode.MOVEL, ("t1",), speed)
+        RobotProgram("p", ("t1",), *one_pose_columns(1), (Opcode.MOVEL,), [speed])
 
 
 def test_load_rejects_decimal_speed_that_overflows():

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import axes, finite, plan_of, rodrigues
 from robopath import simulate
 from robopath.codegen import (
-    Instruction,
     Opcode,
     ProgramParseError,
     RobotProgram,
@@ -687,10 +686,12 @@ def polyline_program(points, speeds):
     """A program that joint-moves to the first point and moves linearly
     through the rest, reaching point i + 1 at speeds[i]."""
     names = tuple(f"t{i + 1}" for i in range(len(points)))
-    moves = [Instruction(Opcode.MOVEJ, names[:1], speeds[0])]
-    moves += [Instruction(Opcode.MOVEL, (name,), v) for name, v in zip(names[1:], speeds)]
+    opcodes = (Opcode.MOVEJ,) + (Opcode.MOVEL,) * (len(points) - 1)
     orientations = np.tile([1.0, 0.0, 0.0, 0.0], (len(points), 1))
-    return RobotProgram("poly", np.array(points, dtype=float), orientations, tuple(moves))
+    return RobotProgram(
+        "poly", names, np.array(points, dtype=float), orientations, opcodes,
+        [speeds[0], *speeds[: len(points) - 1]],
+    )
 
 
 # Fuzzy inputs on and next to the set centres, where memberships tie or vanish.
