@@ -15,6 +15,7 @@ block as arrays.
 Program grammar (one statement per line, LF endings):
 
     program := "PROGRAM" name NL { target } { move } "END" NL
+    name    := [A-Za-z_][A-Za-z0-9_]*
     target  := "TARGET" name "=" "[" num "," num "," num "]" ","
                "[" num "," num "," num "," num "]" NL
     move    := ("MOVEJ"|"MOVEL"|"MOVES") name "SPEED" num NL
@@ -40,7 +41,7 @@ import numpy as np
 
 from .geometry import NEAR_UNIT_TOL, Quaternion, canonical_sign
 from .planner import MotionKind, PlannedPath, PoseView, TargetPose
-from .scene import Workspace
+from .scene import NAME, Workspace
 
 
 class CodegenError(ValueError):
@@ -287,8 +288,9 @@ def _target_table(program: RobotProgram) -> np.ndarray:
 
 _NUM = r"\s*([+-]?[0-9]+(?:\.[0-9]+)?)\s*"  # grammar `num`, with its blanks
 _NUMBER_RE = re.compile(_NUM)
+_NAME_RE = re.compile(NAME)
 _TARGET_RE = re.compile(
-    rf"TARGET\s+([A-Za-z_]\w*)\s*=\s*\[{_NUM},{_NUM},{_NUM}\]"
+    rf"TARGET\s+({NAME})\s*=\s*\[{_NUM},{_NUM},{_NUM}\]"
     rf"\s*,\s*\[{_NUM},{_NUM},{_NUM},{_NUM}\]"
 )
 
@@ -326,6 +328,8 @@ def load_program(text: str) -> RobotProgram:
             if len(parts) != 2 or parts[0] != "PROGRAM":
                 raise ProgramParseError("expected PROGRAM header", line_no)
             name = parts[1]
+            if not _NAME_RE.fullmatch(name):
+                raise ProgramParseError(f"program name {name!r} must match {NAME}", line_no)
             continue
         if line == "END":
             ended = True

@@ -33,7 +33,7 @@ from .geometry import (
     slerp,
     vec3,
 )
-from .scene import Frame, Scene, SegmentKind, UNIVERSE, Workspace
+from .scene import UNIVERSE, Frame, Scene, Workspace
 
 # Consecutive poses must differ by more than one of these.
 POSITION_TOL = 1e-6  # mm
@@ -177,15 +177,11 @@ def rebase(scene: Scene, base: str) -> Scene:
     )
     paths = []
     for path in scene.paths:
-        segs = path.segments
-        points = np.concatenate([seg.points for seg in segs] or [np.empty((0, 3))])
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            points = points @ rot_t + origin
+            points = path.points @ rot_t + origin
         if not np.isfinite(points).all():
             raise PlanningError(f"path {path.name!r}: rebased points are not finite")
-        split = np.split(points, np.cumsum([len(seg.points) for seg in segs[:-1]]))
-        segments = tuple(dataclasses.replace(seg, points=p) for seg, p in zip(segs, split))
-        paths.append(dataclasses.replace(path, segments=segments))
+        paths.append(dataclasses.replace(path, points=points))
 
     workspace = scene.workspace
     if workspace is not None:
@@ -202,15 +198,12 @@ def rebase(scene: Scene, base: str) -> Scene:
 # orientation assignment
 # ---------------------------------------------------------------------------
 
-_END_KIND = {
-    SegmentKind.LINE: MotionKind.LINEAR,
-    SegmentKind.ARC: MotionKind.CIRCULAR_END,
-    SegmentKind.SPLINE: MotionKind.SPLINE_VIA,
-}
-_VIA_KIND = {
-    SegmentKind.ARC: MotionKind.CIRCULAR_VIA,
-    SegmentKind.SPLINE: MotionKind.SPLINE_VIA,
-}
+# The motion kind of a segment's last point and of each of its via points
+# (those between its first and last), by kind code: line, arc, spline.
+_END_KINDS = np.array(
+    [MotionKind.LINEAR, MotionKind.CIRCULAR_END, MotionKind.SPLINE_VIA], dtype=object
+)
+_VIA_KINDS = np.array([None, MotionKind.CIRCULAR_VIA, MotionKind.SPLINE_VIA], dtype=object)
 
 
 def assign_orientations(scene: Scene) -> list[PlannedPath]:
@@ -220,37 +213,44 @@ def assign_orientations(scene: Scene) -> list[PlannedPath]:
     boundary the pose is oriented for the segment it enters, so the tool is
     already set up when the new segment's work begins. The first pose of a
     path is a joint-interpolated approach move; every other pose's motion
-    kind and speed come from the segment traversed to reach it.
+    kind and speed come from the segment traversed to reach it. A join point
+    is one pose, the end of the segment before it.
     """
-    quats = {f.name: rotation_to_quaternion(f.transform.rotation).as_array() for f in scene.frames}
+    frame_rows = {f.name: row for row, f in enumerate(scene.frames)}
+    quats = np.array(
+        [rotation_to_quaternion(f.transform.rotation).as_array() for f in scene.frames]
+    ).reshape(-1, 4)
     for path in scene.paths:
-        for seg in path.segments:
-            if seg.tool_frame not in quats:
+        for tool in path.tool_frames:
+            if tool not in frame_rows:
                 raise PlanningError(
-                    f"path {path.name!r}: tool frame {seg.tool_frame!r} is not declared"
+                    f"path {path.name!r}: tool frame {tool!r} is not declared"
                 )
 
     planned = []
     for path in scene.paths:
-        segs = path.segments
-        kinds = [MotionKind.JOINT]
-        sources = [0]  # the segment each pose belongs to
-        tools = [0]  # the segment whose tool frame orients each pose
-        for i, seg in enumerate(segs):
-            vias = len(seg.points) - 2  # none on a line
-            kinds += [_VIA_KIND.get(seg.kind)] * vias + [_END_KIND[seg.kind]]
-            sources += [i] * (vias + 1)
-            tools += [i] * vias + [min(i + 1, len(segs) - 1)]
+        starts, n_segments = path.starts, len(path.kinds)
+        segment = np.repeat(np.arange(n_segments), np.diff(starts))  # of each point
+        last = np.zeros(len(segment), dtype=bool)
+        last[starts[1:] - 1] = True
+        kinds = np.where(last, _END_KINDS[path.kinds[segment]], _VIA_KINDS[path.kinds[segment]])
+        kinds[0] = MotionKind.JOINT
+        # the segment whose tool frame orients each point: its own, or at a
+        # segment's last point the next one's
+        tool = np.where(last, np.minimum(segment + 1, n_segments - 1), segment)
+        tool_rows = np.array([frame_rows[name] for name in path.tool_frames], dtype=np.intp)
+        pose = np.ones(len(segment), dtype=bool)
+        pose[starts[1:-1]] = False  # a join point as the first point of a segment
         planned.append(
             PlannedPath(
                 path.name,
-                np.concatenate([segs[0].points[:1]] + [seg.points[1:] for seg in segs]),
-                np.array([quats[seg.tool_frame] for seg in segs])[tools],
-                tuple(kinds),
-                np.array([seg.speed for seg in segs])[sources],
-                np.zeros(len(kinds), dtype=bool),
-                sources,
-                tuple(seg.risk for seg in segs),
+                path.points[pose],
+                quats[tool_rows[tool[pose]]],
+                tuple(kinds[pose].tolist()),
+                path.speeds[segment[pose]],
+                np.zeros(int(pose.sum()), dtype=bool),
+                segment[pose],
+                path.risk,
             )
         )
     return planned

@@ -29,8 +29,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -49,7 +51,10 @@ CHAIN_TOL = 1e-6
 # Reserved name of the implicit universe frame.
 UNIVERSE = "U"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# The grammar of every name: frames, paths, tool frames, and the program and
+# target names of the program text.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(NAME)
 
 # Matrices this far from orthonormal are re-projected onto the nearest
 # rotation (hand-written files carry rounded entries); anything worse errors.
@@ -79,9 +84,16 @@ class SegmentKind(str, Enum):
     SPLINE = "spline"
 
 
+# The kind of each code in `ScenePath.kinds`.
+SEGMENT_KINDS = tuple(SegmentKind)
+_KIND_CODES = {kind.value: code for code, kind in enumerate(SEGMENT_KINDS)}
+
 # Required point counts per kind; None means "at least MIN_SPLINE_POINTS".
 _POINT_COUNT = {SegmentKind.LINE: 2, SegmentKind.ARC: 3, SegmentKind.SPLINE: None}
 MIN_SPLINE_POINTS = 3
+_SPLINE = _KIND_CODES[SegmentKind.SPLINE]
+# the exact point count of each kind code; a spline's entry is unused
+_EXACT_COUNT = np.array([_POINT_COUNT[kind] or 0 for kind in SEGMENT_KINDS])
 
 
 @dataclass(frozen=True)
@@ -92,11 +104,8 @@ class Frame:
 
 @dataclass(frozen=True, eq=False)
 class PathSegment:
-    """One curve of a path. `points` is kept without a copy and made
-    read-only; its shape and values are trusted: `parse_scene` checks them
-    for a file, and `validate_chain` checks the point count and spacing of a
-    scene built in code.
-    """
+    """One curve of a path as a plain record, for scenes built in code and
+    for `ScenePath.segments`."""
 
     kind: SegmentKind
     points: np.ndarray  # (n, 3), universe coordinates
@@ -104,27 +113,85 @@ class PathSegment:
     risk: bool
     speed: float
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
 
-    def __eq__(self, other):
-        if not isinstance(other, PathSegment):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and np.array_equal(self.points, other.points)
-            and self.tool_frame == other.tool_frame
-            and self.risk == other.risk
-            and self.speed == other.speed
+@dataclass(frozen=True, eq=False)
+class ScenePath:
+    """A path as one table: every segment's points, in order, in `points`
+    (m, 3; universe coordinates; a join point is the last point of one
+    segment and again the first of the next), and one entry per segment in
+    the other columns. Segment j holds the rows
+    `starts[j]:starts[j + 1]` of `points` (`starts` has one entry more than
+    there are segments), is of kind `SEGMENT_KINDS[kinds[j]]`, and has tool
+    frame `tool_frames[j]`, risk flag `risk[j]` and speed `speeds[j]`.
+
+    Arrays are kept without a copy and made read-only. The columns are
+    trusted to agree in length: `parse_scene` builds them from a checked
+    file and `from_segments` from records; `validate_chain` checks the point
+    counts and spacing of a scene built in code. `segments` views the
+    columns as PathSegment records.
+    """
+
+    name: str
+    points: np.ndarray
+    starts: np.ndarray
+    kinds: np.ndarray
+    tool_frames: tuple[str, ...]
+    risk: tuple[bool, ...]
+    speeds: np.ndarray
+
+    def __post_init__(self):
+        for attr, dtype in (("points", float), ("starts", np.intp), ("kinds", np.intp),
+                            ("speeds", float)):
+            column = np.asarray(getattr(self, attr), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, attr, column)
+
+    @classmethod
+    def from_segments(cls, name: str, segments: Iterable[PathSegment]) -> ScenePath:
+        """The path of the given segments, in order."""
+        segments = tuple(segments)
+        return cls(
+            name,
+            np.concatenate([seg.points for seg in segments] or [np.empty((0, 3))]),
+            np.cumsum([0] + [len(seg.points) for seg in segments]),
+            [_KIND_CODES[seg.kind] for seg in segments],
+            tuple(seg.tool_frame for seg in segments),
+            tuple(bool(seg.risk) for seg in segments),
+            [seg.speed for seg in segments],
         )
 
+    @property
+    def segments(self) -> Sequence[PathSegment]:
+        return _SegmentView(self)
 
-@dataclass(frozen=True)
-class ScenePath:
-    name: str
-    segments: tuple[PathSegment, ...]
+    def __eq__(self, other):
+        if not isinstance(other, ScenePath):
+            return NotImplemented
+        columns = ("points", "starts", "kinds", "speeds")
+        return (self.name, self.tool_frames, self.risk) == (
+            other.name, other.tool_frames, other.risk
+        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
+
+
+class _SegmentView(Sequence):
+    """Read-only view of a path's columns that builds a PathSegment per lookup."""
+
+    def __init__(self, path: ScenePath):
+        self._path = path
+
+    def __getitem__(self, j: int) -> PathSegment:
+        path = self._path
+        j = range(len(self))[j]  # IndexError past either end
+        return PathSegment(
+            SEGMENT_KINDS[path.kinds[j]],
+            path.points[path.starts[j] : path.starts[j + 1]],
+            path.tool_frames[j],
+            path.risk[j],
+            float(path.speeds[j]),
+        )
+
+    def __len__(self) -> int:
+        return len(self._path.kinds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +254,12 @@ def parse_scene(text: str) -> Scene:
         # every number becomes a float: no integer field exists, and an
         # over-long integer literal overflows to inf (rejected in _number)
         # rather than hitting the int conversion limit
-        data = json.loads(text, parse_constant=_reject_constant, parse_int=float)
+        data = json.loads(
+            text,
+            object_pairs_hook=_unique_keys,
+            parse_constant=_reject_constant,
+            parse_int=float,
+        )
     except json.JSONDecodeError as exc:
         raise SceneParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}", exc.lineno, exc.colno
@@ -205,6 +277,19 @@ def parse_scene(text: str) -> Scene:
 
 def _reject_constant(name: str):
     raise SceneParseError(f"non-finite number {name} is not valid JSON")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is an error, not the last
+    value silently kept."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SceneParseError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
 
 
 def _expect_keys(obj, required, optional, where):
@@ -235,7 +320,7 @@ def _point(value, where) -> list[float]:
 def _name(value, where) -> str:
     if not isinstance(value, str) or not _NAME_RE.fullmatch(value):
         raise SceneValidationError(
-            f"{where}: name {value!r} must match [A-Za-z_][A-Za-z0-9_]*"
+            f"{where}: name {value!r} must match {NAME}"
         )
     return value
 
@@ -313,37 +398,73 @@ def _build_scene(data) -> Scene:
         if name in seen_paths:
             raise SceneValidationError(f"duplicate path name {name!r}")
         seen_paths.add(name)
-        if not isinstance(entry["segments"], list):
-            raise SceneValidationError(f"{where}.segments: expected a list")
-        segments = []
-        for j, seg in enumerate(entry["segments"]):
-            sw = f"{where}.segments[{j}]"
-            _expect_keys(seg, ["kind", "points", "tool_frame", "risk", "speed"], [], sw)
-            try:
-                kind = SegmentKind(seg["kind"])
-            except ValueError:
-                raise SceneValidationError(
-                    f"{sw}: kind must be one of line/arc/spline, got {seg['kind']!r}"
-                ) from None
-            if not isinstance(seg["points"], list):
-                raise SceneValidationError(f"{sw}.points: expected a list of points")
-            points = [_point(p, f"{sw}.points[{k}]") for k, p in enumerate(seg["points"])]
-            if len(points) < 2:
-                raise SceneValidationError(f"{sw}: needs at least two points")
-            if not isinstance(seg["risk"], bool):
-                raise SceneValidationError(f"{sw}.risk: expected true/false")
-            segments.append(
-                PathSegment(
-                    kind=kind,
-                    points=np.array(points),
-                    tool_frame=_name(seg["tool_frame"], f"{sw}.tool_frame"),
-                    risk=seg["risk"],
-                    speed=_number(seg["speed"], f"{sw}.speed"),
-                )
-            )
-        paths.append(ScenePath(name, tuple(segments)))
+        paths.append(_path(name, entry["segments"], f"{where}.segments"))
 
     return Scene(tuple(frames), tuple(paths), workspace)
+
+
+_SEGMENT_KEYS = ["kind", "points", "tool_frame", "risk", "speed"]
+_SEGMENT_KEY_SET = frozenset(_SEGMENT_KEYS)
+
+
+def _path(name: str, segments, where: str) -> ScenePath:
+    """A path's segments, checked in file order, as one table. The key and
+    point checks run a cheap test first and build their messages only when
+    that fails."""
+    if not isinstance(segments, list):
+        raise SceneValidationError(f"{where}: expected a list")
+    coords: list[float] = []
+    counts, kinds, tools, risks, speeds = [], [], [], [], []
+    for j, seg in enumerate(segments):
+        sw = f"{where}[{j}]"
+        if type(seg) is not dict or seg.keys() != _SEGMENT_KEY_SET:
+            _expect_keys(seg, _SEGMENT_KEYS, [], sw)
+        kind = seg["kind"]
+        code = _KIND_CODES.get(kind) if isinstance(kind, str) else None
+        if code is None:
+            raise SceneValidationError(
+                f"{sw}: kind must be one of line/arc/spline, got {kind!r}"
+            )
+        points = seg["points"]
+        if not isinstance(points, list):
+            raise SceneValidationError(f"{sw}.points: expected a list of points")
+        flat = _flat_points(points)
+        if flat is None:
+            flat = list(chain.from_iterable(
+                _point(p, f"{sw}.points[{k}]") for k, p in enumerate(points)
+            ))
+        if len(points) < 2:
+            raise SceneValidationError(f"{sw}: needs at least two points")
+        if not isinstance(seg["risk"], bool):
+            raise SceneValidationError(f"{sw}.risk: expected true/false")
+        tools.append(_name(seg["tool_frame"], f"{sw}.tool_frame"))
+        speeds.append(_number(seg["speed"], f"{sw}.speed"))
+        coords += flat
+        counts.append(len(points))
+        kinds.append(code)
+        risks.append(seg["risk"])
+    return ScenePath(
+        name,
+        np.array(coords, dtype=float).reshape(-1, 3),
+        np.cumsum([0] + counts),
+        kinds,
+        tuple(tools),
+        tuple(risks),
+        speeds,
+    )
+
+
+def _flat_points(points: list) -> Optional[list[float]]:
+    """The coordinates of a list of [x, y, z] points of finite numbers, in
+    order, or None when some point is not one (or when a sum of finite
+    numbers overflows): `_point` then checks each point for its message."""
+    for p in points:
+        if type(p) is not list or len(p) != 3:
+            return None
+    flat = list(chain.from_iterable(points))
+    if set(map(type, flat)) <= {float} and math.isfinite(sum(flat)):
+        return flat
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +473,8 @@ def _build_scene(data) -> Scene:
 
 
 def validate_chain(scene: Scene) -> list[Diagnostic]:
-    """Check every scene invariant; returns one diagnostic per violation."""
+    """Check every scene invariant; returns one diagnostic per violation,
+    path by path, then segment by segment, then check by check."""
     out: list[Diagnostic] = []
     names = set()
     for frame in scene.frames:
@@ -367,79 +489,49 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
         out.append(Diagnostic("no_paths", "scene declares no path"))
 
     for path in scene.paths:
-        if not path.segments:
+        if not len(path.kinds):
             out.append(Diagnostic("empty_path", f"path {path.name!r} has no segments", path.name))
             continue
+        starts, kinds = path.starts, path.kinds
+        counts = np.diff(starts)
         # distance from each point to the next in file order: a segment's
         # own steps, then the step across the join into the next segment
-        points = np.concatenate([seg.points for seg in path.segments])
         with np.errstate(over="ignore"):  # a step too long to square is inf, still far
-            dist = np.linalg.norm(np.diff(points, axis=0), axis=1).tolist()
-        row = 0  # the step leaving segment j's first point
-        for j, seg in enumerate(path.segments):
-            expected = _POINT_COUNT[seg.kind]
-            n = len(seg.points)
-            if expected is not None and n != expected:
-                out.append(
-                    Diagnostic(
-                        "point_count",
-                        f"path {path.name!r} segment {j}: {seg.kind.value} needs "
-                        f"{expected} points, got {n}",
-                        path.name,
-                        j,
-                    )
-                )
-            elif expected is None and n < MIN_SPLINE_POINTS:
-                out.append(
-                    Diagnostic(
-                        "point_count",
-                        f"path {path.name!r} segment {j}: spline needs at least "
-                        f"{MIN_SPLINE_POINTS} points, got {n}",
-                        path.name,
-                        j,
-                    )
-                )
-            if any(d <= CHAIN_TOL for d in dist[row : row + n - 1]):
-                out.append(
-                    Diagnostic(
-                        "coincident_points",
-                        f"path {path.name!r} segment {j}: consecutive points closer "
-                        f"than {CHAIN_TOL} mm",
-                        path.name,
-                        j,
-                    )
-                )
-            if seg.tool_frame not in names:
-                out.append(
-                    Diagnostic(
-                        "unknown_tool_frame",
-                        f"path {path.name!r} segment {j}: tool frame "
-                        f"{seg.tool_frame!r} is not declared",
-                        path.name,
-                        j,
-                    )
-                )
-            if not seg.speed > 0.0:
-                out.append(
-                    Diagnostic(
-                        "bad_speed",
-                        f"path {path.name!r} segment {j}: speed must be positive, "
-                        f"got {seg.speed}",
-                        path.name,
-                        j,
-                    )
-                )
-            if j > 0 and dist[row - 1] > CHAIN_TOL:
-                out.append(
-                    Diagnostic(
-                        "chain_break",
-                        f"path {path.name!r}: segments {j - 1} and {j} do not "
-                        f"chain (gap {dist[row - 1]:.6g} mm)",
-                        path.name,
-                        j,
-                    )
-                )
-            row += n
+            dist = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
+        gaps = np.concatenate([[0.0], dist[starts[1:-1] - 1]])  # the join into each segment
+        # close steps before each point; segment j's own steps are those from
+        # starts[j] up to, not including, the join step starts[j + 1] - 1
+        n_close = np.concatenate([[0], np.cumsum(dist <= CHAIN_TOL)])
+        # checks in diagnostic order, one entry per segment
+        checks = (
+            np.where(kinds == _SPLINE, counts < MIN_SPLINE_POINTS, counts != _EXACT_COUNT[kinds]),
+            n_close[np.maximum(starts[1:] - 1, starts[:-1])] > n_close[starts[:-1]],
+            np.array([tool not in names for tool in path.tool_frames], dtype=bool),
+            ~(path.speeds > 0.0),
+            gaps > CHAIN_TOL,
+        )
+        for j in np.flatnonzero(np.logical_or.reduce(checks)).tolist():
+            at = f"path {path.name!r} segment {j}"
+            kind, n = SEGMENT_KINDS[kinds[j]], int(counts[j])
+            expected = _POINT_COUNT[kind]
+            needs = (
+                f"spline needs at least {MIN_SPLINE_POINTS}" if expected is None
+                else f"{kind.value} needs {expected}"
+            )
+            messages = (
+                ("point_count", f"{at}: {needs} points, got {n}"),
+                ("coincident_points", f"{at}: consecutive points closer than {CHAIN_TOL} mm"),
+                ("unknown_tool_frame",
+                 f"{at}: tool frame {path.tool_frames[j]!r} is not declared"),
+                ("bad_speed", f"{at}: speed must be positive, got {float(path.speeds[j])}"),
+                ("chain_break", f"path {path.name!r}: segments {j - 1} and {j} do not chain "
+                                f"(gap {float(gaps[j]):.6g} mm)"),
+            )
+            out += [
+                Diagnostic(code, message, path.name, j)
+                for check, (code, message) in zip(checks, messages)
+                if check[j]
+            ]
     return out
 
 

@@ -96,7 +96,7 @@ def test_criterion_2_rebase_round_trip():
             )
             for i in range(len(pts) - 1)
         )
-        scene = Scene(frames, (ScenePath("p", segments),))
+        scene = Scene(frames, (ScenePath.from_segments("p", segments),))
         base = frames[int(rng.integers(len(frames)))].name
         base_to_universe = scene.frame_map()[base].transform
         out = rebase(scene, base)

@@ -1,9 +1,11 @@
 import collections
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -85,6 +87,17 @@ def test_compile_invalid_scene_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, *compile_args(bad, tmp_path / "x.prog"))
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_compile_scene_with_duplicate_key_exits_1(tmp_path, capsys):
+    text = (FIXTURES / "butt_joint.scene.json").read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"kind": "line"', '"kind": "arc", "kind": "line"', 1))
+    out = tmp_path / "x.prog"
+    code, _, err = run(capsys, *compile_args(bad, out, interp_dt=0.5))
+    assert code == 1
+    assert err == "error: duplicate key 'kind' in a JSON object\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -624,3 +637,41 @@ def test_cli_calls_each_traced_stage_once_through_its_binding(tmp_path, capsys, 
         )
         assert code == 0, err
         assert calls == collections.Counter(("load_program", stage, "to_csv"))
+
+
+def test_benchmark_tracer_records_every_span_and_count(tmp_path, capsys, monkeypatch):
+    """The benchmark's per-layer metrics on a fixture: every span is
+    recorded, and each counter reads the size the fixture is known to have
+    (4 segments, 5 poses densified to 23 targets, 101 seam and 401 force
+    trace rows; see the golden program and traces)."""
+    # benchmarks/tracing.py, loaded by path; its dataclass needs the module
+    # registered while it executes
+    path = FIXTURES.parent.parent / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    originals = {name: getattr(robopath.cli, name) for name in TRACED_CLI_NAMES}
+    program = tmp_path / "butt.prog"
+    invocations = [
+        compile_args(FIXTURES / "butt_joint.scene.json", program, interp_dt=0.5),
+        ["simulate", "--program", str(program), "--scenario", "seam", "--offset-x", "1",
+         "--out", str(tmp_path / "seam.csv")],
+        ["simulate", "--program", str(program), "--scenario", "force", "--offset-z", "1",
+         "--out", str(tmp_path / "force.csv")],
+    ]
+    for argv in invocations:
+        with tracer.invocation(robopath.cli, SimTrace):
+            code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    assert program.read_bytes() == (FIXTURES / "butt_joint.prog").read_bytes()
+    assert {span.name for span in tracer.spans} == set(tracing.SPAN_NAMES)
+    assert dict(tracer.counts) == {
+        1: {"scene.segments": 4, "planner.poses_in": 5, "planner.poses_out": 23,
+            "codegen.targets": 23, "codegen.bytes_out": len(program.read_bytes())},
+        2: {"simulate.waypoints": 23, "simulate.ticks": 101, "simulate.rows_out": 101},
+        3: {"simulate.waypoints": 23, "simulate.ticks": 401, "simulate.rows_out": 401},
+    }
+    # the tracer put the library back
+    assert {name: getattr(robopath.cli, name) for name in TRACED_CLI_NAMES} == originals

@@ -521,6 +521,10 @@ def reference_load(text):
             if len(parts) != 2 or parts[0] != "PROGRAM":
                 raise ProgramParseError("expected PROGRAM header", line_no)
             name = parts[1]
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+                raise ProgramParseError(
+                    f"program name {name!r} must match [A-Za-z_][A-Za-z0-9_]*", line_no
+                )
             continue
         if line == "END":
             ended = True
@@ -789,3 +793,25 @@ def test_load_rejects_decimal_speed_that_overflows():
     assert huge in text
     with pytest.raises(ProgramParseError, match="line 5: target 't2'.*finite"):
         load_program(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("t2", "tä", 3),  # Latin letter outside ASCII
+        ("t2", "t١", 3),  # Arabic-Indic digit one
+        ("PROGRAM p", "PROGRAM a;b", 1),
+    ],
+    ids=["latin_letter", "arabic_digit", "program_name"],
+)
+def test_load_rejects_names_outside_the_ascii_grammar(old, new, line):
+    text = emit(lower(plan([pose(0, MotionKind.JOINT, 5.0), pose(9, speed=5.0)])))
+    assert text.startswith("PROGRAM p\n") and text.count(old) == (1 if line == 1 else 2)
+    with pytest.raises(ProgramParseError) as err:
+        load_program(text.replace(old, new))
+    assert err.value.line == line
+    expected = (
+        "program name 'a;b' must match [A-Za-z_][A-Za-z0-9_]*" if line == 1
+        else "malformed TARGET statement"
+    )
+    assert str(err.value) == f"line {line}: {expected}"

@@ -49,7 +49,7 @@ def chain_scene(points, frames=None, risks=None, tools=None, speed=10.0):
     segs = tuple(
         line(points[i], points[i + 1], tools[i], risks[i], speed) for i in range(n)
     )
-    return Scene(tuple(frames), (ScenePath("p", segs),))
+    return Scene(tuple(frames), (ScenePath.from_segments("p", segs),))
 
 
 def random_chain_scene(rng, n_frames=3, n_points=5):
@@ -130,9 +130,9 @@ def test_rebase_unknown_frame():
 def test_rebase_keeps_a_path_without_segments():
     b = Frame("B", Transform(rotz(30), [5.0, 0.0, 0.0]))
     scene = chain_scene([[0, 0, 0], [10, 0, 0]], frames=(b,))
-    scene = Scene(scene.frames, scene.paths + (ScenePath("empty", ()),))
+    scene = Scene(scene.frames, scene.paths + (ScenePath.from_segments("empty", ()),))
     out = rebase(scene, "B")
-    assert out.paths[1] == ScenePath("empty", ())
+    assert out.paths[1] == ScenePath.from_segments("empty", ())
     assert out.paths[0].segments[0].points.shape == (2, 3)
 
 
@@ -176,7 +176,7 @@ def test_arc_kinds():
         False,
         10.0,
     )
-    scene = Scene((b,), (ScenePath("p", (arc,)),))
+    scene = Scene((b,), (ScenePath.from_segments("p", (arc,)),))
     (plan,) = assign_orientations(scene)
     assert [p.motion_kind for p in plan.poses] == [
         MotionKind.JOINT,
@@ -194,7 +194,7 @@ def test_spline_kinds_and_sources():
         False,
         10.0,
     )
-    scene = Scene((b,), (ScenePath("p", (spline,)),))
+    scene = Scene((b,), (ScenePath.from_segments("p", (spline,)),))
     (plan,) = assign_orientations(scene)
     assert [p.motion_kind for p in plan.poses] == [
         MotionKind.JOINT,
@@ -561,7 +561,7 @@ def plan_of_segments(start, segments):
                         f"Q{tool}", risk, speed)
         )
         start = points[-1]
-    (plan,) = assign_orientations(Scene(_TOOL_FRAMES, (ScenePath("p", tuple(segs)),)))
+    (plan,) = assign_orientations(Scene(_TOOL_FRAMES, (ScenePath.from_segments("p", tuple(segs)),)))
     return plan
 
 

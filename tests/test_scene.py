@@ -83,6 +83,23 @@ def test_duplicate_frame_name_rejected():
         parse_scene(json.dumps(d))
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"units": "mm"', '"units": "mm", "units": "mm"', "units"),
+        ('"kind": "line"', '"kind": "arc", "kind": "line"', "kind"),
+        ('"risk": false', '"risk": false, "risk": false', "risk"),
+    ],
+    ids=["scene", "segment_later_value", "segment_same_value"],
+)
+def test_duplicate_json_key_rejected(old, new, key):
+    text = json.dumps(MINIMAL)
+    assert old in text
+    with pytest.raises(SceneParseError) as err:
+        parse_scene(text.replace(old, new))
+    assert str(err.value) == f"duplicate key {key!r} in a JSON object"
+
+
 def test_unknown_key_rejected():
     d = doc()
     d["extra"] = 1
@@ -219,7 +236,7 @@ def test_chained_path_has_no_diagnostics():
     scene = Scene(
         (frame_b(),),
         (
-            ScenePath(
+            ScenePath.from_segments(
                 "p",
                 (
                     seg("line", [[0, 0, 0], [10, 0, 0]]),
@@ -235,7 +252,7 @@ def test_chain_gap_is_diagnosed_with_indices():
     scene = Scene(
         (frame_b(),),
         (
-            ScenePath(
+            ScenePath.from_segments(
                 "p",
                 (
                     seg("line", [[0, 0, 0], [10, 0, 0]]),
@@ -255,7 +272,7 @@ def test_chain_gap_is_diagnosed_with_indices():
 def test_arc_with_two_points_is_diagnosed():
     scene = Scene(
         (frame_b(),),
-        (ScenePath("p", (seg("arc", [[0, 0, 0], [10, 0, 0]]),)),),
+        (ScenePath.from_segments("p", (seg("arc", [[0, 0, 0], [10, 0, 0]]),)),),
     )
     diags = validate_chain(scene)
     assert [d.code for d in diags] == ["point_count"]
@@ -265,13 +282,13 @@ def test_arc_with_two_points_is_diagnosed():
 def test_coincident_points_diagnosed():
     scene = Scene(
         (frame_b(),),
-        (ScenePath("p", (seg("line", [[0, 0, 0], [0, 0, 0]]),)),),
+        (ScenePath.from_segments("p", (seg("line", [[0, 0, 0], [0, 0, 0]]),)),),
     )
     assert "coincident_points" in [d.code for d in validate_chain(scene)]
 
 
 def test_empty_path_and_missing_frames_diagnosed():
-    scene = Scene((), (ScenePath("p", ()),))
+    scene = Scene((), (ScenePath.from_segments("p", ()),))
     codes = {d.code for d in validate_chain(scene)}
     assert codes == {"no_frames", "empty_path"}
 
@@ -386,10 +403,10 @@ def steps(draw):
 
 
 @st.composite
-def code_built_scenes(draw):
-    """Scenes built in code, with duplicate or missing frames, empty paths,
-    wrong point counts, close points, chain breaks, undeclared tool frames
-    and non-positive speeds."""
+def code_built_paths(draw):
+    """Frames and (name, segments) pairs for a scene built in code, with
+    duplicate or missing frames, empty paths, wrong point counts, close
+    points, chain breaks, undeclared tool frames and non-positive speeds."""
     names = draw(st.lists(st.sampled_from(["B", "C"]), max_size=3))
     frames = tuple(Frame(name, Transform.identity()) for name in names)
     paths = []
@@ -413,8 +430,16 @@ def code_built_scenes(draw):
                     draw(st.sampled_from([5.0, 0.0, -2.0, math.nan])),
                 )
             )
-        paths.append(ScenePath(f"p{i}", tuple(segments)))
-    return Scene(frames, tuple(paths))
+        paths.append((f"p{i}", tuple(segments)))
+    return frames, paths
+
+
+def code_built_scenes():
+    return code_built_paths().map(
+        lambda built: Scene(
+            built[0], tuple(ScenePath.from_segments(name, segs) for name, segs in built[1])
+        )
+    )
 
 
 @given(code_built_scenes())
@@ -431,7 +456,7 @@ def test_serialize_parse_round_trip_exact():
     rng = np.random.default_rng(7)
     frames = [Frame("B", random_transform(rng)), Frame("C", random_transform(rng))]
     pts = rng.uniform(-100, 100, size=(4, 3))
-    path = ScenePath(
+    path = ScenePath.from_segments(
         "p",
         (
             seg("line", [pts[0], pts[1]], risk=True, tool="C"),
