@@ -474,10 +474,17 @@ def _flat_points(points: list) -> Optional[list[float]]:
 
 def validate_chain(scene: Scene) -> list[Diagnostic]:
     """Check every scene invariant; returns one diagnostic per violation,
-    path by path, then segment by segment, then check by check."""
+    path by path, then segment by segment, then check by check. The name
+    checks hold scenes built in code to the rules `parse_scene` enforces."""
     out: list[Diagnostic] = []
     names = set()
     for frame in scene.frames:
+        if not _NAME_RE.fullmatch(frame.name):
+            out.append(Diagnostic("bad_name", f"frame name {frame.name!r} must match {NAME}"))
+        elif frame.name == UNIVERSE:
+            out.append(Diagnostic(
+                "reserved_frame", f'frame name "{UNIVERSE}" is reserved for the universe frame'
+            ))
         if frame.name in names:
             out.append(Diagnostic("duplicate_frame", f"duplicate frame name {frame.name!r}"))
         names.add(frame.name)
@@ -488,7 +495,17 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
     if not scene.paths:
         out.append(Diagnostic("no_paths", "scene declares no path"))
 
+    path_names = set()
     for path in scene.paths:
+        if not _NAME_RE.fullmatch(path.name):
+            out.append(Diagnostic(
+                "bad_name", f"path name {path.name!r} must match {NAME}", path.name
+            ))
+        if path.name in path_names:
+            out.append(Diagnostic(
+                "duplicate_path", f"duplicate path name {path.name!r}", path.name
+            ))
+        path_names.add(path.name)
         if not len(path.kinds):
             out.append(Diagnostic("empty_path", f"path {path.name!r} has no segments", path.name))
             continue

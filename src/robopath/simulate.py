@@ -15,8 +15,8 @@ Two scenarios are modeled:
   zero-mean Gaussian height noise, drawn as one block with one value per
   tick (the same stream as one draw per tick).
 
-Each run builds its tick schedule once: every tick's path leg and nominal
-point, and the path frame of each leg the ticks visit. Only the closed loop
+Each run builds one tick table: every tick's time and nominal point, and its
+path frame, framed in one array pass over the ticks. Only the closed loop
 itself steps tick by tick.
 
 Runs are fully deterministic for a given program, environment, and config.
@@ -341,23 +341,16 @@ class _PathProfile:
         along = self.lengths[legs] * frac
         return legs, self.starts[legs] + self.directions[legs] * along[:, None]
 
-    def frames(self, legs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The path frames of the distinct legs in `legs`, as a (u, 3, 3)
-        array of x, y and z axes, and the row of each leg's frame in it."""
-        visited, frame_of = np.unique(legs, return_inverse=True)
-        return np.array([_path_frame(self.directions[i]) for i in visited]), frame_of
 
-
-def _path_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-handed (X=travel, Y=lateral, Z=vertical-ish) frame for a leg."""
-    x = direction / np.linalg.norm(direction)
-    up = np.array([0.0, 0.0, 1.0])
-    if abs(float(x @ up)) > 0.99:
-        up = np.array([0.0, 1.0, 0.0])
+def _path_frames(directions: np.ndarray) -> np.ndarray:
+    """Right-handed (X=travel, Y=lateral, Z=vertical-ish) frames of (n, 3)
+    travel directions, as an (n, 3, 3) array of x, y and z axes; a nearly
+    vertical travel takes y rather than z as "up"."""
+    x = directions / np.sqrt(np.vecdot(directions, directions))[:, None]
+    up = np.where((np.abs(x[:, 2]) > 0.99)[:, None], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
     y = np.cross(up, x)
-    y = y / np.linalg.norm(y)
-    z = np.cross(x, y)
-    return x, y, z
+    y = y / np.sqrt(np.vecdot(y, y))[:, None]
+    return np.stack((x, y, np.cross(x, y)), axis=1)
 
 
 class _Polyline:
@@ -395,6 +388,16 @@ def _tick_count(profile: _PathProfile, rate_hz: float, duration_s: Optional[floa
     return math.floor(ticks) + 1
 
 
+def _ticks(
+    program: RobotProgram, rate_hz: float, duration_s: Optional[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each tick's time, nominal point and path frame."""
+    profile = _PathProfile(*program_waypoints(program))
+    times = np.arange(_tick_count(profile, rate_hz, duration_s)) / rate_hz
+    legs, nominals = profile.schedule(times)
+    return times, nominals, _path_frames(profile.directions[legs])
+
+
 def quantize(value: float, resolution: float) -> float:
     """Snap to the nearest resolution multiple (ties to even)."""
     return round(value / resolution) * resolution
@@ -406,38 +409,38 @@ def quantize(value: float, resolution: float) -> float:
 
 
 def seam_sensor(
-    true_seam: np.ndarray | _Polyline,
+    true_seam: np.ndarray,
     tool: np.ndarray,
     travel: np.ndarray,
     sensing_range_mm: float = 50.0,
 ) -> tuple[float, float]:
     """Signed Y/Z offsets from the tool point to the closest point of the
-    true seam, in the path frame of the travel direction.
+    true seam (an (n, 3) array of points), in the path frame of the travel
+    direction.
 
     Raises SeamLost, carrying those offsets, when the seam is farther than
-    the sensing range. Pass a `_Polyline` to reuse its segment arrays
-    across calls.
+    the sensing range, and SimulationError for a travel direction with no
+    finite path frame (zero, say, or not finite).
     """
-    if not isinstance(true_seam, _Polyline):
-        true_seam = _Polyline(true_seam)
-    _, y_axis, z_axis = _path_frame(travel)
-    return _sense(true_seam, tool, y_axis, z_axis, sensing_range_mm)
-
-
-def _sense(
-    true_seam: _Polyline,
-    tool: np.ndarray,
-    y_axis: np.ndarray,
-    z_axis: np.ndarray,
-    sensing_range_mm: float,
-) -> tuple[float, float]:
-    """`seam_sensor` in a path frame given by its y and z axes."""
-    closest, dist = true_seam.closest(tool)
-    d = closest - tool
-    err_y, err_z = float(d @ y_axis), float(d @ z_axis)
+    travel = np.asarray(travel, dtype=float)
+    with np.errstate(all="ignore"):  # a travel with no frame is refused below
+        frame = _path_frames(travel.reshape(1, 3))[0]
+    if not np.isfinite(frame).all():
+        raise SimulationError(f"travel direction {travel.tolist()} has no path frame")
+    err_y, err_z, dist = _sense(_Polyline(true_seam), tool, frame)
     if dist > sensing_range_mm:
         raise SeamLost(f"closest seam point is {dist:.1f} mm away", err_y, err_z)
     return err_y, err_z
+
+
+def _sense(
+    true_seam: _Polyline, tool: np.ndarray, frame: np.ndarray
+) -> tuple[float, float, float]:
+    """Y/Z offsets from the tool point to the closest seam point in a path
+    frame, and that point's distance."""
+    closest, dist = true_seam.closest(tool)
+    d = closest - tool
+    return float(d @ frame[1]), float(d @ frame[2]), dist
 
 
 def run_seam(
@@ -451,26 +454,21 @@ def run_seam(
     The tool advances along the programmed path at the programmed speeds;
     each tick the sensed Y/Z deviation moves the accumulated correction by
     gain * error, clamped to max_step_mm and quantized to resolution_mm.
-    Losing the seam aborts the run; the partial trace is flagged.
+    Losing the seam aborts the run with a last row of the offsets to the
+    closest seam point; the partial trace is flagged.
     """
-    points, leg_speeds = program_waypoints(program)
-    profile = _PathProfile(points, leg_speeds)
-    true_seam = _Polyline(points @ env.offset.rotation.T + env.offset.origin)
-    times = np.arange(_tick_count(profile, cfg.rate_hz, duration_s)) / cfg.rate_hz
-    legs, nominals = profile.schedule(times)
-    frames, frame_of = profile.frames(legs)
-    y_axes, z_axes = frames[frame_of, 1], frames[frame_of, 2]
+    times, nominals, frames = _ticks(program, cfg.rate_hz, duration_s)
+    true_seam = _Polyline(program.positions @ env.offset.rotation.T + env.offset.origin)
 
     corr_y = 0.0
     corr_z = 0.0
     rows = []
     status = "OK"
-    for t, nominal, y_axis, z_axis in zip(times.tolist(), nominals, y_axes, z_axes):
-        tool = nominal + corr_y * y_axis + corr_z * z_axis
-        try:
-            err_y, err_z = _sense(true_seam, tool, y_axis, z_axis, cfg.sensing_range_mm)
-        except SeamLost as lost:
-            rows.append((t, *nominal, lost.err_y, lost.err_z, corr_y, corr_z))
+    for t, nominal, frame in zip(times.tolist(), nominals, frames):
+        tool = nominal + corr_y * frame[1] + corr_z * frame[2]
+        err_y, err_z, dist = _sense(true_seam, tool, frame)
+        if dist > cfg.sensing_range_mm:
+            rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
             status = "ABORTED"
             break
         step_y = min(cfg.max_step_mm, max(-cfg.max_step_mm, cfg.gain_y * err_y))
@@ -500,15 +498,11 @@ def run_force(
     spring; the controller displaces the tool along the normal (positive
     into the surface). Losing contact for longer than the timeout aborts.
     """
-    points, leg_speeds = program_waypoints(program)
-    profile = _PathProfile(points, leg_speeds)
-    times = np.arange(_tick_count(profile, cfg.rate_hz, duration_s)) / cfg.rate_hz
-    legs, nominals = profile.schedule(times)
-    frames, frame_of = profile.frames(legs)
+    times, nominals, frames = _ticks(program, cfg.rate_hz, duration_s)
     # the offset surface's shift along each tick's normal, plus roughness
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         shifted = nominals @ env.offset.rotation.T + env.offset.origin
-        shifts = _dot_rows(shifted - nominals, frames[frame_of, 2])
+        shifts = _dot_rows(shifted - nominals, frames[:, 2])
         if env.roughness_mm > 0.0:
             rng = np.random.default_rng(env.seed)
             shifts += env.roughness_mm * rng.standard_normal(len(times))

@@ -293,6 +293,39 @@ def test_empty_path_and_missing_frames_diagnosed():
     assert codes == {"no_frames", "empty_path"}
 
 
+def line_path(name):
+    return ScenePath.from_segments(name, (seg("line", [[0, 0, 0], [10, 0, 0]]),))
+
+
+@pytest.mark.parametrize("name", ["a;b", "", "1p", "t\u00e4"])
+def test_path_name_outside_grammar_is_diagnosed(name):
+    diags = validate_chain(Scene((frame_b(),), (line_path(name),)))
+    assert [(d.code, d.path) for d in diags] == [("bad_name", name)]
+    assert diags[0].message.startswith(f"path name {name!r} must match")
+
+
+@pytest.mark.parametrize("name", ["B;", "", "B C"])
+def test_frame_name_outside_grammar_is_diagnosed(name):
+    scene = Scene((frame_b(), Frame(name, Transform.identity())), (line_path("p"),))
+    diags = validate_chain(scene)
+    assert [d.code for d in diags] == ["bad_name"]
+    assert diags[0].message.startswith(f"frame name {name!r} must match")
+
+
+def test_frame_named_universe_is_diagnosed():
+    scene = Scene((frame_b(), Frame("U", Transform.identity())), (line_path("p"),))
+    assert validate_chain(scene) == [
+        Diagnostic("reserved_frame", 'frame name "U" is reserved for the universe frame')
+    ]
+
+
+def test_repeated_path_name_is_diagnosed():
+    scene = Scene((frame_b(),), (line_path("p"), line_path("q"), line_path("p")))
+    assert validate_chain(scene) == [
+        Diagnostic("duplicate_path", "duplicate path name 'p'", "p")
+    ]
+
+
 def reference_validate_chain(scene):
     """validate_chain with two norm calls per segment: the reference the
     one-pass version must match diagnostic for diagnostic."""

@@ -33,7 +33,7 @@ from robopath.simulate import (
     _CENTERS,
     _RULE,
     _PathProfile,
-    _path_frame,
+    _path_frames,
     _Polyline,
     _fuzzy_increment,
     _tick_count,
@@ -128,6 +128,14 @@ def test_sensor_loses_distant_seam():
     with pytest.raises(SeamLost) as lost:
         seam_sensor(seam, np.array([50.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     assert (lost.value.err_y, lost.value.err_z) == (60.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "travel", [[0.0, 0.0, 0.0], [math.nan, 1.0, 0.0], [math.inf, 0.0, 0.0], [1e-300, 0.0, 0.0]]
+)
+def test_sensor_refuses_travel_without_frame(travel):
+    with pytest.raises(SimulationError, match="has no path frame"):
+        seam_sensor(SEAM_X, np.array([50.0, 0.0, 0.0]), np.array(travel))
 
 
 def closest_by_loop(points, p):
@@ -615,18 +623,31 @@ def reference_at(profile, t):
     return profile.starts[i] + profile.directions[i] * (profile.lengths[i] * frac), profile.directions[i]
 
 
+def reference_path_frame(direction):
+    """The per-leg `_path_frame` that `_path_frames` replaced: right-handed
+    (X=travel, Y=lateral, Z=vertical-ish) axes of one travel direction."""
+    x = direction / np.linalg.norm(direction)
+    up = np.array([0.0, 0.0, 1.0])
+    if abs(float(x @ up)) > 0.99:
+        up = np.array([0.0, 1.0, 0.0])
+    y = np.cross(up, x)
+    y = y / np.linalg.norm(y)
+    z = np.cross(x, y)
+    return x, y, z
+
+
 def reference_run_seam(program, env, cfg, duration_s=None):
     """The per-tick `run_seam`: leg, nominal point and frame found each tick."""
     points, leg_speeds = program_waypoints(program)
     profile = _PathProfile(points, leg_speeds)
-    true_seam = _Polyline(points @ env.offset.rotation.T + env.offset.origin)
+    true_seam = points @ env.offset.rotation.T + env.offset.origin
     corr_y = corr_z = 0.0
     rows = []
     status = "OK"
     for k in range(_tick_count(profile, cfg.rate_hz, duration_s)):
         t = k / cfg.rate_hz
         nominal, direction = reference_at(profile, t)
-        _, y_axis, z_axis = _path_frame(direction)
+        _, y_axis, z_axis = reference_path_frame(direction)
         tool = nominal + corr_y * y_axis + corr_z * z_axis
         try:
             err_y, err_z = seam_sensor(true_seam, tool, direction, cfg.sensing_range_mm)
@@ -664,7 +685,7 @@ def reference_run_force(program, env, cfg, duration_s=None):
     for k in range(_tick_count(profile, cfg.rate_hz, duration_s)):
         t = k / cfg.rate_hz
         nominal, direction = reference_at(profile, t)
-        _, _, z_axis = _path_frame(direction)
+        _, _, z_axis = reference_path_frame(direction)
         surface_shift = float((apply(env.offset, nominal) - nominal) @ z_axis)
         if env.roughness_mm > 0.0:
             surface_shift += env.roughness_mm * float(rng.standard_normal())
@@ -761,19 +782,69 @@ def test_seam_replay_matches_per_tick_reference(case, sensing_range_mm):
 
 
 def test_path_frames_scale_with_ticks_not_program_legs(monkeypatch):
-    calls = []
+    framed = []
 
-    def counting_frame(direction):
-        calls.append(1)
-        return _path_frame(direction)
+    def counting_frames(directions):
+        framed.append(len(directions))
+        return _path_frames(directions)
 
-    monkeypatch.setattr(simulate, "_path_frame", counting_frame)
+    monkeypatch.setattr(simulate, "_path_frames", counting_frames)
     # a 2000-leg zigzag of legs over 5 mm long, replayed for 2 s at 10 mm/s,
     # which reaches at most 5 of its legs
     points = [(5.0 * i, 2.0 * (i % 2), 0.0) for i in range(2001)]
     program = polyline_program(points, [10.0] * 2000)
     for run, cfg in ((run_seam, SeamConfig(rate_hz=5.0)), (run_force, ForceConfig(rate_hz=20.0))):
-        calls.clear()
+        framed.clear()
         trace = run(program, offset_env(z=0.5), cfg, duration_s=2.0)
         assert len(trace.rows) > 5
-        assert 0 < len(calls) <= 5
+        # one array pass over the ticks, never over the program's legs
+        assert len(framed) == 1
+        assert 0 < framed[0] <= len(trace.rows) < 2000
+
+
+# unit rows whose x axis has |z| one ulp below, at and one ulp above 0.99,
+# where the frame switches its "up" from z to y
+_VERTICAL_EDGE = (np.nextafter(0.99, 0.0), 0.99, np.nextafter(0.99, 1.0))
+FRAME_EDGE_ROWS = [(math.sqrt(1.0 - z * z), 0.0, s * z) for z in _VERTICAL_EDGE for s in (1.0, -1.0)]
+
+
+def test_frame_edge_rows_reach_the_vertical_switch():
+    got = [reference_path_frame(np.array(row))[0][2] for row in FRAME_EDGE_ROWS]
+    assert got == [s * z for z in _VERTICAL_EDGE for s in (1.0, -1.0)]
+
+
+# components from 1e-12 to 1e12 in magnitude, of either sign, or zero
+frame_components = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e, s: s * m * 10.0**e,
+              st.floats(1.0, 9.999), st.integers(-12, 11), st.sampled_from([1.0, -1.0])),
+)
+frame_rows = st.one_of(
+    st.tuples(frame_components, frame_components, frame_components),
+    st.sampled_from(FRAME_EDGE_ROWS + [(0.0, 0.0, 1.0), (0.0, 0.0, -1e-12), (0.0, 0.0, 1e12)]),
+).filter(any)
+
+
+@given(st.lists(frame_rows, min_size=1, max_size=20))
+@example(FRAME_EDGE_ROWS + [(0.0, 0.0, 1.0), (0.0, 0.0, -1e-12)])
+def test_path_frames_match_per_leg_reference_bitwise(rows):
+    directions = np.array(rows)
+    reference = np.array([reference_path_frame(d) for d in directions])
+    assert _path_frames(directions).tobytes() == reference.tobytes()
+
+
+def test_aborted_seam_row_holds_the_sensor_offsets():
+    # the true seam turns 30 degrees away from the straight program, so the
+    # correction follows it for a while and then loses it
+    program, env = straight_program(), offset_env(rot_z_deg=30.0)
+    cfg = SeamConfig(sensing_range_mm=4.0)
+    trace = run_seam(program, env, cfg)
+    assert trace.aborted
+    t, x, y, z, err_y, err_z, corr_y, corr_z = trace.rows[-1]
+    assert corr_y != 0.0
+    # travel along +x frames the correction as world y and z
+    tool = np.array([x, y + corr_y, z + corr_z])
+    true_seam = program.positions @ env.offset.rotation.T + env.offset.origin
+    with pytest.raises(SeamLost) as lost:
+        seam_sensor(true_seam, tool, np.array([1.0, 0.0, 0.0]), cfg.sensing_range_mm)
+    assert (lost.value.err_y, lost.value.err_z) == (err_y, err_z)
