@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -39,8 +39,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .geometry import NEAR_UNIT_TOL, Quaternion, canonical_sign
-from .planner import MotionKind, PlannedPath, PoseView, TargetPose
+from .geometry import NEAR_UNIT_TOL, ArrayRecord, Quaternion, canonical_sign
+from .planner import MotionKind, PlannedPath, TargetPose, pose_rows
 from .scene import NAME, Workspace
 
 
@@ -85,7 +85,7 @@ class Instruction:
 
 
 @dataclass(frozen=True, eq=False)
-class RobotProgram:
+class RobotProgram(ArrayRecord):
     """A program as columns: one row per target, in reference order, and
     one row per move.
 
@@ -94,7 +94,8 @@ class RobotProgram:
     at `speeds[j]` and takes the next `arities[j]` targets, one per kind in
     its row of the opcode table; `target_kinds` and `target_speeds` give
     each target its move's kind and speed. Arrays passed in are kept without
-    a copy and made read-only. Programs are equal when all six columns are.
+    a copy and made read-only. Programs are equal when all six columns are;
+    the derived columns are not compared.
     """
 
     name: str
@@ -103,9 +104,9 @@ class RobotProgram:
     orientations: np.ndarray
     opcodes: tuple[Opcode, ...]
     speeds: np.ndarray
-    arities: np.ndarray = field(init=False, repr=False)
-    target_kinds: tuple[MotionKind, ...] = field(init=False, repr=False)
-    target_speeds: np.ndarray = field(init=False, repr=False)
+    arities: np.ndarray = field(init=False, repr=False, compare=False)
+    target_kinds: tuple[MotionKind, ...] = field(init=False, repr=False, compare=False)
+    target_speeds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names, opcodes = tuple(self.target_names), tuple(self.opcodes)
@@ -136,18 +137,10 @@ class RobotProgram:
             target_kinds=tuple(chain.from_iterable(kinds)), target_speeds=target_speeds,
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, RobotProgram):
-            return NotImplemented
-        columns = ("positions", "orientations", "speeds")
-        return (self.name, self.target_names, self.opcodes) == (
-            other.name, other.target_names, other.opcodes
-        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
-
     @cached_property
     def targets(self) -> Mapping[str, TargetPose]:
-        poses = PoseView(self.positions, self.orientations, self.target_kinds,
-                         self.target_speeds, [False] * len(self.target_names))
+        poses = pose_rows(self.positions, self.orientations, self.target_kinds,
+                          self.target_speeds, [False] * len(self.target_names))
         return _TargetView(self.target_names, poses)
 
     @cached_property
@@ -164,7 +157,7 @@ class _TargetView(Mapping):
     """Read-only name -> TargetPose view of pose columns; a pose is built
     only when it is looked up."""
 
-    def __init__(self, names: tuple[str, ...], poses: PoseView):
+    def __init__(self, names: tuple[str, ...], poses: Sequence[TargetPose]):
         self._rows, self._poses = {name: row for row, name in enumerate(names)}, poses
 
     def __getitem__(self, name: str) -> TargetPose:

@@ -1,9 +1,15 @@
-"""Rigid 3D transform, rotation, and quaternion algebra. All lengths in millimetres."""
+"""Rigid 3D transform, rotation, and quaternion algebra. All lengths in millimetres.
+
+Also the two pieces every column table of the pipeline shares: `ArrayRecord`,
+the equality of records that hold numpy arrays, and `RowView`, the lazy
+read-only sequence through which a table hands out its rows as records.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,6 +22,39 @@ SLERP_MIN_ANGLE = 1e-6
 
 class GeometryError(ValueError):
     """A rotation, quaternion, or transform failed validation."""
+
+
+class ArrayRecord:
+    """Base of the dataclass records that hold numpy arrays (declared with
+    `eq=False`, so that this equality is kept): two records are equal when
+    they are of the same type and every field not marked `compare=False` is
+    equal, arrays by `np.array_equal` and other values by `==`. Records are
+    unhashable, as their arrays are."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            if f.compare:
+                a, b = getattr(self, f.name), getattr(other, f.name)
+                if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                    return False
+        return True
+
+
+class RowView(Sequence):
+    """Read-only sequence of `length` rows that calls `row(i)` for the row
+    at index i, 0 <= i < length, on each lookup; negative indices count from
+    the end."""
+
+    def __init__(self, length: int, row: Callable[[int], object]):
+        self._length, self._row = length, row
+
+    def __getitem__(self, i: int):
+        return self._row(range(self._length)[i])  # IndexError past either end
+
+    def __len__(self) -> int:
+        return self._length
 
 
 def vec3(values) -> np.ndarray:
@@ -66,9 +105,10 @@ class Quaternion:
     """Quaternion in (w, x, y, z) order, unit up to NEAR_UNIT_TOL, canonical sign.
 
     Canonical sign: w >= 0; if w == 0, the first nonzero of (x, y, z) >= 0.
-    Components are stored exactly as given (sign-flipped if needed), so
-    values survive fixed-point round trips; every operation in this module
-    returns exactly normalized quaternions (see `unit`).
+    Components are stored as the floats given, negated together by
+    `canonical_sign` if needed, so values survive fixed-point round trips;
+    every operation in this module returns exactly normalized quaternions
+    (see `unit`).
     """
 
     w: float
@@ -83,9 +123,9 @@ class Quaternion:
         norm = math.sqrt(w * w + x * x + y * y + z * z)
         if abs(norm - 1.0) > NEAR_UNIT_TOL:
             raise GeometryError(f"quaternion norm is {norm!r}, not 1")
-        if _needs_sign_flip(comps):
-            for name, value in zip(("w", "x", "y", "z"), comps):
-                object.__setattr__(self, name, -value)
+        (row,) = canonical_sign(np.array([comps], dtype=float)).tolist()
+        for name, value in zip(("w", "x", "y", "z"), row):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls) -> "Quaternion":
@@ -117,15 +157,6 @@ class Quaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
 
-def _needs_sign_flip(comps) -> bool:
-    for c in comps:
-        if c > 0.0:
-            return False
-        if c < 0.0:
-            return True
-    return False  # all exactly zero cannot happen for a unit quaternion
-
-
 def angle_between(a: Quaternion, b: Quaternion) -> float:
     """Great-circle arc angle between two unit quaternions, in [0, pi/2].
 
@@ -136,7 +167,7 @@ def angle_between(a: Quaternion, b: Quaternion) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Transform:
+class Transform(ArrayRecord):
     """Rigid transform: rotation matrix plus origin (frame pose or point map)."""
 
     rotation: np.ndarray
@@ -149,13 +180,6 @@ class Transform:
     @classmethod
     def identity(cls) -> "Transform":
         return cls(np.eye(3), np.zeros(3))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Transform):
-            return NotImplemented
-        return np.array_equal(self.rotation, other.rotation) and np.array_equal(
-            self.origin, other.origin
-        )
 
 
 def compose(a: Transform, b: Transform) -> Transform:

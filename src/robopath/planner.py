@@ -25,7 +25,9 @@ from itertools import product
 import numpy as np
 
 from .geometry import (
+    ArrayRecord,
     Quaternion,
+    RowView,
     Transform,
     compose,
     invert,
@@ -58,7 +60,7 @@ class MotionKind(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class TargetPose:
+class TargetPose(ArrayRecord):
     """One motion endpoint: position plus unit quaternion in the calibration frame."""
 
     position: np.ndarray
@@ -71,17 +73,6 @@ class TargetPose:
         object.__setattr__(self, "position", vec3(self.position))
         if not (self.speed > 0.0 and math.isfinite(self.speed)):
             raise PlanningError(f"target speed must be positive and finite, got {self.speed}")
-
-    def __eq__(self, other):
-        if not isinstance(other, TargetPose):
-            return NotImplemented
-        return (
-            np.array_equal(self.position, other.position)
-            and self.orientation == other.orientation
-            and self.motion_kind == other.motion_kind
-            and self.speed == other.speed
-            and self.interpolated == other.interpolated
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,19 +109,15 @@ class PlannedPath:
 
     @cached_property
     def poses(self) -> Sequence[TargetPose]:
-        return PoseView(
+        return pose_rows(
             self.positions, self.orientations, self.kinds, self.speeds, self.interpolated
         )
 
 
-class PoseView(Sequence):
-    """Read-only view of pose columns that builds a TargetPose per lookup."""
+def pose_rows(positions, orientations, kinds, speeds, interpolated) -> Sequence[TargetPose]:
+    """Pose columns as a RowView that builds a TargetPose per lookup."""
 
-    def __init__(self, positions, orientations, kinds, speeds, interpolated):
-        self._columns = (positions, orientations, kinds, speeds, interpolated)
-
-    def __getitem__(self, i: int) -> TargetPose:
-        positions, orientations, kinds, speeds, interpolated = self._columns
+    def pose(i: int) -> TargetPose:
         return TargetPose(
             positions[i],
             Quaternion(*orientations[i].tolist()),
@@ -139,8 +126,7 @@ class PoseView(Sequence):
             bool(interpolated[i]),
         )
 
-    def __len__(self) -> int:
-        return len(self._columns[2])
+    return RowView(len(kinds), pose)
 
 
 def _section_lengths(positions: np.ndarray) -> np.ndarray:

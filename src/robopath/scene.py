@@ -39,8 +39,10 @@ import numpy as np
 
 from .geometry import (
     ATOL,
+    ArrayRecord,
     GeometryError,
     Quaternion,
+    RowView,
     Transform,
     quaternion_to_rotation,
 )
@@ -115,7 +117,7 @@ class PathSegment:
 
 
 @dataclass(frozen=True, eq=False)
-class ScenePath:
+class ScenePath(ArrayRecord):
     """A path as one table: every segment's points, in order, in `points`
     (m, 3; universe coordinates; a join point is the last point of one
     segment and again the first of the next), and one entry per segment in
@@ -162,40 +164,20 @@ class ScenePath:
 
     @property
     def segments(self) -> Sequence[PathSegment]:
-        return _SegmentView(self)
+        return RowView(len(self.kinds), self._segment)
 
-    def __eq__(self, other):
-        if not isinstance(other, ScenePath):
-            return NotImplemented
-        columns = ("points", "starts", "kinds", "speeds")
-        return (self.name, self.tool_frames, self.risk) == (
-            other.name, other.tool_frames, other.risk
-        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
-
-
-class _SegmentView(Sequence):
-    """Read-only view of a path's columns that builds a PathSegment per lookup."""
-
-    def __init__(self, path: ScenePath):
-        self._path = path
-
-    def __getitem__(self, j: int) -> PathSegment:
-        path = self._path
-        j = range(len(self))[j]  # IndexError past either end
+    def _segment(self, j: int) -> PathSegment:
         return PathSegment(
-            SEGMENT_KINDS[path.kinds[j]],
-            path.points[path.starts[j] : path.starts[j + 1]],
-            path.tool_frames[j],
-            path.risk[j],
-            float(path.speeds[j]),
+            SEGMENT_KINDS[self.kinds[j]],
+            self.points[self.starts[j] : self.starts[j + 1]],
+            self.tool_frames[j],
+            self.risk[j],
+            float(self.speeds[j]),
         )
-
-    def __len__(self) -> int:
-        return len(self._path.kinds)
 
 
 @dataclass(frozen=True, eq=False)
-class Workspace:
+class Workspace(ArrayRecord):
     lo: np.ndarray
     hi: np.ndarray
 
@@ -210,11 +192,6 @@ class Workspace:
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __eq__(self, other):
-        if not isinstance(other, Workspace):
-            return NotImplemented
-        return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
 
 
 @dataclass(frozen=True)
@@ -515,14 +492,19 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
         # own steps, then the step across the join into the next segment
         with np.errstate(over="ignore"):  # a step too long to square is inf, still far
             dist = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
-        gaps = np.concatenate([[0.0], dist[starts[1:-1] - 1]])  # the join into each segment
+        # the join into each segment, checked only where it and the segment
+        # before it have points
+        joins = np.flatnonzero((counts[:-1] > 0) & (counts[1:] > 0)) + 1
+        gaps = np.zeros(len(kinds))
+        gaps[joins] = dist[starts[joins] - 1]
         # close steps before each point; segment j's own steps are those from
         # starts[j] up to, not including, the join step starts[j + 1] - 1
         n_close = np.concatenate([[0], np.cumsum(dist <= CHAIN_TOL)])
+        first = np.minimum(starts[:-1], len(dist))  # a last segment with no points has no steps
         # checks in diagnostic order, one entry per segment
         checks = (
             np.where(kinds == _SPLINE, counts < MIN_SPLINE_POINTS, counts != _EXACT_COUNT[kinds]),
-            n_close[np.maximum(starts[1:] - 1, starts[:-1])] > n_close[starts[:-1]],
+            n_close[np.maximum(starts[1:] - 1, first)] > n_close[first],
             np.array([tool not in names for tool in path.tool_frames], dtype=bool),
             ~(path.speeds > 0.0),
             gaps > CHAIN_TOL,

@@ -419,10 +419,18 @@ def seam_sensor(
     direction.
 
     Raises SeamLost, carrying those offsets, when the seam is farther than
-    the sensing range, and SimulationError for a travel direction with no
-    finite path frame (zero, say, or not finite).
+    the sensing range, and SimulationError for a seam that is not an
+    (n >= 2, 3) array, a tool or travel that is not a 3-vector, or a travel
+    direction with no finite path frame (zero, say, or not finite).
     """
-    travel = np.asarray(travel, dtype=float)
+    true_seam, tool, travel = (np.asarray(a, dtype=float) for a in (true_seam, tool, travel))
+    if true_seam.ndim != 2 or true_seam.shape[0] < 2 or true_seam.shape[1] != 3:
+        raise SimulationError(
+            f"true seam must be an (n >= 2, 3) array of points, got shape {true_seam.shape}"
+        )
+    for label, vector in (("tool", tool), ("travel", travel)):
+        if vector.shape != (3,):
+            raise SimulationError(f"{label} must be a 3-vector, got shape {vector.shape}")
     with np.errstate(all="ignore"):  # a travel with no frame is refused below
         frame = _path_frames(travel.reshape(1, 3))[0]
     if not np.isfinite(frame).all():

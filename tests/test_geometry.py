@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import finite, quaternions, reference_slerp, rodrigues, transforms
 from robopath.geometry import (
@@ -203,6 +203,37 @@ def test_quaternion_preserves_near_unit_components():
 def test_quaternion_canonical_flip_on_construction():
     q = Quaternion(-0.9239, 0.0, 0.0, 0.3827)
     assert (q.w, q.z) == (0.9239, -0.3827)
+
+
+def reference_needs_sign_flip(comps) -> bool:
+    """The per-component sign rule the Quaternion constructor applied before
+    it shared `canonical_sign` with the quaternion columns."""
+    for c in comps:
+        if c > 0.0:
+            return False
+        if c < 0.0:
+            return True
+    return False  # all exactly zero cannot happen for a unit quaternion
+
+
+@st.composite
+def signed_unit_rows(draw):
+    """Unit 4-vectors whose components are often +0.0 or -0.0."""
+    comps = [draw(st.sampled_from([0.0, -0.0]) | finite(-1, 1)) for _ in range(4)]
+    norm = math.sqrt(sum(c * c for c in comps))
+    assume(norm > 0.1)
+    return tuple(c / norm for c in comps)
+
+
+@given(signed_unit_rows())
+@example((-0.0, 0.0, -0.6, 0.8))
+@example((0.0, -0.0, -0.0, -1.0))
+@example((-0.0, 0.6, -0.8, 0.0))
+@example((-1.0, 0.0, -0.0, 0.0))
+def test_quaternion_sign_matches_the_per_component_rule(comps):
+    q = Quaternion(*comps)
+    want = [-c for c in comps] if reference_needs_sign_flip(comps) else list(comps)
+    assert np.array([q.w, q.x, q.y, q.z]).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,32 @@ def test_empty_path_and_missing_frames_diagnosed():
     assert codes == {"no_frames", "empty_path"}
 
 
+def no_points(j):
+    """The diagnostic of line segment j of path p when it has no points."""
+    return Diagnostic("point_count", f"path 'p' segment {j}: line needs 2 points, got 0", "p", j)
+
+
+EMPTY_LINE = seg("line", np.empty((0, 3)))
+
+
+@pytest.mark.parametrize(
+    "segments, want",
+    [
+        ([EMPTY_LINE, seg("line", [[0, 0, 0], [1, 0, 0]])], [no_points(0)]),  # first
+        (
+            [seg("line", [[0, 0, 0], [1, 0, 0]]), EMPTY_LINE, seg("line", [[1, 0, 0], [2, 0, 0]])],
+            [no_points(1)],
+        ),  # middle
+        ([seg("line", [[0, 0, 0], [1, 0, 0]]), EMPTY_LINE], [no_points(1)]),  # last
+        ([EMPTY_LINE], [no_points(0)]),  # only
+        ([EMPTY_LINE, EMPTY_LINE], [no_points(0), no_points(1)]),
+    ],
+)
+def test_segment_without_points_is_diagnosed_only_by_its_point_count(segments, want):
+    scene = Scene((frame_b(),), (ScenePath.from_segments("p", segments),))
+    assert validate_chain(scene) == want
+
+
 def line_path(name):
     return ScenePath.from_segments(name, (seg("line", [[0, 0, 0], [10, 0, 0]]),))
 

@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_left
 
 import numpy as np
@@ -136,6 +137,25 @@ def test_sensor_loses_distant_seam():
 def test_sensor_refuses_travel_without_frame(travel):
     with pytest.raises(SimulationError, match="has no path frame"):
         seam_sensor(SEAM_X, np.array([50.0, 0.0, 0.0]), np.array(travel))
+
+
+@pytest.mark.parametrize(
+    "seam, tool, travel, message",
+    [
+        (SEAM_X[:1], [50, 0, 0], [1, 0, 0], "true seam must be an (n >= 2, 3) array of points, "
+                                             "got shape (1, 3)"),
+        (SEAM_X[:, :2], [50, 0, 0], [1, 0, 0], "got shape (2, 2)"),
+        (SEAM_X.ravel(), [50, 0, 0], [1, 0, 0], "got shape (6,)"),
+        (SEAM_X, [50, 0], [1, 0, 0], "tool must be a 3-vector, got shape (2,)"),
+        (SEAM_X, [[50, 0, 0]], [1, 0, 0], "tool must be a 3-vector, got shape (1, 3)"),
+        (SEAM_X, [50, 0, 0], [1, 0], "travel must be a 3-vector, got shape (2,)"),
+        (SEAM_X, [50, 0, 0], [], "travel must be a 3-vector, got shape (0,)"),
+        (SEAM_X, [50, 0, 0], [[1], [0], [0]], "travel must be a 3-vector, got shape (3, 1)"),
+    ],
+)
+def test_sensor_refuses_malformed_input(seam, tool, travel, message):
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        seam_sensor(seam, tool, travel)
 
 
 def closest_by_loop(points, p):
