@@ -3,7 +3,7 @@ them against perturbed virtual cells with seam-tracking or force feedback."""
 
 __version__ = "0.1.0"
 
-from .geometry import Quaternion, Transform, compose, invert, apply, slerp
+from .geometry import Quaternion, RobopathError, Transform, compose, invert, apply, slerp
 from .scene import Scene, parse_scene, serialize_scene, validate_chain
 from .planner import PlannedPath, TargetPose, assign_orientations, interpolate_risk, rebase
 from .codegen import RobotProgram, emit, load_program, lower, workspace_lint
@@ -18,6 +18,7 @@ from .simulate import (
 
 __all__ = [
     "Quaternion",
+    "RobopathError",
     "Transform",
     "compose",
     "invert",

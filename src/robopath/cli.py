@@ -21,37 +21,22 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .codegen import (
-    CodegenError,
-    ProgramParseError,
-    emit,
-    load_program,
-    lower,
-    workspace_lint,
-)
-from .geometry import GeometryError, Transform, rotation_about_z
-from .planner import PlanningError, assign_orientations, interpolate_risk, rebase
-from .scene import SceneError, parse_scene
+from .codegen import emit, load_program, lower, workspace_lint
+from .geometry import RobopathError, Transform, rotation_about_z
+from .planner import assign_orientations, interpolate_risk, rebase
+from .scene import parse_scene
 from .simulate import (
     ControllerKind,
     Environment,
     ForceConfig,
     SeamConfig,
-    SimulationError,
     run_force,
     run_seam,
 )
 
-_ERRORS = (
-    SceneError,
-    PlanningError,
-    CodegenError,
-    GeometryError,
-    ProgramParseError,
-    SimulationError,
-    OSError,
-    UnicodeDecodeError,
-)
+# Refused input: every robopath error, an unreadable file, or bytes that
+# are not UTF-8.
+_ERRORS = (RobopathError, OSError, UnicodeDecodeError)
 
 
 def _fail(message: str) -> int:

@@ -39,16 +39,23 @@ from typing import NoReturn
 
 import numpy as np
 
-from .geometry import NEAR_UNIT_TOL, ArrayRecord, Quaternion, canonical_sign
+from .geometry import (
+    NEAR_UNIT_TOL,
+    ArrayRecord,
+    Quaternion,
+    RobopathError,
+    canonical_sign,
+    quaternion_norms,
+)
 from .planner import MotionKind, PlannedPath, TargetPose, pose_rows
-from .scene import NAME, Workspace
+from .scene import NAME, NAME_RE, Workspace
 
 
-class CodegenError(ValueError):
+class CodegenError(RobopathError):
     """A planned path cannot be lowered into a well-formed program."""
 
 
-class ProgramParseError(ValueError):
+class ProgramParseError(RobopathError):
     """Program text violates the grammar; `line` is 1-based."""
 
     def __init__(self, message: str, line: int):
@@ -281,7 +288,6 @@ def _target_table(program: RobotProgram) -> np.ndarray:
 
 _NUM = r"\s*([+-]?[0-9]+(?:\.[0-9]+)?)\s*"  # grammar `num`, with its blanks
 _NUMBER_RE = re.compile(_NUM)
-_NAME_RE = re.compile(NAME)
 _TARGET_RE = re.compile(
     rf"TARGET\s+({NAME})\s*=\s*\[{_NUM},{_NUM},{_NUM}\]"
     rf"\s*,\s*\[{_NUM},{_NUM},{_NUM},{_NUM}\]"
@@ -321,7 +327,7 @@ def load_program(text: str) -> RobotProgram:
             if len(parts) != 2 or parts[0] != "PROGRAM":
                 raise ProgramParseError("expected PROGRAM header", line_no)
             name = parts[1]
-            if not _NAME_RE.fullmatch(name):
+            if not NAME_RE.fullmatch(name):
                 raise ProgramParseError(f"program name {name!r} must match {NAME}", line_no)
             continue
         if line == "END":
@@ -381,11 +387,8 @@ def _check_targets(values: list[float]) -> tuple[np.ndarray, set[int]]:
     canonical sign, and the rows a TargetPose would reject: a non-finite
     number or a quaternion norm off 1 by more than NEAR_UNIT_TOL."""
     table = np.array(values, dtype=float).reshape(-1, 7)
-    w, x, y, z = table[:, 3:].T
-    with np.errstate(over="ignore", invalid="ignore"):
-        # summed w, x, y, z like the Quaternion constructor, so the bits agree
-        norm = np.sqrt(w * w + x * x + y * y + z * z)
-        ok = np.isfinite(table).all(axis=1) & (np.abs(norm - 1.0) <= NEAR_UNIT_TOL)
+    norm = quaternion_norms(table[:, 3:])
+    ok = np.isfinite(table).all(axis=1) & (np.abs(norm - 1.0) <= NEAR_UNIT_TOL)
     canonical_sign(table[:, 3:])
     return table, set(np.flatnonzero(~ok).tolist())
 
@@ -396,7 +399,7 @@ def _reject_target(
     """Raise the error building target t's pose gives, at line_no."""
     try:
         TargetPose(row[:3], Quaternion(*row[3:]), kind, speed)
-    except ValueError as exc:
+    except RobopathError as exc:
         raise ProgramParseError(f"target {t!r}: {exc}", line_no) from exc
     raise AssertionError(f"target {t!r} passes the pose checks it was rejected by")
 

@@ -1,8 +1,10 @@
 """Rigid 3D transform, rotation, and quaternion algebra. All lengths in millimetres.
 
-Also the two pieces every column table of the pipeline shares: `ArrayRecord`,
-the equality of records that hold numpy arrays, and `RowView`, the lazy
-read-only sequence through which a table hands out its rows as records.
+Also what every module of the pipeline shares: `RobopathError`, the base of
+every error raised for input that robopath refuses; `quaternion_norms`, the
+one quaternion norm formula; `ArrayRecord`, the equality of records that
+hold numpy arrays; and `RowView`, the lazy read-only sequence through which
+a table hands out its rows as records.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ ATOL = 1e-9
 SLERP_MIN_ANGLE = 1e-6
 
 
-class GeometryError(ValueError):
+class RobopathError(ValueError):
+    """Base of every error robopath raises for input it refuses: a scene, a
+    program, an option or a configuration it cannot take."""
+
+
+class GeometryError(RobopathError):
     """A rotation, quaternion, or transform failed validation."""
 
 
@@ -45,13 +52,14 @@ class ArrayRecord:
 class RowView(Sequence):
     """Read-only sequence of `length` rows that calls `row(i)` for the row
     at index i, 0 <= i < length, on each lookup; negative indices count from
-    the end."""
+    the end, and a slice gives the list of its rows."""
 
     def __init__(self, length: int, row: Callable[[int], object]):
         self._length, self._row = length, row
 
-    def __getitem__(self, i: int):
-        return self._row(range(self._length)[i])  # IndexError past either end
+    def __getitem__(self, i: int | slice):
+        rows = range(self._length)[i]  # IndexError past either end
+        return list(map(self._row, rows)) if isinstance(i, slice) else self._row(rows)
 
     def __len__(self) -> int:
         return self._length
@@ -95,6 +103,14 @@ def rotation_about_z(angle_rad: float) -> np.ndarray:
     return rotation_matrix([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def quaternion_norms(q: np.ndarray) -> np.ndarray:
+    """The norm of each row of an (n, 4) quaternion array, its squares summed
+    in w, x, y, z order; a norm that overflows is inf, without a warning."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    with np.errstate(over="ignore"):
+        return np.sqrt(w * w + x * x + y * y + z * z)
+
+
 # Largest norm deviation the Quaternion constructor accepts: covers unit
 # values that went through 4-decimal fixed-point formatting and back.
 NEAR_UNIT_TOL = 5e-4
@@ -120,7 +136,7 @@ class Quaternion:
         w, x, y, z = comps = (self.w, self.x, self.y, self.z)
         if not (math.isfinite(w) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise GeometryError(f"quaternion has non-finite components: {comps}")
-        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        (norm,) = quaternion_norms([comps]).tolist()
         if abs(norm - 1.0) > NEAR_UNIT_TOL:
             raise GeometryError(f"quaternion norm is {norm!r}, not 1")
         (row,) = canonical_sign(np.array([comps], dtype=float)).tolist()
@@ -134,7 +150,7 @@ class Quaternion:
     @classmethod
     def unit(cls, w: float, x: float, y: float, z: float) -> "Quaternion":
         """Normalize an arbitrary nonzero 4-vector into a unit quaternion."""
-        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        (norm,) = quaternion_norms([(w, x, y, z)]).tolist()
         if not math.isfinite(norm) or norm < 1e-12:
             raise GeometryError(f"cannot normalize quaternion ({w}, {x}, {y}, {z})")
         return cls(w / norm, x / norm, y / norm, z / norm)
@@ -288,9 +304,7 @@ def slerp(q0, q1, t, arc=None) -> np.ndarray:
     w0[far] = np.sin(w0[far] * th) / st
     w1[far] = np.sin(t[far] * th) / st
     mixed = w0[:, None] * q0[arc] + w1[:, None] * b[arc]
-    w, x, y, z = mixed.T
-    # summed w, x, y, z like Quaternion.unit, so the bits agree
-    out = mixed / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
+    out = mixed / quaternion_norms(mixed)[:, None]
     ends = t == 0.0
     out[ends] = q0[arc[ends]]
     ends = t == 1.0

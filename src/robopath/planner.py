@@ -27,6 +27,7 @@ import numpy as np
 from .geometry import (
     ArrayRecord,
     Quaternion,
+    RobopathError,
     RowView,
     Transform,
     compose,
@@ -47,7 +48,7 @@ ANGLE_TOL = 1e-7  # rad
 MAX_INTERPOLATED_POSES = 200_000
 
 
-class PlanningError(ValueError):
+class PlanningError(RobopathError):
     """A scene cannot be planned (unknown frame, degenerate geometry, bad config)."""
 
 

@@ -42,6 +42,7 @@ from .geometry import (
     ArrayRecord,
     GeometryError,
     Quaternion,
+    RobopathError,
     RowView,
     Transform,
     quaternion_to_rotation,
@@ -56,14 +57,14 @@ UNIVERSE = "U"
 # The grammar of every name: frames, paths, tool frames, and the program and
 # target names of the program text.
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME_RE = re.compile(NAME)
+NAME_RE = re.compile(NAME)
 
 # Matrices this far from orthonormal are re-projected onto the nearest
 # rotation (hand-written files carry rounded entries); anything worse errors.
 _SNAP_TOL = 1e-3
 
 
-class SceneError(ValueError):
+class SceneError(RobopathError):
     """Base class for scene file problems."""
 
 
@@ -295,7 +296,7 @@ def _point(value, where) -> list[float]:
 
 
 def _name(value, where) -> str:
-    if not isinstance(value, str) or not _NAME_RE.fullmatch(value):
+    if not isinstance(value, str) or not NAME_RE.fullmatch(value):
         raise SceneValidationError(
             f"{where}: name {value!r} must match {NAME}"
         )
@@ -456,7 +457,7 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     names = set()
     for frame in scene.frames:
-        if not _NAME_RE.fullmatch(frame.name):
+        if not NAME_RE.fullmatch(frame.name):
             out.append(Diagnostic("bad_name", f"frame name {frame.name!r} must match {NAME}"))
         elif frame.name == UNIVERSE:
             out.append(Diagnostic(
@@ -474,7 +475,7 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
 
     path_names = set()
     for path in scene.paths:
-        if not _NAME_RE.fullmatch(path.name):
+        if not NAME_RE.fullmatch(path.name):
             out.append(Diagnostic(
                 "bad_name", f"path name {path.name!r} must match {NAME}", path.name
             ))

@@ -34,14 +34,14 @@ from typing import Optional
 import numpy as np
 
 from .codegen import RobotProgram, fixed_point
-from .geometry import Transform
+from .geometry import RobopathError, Transform
 
 # Most ticks one run may take, about 50 times the longest benchmark run; a
 # longer run is refused before any tick runs, since each tick adds a trace row.
 MAX_TICKS = 200_000
 
 
-class SimulationError(ValueError):
+class SimulationError(RobopathError):
     """A run cannot start (bad program geometry or configuration)."""
 
 
@@ -420,8 +420,9 @@ def seam_sensor(
 
     Raises SeamLost, carrying those offsets, when the seam is farther than
     the sensing range, and SimulationError for a seam that is not an
-    (n >= 2, 3) array, a tool or travel that is not a 3-vector, or a travel
-    direction with no finite path frame (zero, say, or not finite).
+    (n >= 2, 3) array, a tool or travel that is not a 3-vector, a seam point
+    or tool coordinate that is not finite, or a travel direction with no
+    finite path frame (zero, say, or not finite).
     """
     true_seam, tool, travel = (np.asarray(a, dtype=float) for a in (true_seam, tool, travel))
     if true_seam.ndim != 2 or true_seam.shape[0] < 2 or true_seam.shape[1] != 3:
@@ -431,6 +432,9 @@ def seam_sensor(
     for label, vector in (("tool", tool), ("travel", travel)):
         if vector.shape != (3,):
             raise SimulationError(f"{label} must be a 3-vector, got shape {vector.shape}")
+    for label, points in (("true seam", true_seam), ("tool", tool)):
+        if not np.isfinite(points).all():
+            raise SimulationError(f"{label} has non-finite coordinates")
     with np.errstate(all="ignore"):  # a travel with no frame is refused below
         frame = _path_frames(travel.reshape(1, 3))[0]
     if not np.isfinite(frame).all():

@@ -1,10 +1,13 @@
 import collections
 import contextlib
 import hashlib
+import importlib
 import importlib.util
+import inspect
 import io
 import json
 import math
+import pkgutil
 import sys
 import time
 
@@ -12,11 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import robopath
 import robopath.cli
 from conftest import FIXTURES
 from robopath.cli import main
-from robopath.planner import MAX_INTERPOLATED_POSES
-from robopath.simulate import SimTrace
+from robopath.codegen import CodegenError, ProgramParseError
+from robopath.geometry import GeometryError, RobopathError
+from robopath.planner import MAX_INTERPOLATED_POSES, PlanningError
+from robopath.scene import SceneError, SceneParseError, SceneValidationError
+from robopath.simulate import SeamLost, SimTrace, SimulationError
 
 
 def run(capsys, *argv):
@@ -454,6 +461,62 @@ def test_simulate_seam_lost_at_an_overflowing_distance(tmp_path, capsys):
     assert code == 3
     assert "ABORTED" in stdout
     assert out.read_text().splitlines()[-1].endswith(",ABORTED")
+
+
+# ---------------------------------------------------------------------------
+# refused input
+# ---------------------------------------------------------------------------
+
+
+def test_every_robopath_error_is_refused_input():
+    """The CLI turns a RobopathError into exit 1, so an error class a module
+    defines outside it would end a run with a traceback instead."""
+    defined = set()
+    for info in pkgutil.iter_modules(robopath.__path__, "robopath."):
+        module = importlib.import_module(info.name)
+        defined.update(
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        )
+    outside = {cls for cls in defined if not issubclass(cls, RobopathError)}
+    assert outside == {SeamLost}  # a sensor signal, not refused input
+    assert defined >= {RobopathError, GeometryError, SceneError, SceneParseError,
+                       SceneValidationError, PlanningError, CodegenError, ProgramParseError,
+                       SimulationError}
+    assert issubclass(RobopathError, ValueError)
+    assert robopath.RobopathError is RobopathError
+    # the CLI learns of no module's error class
+    bound = {v for v in vars(robopath.cli).values() if isinstance(v, type)}
+    assert {cls for cls in bound if issubclass(cls, Exception)} == {RobopathError}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RobopathError("refused"),
+        GeometryError("quaternion norm is 1.1, not 1"),
+        SceneError("scene"),
+        SceneParseError("bad JSON", 3, 4),
+        SceneValidationError("paths: must not be empty"),
+        PlanningError("no frame 'B'"),
+        CodegenError("cannot write non-finite number inf"),
+        ProgramParseError("missing END", 7),
+        SimulationError("rate_hz must be finite, got nan"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+@pytest.mark.parametrize("subcommand, stage", [("compile", "lower"), ("simulate", "run_seam")])
+def test_cli_exits_1_on_each_error_class(tmp_path, capsys, monkeypatch, subcommand, stage, error):
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(robopath.cli, stage, refuse)
+    if subcommand == "compile":
+        argv = compile_args(FIXTURES / "butt_joint.scene.json", tmp_path / "out", interp_dt=0.5)
+    else:
+        argv = ["simulate", "--program", str(FIXTURES / "butt_joint.prog"), "--scenario", "seam",
+                "--out", str(tmp_path / "out")]
+    assert run(capsys, *argv) == (1, "", f"error: {error}\n")
 
 
 # ---------------------------------------------------------------------------

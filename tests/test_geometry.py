@@ -13,6 +13,7 @@ from robopath.geometry import (
     apply,
     compose,
     invert,
+    quaternion_norms,
     quaternion_to_rotation,
     rotation_matrix,
     rotation_to_quaternion,
@@ -192,6 +193,51 @@ def test_quaternion_rejects_non_unit():
         Quaternion(1.0, 1.0, 0.0, 0.0)
     with pytest.raises(GeometryError):
         Quaternion(1.01, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "comps, message",
+    [
+        ((1.1, 0.0, 0.0, 0.0), "quaternion norm is 1.1, not 1"),
+        ((1e154, 1e154, 0.0, 0.0), "quaternion norm is inf, not 1"),  # the sum overflows
+        ((0.0, 0.0, 1e200, 0.0), "quaternion norm is inf, not 1"),  # a square overflows
+    ],
+)
+def test_quaternion_norm_error_texts(comps, message):
+    with pytest.raises(GeometryError) as err:
+        Quaternion(*comps)
+    assert str(err.value) == message
+
+
+def reference_norm(w, x, y, z) -> float:
+    """The scalar norm the Quaternion constructor, `Quaternion.unit`, `slerp`
+    and the program loader each wrote out before they shared
+    `quaternion_norms`."""
+    return math.sqrt(w * w + x * x + y * y + z * z)
+
+
+# floats in general, and the ones a sum of squares treats specially
+norm_components = (
+    st.floats(allow_nan=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0])
+    | st.floats(1e153, 1e155)  # squares near the overflow threshold
+    | st.floats(-1e-160, 1e-160)  # squares that are subnormal or zero
+)
+
+
+@given(
+    st.lists(
+        st.tuples(*[norm_components] * 4) | quaternions().map(lambda q: tuple(q.as_array())),
+        max_size=8,
+    )
+)
+@example([(1e154, 1e154, 0.0, 0.0), (-1e154, 0.0, 0.0, -1e154), (1.34e154, 0.0, 0.0, 0.0)])
+@example([(-0.0, -0.0, 0.0, -0.0), (5e-324, -5e-324, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0)])
+@example([(0.5, -0.5, 0.5, -0.5), (0.9239, 0.0, 0.0, 0.3827)])
+def test_quaternion_norms_match_the_scalar_formula_bit_for_bit(rows):
+    got = quaternion_norms(np.array(rows, dtype=float).reshape(-1, 4))
+    want = np.array([reference_norm(*row) for row in rows])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_quaternion_preserves_near_unit_components():

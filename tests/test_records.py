@@ -245,6 +245,9 @@ def test_row_view_builds_a_row_per_lookup():
     assert len(view) == 3 and calls == []
     assert (view[-1], view[0]) == (20, 0) and calls == [2, 0]
     assert list(view) == [0, 10, 20] and list(reversed(view)) == [20, 10, 0]
+    del calls[:]
+    assert view[::-2] == [20, 0] and calls == [2, 0]  # a slice builds its rows when looked up
+    assert view[5:] == [] and calls == [2, 0]
     for i in (3, -4):
         with pytest.raises(IndexError):
             view[i]
@@ -252,9 +255,13 @@ def test_row_view_builds_a_row_per_lookup():
         view[0] = 1
 
 
+# what each slice of a view must give: the list of rows `list(view)[s]` gives
+SLICES = (slice(1, None), slice(None, None, -1), slice(-2, None), slice(5, None))
+
+
 def check_rows(view, want, same):
-    """`view` holds the rows of `want` in order, with negative indices, and
-    raises IndexError just past either end."""
+    """`view` holds the rows of `want` in order, with negative indices and
+    slices, and raises IndexError just past either end."""
     n = len(want)
     assert len(view) == n
     for i in range(-n, n):
@@ -263,6 +270,10 @@ def check_rows(view, want, same):
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             view[i]
+    for s in SLICES:
+        rows = view[s]
+        assert type(rows) is list
+        assert all(same(got, row) for got, row in zip(rows, want[s], strict=True))
 
 
 def same_segment(a, b):

@@ -158,6 +158,17 @@ def test_sensor_refuses_malformed_input(seam, tool, travel, message):
         seam_sensor(seam, tool, travel)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["seam", "tool"])
+def test_sensor_refuses_non_finite_seam_or_tool(where, value):
+    seam, tool = SEAM_X.copy(), np.array([50.0, 0.0, 0.0])
+    (seam[1] if where == "seam" else tool)[1] = value
+    label = "true seam" if where == "seam" else "tool"
+    # refused before any arithmetic, so with no numpy warning either
+    with pytest.raises(SimulationError, match=f"^{label} has non-finite coordinates$"):
+        seam_sensor(seam, tool, np.array([1.0, 0.0, 0.0]))
+
+
 def closest_by_loop(points, p):
     """Per-segment scan, the reference for `_Polyline.closest`: a segment
     with |w|^2 < 1e-24 is its start point, frac is clamped to [0, 1], and only
