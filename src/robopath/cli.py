@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .codegen import emit, load_program, lower, workspace_lint
 from .geometry import RobopathError, Transform, rotation_about_z
@@ -172,18 +174,18 @@ def cmd_simulate(args) -> int:
     except _ERRORS as exc:
         return _fail(str(exc))
 
+    data = trace.data
     if args.scenario == "seam":
-        last = trace.rows[-1]
         print(
-            f"seam run {trace.status}: final correction y={last[6]:.4f} mm "
-            f"z={last[7]:.4f} mm over {last[0]:.2f} s"
+            f"seam run {trace.status}: final correction y={data[-1, 6]:.4f} mm "
+            f"z={data[-1, 7]:.4f} mm over {data[-1, 0]:.2f} s"
         )
     else:
-        window = [row for row in trace.rows if row[0] >= trace.rows[-1][0] - 1.0]
-        err = max(abs(row[4] - row[5]) for row in window)
+        window = data[data[:, 0] >= data[-1, 0] - 1.0]
+        err = np.abs(window[:, 4] - window[:, 5]).max()
         print(
             f"force run {trace.status}: steady-state |F - setpoint| = {err:.4f} N "
-            f"over the final second ({trace.rows[-1][0]:.2f} s simulated)"
+            f"over the final second ({data[-1, 0]:.2f} s simulated)"
         )
     return 3 if trace.aborted else 0
 

@@ -257,12 +257,21 @@ _TARGET_LINE = "TARGET %s = [%.4f, %.4f, %.4f], [%.4f, %.4f, %.4f, %.4f]\n"
 
 
 def emit(program: RobotProgram) -> str:
-    """Deterministic program text; identical programs emit identical bytes."""
+    """Deterministic program text; identical programs emit identical bytes.
+
+    Raises CodegenError for a non-finite target number, and then for a move
+    speed that would be written as 0.0000.
+    """
     names = np.array(program.target_names, dtype=object)
     last = np.cumsum(program.arities) - 1  # the last target of each move
     vias = np.where(program.arities == 2, names[last - 1] + " ", "")  # a MOVEC's via
     labels = (np.array(program.opcodes, dtype=object) + " " + vias + names[last]).tolist()
     targets = fixed_point(_TARGET_LINE, _target_table(program), program.target_names)
+    slow = program.speeds < _READS_ZERO  # would read back as 0.0000, which load refuses
+    if slow.any():
+        raise CodegenError(
+            f"speed {program.speeds[slow.argmax()]} mm/s would be written as 0.0000"
+        )
     moves = fixed_point("%s SPEED %.4f\n", program.speeds.reshape(-1, 1), labels)
     return "".join(chain([f"PROGRAM {program.name}\n"], targets, moves, ["END\n"]))
 

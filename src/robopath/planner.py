@@ -131,9 +131,11 @@ def pose_rows(positions, orientations, kinds, speeds, interpolated) -> Sequence[
 
 
 def _section_lengths(positions: np.ndarray) -> np.ndarray:
-    """Distance from each pose to the next, with np.linalg.norm's bits."""
-    d = np.diff(positions, axis=0)
-    return np.sqrt(np.vecdot(d, d))
+    """Distance from each pose to the next, with np.linalg.norm's bits; a
+    distance that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        d = np.diff(positions, axis=0)
+        return np.sqrt(np.vecdot(d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ Two scenarios are modeled:
 
 Each run builds one tick table: every tick's time and nominal point, and its
 path frame, framed in one array pass over the ticks. Only the closed loop
-itself steps tick by tick.
+itself steps tick by tick, and it keeps only the columns it computes; the
+trace is one float table, the tick table's time and nominal point stacked
+once beside them. `run_seam` is the one code path that senses the seam.
 
 Runs are fully deterministic for a given program, environment, and config.
 """
@@ -34,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .codegen import RobotProgram, fixed_point
-from .geometry import RobopathError, Transform
+from .geometry import ArrayRecord, RobopathError, Transform
 
 # Most ticks one run may take, about 50 times the longest benchmark run; a
 # longer run is refused before any tick runs, since each tick adds a trace row.
@@ -43,16 +45,6 @@ MAX_TICKS = 200_000
 
 class SimulationError(RobopathError):
     """A run cannot start (bad program geometry or configuration)."""
-
-
-class SeamLost(Exception):
-    """The seam sensor found no joint within its sensing range; `err_y` and
-    `err_z` are the path-frame offsets to the closest seam point."""
-
-    def __init__(self, message: str, err_y: float, err_z: float):
-        super().__init__(message)
-        self.err_y = err_y
-        self.err_z = err_z
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +237,38 @@ SEAM_COLUMNS = ("t_s", "x_mm", "y_mm", "z_mm", "err_y_mm", "err_z_mm", "corr_y_m
 FORCE_COLUMNS = ("t_s", "x_mm", "y_mm", "z_mm", "force_N", "setpoint_N", "disp_mm")
 
 
-@dataclass(frozen=True)
-class SimTrace:
+@dataclass(frozen=True, eq=False)
+class SimTrace(ArrayRecord):
+    """A run as one float table: a row per tick and a column per name in
+    `columns`. `data` takes anything numpy reads as (n, len(columns)) and is
+    kept read-only."""
+
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    data: np.ndarray
     status: str  # OK | ABORTED
+
+    def __post_init__(self):
+        data = np.asarray(self.data, dtype=float).reshape(len(self.data), len(self.columns))
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
 
     @property
     def aborted(self) -> bool:
         return self.status == "ABORTED"
 
     @property
-    def data(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.data.tolist()))
 
     def to_csv(self) -> str:
         """Header, then each row fixed-point with its status: OK, or ABORTED
         on the last row of an aborted run."""
-        data = self.data.reshape(len(self.rows), len(self.columns))
         numbers = ",".join(["%.4f"] * len(self.columns))
-        ok = len(data) - self.aborted
+        ok = len(self.data) - self.aborted
         return "".join(chain(
             [",".join(self.columns + ("status",)) + "\n"],
-            fixed_point(numbers + ",OK\n", data[:ok]),
-            fixed_point(numbers + ",ABORTED\n", data[ok:]),
+            fixed_point(numbers + ",OK\n", self.data[:ok]),
+            fixed_point(numbers + ",ABORTED\n", self.data[ok:]),
         ))
 
 
@@ -277,36 +277,49 @@ class SimTrace:
 # ---------------------------------------------------------------------------
 
 
-def program_waypoints(program: RobotProgram) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered motion waypoints and per-leg speeds. Every target is
-    referenced once, in column order, so the waypoints are the position
-    column itself; a leg runs at the speed of the move that reaches it."""
-    if len(program.positions) < 2:
-        raise SimulationError("program needs at least two targets to traverse")
-    return program.positions, program.target_speeds[1:]
-
-
 def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise dot product of two (n, 3) arrays, summed x + y + z."""
     return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
 
 
 class _PathProfile:
-    """Time-parameterized traversal of a waypoint polyline at per-leg speeds."""
+    """Time-parameterized traversal of a waypoint polyline at per-leg speeds;
+    leg i runs from point i to point i + 1 at `leg_speeds[i]`.
+
+    Raises SimulationError, before any tick, for fewer than two points, a
+    leg whose length or duration is not finite, or a path of zero length or
+    with no finite total time.
+    """
 
     def __init__(self, points: np.ndarray, leg_speeds: np.ndarray):
-        span = points[1:] - points[:-1]
-        lengths = np.sqrt(_dot_rows(span, span))
+        if len(points) < 2:
+            raise SimulationError("program needs at least two targets to traverse")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            span = points[1:] - points[:-1]
+            lengths = np.sqrt(_dot_rows(span, span))
+            durations = lengths / leg_speeds
+        bad = ~np.isfinite(durations)
+        if bad.any():
+            i = int(bad.argmax())
+            leg = f"leg {i + 1} (targets {i + 1} to {i + 2})"
+            if not math.isfinite(lengths[i]):
+                raise SimulationError(f"{leg} is too long to replay")
+            raise SimulationError(
+                f"{leg} of {lengths[i]} mm at {leg_speeds[i]} mm/s has no finite duration"
+            )
         moves = lengths >= 1e-12  # a shorter leg reorients in place, no travel time
         if not moves.any():
             raise SimulationError("program path has zero length")
         self.lengths = lengths[moves]
         self.starts = points[:-1][moves]
         self.directions = span[moves] / self.lengths[:, None]
-        self.durations = self.lengths / leg_speeds[moves]
+        self.durations = durations[moves]
         # cumulative end times, summed left to right
-        self.ends = np.cumsum(self.durations)
+        with np.errstate(over="ignore"):  # refused below
+            self.ends = np.cumsum(self.durations)
         self.total_time = float(self.ends[-1])
+        if not math.isfinite(self.total_time):
+            raise SimulationError("program path has no finite total time")
         # The rounding in `ends` and in a running remainder of `schedule`
         # together stays below this bound times max(t, total_time).
         self._tie_tol = 2.0 * len(self.ends) * sys.float_info.epsilon
@@ -392,7 +405,10 @@ def _ticks(
     program: RobotProgram, rate_hz: float, duration_s: Optional[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each tick's time, nominal point and path frame."""
-    profile = _PathProfile(*program_waypoints(program))
+    # every target is referenced once, in column order, so the waypoints are
+    # the position column itself; a leg runs at the speed of the move that
+    # reaches it
+    profile = _PathProfile(program.positions, program.target_speeds[1:])
     times = np.arange(_tick_count(profile, rate_hz, duration_s)) / rate_hz
     legs, nominals = profile.schedule(times)
     return times, nominals, _path_frames(profile.directions[legs])
@@ -406,53 +422,6 @@ def quantize(value: float, resolution: float) -> float:
 # ---------------------------------------------------------------------------
 # seam scenario
 # ---------------------------------------------------------------------------
-
-
-def seam_sensor(
-    true_seam: np.ndarray,
-    tool: np.ndarray,
-    travel: np.ndarray,
-    sensing_range_mm: float = 50.0,
-) -> tuple[float, float]:
-    """Signed Y/Z offsets from the tool point to the closest point of the
-    true seam (an (n, 3) array of points), in the path frame of the travel
-    direction.
-
-    Raises SeamLost, carrying those offsets, when the seam is farther than
-    the sensing range, and SimulationError for a seam that is not an
-    (n >= 2, 3) array, a tool or travel that is not a 3-vector, a seam point
-    or tool coordinate that is not finite, or a travel direction with no
-    finite path frame (zero, say, or not finite).
-    """
-    true_seam, tool, travel = (np.asarray(a, dtype=float) for a in (true_seam, tool, travel))
-    if true_seam.ndim != 2 or true_seam.shape[0] < 2 or true_seam.shape[1] != 3:
-        raise SimulationError(
-            f"true seam must be an (n >= 2, 3) array of points, got shape {true_seam.shape}"
-        )
-    for label, vector in (("tool", tool), ("travel", travel)):
-        if vector.shape != (3,):
-            raise SimulationError(f"{label} must be a 3-vector, got shape {vector.shape}")
-    for label, points in (("true seam", true_seam), ("tool", tool)):
-        if not np.isfinite(points).all():
-            raise SimulationError(f"{label} has non-finite coordinates")
-    with np.errstate(all="ignore"):  # a travel with no frame is refused below
-        frame = _path_frames(travel.reshape(1, 3))[0]
-    if not np.isfinite(frame).all():
-        raise SimulationError(f"travel direction {travel.tolist()} has no path frame")
-    err_y, err_z, dist = _sense(_Polyline(true_seam), tool, frame)
-    if dist > sensing_range_mm:
-        raise SeamLost(f"closest seam point is {dist:.1f} mm away", err_y, err_z)
-    return err_y, err_z
-
-
-def _sense(
-    true_seam: _Polyline, tool: np.ndarray, frame: np.ndarray
-) -> tuple[float, float, float]:
-    """Y/Z offsets from the tool point to the closest seam point in a path
-    frame, and that point's distance."""
-    closest, dist = true_seam.closest(tool)
-    d = closest - tool
-    return float(d @ frame[1]), float(d @ frame[2]), dist
 
 
 def run_seam(
@@ -474,21 +443,24 @@ def run_seam(
 
     corr_y = 0.0
     corr_z = 0.0
-    rows = []
+    loop = []  # err_y, err_z, corr_y, corr_z of each tick
     status = "OK"
-    for t, nominal, frame in zip(times.tolist(), nominals, frames):
+    for nominal, frame in zip(nominals, frames):
         tool = nominal + corr_y * frame[1] + corr_z * frame[2]
-        err_y, err_z, dist = _sense(true_seam, tool, frame)
+        closest, dist = true_seam.closest(tool)
+        d = closest - tool
+        err_y, err_z = float(d @ frame[1]), float(d @ frame[2])
         if dist > cfg.sensing_range_mm:
-            rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
+            loop.append((err_y, err_z, corr_y, corr_z))
             status = "ABORTED"
             break
         step_y = min(cfg.max_step_mm, max(-cfg.max_step_mm, cfg.gain_y * err_y))
         step_z = min(cfg.max_step_mm, max(-cfg.max_step_mm, cfg.gain_z * err_z))
         corr_y = quantize(corr_y + step_y, cfg.resolution_mm)
         corr_z = quantize(corr_z + step_z, cfg.resolution_mm)
-        rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
-    return SimTrace(SEAM_COLUMNS, tuple(rows), status)
+        loop.append((err_y, err_z, corr_y, corr_z))
+    n = len(loop)
+    return SimTrace(SEAM_COLUMNS, np.column_stack((times[:n], nominals[:n], loop)), status)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +515,13 @@ def run_force(
 
     disp = 0.0
     lost_for = 0.0
-    rows = []
+    loop = []  # force, setpoint, disp of each tick
     status = "OK"
-    for t, x, y, z, surface_shift in zip(times.tolist(), *nominals.T.tolist(), shifts.tolist()):
+    for surface_shift in shifts.tolist():
         force = max(0.0, cfg.setpoint_n + env.stiffness_n_per_mm * (surface_shift + disp))
         error = cfg.setpoint_n - force
         disp = step(controller, error, dt)
-        rows.append((t, x, y, z, force, cfg.setpoint_n, disp))
+        loop.append((force, cfg.setpoint_n, disp))
         if force == 0.0:
             lost_for += dt
             if lost_for > cfg.contact_timeout_s:
@@ -557,4 +529,5 @@ def run_force(
                 break
         else:
             lost_for = 0.0
-    return SimTrace(FORCE_COLUMNS, tuple(rows), status)
+    n = len(loop)
+    return SimTrace(FORCE_COLUMNS, np.column_stack((times[:n], nominals[:n], loop)), status)

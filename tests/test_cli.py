@@ -10,6 +10,7 @@ import math
 import pkgutil
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from robopath.codegen import CodegenError, ProgramParseError
 from robopath.geometry import GeometryError, RobopathError
 from robopath.planner import MAX_INTERPOLATED_POSES, PlanningError
 from robopath.scene import SceneError, SceneParseError, SceneValidationError
-from robopath.simulate import SeamLost, SimTrace, SimulationError
+from robopath.simulate import SimTrace, SimulationError
 
 
 def run(capsys, *argv):
@@ -274,6 +275,45 @@ def test_compile_rejects_bad_speed_override(tmp_path, capsys, speed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scene_speed, extra",
+    [("0.00001", {}), ("10.0", {"speed_override": "0.00004"})],
+    ids=["scene", "override"],
+)
+def test_compile_refuses_a_speed_that_reads_zero(tmp_path, capsys, scene_speed, extra):
+    """A speed written as 0.0000 would be refused on load, so compile
+    refuses it instead of writing it."""
+    text = (FIXTURES / "straight_seam.scene.json").read_text()
+    scene_file = tmp_path / "slow.json"
+    scene_file.write_text(text.replace('"speed": 10.0', f'"speed": {scene_speed}'))
+    out = tmp_path / "slow.prog"
+    code, _, err = run(capsys, *compile_args(scene_file, out, **extra))
+    assert code == 1
+    assert err.startswith("error:") and "would be written as 0.0000" in err
+    assert not out.exists()
+    assert not (tmp_path / "slow.prog.manifest.json").exists()
+
+
+def test_compile_of_a_leg_too_long_to_square_is_quiet(tmp_path, capsys):
+    """The planner's length of a 1e200 mm leg overflows without a warning;
+    replay then refuses the leg."""
+    scene = json.loads((FIXTURES / "straight_seam.scene.json").read_text())
+    scene["paths"][0]["segments"][0]["points"][1] = [1e200, 0.0, 0.0]
+    del scene["workspace"]
+    scene_file = tmp_path / "far.json"
+    scene_file.write_text(json.dumps(scene))
+    program = tmp_path / "far.prog"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, *compile_args(scene_file, program)) == (0, "", "")
+        trace = tmp_path / "far.csv"
+        code, _, err = run(capsys, "simulate", "--program", str(program),
+                           "--scenario", "seam", "--out", str(trace))
+    assert code == 1
+    assert err == "error: leg 1 (targets 1 to 2) is too long to replay\n"
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("dt", ["1e-6", "1e-300"])
 def test_compile_refuses_pose_budget_quickly(tmp_path, capsys, dt):
     """A tiny sampling width would generate ~1e7 poses (or an infinite
@@ -448,6 +488,38 @@ def test_simulate_refuses_overflowing_replay_arithmetic(
     assert not out.exists()
 
 
+_HUGE = "1" + "0" * 300 + ".0"  # 1e300, written as the grammar's plain decimal
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("[0.0000, 0.0000, 0.0000], [0", f"[-{_HUGE}, 0.0000, 0.0000], [0")
+                          .replace("[100.0000, 0.0000, 0.0000]", f"[{_HUGE}, 0.0000, 0.0000]"),
+         "leg 1 (targets 1 to 2) is too long to replay"),
+        (lambda text: text.replace("MOVEL t2 SPEED 10.0000", "MOVEL t2 SPEED 0." + "0" * 319 + "1"),
+         "leg 1 (targets 1 to 2) of 100.0 mm at 1e-320 mm/s has no finite duration"),
+    ],
+    ids=["too_long", "too_slow"],
+)
+@pytest.mark.parametrize("duration", [[], ["--duration", "1"]], ids=["full", "1s"])
+@pytest.mark.parametrize("scenario", ["seam", "force"])
+def test_simulate_refuses_a_leg_with_no_finite_duration(
+    tmp_path, capsys, scenario, duration, edit, message
+):
+    text = edit((FIXTURES / "straight_seam.prog").read_text())
+    assert text != (FIXTURES / "straight_seam.prog").read_text()
+    program = tmp_path / "leg.prog"
+    program.write_text(text)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numpy warning
+        code, stdout, err = run(capsys, "simulate", "--program", str(program),
+                                "--scenario", scenario, *duration, "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_simulate_seam_lost_at_an_overflowing_distance(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, stdout, _ = run(
@@ -479,7 +551,7 @@ def test_every_robopath_error_is_refused_input():
             if issubclass(cls, BaseException) and cls.__module__ == module.__name__
         )
     outside = {cls for cls in defined if not issubclass(cls, RobopathError)}
-    assert outside == {SeamLost}  # a sensor signal, not refused input
+    assert outside == set()
     assert defined >= {RobopathError, GeometryError, SceneError, SceneParseError,
                        SceneValidationError, PlanningError, CodegenError, ProgramParseError,
                        SimulationError}

@@ -34,7 +34,7 @@ from robopath.simulate import (
     SEAM_COLUMNS,
     SimTrace,
     SimulationError,
-    program_waypoints,
+    _PathProfile,
 )
 
 
@@ -221,10 +221,12 @@ def reference_emit(program):
         f"[{quaternion(*q.tolist())}]\n"
         for name, p, q in zip(program.target_names, program.positions, program.orientations)
     )
-    moves = "".join(
-        f"{ins.opcode.value} {' '.join(ins.targets)} SPEED {reference_fmt_num(ins.speed)}\n"
-        for ins in program.instructions
-    )
+    moves = ""
+    for ins in program.instructions:
+        speed = reference_fmt_num(ins.speed)
+        if speed == "0.0000":  # load refuses it
+            raise CodegenError(f"speed {ins.speed} mm/s would be written as 0.0000")
+        moves += f"{ins.opcode.value} {' '.join(ins.targets)} SPEED {speed}\n"
     return f"PROGRAM {program.name}\n{targets}{moves}END\n"
 
 
@@ -305,6 +307,8 @@ def table_programs(draw):
 @given(table_programs())
 @example(RobotProgram("p", ("t1",), [[0.0, -1e-17, 5e-5]], [[-1e-17, -0.0, _BELOW, -0.8]],
                       (Opcode.MOVEJ,), [1e-9]))
+@example(RobotProgram("p", ("t1",), [[0.0, -1e-17, 5e-5]], [[-1e-17, -0.0, _BELOW, -0.8]],
+                      (Opcode.MOVEJ,), [5e-5]))
 @example(RobotProgram("p", ("t1",), [[1.0, 2.0, 3.0]], [[1e-17, -0.6, math.inf, 0.0]],
                       (Opcode.MOVEJ,), [1.0]))
 @example(RobotProgram("p", ("t1",), [[1.0, 2.0, 3.0]], [[0.0, -math.inf, 0.5, 0.0]],
@@ -668,13 +672,13 @@ def test_program_waypoints_match_per_instruction_gather(path):
             for t in ins.targets:
                 points.append(program.targets[t].position)
                 speeds.append(ins.speed)
+        # what replay reads as its waypoints and leg speeds
+        got_points, got_speeds = program.positions, program.target_speeds[1:]
+        assert got_points.tolist() == np.array(points).reshape(-1, 3).tolist()
+        assert got_speeds.tolist() == speeds[1:]
         if len(points) < 2:
             with pytest.raises(SimulationError, match="two targets"):
-                program_waypoints(program)
-            continue
-        got_points, got_speeds = program_waypoints(program)
-        assert got_points.tolist() == np.array(points).tolist()
-        assert got_speeds.tolist() == speeds[1:]
+                _PathProfile(got_points, got_speeds)
 
 
 def test_program_columns_are_read_only_and_targets_a_lazy_view():

@@ -1,5 +1,4 @@
 import math
-import re
 from bisect import bisect_left
 
 import numpy as np
@@ -28,7 +27,6 @@ from robopath.simulate import (
     FuzzyPIController,
     PIController,
     SeamConfig,
-    SeamLost,
     SimTrace,
     SimulationError,
     _CENTERS,
@@ -40,11 +38,9 @@ from robopath.simulate import (
     _tick_count,
     fuzzy_pi_step,
     pi_step,
-    program_waypoints,
     quantize,
     run_force,
     run_seam,
-    seam_sensor,
 )
 
 
@@ -102,71 +98,30 @@ def test_load_structural_errors():
 # seam sensor
 # ---------------------------------------------------------------------------
 
-SEAM_X = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
+
+def first_seam_row(**offset):
+    """The first row of a seam replay of a 100 mm straight program along +x,
+    whose path frame has y and z along world y and z."""
+    trace = run_seam(straight_program(), offset_env(**offset), SeamConfig())
+    return trace, trace.rows[0]
 
 
 def test_sensor_zero_on_seam():
-    assert seam_sensor(SEAM_X, np.array([50.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])) == (
-        0.0,
-        0.0,
-    )
+    assert first_seam_row()[1][4:6] == (0.0, 0.0)
 
 
 def test_sensor_reads_lateral_offset():
-    seam = SEAM_X + np.array([0.0, 1.0, 0.0])
-    ey, ez = seam_sensor(seam, np.array([50.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    assert (ey, ez) == (1.0, 0.0)
+    assert first_seam_row(y=1.0)[1][4:6] == (1.0, 0.0)
 
 
 def test_sensor_reads_vertical_offset():
-    seam = SEAM_X + np.array([0.0, 0.0, -2.0])
-    ey, ez = seam_sensor(seam, np.array([50.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    assert (ey, ez) == (0.0, -2.0)
+    assert first_seam_row(z=-2.0)[1][4:6] == (0.0, -2.0)
 
 
 def test_sensor_loses_distant_seam():
-    seam = SEAM_X + np.array([0.0, 60.0, 0.0])
-    with pytest.raises(SeamLost) as lost:
-        seam_sensor(seam, np.array([50.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    assert (lost.value.err_y, lost.value.err_z) == (60.0, 0.0)
-
-
-@pytest.mark.parametrize(
-    "travel", [[0.0, 0.0, 0.0], [math.nan, 1.0, 0.0], [math.inf, 0.0, 0.0], [1e-300, 0.0, 0.0]]
-)
-def test_sensor_refuses_travel_without_frame(travel):
-    with pytest.raises(SimulationError, match="has no path frame"):
-        seam_sensor(SEAM_X, np.array([50.0, 0.0, 0.0]), np.array(travel))
-
-
-@pytest.mark.parametrize(
-    "seam, tool, travel, message",
-    [
-        (SEAM_X[:1], [50, 0, 0], [1, 0, 0], "true seam must be an (n >= 2, 3) array of points, "
-                                             "got shape (1, 3)"),
-        (SEAM_X[:, :2], [50, 0, 0], [1, 0, 0], "got shape (2, 2)"),
-        (SEAM_X.ravel(), [50, 0, 0], [1, 0, 0], "got shape (6,)"),
-        (SEAM_X, [50, 0], [1, 0, 0], "tool must be a 3-vector, got shape (2,)"),
-        (SEAM_X, [[50, 0, 0]], [1, 0, 0], "tool must be a 3-vector, got shape (1, 3)"),
-        (SEAM_X, [50, 0, 0], [1, 0], "travel must be a 3-vector, got shape (2,)"),
-        (SEAM_X, [50, 0, 0], [], "travel must be a 3-vector, got shape (0,)"),
-        (SEAM_X, [50, 0, 0], [[1], [0], [0]], "travel must be a 3-vector, got shape (3, 1)"),
-    ],
-)
-def test_sensor_refuses_malformed_input(seam, tool, travel, message):
-    with pytest.raises(SimulationError, match=re.escape(message)):
-        seam_sensor(seam, tool, travel)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["seam", "tool"])
-def test_sensor_refuses_non_finite_seam_or_tool(where, value):
-    seam, tool = SEAM_X.copy(), np.array([50.0, 0.0, 0.0])
-    (seam[1] if where == "seam" else tool)[1] = value
-    label = "true seam" if where == "seam" else "tool"
-    # refused before any arithmetic, so with no numpy warning either
-    with pytest.raises(SimulationError, match=f"^{label} has non-finite coordinates$"):
-        seam_sensor(seam, tool, np.array([1.0, 0.0, 0.0]))
+    trace, row = first_seam_row(y=60.0)
+    assert trace.aborted and len(trace.rows) == 1
+    assert row[4:] == (60.0, 0.0, 0.0, 0.0)
 
 
 def closest_by_loop(points, p):
@@ -582,17 +537,46 @@ def test_force_trace_header():
     assert trace.to_csv().splitlines()[0] == "t_s,x_mm,y_mm,z_mm,force_N,setpoint_N,disp_mm,status"
 
 
+@pytest.mark.parametrize("run, cfg", [(run_seam, SeamConfig()), (run_force, ForceConfig())])
+def test_trace_is_one_read_only_table(run, cfg):
+    program = straight_program()
+    trace = run(program, offset_env(y=1.0, z=0.5), cfg, duration_s=1.0)
+    n = round(cfg.rate_hz) + 1
+    assert trace.data.shape == (n, len(trace.columns)) and trace.data.dtype == float
+    with pytest.raises(ValueError):
+        trace.data[0, 0] = 1.0
+    # t, x, y and z are the tick table's bits, and rows read the table as tuples
+    times, nominals, _ = simulate._ticks(program, cfg.rate_hz, 1.0)
+    assert trace.data[:, :4].tobytes() == np.column_stack((times, nominals)).tobytes()
+    assert isinstance(trace.rows, tuple) and trace.rows[0] == tuple(trace.data[0].tolist())
+    assert SimTrace(trace.columns, trace.rows, trace.status) == trace
+
+
+def test_trace_takes_rows_of_its_width_only():
+    assert SimTrace(FORCE_COLUMNS, (), "OK").data.shape == (0, 7)
+    with pytest.raises(ValueError):
+        SimTrace(FORCE_COLUMNS, ((0.0,) * 8,), "OK")
+
+
 def test_quantize_multiples():
     assert quantize(0.504, 0.01) == pytest.approx(0.5, abs=1e-15)
     assert quantize(-0.017, 0.01) == pytest.approx(-0.02, abs=1e-15)
 
 
 def test_tick_budget_admits_max_ticks_and_refuses_more():
-    profile = _PathProfile(*program_waypoints(straight_program()))
+    program = straight_program()
+    profile = _PathProfile(program.positions, program.target_speeds[1:])
     assert profile.total_time == 10.0
     assert _tick_count(profile, (MAX_TICKS - 1) / 10.0, None) == MAX_TICKS
     with pytest.raises(SimulationError, match=f"more than {MAX_TICKS} ticks"):
         _tick_count(profile, MAX_TICKS / 10.0, None)
+
+
+def test_path_profile_refuses_a_path_with_no_finite_total_time():
+    # each leg takes 1e308 s, a finite duration; together they overflow
+    points = np.array([[0.0, 0.0, 0.0], [1e150, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(SimulationError, match="^program path has no finite total time$"):
+        _PathProfile(points, np.array([1e-158, 1e-158]))
 
 
 def test_run_requires_two_targets():
@@ -668,10 +652,11 @@ def reference_path_frame(direction):
 
 
 def reference_run_seam(program, env, cfg, duration_s=None):
-    """The per-tick `run_seam`: leg, nominal point and frame found each tick."""
-    points, leg_speeds = program_waypoints(program)
-    profile = _PathProfile(points, leg_speeds)
-    true_seam = points @ env.offset.rotation.T + env.offset.origin
+    """The per-tick `run_seam`: leg, nominal point and frame found each tick,
+    and the seam sensed by a per-segment scan."""
+    points = program.positions
+    profile = _PathProfile(points, program.target_speeds[1:])
+    true_seam = (points @ env.offset.rotation.T + env.offset.origin).tolist()
     corr_y = corr_z = 0.0
     rows = []
     status = "OK"
@@ -680,10 +665,11 @@ def reference_run_seam(program, env, cfg, duration_s=None):
         nominal, direction = reference_at(profile, t)
         _, y_axis, z_axis = reference_path_frame(direction)
         tool = nominal + corr_y * y_axis + corr_z * z_axis
-        try:
-            err_y, err_z = seam_sensor(true_seam, tool, direction, cfg.sensing_range_mm)
-        except SeamLost as lost:
-            rows.append((t, *nominal, lost.err_y, lost.err_z, corr_y, corr_z))
+        closest, dist = closest_by_loop(true_seam, tool.tolist())
+        offset = np.array(closest) - tool
+        err_y, err_z = float(offset @ y_axis), float(offset @ z_axis)
+        if dist > cfg.sensing_range_mm:
+            rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
             status = "ABORTED"
             break
         step_y = min(cfg.max_step_mm, max(-cfg.max_step_mm, cfg.gain_y * err_y))
@@ -697,8 +683,7 @@ def reference_run_seam(program, env, cfg, duration_s=None):
 def reference_run_force(program, env, cfg, duration_s=None):
     """The per-tick `run_force`: leg, nominal point, frame, surface shift
     and roughness draw found each tick."""
-    points, leg_speeds = program_waypoints(program)
-    profile = _PathProfile(points, leg_speeds)
+    profile = _PathProfile(program.positions, program.target_speeds[1:])
     dt = 1.0 / cfg.rate_hz
     rng = np.random.default_rng(env.seed)
     if cfg.controller is ControllerKind.PI:
@@ -873,9 +858,9 @@ def test_aborted_seam_row_holds_the_sensor_offsets():
     assert trace.aborted
     t, x, y, z, err_y, err_z, corr_y, corr_z = trace.rows[-1]
     assert corr_y != 0.0
-    # travel along +x frames the correction as world y and z
-    tool = np.array([x, y + corr_y, z + corr_z])
+    # travel along +x frames the correction and the offsets as world y and z
+    tool = (x, y + corr_y, z + corr_z)
     true_seam = program.positions @ env.offset.rotation.T + env.offset.origin
-    with pytest.raises(SeamLost) as lost:
-        seam_sensor(true_seam, tool, np.array([1.0, 0.0, 0.0]), cfg.sensing_range_mm)
-    assert (lost.value.err_y, lost.value.err_z) == (err_y, err_z)
+    closest, dist = closest_by_loop(true_seam.tolist(), tool)
+    assert dist > cfg.sensing_range_mm
+    assert (err_y, err_z) == (closest[1] - tool[1], closest[2] - tool[2])

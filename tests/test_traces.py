@@ -1,11 +1,14 @@
 """Golden simulate traces: each case replays a fixture program through
-`cli.main` and must reproduce the checked-in CSV byte for byte.
+`cli.main` and must reproduce the checked-in CSV and the summary line the
+CLI prints (`<program>.<case>.stdout`) byte for byte.
 
 Regenerate (only when a trace change is intended and explained):
     PYTHONPATH=src python tests/test_traces.py
 """
 
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -41,7 +44,7 @@ def simulate(program: str, case: str, out: Path) -> int:
 def test_trace_matches_golden(tmp_path, capsys, program, case):
     out = tmp_path / "trace.csv"
     assert simulate(program, case, out) == CASES[case][1]
-    capsys.readouterr()
+    assert capsys.readouterr().out == (TRACES / f"{program}.{case}.stdout").read_text()
     assert out.read_bytes() == (TRACES / f"{program}.{case}.csv").read_bytes()
 
 
@@ -50,7 +53,9 @@ if __name__ == "__main__":
     for program in PROGRAMS:
         for case in sorted(CASES):
             golden = TRACES / f"{program}.{case}.csv"
-            code = simulate(program, case, golden)
+            with redirect_stdout(io.StringIO()) as stdout:
+                code = simulate(program, case, golden)
+            (TRACES / f"{program}.{case}.stdout").write_text(stdout.getvalue())
             Path(str(golden) + ".manifest.json").unlink()
             if code != CASES[case][1]:
                 sys.exit(f"{golden.name}: exit {code}, expected {CASES[case][1]}")
