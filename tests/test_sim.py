@@ -99,29 +99,28 @@ def test_load_structural_errors():
 # ---------------------------------------------------------------------------
 
 
-def first_seam_row(**offset):
-    """The first row of a seam replay of a 100 mm straight program along +x,
-    whose path frame has y and z along world y and z."""
-    trace = run_seam(straight_program(), offset_env(**offset), SeamConfig())
-    return trace, trace.rows[0]
+def straight_seam_run(**offset):
+    """A seam replay of a 100 mm straight program along +x, whose path frame
+    has y and z along world y and z; its first row is sensed at the origin."""
+    return run_seam(straight_program(), offset_env(**offset), SeamConfig())
 
 
 def test_sensor_zero_on_seam():
-    assert first_seam_row()[1][4:6] == (0.0, 0.0)
+    assert straight_seam_run().rows[0][4:6] == (0.0, 0.0)
 
 
 def test_sensor_reads_lateral_offset():
-    assert first_seam_row(y=1.0)[1][4:6] == (1.0, 0.0)
+    assert straight_seam_run(y=1.0).rows[0][4:6] == (1.0, 0.0)
 
 
 def test_sensor_reads_vertical_offset():
-    assert first_seam_row(z=-2.0)[1][4:6] == (0.0, -2.0)
+    assert straight_seam_run(z=-2.0).rows[0][4:6] == (0.0, -2.0)
 
 
 def test_sensor_loses_distant_seam():
-    trace, row = first_seam_row(y=60.0)
+    trace = straight_seam_run(y=60.0)
     assert trace.aborted and len(trace.rows) == 1
-    assert row[4:] == (60.0, 0.0, 0.0, 0.0)
+    assert trace.rows[0][4:] == (60.0, 0.0, 0.0, 0.0)
 
 
 def closest_by_loop(points, p):
@@ -554,8 +553,8 @@ def test_trace_is_one_read_only_table(run, cfg):
 
 def test_trace_takes_rows_of_its_width_only():
     assert SimTrace(FORCE_COLUMNS, (), "OK").data.shape == (0, 7)
-    with pytest.raises(ValueError):
-        SimTrace(FORCE_COLUMNS, ((0.0,) * 8,), "OK")
+    with pytest.raises(ValueError):  # one row of 14 numbers, as many as two rows of 7
+        SimTrace(FORCE_COLUMNS, ((0.0,) * 14,), "OK")
 
 
 def test_quantize_multiples():
