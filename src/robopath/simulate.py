@@ -134,6 +134,10 @@ class ForceConfig:
             raise SimulationError("force setpoint must be > 0")
         if min(self.kp, self.ki, self.error_scale, self.derror_scale, self.output_scale) < 0.0:
             raise SimulationError("controller gains and scales must be >= 0")
+        if not self.output_limit_mm >= 0.0:
+            raise SimulationError(f"output limit must be >= 0, got {self.output_limit_mm}")
+        if not self.contact_timeout_s >= 0.0:
+            raise SimulationError(f"contact timeout must be >= 0, got {self.contact_timeout_s}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +168,21 @@ def pi_step(state: PIController, error: float, dt: float) -> float:
     return u
 
 
-# Five symmetric triangular sets on [-1, 1]: NB NS ZE PS PB.
+# Five symmetric triangular sets on [-1, 1]: NB NS ZE PS PB. An input v with
+# _CENTERS[k] <= v < _CENTERS[k + 1] (k = 3 at v = 1) lies in sets k and k + 1
+# only: for every other set the float difference |v - c| rounds to >= 0.5
+# (subtraction is monotone), so its membership is exactly 0.0. So only the
+# 2 x 2 cell of rules (ke..ke + 1, kd..kd + 1) can fire, and _fuzzy_increment
+# evaluates that cell alone.
 _CENTERS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 # Anti-diagonal rule table: output set index = clip(i + j - 2, 0, 4) for
 # error set i and error-rate set j, so e and de of opposite sign cancel.
 _RULE = tuple(tuple(min(4, max(0, i + j - 2)) for j in range(5)) for i in range(5))
 
-# Rules grouped into mirror pairs (i, j) <-> (4-i, 4-j); summing each pair
-# before accumulating keeps the defuzzified output exactly odd-symmetric.
-# Each entry holds both rules' set indices and output centers.
+# Rules grouped into mirror pairs (i, j) <-> (4-i, 4-j); accumulating in pair
+# order keeps the defuzzified output exactly odd-symmetric. Each entry holds
+# both rules' set indices and output centers.
 _MIRROR_RULES = tuple(
     (i, j, 4 - i, 4 - j, _CENTERS[_RULE[i][j]], _CENTERS[_RULE[4 - i][4 - j]])
     for i in range(5)
@@ -181,23 +190,45 @@ _MIRROR_RULES = tuple(
     if (i, j) < (4 - i, 4 - j)
 )
 
+# _CELLS[ke][kd]: the cell's non-center rules as (weight index 2a + b of rule
+# (ke + a, kd + b), output center) in the order of their mirror pairs, and the
+# weight index of the center rule (2, 2), or None outside the cell. Summing
+# only these keeps the bits of summing all twelve pairs, dead rules included:
+# no two rules of one cell share a pair, so each live weight meets only exact
+# zeros in its pair's sum, and adding an exact zero to num or den leaves its
+# bits unchanged (both start at +0.0 and are never -0.0).
+def _cell(ke: int, kd: int) -> tuple[tuple[tuple[int, float], ...], Optional[int]]:
+    live = {(ke + a, kd + b): 2 * a + b for a in (0, 1) for b in (0, 1)}
+    rules = [
+        (live[rule], c)
+        for i, j, mi, mj, c1, c2 in _MIRROR_RULES
+        for rule, c in (((i, j), c1), ((mi, mj), c2))
+        if rule in live
+    ]
+    return tuple(rules), live.get((2, 2))
 
-def _memberships(v: float) -> list[float]:
-    return [max(0.0, 1.0 - abs(v - c) * 2.0) for c in _CENTERS]
+
+_CELLS = tuple(tuple(_cell(ke, kd) for kd in range(4)) for ke in range(4))
 
 
 def _fuzzy_increment(e: float, de: float) -> float:
     """Center-of-gravity defuzzification of the rule table, in [-1, 1]."""
-    me = _memberships(e)
-    md = _memberships(de)
+    ke = 0 if e < -0.5 else 1 if e < 0.0 else 2 if e < 0.5 else 3
+    kd = 0 if de < -0.5 else 1 if de < 0.0 else 2 if de < 0.5 else 3
+    e0 = max(0.0, 1.0 - abs(e - _CENTERS[ke]) * 2.0)
+    e1 = max(0.0, 1.0 - abs(e - _CENTERS[ke + 1]) * 2.0)
+    d0 = max(0.0, 1.0 - abs(de - _CENTERS[kd]) * 2.0)
+    d1 = max(0.0, 1.0 - abs(de - _CENTERS[kd + 1]) * 2.0)
+    weights = (min(e0, d0), min(e0, d1), min(e1, d0), min(e1, d1))
+    rules, center = _CELLS[ke][kd]
     num = 0.0
     den = 0.0
-    for i, j, mi, mj, c1, c2 in _MIRROR_RULES:
-        w1 = min(me[i], md[j])
-        w2 = min(me[mi], md[mj])
-        den += w1 + w2
-        num += w1 * c1 + w2 * c2
-    den += min(me[2], md[2])  # self-mirrored center rule, output ZE
+    for k, c in rules:
+        w = weights[k]
+        den += w
+        num += w * c
+    if center is not None:
+        den += weights[center]  # self-mirrored center rule, output ZE
     if den == 0.0:
         return 0.0
     return num / den

@@ -1,5 +1,5 @@
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -515,6 +515,24 @@ def test_force_never_negative():
         assert np.all(trace.data[:, 4] >= 0.0)
 
 
+@pytest.mark.parametrize("field, what", [("output_limit_mm", "output limit"),
+                                         ("contact_timeout_s", "contact timeout")])
+def test_force_config_refuses_a_negative_limit_or_timeout(field, what):
+    # a negative output limit used to pin every output to +-1 mm from tick 0
+    with pytest.raises(SimulationError, match=f"^{what} must be >= 0, got -1.0$"):
+        ForceConfig(**{field: -1.0})
+    assert getattr(ForceConfig(**{field: 0.0}), field) == 0.0
+
+
+@pytest.mark.parametrize("controller", list(ControllerKind))
+def test_force_zero_output_limit_makes_no_correction(controller):
+    cfg = ForceConfig(controller=controller, output_limit_mm=0.0)
+    trace = run_force(straight_program(), offset_env(z=1.0), cfg)
+    assert trace.status == "OK"
+    assert np.all(trace.data[:, 6] == 0.0)
+    assert np.all(trace.data[:, 4] == 30.0)  # the 1 mm shift is never taken back
+
+
 # ---------------------------------------------------------------------------
 # trace format
 # ---------------------------------------------------------------------------
@@ -591,30 +609,47 @@ def test_run_requires_two_targets():
 
 
 def reference_memberships(v):
-    return tuple(max(0.0, 1.0 - abs(v - c) * 2.0) for c in _CENTERS)
+    return [max(0.0, 1.0 - abs(v - c) * 2.0) for c in _CENTERS]
 
 
-REFERENCE_MIRROR_PAIRS = tuple(
-    ((i, j), (4 - i, 4 - j)) for i in range(5) for j in range(5) if (i, j) < (4 - i, 4 - j)
+REFERENCE_MIRROR_RULES = tuple(
+    (i, j, 4 - i, 4 - j, _CENTERS[_RULE[i][j]], _CENTERS[_RULE[4 - i][4 - j]])
+    for i in range(5)
+    for j in range(5)
+    if (i, j) < (4 - i, 4 - j)
 )
 
 
 def reference_fuzzy_increment(e, de):
-    """The `_fuzzy_increment` that the flat rule table replaced: rule pairs
-    looked up through the nested rule table, summed in mirror-pair order."""
+    """The all-pairs `_fuzzy_increment` that the 2 x 2 cell of live rules
+    replaced: memberships in all five sets, and all twelve mirror pairs
+    summed in table order, dead rules included."""
     me = reference_memberships(e)
     md = reference_memberships(de)
     num = 0.0
     den = 0.0
-    for (i, j), (mi, mj) in REFERENCE_MIRROR_PAIRS:
+    for i, j, mi, mj, c1, c2 in REFERENCE_MIRROR_RULES:
         w1 = min(me[i], md[j])
         w2 = min(me[mi], md[mj])
         den += w1 + w2
-        num += w1 * _CENTERS[_RULE[i][j]] + w2 * _CENTERS[_RULE[mi][mj]]
-    den += min(me[2], md[2])
+        num += w1 * c1 + w2 * c2
+    den += min(me[2], md[2])  # self-mirrored center rule, output ZE
     if den == 0.0:
         return 0.0
     return num / den
+
+
+def reference_fuzzy_pi_step(state, error, dt):
+    """`fuzzy_pi_step` on the all-pairs increment."""
+    derror = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
+    state.prev_error = error
+    e = min(1.0, max(-1.0, error * state.error_scale))
+    de = min(1.0, max(-1.0, derror * state.derror_scale))
+    u = state.output + state.output_scale * reference_fuzzy_increment(e, de)
+    if abs(u) > state.output_limit:
+        u = math.copysign(state.output_limit, u)
+    state.output = u
+    return u
 
 
 def reference_at(profile, t):
@@ -692,7 +727,7 @@ def reference_run_force(program, env, cfg, duration_s=None):
         controller = FuzzyPIController(
             cfg.error_scale, cfg.derror_scale, cfg.output_scale, cfg.output_limit_mm
         )
-        step = fuzzy_pi_step
+        step = reference_fuzzy_pi_step
     disp = 0.0
     lost_for = 0.0
     rows = []
@@ -730,14 +765,27 @@ def polyline_program(points, speeds):
     )
 
 
-# Fuzzy inputs on and next to the set centres, where memberships tie or vanish.
-fuzzy_edges = [c + d for c in (-1.0, -0.5, 0.0, 0.5, 1.0) for d in (0.0, 1e-12, -1e-12)]
-fuzzy_inputs = st.one_of(st.sampled_from(fuzzy_edges + [-0.0]), finite(-1.0, 1.0))
+# Fuzzy inputs on and next to the set centres, where memberships tie or vanish
+# and the 2 x 2 cell of live rules flips: each centre, one ulp either side of
+# it, and offsets down to the smallest subnormal, plus -0.0.
+fuzzy_edges = [
+    *(c + d for c in _CENTERS for d in (0.0, 1e-12, -1e-12, 1e-17, -1e-17, 5e-324, -5e-324)),
+    *(math.nextafter(c, toward) for c in _CENTERS for toward in (-math.inf, math.inf)),
+    -0.0,
+]
+fuzzy_inputs = st.one_of(st.sampled_from(fuzzy_edges), finite(-1.0, 1.0))
 
 
 @given(fuzzy_inputs, fuzzy_inputs)
 def test_fuzzy_increment_matches_reference_bitwise(e, de):
     assert _fuzzy_increment(e, de).hex() == reference_fuzzy_increment(e, de).hex()
+
+
+def test_fuzzy_increment_matches_reference_on_every_edge_pair():
+    pairs = [(e, de) for e in fuzzy_edges for de in fuzzy_edges]
+    assert len(pairs) > 2000
+    for e, de in pairs:
+        assert _fuzzy_increment(e, de).hex() == reference_fuzzy_increment(e, de).hex(), (e, de)
 
 
 replay_points = st.lists(
@@ -783,6 +831,29 @@ def test_force_replay_matches_per_tick_reference(case, controller, timeout_s):
     assert trace.to_csv() == reference.to_csv()
     # run_force sums the surface shift x + y + z and the reference takes a
     # BLAS dot, so a row may differ in the last bits, never more.
+    assert np.abs(trace.data - reference.data).max() <= 1e-9
+
+
+def test_long_rough_fuzzy_replay_matches_per_tick_reference(monkeypatch):
+    # about 3.1k ticks on a 15-leg zigzag in a rotated cell, rough enough that
+    # the fuzzy step visits every 2 x 2 cell of its rule table
+    points = [(40.0 * i, 12.0 * (i % 2), 0.5 * i) for i in range(16)]
+    program = polyline_program(points, [4.0] * 15)
+    offset = Transform(rodrigues([0.3, -0.2, 0.93], 0.01), [0.5, -0.7, 1.5])
+    env = Environment(offset=offset, roughness_mm=0.8, seed=3)
+    cfg = ForceConfig(controller=ControllerKind.FUZZY_PI, contact_timeout_s=100.0)
+    cells = set()
+
+    def recording_increment(e, de):
+        cells.add((min(3, bisect_right(_CENTERS, e) - 1), min(3, bisect_right(_CENTERS, de) - 1)))
+        return _fuzzy_increment(e, de)
+
+    monkeypatch.setattr(simulate, "_fuzzy_increment", recording_increment)
+    trace = run_force(program, env, cfg)
+    reference = reference_run_force(program, env, cfg)
+    assert len(trace.rows) >= 3000 and trace.status == "OK"
+    assert len(cells) == 16
+    assert trace.to_csv() == reference.to_csv()
     assert np.abs(trace.data - reference.data).max() <= 1e-9
 
 
