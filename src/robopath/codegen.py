@@ -187,26 +187,21 @@ _READS_ZERO = 5e-5
 _BLOCK_ROWS = 256
 
 
-def fixed_point(row_template: str, numbers: np.ndarray, labels=None) -> Iterator[str]:
+def fixed_point(row_template: str, numbers: np.ndarray, labels=None) -> list[str]:
     """The text of the rows of `numbers`, an (n, k) array, in blocks of up
     to _BLOCK_ROWS rows. Each row is written as `row_template % (label, *row)`,
     or as `row_template % tuple(row)` without `labels`; every number a
     `%.4f` field takes is fixed-point with four decimals, no exponent and no
     negative zero.
 
-    Raises CodegenError for the first non-finite number in row order, before
-    any text is made.
+    Raises CodegenError for the first non-finite number in row order.
     """
     bad = ~np.isfinite(numbers)
     if bad.any():
         value = float(numbers.flat[bad.argmax()])
         raise CodegenError(f"cannot write non-finite number {value}")
-    # a generator runs nothing until it is read, so the check above is eager
-    return _fixed_point_blocks(row_template, numbers, labels)
-
-
-def _fixed_point_blocks(row_template, numbers, labels) -> Iterator[str]:
     width = numbers.shape[1] + (labels is not None)
+    blocks = []
     for lo in range(0, len(numbers), _BLOCK_ROWS):
         block = numbers[lo : lo + _BLOCK_ROWS]
         # a number that reads zero is written as 0.0, so never as -0.0000
@@ -218,12 +213,8 @@ def _fixed_point_blocks(row_template, numbers, labels) -> Iterator[str]:
             args[0::width] = labels[lo : lo + _BLOCK_ROWS]
             for j in range(1, width):
                 args[j::width] = block[:, j - 1].tolist()
-        yield row_template * len(block) % tuple(args)
-
-
-def fmt_num(value: float) -> str:
-    """One number as `fixed_point` writes it."""
-    return "".join(fixed_point("%.4f", np.array([[value]])))
+        blocks.append(row_template * len(block) % tuple(args))
+    return blocks
 
 
 def lower(path: PlannedPath) -> RobotProgram:
@@ -254,26 +245,44 @@ def lower(path: PlannedPath) -> RobotProgram:
 
 
 _TARGET_LINE = "TARGET %s = [%.4f, %.4f, %.4f], [%.4f, %.4f, %.4f, %.4f]\n"
+_NAME_LINES_RE = re.compile(rf"(?:{NAME}\n)*")
 
 
 def emit(program: RobotProgram) -> str:
     """Deterministic program text; identical programs emit identical bytes.
 
-    Raises CodegenError for a non-finite target number, and then for a move
-    speed that would be written as 0.0000.
+    Refuses, with CodegenError, what `load_program` would refuse, in this
+    order: a program or target name outside the name grammar, a non-finite
+    target number, a quaternion whose norm is off 1 by more than
+    NEAR_UNIT_TOL, and a move speed that would be written as 0.0000.
     """
+    # every name matches NAME exactly when the names, one per line, match
+    # NAME line by line and no name holds a line break
+    lines = "\n".join((program.name, *program.target_names)) + "\n"
+    if not _NAME_LINES_RE.fullmatch(lines) or lines.count("\n") != len(program.target_names) + 1:
+        if not NAME_RE.fullmatch(program.name):
+            raise CodegenError(f"program name {program.name!r} must match {NAME}")
+        bad = next(t for t in program.target_names if not NAME_RE.fullmatch(t))
+        raise CodegenError(f"target name {bad!r} must match {NAME}")
     names = np.array(program.target_names, dtype=object)
     last = np.cumsum(program.arities) - 1  # the last target of each move
     vias = np.where(program.arities == 2, names[last - 1] + " ", "")  # a MOVEC's via
     labels = (np.array(program.opcodes, dtype=object) + " " + vias + names[last]).tolist()
     targets = fixed_point(_TARGET_LINE, _target_table(program), program.target_names)
+    norms = quaternion_norms(program.orientations)
+    off = np.abs(norms - 1.0) > NEAR_UNIT_TOL
+    if off.any():
+        i = int(off.argmax())
+        raise CodegenError(
+            f"target {program.target_names[i]!r}: quaternion norm is {float(norms[i])!r}, not 1"
+        )
     slow = program.speeds < _READS_ZERO  # would read back as 0.0000, which load refuses
     if slow.any():
         raise CodegenError(
             f"speed {program.speeds[slow.argmax()]} mm/s would be written as 0.0000"
         )
     moves = fixed_point("%s SPEED %.4f\n", program.speeds.reshape(-1, 1), labels)
-    return "".join(chain([f"PROGRAM {program.name}\n"], targets, moves, ["END\n"]))
+    return "".join([f"PROGRAM {program.name}\n", *targets, *moves, "END\n"])
 
 
 def _target_table(program: RobotProgram) -> np.ndarray:

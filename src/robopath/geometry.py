@@ -166,20 +166,8 @@ class Quaternion:
         s = math.sin(half)
         return cls.unit(math.cos(half), a[0] * s, a[1] * s, a[2] * s)
 
-    def dot(self, other: "Quaternion") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
-
-
-def angle_between(a: Quaternion, b: Quaternion) -> float:
-    """Great-circle arc angle between two unit quaternions, in [0, pi/2].
-
-    Sign-insensitive (q and -q describe the same rotation).
-    """
-    d = min(1.0, abs(a.dot(b)))
-    return math.acos(d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,7 +77,7 @@ class TargetPose(ArrayRecord):
 
 
 @dataclass(frozen=True, eq=False)
-class PlannedPath:
+class PlannedPath(ArrayRecord):
     """Ordered poses of one path as columns: row i of `positions` (n, 3),
     `orientations` (n, 4; w, x, y, z in canonical sign), `kinds`, `speeds`,
     `interpolated` and `source_segments` (never decreasing) is pose i. The
@@ -180,7 +180,7 @@ def rebase(scene: Scene, base: str) -> Scene:
         # rotated box re-boxed as its enclosing axis-aligned hull
         workspace = Workspace(corners.min(axis=0), corners.max(axis=0))
 
-    return Scene(frames, tuple(paths), workspace, scene.units)
+    return Scene(frames, tuple(paths), workspace)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ class Frame:
 
 
 @dataclass(frozen=True, eq=False)
-class PathSegment:
+class PathSegment(ArrayRecord):
     """One curve of a path as a plain record, for scenes built in code and
     for `ScenePath.segments`."""
 
@@ -200,7 +200,6 @@ class Scene:
     frames: tuple[Frame, ...]
     paths: tuple[ScenePath, ...]
     workspace: Optional[Workspace] = None
-    units: str = "mm"
 
     def frame_map(self) -> dict[str, Frame]:
         return {f.name: f for f in self.frames}
@@ -490,8 +489,10 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
         starts, kinds = path.starts, path.kinds
         counts = np.diff(starts)
         # distance from each point to the next in file order: a segment's
-        # own steps, then the step across the join into the next segment
-        with np.errstate(over="ignore"):  # a step too long to square is inf, still far
+        # own steps, then the step across the join into the next segment; a
+        # step too long to square is inf, still far, and one from a
+        # non-finite point is inf or nan, neither close nor a gap
+        with np.errstate(over="ignore", invalid="ignore"):
             dist = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
         # the join into each segment, checked only where it and the segment
         # before it have points
@@ -502,12 +503,15 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
         # starts[j] up to, not including, the join step starts[j + 1] - 1
         n_close = np.concatenate([[0], np.cumsum(dist <= CHAIN_TOL)])
         first = np.minimum(starts[:-1], len(dist))  # a last segment with no points has no steps
+        n_bad = np.concatenate([[0], np.cumsum(~np.isfinite(path.points).all(axis=1))])
         # checks in diagnostic order, one entry per segment
         checks = (
             np.where(kinds == _SPLINE, counts < MIN_SPLINE_POINTS, counts != _EXACT_COUNT[kinds]),
+            n_bad[starts[1:]] > n_bad[starts[:-1]],
             n_close[np.maximum(starts[1:] - 1, first)] > n_close[first],
             np.array([tool not in names for tool in path.tool_frames], dtype=bool),
             ~(path.speeds > 0.0),
+            path.speeds == np.inf,
             gaps > CHAIN_TOL,
         )
         for j in np.flatnonzero(np.logical_or.reduce(checks)).tolist():
@@ -520,10 +524,12 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
             )
             messages = (
                 ("point_count", f"{at}: {needs} points, got {n}"),
+                ("non_finite_points", f"{at}: points have non-finite coordinates"),
                 ("coincident_points", f"{at}: consecutive points closer than {CHAIN_TOL} mm"),
                 ("unknown_tool_frame",
                  f"{at}: tool frame {path.tool_frames[j]!r} is not declared"),
                 ("bad_speed", f"{at}: speed must be positive, got {float(path.speeds[j])}"),
+                ("non_finite_speed", f"{at}: speed must be finite, got {float(path.speeds[j])}"),
                 ("chain_break", f"path {path.name!r}: segments {j - 1} and {j} do not chain "
                                 f"(gap {float(gaps[j]):.6g} mm)"),
             )
@@ -543,7 +549,7 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
 def serialize_scene(scene: Scene) -> str:
     """Render a scene back to its JSON form; parse_scene inverts this exactly."""
     doc = {
-        "units": scene.units,
+        "units": "mm",
         "frames": [
             {
                 "name": f.name,

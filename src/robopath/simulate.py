@@ -30,7 +30,6 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -176,20 +175,12 @@ def pi_step(state: PIController, error: float, dt: float) -> float:
 # evaluates that cell alone.
 _CENTERS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
-# Anti-diagonal rule table: output set index = clip(i + j - 2, 0, 4) for
-# error set i and error-rate set j, so e and de of opposite sign cancel.
-_RULE = tuple(tuple(min(4, max(0, i + j - 2)) for j in range(5)) for i in range(5))
-
-# Rules grouped into mirror pairs (i, j) <-> (4-i, 4-j); accumulating in pair
-# order keeps the defuzzified output exactly odd-symmetric. Each entry holds
-# both rules' set indices and output centers.
-_MIRROR_RULES = tuple(
-    (i, j, 4 - i, 4 - j, _CENTERS[_RULE[i][j]], _CENTERS[_RULE[4 - i][4 - j]])
-    for i in range(5)
-    for j in range(5)
-    if (i, j) < (4 - i, 4 - j)
-)
-
+# The rule table is anti-diagonal: rule (i, j), for error set i and
+# error-rate set j, outputs set clip(i + j - 2, 0, 4), so e and de of opposite
+# sign cancel. Rules are summed in mirror pairs (i, j) <-> (4 - i, 4 - j),
+# each pair keyed by its smaller member, which comes first; accumulating in
+# pair order keeps the defuzzified output exactly odd-symmetric.
+#
 # _CELLS[ke][kd]: the cell's non-center rules as (weight index 2a + b of rule
 # (ke + a, kd + b), output center) in the order of their mirror pairs, and the
 # weight index of the center rule (2, 2), or None outside the cell. Summing
@@ -199,13 +190,9 @@ _MIRROR_RULES = tuple(
 # bits unchanged (both start at +0.0 and are never -0.0).
 def _cell(ke: int, kd: int) -> tuple[tuple[tuple[int, float], ...], Optional[int]]:
     live = {(ke + a, kd + b): 2 * a + b for a in (0, 1) for b in (0, 1)}
-    rules = [
-        (live[rule], c)
-        for i, j, mi, mj, c1, c2 in _MIRROR_RULES
-        for rule, c in (((i, j), c1), ((mi, mj), c2))
-        if rule in live
-    ]
-    return tuple(rules), live.get((2, 2))
+    pairs = sorted((min((i, j), (4 - i, 4 - j)), (i, j)) for i, j in live if (i, j) != (2, 2))
+    rules = tuple((live[i, j], _CENTERS[min(4, max(0, i + j - 2))]) for _, (i, j) in pairs)
+    return rules, live.get((2, 2))
 
 
 _CELLS = tuple(tuple(_cell(ke, kd) for kd in range(4)) for ke in range(4))
@@ -296,11 +283,11 @@ class SimTrace(ArrayRecord):
         on the last row of an aborted run."""
         numbers = ",".join(["%.4f"] * len(self.columns))
         ok = len(self.data) - self.aborted
-        return "".join(chain(
-            [",".join(self.columns + ("status",)) + "\n"],
-            fixed_point(numbers + ",OK\n", self.data[:ok]),
-            fixed_point(numbers + ",ABORTED\n", self.data[ok:]),
-        ))
+        return "".join([
+            ",".join(self.columns + ("status",)) + "\n",
+            *fixed_point(numbers + ",OK\n", self.data[:ok]),
+            *fixed_point(numbers + ",ABORTED\n", self.data[ok:]),
+        ])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,13 @@ def rodrigues(axis, angle):
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
 
 
+def angle_between(a, b):
+    """Great-circle arc angle between two unit Quaternions, in [0, pi/2],
+    sign-insensitive; built independently of the package."""
+    dot = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
+    return math.acos(min(1.0, abs(dot)))
+
+
 @st.composite
 def axes(draw):
     v = np.array([draw(finite(-1, 1)) for _ in range(3)])

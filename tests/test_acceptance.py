@@ -10,13 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, plan_of, random_transform
+from conftest import FIXTURES, angle_between, plan_of, random_transform
 from robopath.cli import main as cli_main
 from robopath.codegen import emit, load_program, lower
 from robopath.geometry import (
     Quaternion,
     Transform,
-    angle_between,
     apply,
     compose,
     invert,

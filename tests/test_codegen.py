@@ -1,4 +1,5 @@
 
+import dataclasses
 import math
 import re
 from collections.abc import Mapping
@@ -21,14 +22,14 @@ from robopath.codegen import (
     ProgramParseError,
     RobotProgram,
     emit,
-    fmt_num,
+    fixed_point,
     load_program,
     lower,
     workspace_lint,
 )
-from robopath.geometry import Quaternion, rotation_to_quaternion
+from robopath.geometry import NEAR_UNIT_TOL, Quaternion, rotation_to_quaternion
 from robopath.planner import MotionKind, TargetPose
-from robopath.scene import Workspace
+from robopath.scene import NAME, NAME_RE, Workspace
 from robopath.simulate import (
     FORCE_COLUMNS,
     SEAM_COLUMNS,
@@ -175,6 +176,11 @@ def test_emit_layout_and_determinism():
     assert "MOVEJ t1 SPEED 12.5000" in lines
 
 
+def fmt_num(value):
+    """One number as `fixed_point` writes it."""
+    return "".join(fixed_point("%.4f", np.array([[value]])))
+
+
 def test_fmt_num_no_negative_zero_and_fixed_point():
     assert fmt_num(-1e-9) == "0.0000"
     assert fmt_num(1234.56789) == "1234.5679"
@@ -208,7 +214,13 @@ _REFERENCE_FLIPPED_RE = re.compile(r"0\.0000, (?:0\.0000, )*-")
 
 def reference_emit(program):
     """The per-line emit the table one replaced: one formatter call per
-    number, and the reload sign decided from each quaternion's text."""
+    number, and the reload sign decided from each quaternion's text; a name
+    or quaternion norm the loader refuses is refused per name and per row."""
+    if not NAME_RE.fullmatch(program.name):
+        raise CodegenError(f"program name {program.name!r} must match {NAME}")
+    for name in program.target_names:
+        if not NAME_RE.fullmatch(name):
+            raise CodegenError(f"target name {name!r} must match {NAME}")
 
     def quaternion(w, x, y, z):
         text = ", ".join(map(reference_fmt_num, (w, x, y, z)))
@@ -221,6 +233,10 @@ def reference_emit(program):
         f"[{quaternion(*q.tolist())}]\n"
         for name, p, q in zip(program.target_names, program.positions, program.orientations)
     )
+    for name, (w, x, y, z) in zip(program.target_names, program.orientations.tolist()):
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        if abs(norm - 1.0) > NEAR_UNIT_TOL:
+            raise CodegenError(f"target {name!r}: quaternion norm is {norm!r}, not 1")
     moves = ""
     for ins in program.instructions:
         speed = reference_fmt_num(ins.speed)
@@ -271,12 +287,20 @@ def table_numbers(large=1e17):
 
 @st.composite
 def quaternion_rows(draw):
-    """(w, x, y, z), often with w reading zero and a negative x, y or z."""
-    if draw(st.booleans()):
-        w = draw(st.sampled_from([v for v in _EDGES if abs(v) < 5e-5]))
-        rest = st.one_of(st.sampled_from(_EDGES), st.sampled_from([-0.6, -0.8, 0.6, -1.0]))
-        return [w] + [draw(rest) for _ in range(3)]
-    return [draw(table_numbers()) for _ in range(4)]
+    """(w, x, y, z): mostly unit rows, often with w reading zero and a
+    negative x, y or z; at times any numbers, which are rarely near unit
+    norm."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return [draw(table_numbers()) for _ in range(4)]
+    if kind < 4:
+        return (draw(st.sampled_from([1.0, -1.0])) * draw(quaternions()).as_array()).tolist()
+    w = draw(st.sampled_from([v for v in _EDGES if abs(v) < 5e-5]))
+    xyz = [draw(st.sampled_from(_EDGES)) for _ in range(3)]
+    big = draw(st.sampled_from([(-1.0,), (1.0,), (-0.6, -0.8), (0.6, -0.8), (-0.8, 0.6)]))
+    for k, v in zip(draw(st.permutations(range(3))), big):
+        xyz[k] = v
+    return [w] + xyz
 
 
 @st.composite
@@ -305,10 +329,14 @@ def table_programs(draw):
 
 @settings(max_examples=200)
 @given(table_programs())
-@example(RobotProgram("p", ("t1",), [[0.0, -1e-17, 5e-5]], [[-1e-17, -0.0, _BELOW, -0.8]],
+@example(RobotProgram("p", ("t1",), [[0.0, -1e-17, 5e-5]], [[-1e-17, -0.0, _BELOW, -1.0]],
                       (Opcode.MOVEJ,), [1e-9]))
-@example(RobotProgram("p", ("t1",), [[0.0, -1e-17, 5e-5]], [[-1e-17, -0.0, _BELOW, -0.8]],
+@example(RobotProgram("p", ("t1",), [[0.0, -1e-17, 5e-5]], [[-1e-17, -0.0, _BELOW, -1.0]],
                       (Opcode.MOVEJ,), [5e-5]))
+@example(RobotProgram("p", ("t1",), [[0.0, 0.0, 0.0]], [[2.0, 0.0, 0.0, 0.0]],
+                      (Opcode.MOVEJ,), [1e-9]))
+@example(RobotProgram("a b", ("t1",), [[math.nan, 0.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]],
+                      (Opcode.MOVEJ,), [1.0]))
 @example(RobotProgram("p", ("t1",), [[1.0, 2.0, 3.0]], [[1e-17, -0.6, math.inf, 0.0]],
                       (Opcode.MOVEJ,), [1.0]))
 @example(RobotProgram("p", ("t1",), [[1.0, 2.0, 3.0]], [[0.0, -math.inf, 0.5, 0.0]],
@@ -819,3 +847,62 @@ def test_load_rejects_names_outside_the_ascii_grammar(old, new, line):
         else "malformed TARGET statement"
     )
     assert str(err.value) == f"line {line}: {expected}"
+
+
+@pytest.mark.parametrize(
+    "name, target, quat, message",
+    [
+        ("a b", "t1", (1.0, 0.0, 0.0, 0.0), "program name 'a b' must match [A-Za-z_][A-Za-z0-9_]*"),
+        ("p", "t 1", (1.0, 0.0, 0.0, 0.0), "target name 't 1' must match [A-Za-z_][A-Za-z0-9_]*"),
+        ("p", "t\n1", (1.0, 0.0, 0.0, 0.0),
+         "target name 't\\n1' must match [A-Za-z_][A-Za-z0-9_]*"),
+        ("p", "t1", (2.0, 0.0, 0.0, 0.0), "target 't1': quaternion norm is 2.0, not 1"),
+        ("p", "t1", (0.0, 0.0, 0.0, 0.0), "target 't1': quaternion norm is 0.0, not 1"),
+    ],
+    ids=["program_name", "target_name", "line_break", "norm_2", "norm_0"],
+)
+def test_emit_refuses_what_load_refuses(name, target, quat, message):
+    program = RobotProgram(name, (target,), [[0.0, 0.0, 0.0]], [quat], (Opcode.MOVEJ,), [1.0])
+    with pytest.raises(CodegenError) as err:
+        emit(program)
+    assert str(err.value) == message
+
+
+def test_emit_reports_a_bad_name_before_a_bad_number():
+    program = RobotProgram("p", ("t1", "t 2"), [[0.0, 0.0, math.inf], [0.0, 0.0, 0.0]],
+                           [[2.0, 0.0, 0.0, 0.0]] * 2, (Opcode.MOVEJ, Opcode.MOVEL), [1e-9] * 2)
+    with pytest.raises(CodegenError, match="^target name 't 2'"):
+        emit(program)
+    program = dataclasses.replace(program, target_names=("t1", "t2"))
+    with pytest.raises(CodegenError, match="^cannot write non-finite number inf$"):
+        emit(program)
+    program = dataclasses.replace(program, positions=np.zeros((2, 3)))
+    with pytest.raises(CodegenError, match="^target 't1': quaternion norm is 2.0, not 1$"):
+        emit(program)
+
+
+_NAMES = st.from_regex(r"\A[A-Za-z_][A-Za-z0-9_]{0,3}\Z")
+
+
+@st.composite
+def any_programs(draw):
+    """A table program under names in the grammar, one of them at times
+    replaced by any text."""
+    program = draw(table_programs())
+    names = [draw(_NAMES)] + draw(st.lists(_NAMES, min_size=len(program.target_names),
+                                            max_size=len(program.target_names), unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.text(max_size=4))
+    if len(set(names[1:])) < len(names) - 1:  # the replacement took a target's name
+        names[1:] = [f"t{k + 1}" for k in range(len(names) - 1)]
+    return dataclasses.replace(program, name=names[0], target_names=tuple(names[1:]))
+
+
+@settings(max_examples=300)
+@given(any_programs())
+def test_emit_writes_only_text_that_loads(program):
+    try:
+        text = emit(program)
+    except CodegenError:
+        return
+    load_program(text)

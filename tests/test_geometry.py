@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import finite, quaternions, reference_slerp, rodrigues, transforms
+from conftest import (
+    angle_between,
+    finite,
+    quaternions,
+    reference_slerp,
+    rodrigues,
+    transforms,
+)
 from robopath.geometry import (
     GeometryError,
     Quaternion,
     Transform,
-    angle_between,
     apply,
     compose,
     invert,

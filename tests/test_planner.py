@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import FIXTURES, finite, plan_of, random_transform, reference_slerp, rodrigues
+from conftest import (
+    FIXTURES,
+    angle_between,
+    finite,
+    plan_of,
+    random_transform,
+    reference_slerp,
+    rodrigues,
+)
 from robopath import planner
 from robopath.geometry import (
     Quaternion,
     Transform,
-    angle_between,
     apply,
     quaternion_to_rotation,
     rotation_to_quaternion,
@@ -304,7 +311,7 @@ def test_sections_equidistant_collinear_and_monotone():
         np.testing.assert_allclose(out.poses[-1].position, pts[-1], atol=0)
 
         # orientation angle grows linearly with cumulative arc length
-        theta = math.acos(abs(Quaternion.identity().dot(q_exit)))
+        theta = angle_between(Quaternion.identity(), q_exit)
         walked = 0.0
         idx = 1
         for s in range(len(pts) - 1):

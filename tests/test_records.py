@@ -2,7 +2,9 @@
 
 The `reference_*_eq` functions are the `__eq__` methods that Transform,
 Workspace, ScenePath, TargetPose and RobotProgram each wrote out before they
-shared `geometry.ArrayRecord`. The property checks that `==` and `!=` agree
+shared `geometry.ArrayRecord`, and the same field-by-field equality written
+out for PathSegment and PlannedPath, which compared by identity before they
+took ArrayRecord's. The property checks that `==` and `!=` agree
 with them on pairs of records that are equal or differ in one field. The
 row tests check the `RowView` behind `ScenePath.segments`,
 `PlannedPath.poses` and `RobotProgram.targets` against rows built one by one.
@@ -17,11 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import finite, plan_of, quaternions, transforms
+from conftest import FIXTURES, finite, plan_of, quaternions, transforms
 from robopath.codegen import Opcode, RobotProgram, lower
 from robopath.geometry import Quaternion, RowView, Transform
-from robopath.planner import MotionKind, TargetPose
-from robopath.scene import PathSegment, ScenePath, SegmentKind, Workspace
+from robopath.planner import MotionKind, PlannedPath, TargetPose, assign_orientations
+from robopath.scene import PathSegment, ScenePath, SegmentKind, Workspace, parse_scene
 
 
 def reference_transform_eq(self, other):
@@ -44,6 +46,25 @@ def reference_scene_path_eq(self, other):
     columns = ("points", "starts", "kinds", "speeds")
     return (self.name, self.tool_frames, self.risk) == (
         other.name, other.tool_frames, other.risk
+    ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
+
+
+def reference_path_segment_eq(self, other):
+    if not isinstance(other, PathSegment):
+        return NotImplemented
+    return (
+        (self.kind, self.tool_frame, self.risk) == (other.kind, other.tool_frame, other.risk)
+        and np.array_equal(self.points, other.points)
+        and self.speed == other.speed
+    )
+
+
+def reference_planned_path_eq(self, other):
+    if not isinstance(other, PlannedPath):
+        return NotImplemented
+    columns = ("positions", "orientations", "speeds", "interpolated", "source_segments")
+    return (self.name, self.kinds, self.segment_risk) == (
+        other.name, other.kinds, other.segment_risk
     ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
 
 
@@ -72,6 +93,8 @@ REFERENCE_EQ = {
     Transform: reference_transform_eq,
     Workspace: reference_workspace_eq,
     ScenePath: reference_scene_path_eq,
+    PathSegment: reference_path_segment_eq,
+    PlannedPath: reference_planned_path_eq,
     TargetPose: reference_target_pose_eq,
     RobotProgram: reference_program_eq,
 }
@@ -93,17 +116,19 @@ def workspaces(draw):
 
 
 @st.composite
+def path_segments(draw):
+    return PathSegment(
+        draw(st.sampled_from(SegmentKind)),
+        np.array(draw(points(draw(st.integers(0, 4))))).reshape(-1, 3),
+        draw(st.sampled_from(["B", "C"])),
+        draw(st.booleans()),
+        draw(finite(0.1, 50)),
+    )
+
+
+@st.composite
 def scene_paths(draw):
-    segments = [
-        PathSegment(
-            kind,
-            np.array(draw(points(draw(st.integers(0, 4))))).reshape(-1, 3),
-            draw(st.sampled_from(["B", "C"])),
-            draw(st.booleans()),
-            draw(finite(0.1, 50)),
-        )
-        for kind in draw(st.lists(st.sampled_from(SegmentKind), max_size=3))
-    ]
+    segments = draw(st.lists(path_segments(), max_size=3))
     return ScenePath.from_segments(draw(st.sampled_from(["p", "q"])), segments)
 
 
@@ -115,6 +140,23 @@ def target_poses(draw):
         draw(st.sampled_from(MotionKind)),
         draw(finite(0.1, 50)),
         draw(st.booleans()),
+    )
+
+
+@st.composite
+def planned_paths(draw):
+    n = draw(st.integers(1, 4))
+    # points 1000 mm apart, so that no two consecutive poses are identical
+    positions = np.array(draw(points(n))) + 1000.0 * np.arange(n)[:, None]
+    return PlannedPath(
+        draw(st.sampled_from(["p", "q"])),
+        positions,
+        np.array([draw(quaternions()).as_array() for _ in range(n)]),
+        tuple(draw(st.sampled_from(MotionKind)) for _ in range(n)),
+        np.array([draw(finite(0.1, 50)) for _ in range(n)]),
+        np.array([draw(st.booleans()) for _ in range(n)]),
+        np.arange(n),
+        tuple(draw(st.booleans()) for _ in range(n)),
     )
 
 
@@ -133,7 +175,8 @@ def programs(draw):
 
 
 def records():
-    return st.one_of(transforms(), workspaces(), scene_paths(), target_poses(), programs())
+    return st.one_of(transforms(), workspaces(), scene_paths(), path_segments(),
+                     planned_paths(), target_poses(), programs())
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +269,14 @@ def test_records_stay_unhashable(record):
         hash(record)
 
 
-def test_planned_paths_and_segments_keep_identity_equality():
-    segment = PathSegment(SegmentKind.LINE, np.zeros((2, 3)), "B", False, 1.0)
+def test_planned_paths_and_segments_compare_by_value():
+    text = (FIXTURES / "butt_joint.scene.json").read_text()
+    first, second = parse_scene(text), parse_scene(text)
+    assert first.paths[0].segments[0] == second.paths[0].segments[0]
+    assert first.paths[0].segments[0] != first.paths[0].segments[1]
+    assert assign_orientations(first) == assign_orientations(second)
     path = plan_of("p", [origin_pose()], (0,), (False,))
-    for record in (segment, path):
-        assert record == record and record != copy.copy(record)
-        hash(record)
+    assert path == copy.copy(path) and path != dataclasses.replace(path, name="q")
 
 
 # ---------------------------------------------------------------------------

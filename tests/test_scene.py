@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -352,6 +353,7 @@ def test_repeated_path_name_is_diagnosed():
     ]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite point gives inf or nan steps
 def reference_validate_chain(scene):
     """validate_chain with two norm calls per segment: the reference the
     one-pass version must match diagnostic for diagnostic."""
@@ -395,6 +397,15 @@ def reference_validate_chain(scene):
                         j,
                     )
                 )
+            if not np.isfinite(seg.points).all():
+                out.append(
+                    Diagnostic(
+                        "non_finite_points",
+                        f"path {path.name!r} segment {j}: points have non-finite coordinates",
+                        path.name,
+                        j,
+                    )
+                )
             gaps = np.linalg.norm(np.diff(seg.points, axis=0), axis=1)
             if np.any(gaps <= CHAIN_TOL):
                 out.append(
@@ -422,6 +433,15 @@ def reference_validate_chain(scene):
                         "bad_speed",
                         f"path {path.name!r} segment {j}: speed must be positive, "
                         f"got {seg.speed}",
+                        path.name,
+                        j,
+                    )
+                )
+            if seg.speed == math.inf:
+                out.append(
+                    Diagnostic(
+                        "non_finite_speed",
+                        f"path {path.name!r} segment {j}: speed must be finite, got inf",
                         path.name,
                         j,
                     )
@@ -493,17 +513,48 @@ def code_built_paths(draw):
     return frames, paths
 
 
-def code_built_scenes():
-    return code_built_paths().map(
-        lambda built: Scene(
-            built[0], tuple(ScenePath.from_segments(name, segs) for name, segs in built[1])
-        )
-    )
+@st.composite
+def code_built_scenes(draw):
+    """Scenes of code_built_paths, at times with a non-finite coordinate or
+    an infinite speed in some segment."""
+    frames, paths = draw(code_built_paths())
+    segments = [(i, j) for i, (_, segs) in enumerate(paths) for j in range(len(segs))]
+    for _ in range(draw(st.integers(0, 2)) if segments else 0):
+        i, j = draw(st.sampled_from(segments))
+        name, segs = paths[i]
+        seg = segs[j]
+        if draw(st.booleans()):
+            points = seg.points.copy()
+            points[draw(st.integers(0, len(points) - 1)), draw(st.integers(0, 2))] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+            seg = dataclasses.replace(seg, points=points)
+        else:
+            seg = dataclasses.replace(seg, speed=draw(st.sampled_from([math.inf, -math.inf])))
+        paths[i] = (name, segs[:j] + (seg,) + segs[j + 1:])
+    return Scene(frames, tuple(ScenePath.from_segments(name, segs) for name, segs in paths))
 
 
 @given(code_built_scenes())
 def test_validate_chain_matches_per_segment_reference(scene):
     assert validate_chain(scene) == reference_validate_chain(scene)
+
+
+@pytest.mark.parametrize(
+    "point, speed, message",
+    [
+        ((math.nan, 0.0, 0.0), 5.0, "points have non-finite coordinates"),
+        ((0.0, -math.inf, 0.0), 5.0, "points have non-finite coordinates"),
+        ((1.0, 0.0, 0.0), math.inf, "speed must be finite, got inf"),
+    ],
+    ids=["nan_point", "inf_point", "inf_speed"],
+)
+def test_validate_chain_refuses_what_a_file_cannot_hold(point, speed, message):
+    """parse_scene refuses these numbers in a file; a scene built in code
+    gets a diagnostic for them instead."""
+    segment = PathSegment(SegmentKind.LINE, np.array([(0.0, 0.0, 0.0), point]), "B", False, speed)
+    scene = Scene((Frame("B", Transform.identity()),),
+                  (ScenePath.from_segments("p", [segment]),))
+    assert [d.message for d in validate_chain(scene)] == [f"path 'p' segment 0: {message}"]
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +578,15 @@ def test_serialize_parse_round_trip_exact():
     assert again.frames == scene.frames
     assert again.paths == scene.paths
     assert again.workspace == scene.workspace
-    assert again.units == scene.units
+    assert json.loads(serialize_scene(scene))["units"] == "mm"
+
+
+def test_a_scene_has_no_unit_but_mm():
+    """Only "mm" parses, so a scene holds no unit that serialize_scene could
+    write and parse_scene then refuse."""
+    scene = parse_scene(json.dumps(doc()))
+    with pytest.raises(TypeError):
+        dataclasses.replace(scene, units="in")
 
 
 def test_parse_preserves_declaration_order():

@@ -171,7 +171,7 @@ def reference_rebase(scene, base):
             corners = corners @ rot_t + origin
         workspace = Workspace(corners.min(axis=0), corners.max(axis=0))
 
-    return Scene(frames, tuple(paths), workspace, scene.units)
+    return Scene(frames, tuple(paths), workspace)
 
 
 _END_KIND = {

@@ -29,8 +29,8 @@ from robopath.simulate import (
     SeamConfig,
     SimTrace,
     SimulationError,
+    _CELLS,
     _CENTERS,
-    _RULE,
     _PathProfile,
     _path_frames,
     _Polyline,
@@ -612,12 +612,35 @@ def reference_memberships(v):
     return [max(0.0, 1.0 - abs(v - c) * 2.0) for c in _CENTERS]
 
 
+# The anti-diagonal rule table: output set clip(i + j - 2, 0, 4) for error
+# set i and error-rate set j.
+REFERENCE_RULE = tuple(tuple(min(4, max(0, i + j - 2)) for j in range(5)) for i in range(5))
+
+# The rules grouped into mirror pairs (i, j) <-> (4 - i, 4 - j), in table
+# order, each entry holding both rules' set indices and output centers.
 REFERENCE_MIRROR_RULES = tuple(
-    (i, j, 4 - i, 4 - j, _CENTERS[_RULE[i][j]], _CENTERS[_RULE[4 - i][4 - j]])
+    (i, j, 4 - i, 4 - j, _CENTERS[REFERENCE_RULE[i][j]], _CENTERS[REFERENCE_RULE[4 - i][4 - j]])
     for i in range(5)
     for j in range(5)
     if (i, j) < (4 - i, 4 - j)
 )
+
+
+def reference_cell(ke, kd):
+    """A cell of `_CELLS` built from the mirror pairs: its live non-center
+    rules in pair order, and the weight index of the center rule."""
+    live = {(ke + a, kd + b): 2 * a + b for a in (0, 1) for b in (0, 1)}
+    rules = [
+        (live[rule], c)
+        for i, j, mi, mj, c1, c2 in REFERENCE_MIRROR_RULES
+        for rule, c in (((i, j), c1), ((mi, mj), c2))
+        if rule in live
+    ]
+    return tuple(rules), live.get((2, 2))
+
+
+def test_cells_match_the_mirror_pair_table():
+    assert _CELLS == tuple(tuple(reference_cell(ke, kd) for kd in range(4)) for ke in range(4))
 
 
 def reference_fuzzy_increment(e, de):
