@@ -258,12 +258,12 @@ def emit(program: RobotProgram) -> str:
     """
     # every name matches NAME exactly when the names, one per line, match
     # NAME line by line and no name holds a line break
-    lines = "\n".join((program.name, *program.target_names)) + "\n"
-    if not _NAME_LINES_RE.fullmatch(lines) or lines.count("\n") != len(program.target_names) + 1:
-        if not NAME_RE.fullmatch(program.name):
-            raise CodegenError(f"program name {program.name!r} must match {NAME}")
-        bad = next(t for t in program.target_names if not NAME_RE.fullmatch(t))
-        raise CodegenError(f"target name {bad!r} must match {NAME}")
+    all_names = (program.name, *program.target_names)
+    lines = "\n".join(all_names) + "\n"
+    if not _NAME_LINES_RE.fullmatch(lines) or lines.count("\n") != len(all_names):
+        i = next(i for i, name in enumerate(all_names) if not NAME_RE.fullmatch(name))
+        kind = "target" if i else "program"
+        raise CodegenError(f"{kind} name {all_names[i]!r} must match {NAME}")
     names = np.array(program.target_names, dtype=object)
     last = np.cumsum(program.arities) - 1  # the last target of each move
     vias = np.where(program.arities == 2, names[last - 1] + " ", "")  # a MOVEC's via
