@@ -852,10 +852,9 @@ def test_load_rejects_names_outside_the_ascii_grammar(old, new, line):
 @pytest.mark.parametrize(
     "name, target, quat, message",
     [
-        ("a b", "t1", (1.0, 0.0, 0.0, 0.0), "program name 'a b' must match [A-Za-z_][A-Za-z0-9_]*"),
+        ("a b", "t1", (1.0, 0.0, 0.0, 0.0), f"program name 'a b' must match {NAME}"),
         ("p", "t 1", (1.0, 0.0, 0.0, 0.0), "target name 't 1' must match [A-Za-z_][A-Za-z0-9_]*"),
-        ("p", "t\n1", (1.0, 0.0, 0.0, 0.0),
-         "target name 't\\n1' must match [A-Za-z_][A-Za-z0-9_]*"),
+        ("p", "t\n1", (1.0, 0.0, 0.0, 0.0), f"target name 't\\n1' must match {NAME}"),
         ("p", "t1", (2.0, 0.0, 0.0, 0.0), "target 't1': quaternion norm is 2.0, not 1"),
         ("p", "t1", (0.0, 0.0, 0.0, 0.0), "target 't1': quaternion norm is 0.0, not 1"),
     ],
@@ -868,7 +867,7 @@ def test_emit_refuses_what_load_refuses(name, target, quat, message):
     assert str(err.value) == message
 
 
-def test_emit_reports_a_bad_name_before_a_bad_number():
+def test_emit_reports_names_then_numbers_then_norms_then_speeds():
     program = RobotProgram("p", ("t1", "t 2"), [[0.0, 0.0, math.inf], [0.0, 0.0, 0.0]],
                            [[2.0, 0.0, 0.0, 0.0]] * 2, (Opcode.MOVEJ, Opcode.MOVEL), [1e-9] * 2)
     with pytest.raises(CodegenError, match="^target name 't 2'"):
@@ -879,9 +878,12 @@ def test_emit_reports_a_bad_name_before_a_bad_number():
     program = dataclasses.replace(program, positions=np.zeros((2, 3)))
     with pytest.raises(CodegenError, match="^target 't1': quaternion norm is 2.0, not 1$"):
         emit(program)
+    program = dataclasses.replace(program, orientations=[[1.0, 0.0, 0.0, 0.0]] * 2)
+    with pytest.raises(CodegenError, match="^speed 1e-09 mm/s would be written as 0.0000$"):
+        emit(program)
 
 
-_NAMES = st.from_regex(r"\A[A-Za-z_][A-Za-z0-9_]{0,3}\Z")
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
 
 
 @st.composite
