@@ -1,0 +1,221 @@
+#!/usr/bin/env python3
+"""Compare what two revisions of robopath write for one fixed list of CLI
+invocations.
+
+    python3 scripts/compare_outputs.py OLD NEW [--workdir DIR]
+
+OLD and NEW are git revisions of this repository. Each is exported with
+`git archive` and runs the same invocations, in one Python process per
+revision, on the same input files:
+
+* compile of each fixture scene and of seeded serpentine scenes from the
+  NEW revision's `benchmarks/scenes.py` (imported, not run as a benchmark),
+  with the default `--interp-dt` and with others;
+* simulate of every compiled program under seam tracking, PI force and
+  fuzzy force control;
+* a few refused inputs (a bad scene, program or option);
+* both `scripts/run_*_experiment.py` of each revision.
+
+Programs, traces, manifests, stdout, stderr and exit codes are compared;
+the export directory is replaced by `<root>` in every output first. Each
+difference is printed with its first differing line. The exit code is 0
+whether or not outputs differ, and non-zero only when the comparison
+cannot run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Runs a JSON list of [name, argv] from stdin through robopath.cli.main in
+# this process and prints [name, exit code, stdout, stderr] for each; an
+# exception or a warning is recorded in stderr, not raised.
+RUNNER = r"""
+import contextlib, io, json, sys, traceback, warnings
+from robopath.cli import main
+results = []
+for name, argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                code = "traceback"
+                traceback.print_exc()
+    for w in caught:
+        err.write(f"warning: {w.category.__name__}: {w.message}\n")
+    results.append([name, code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.__stdout__)
+"""
+
+FIXTURE_SCENES = ("butt_joint", "profile", "straight_seam")
+# (segments, seed, segment length in mm) of each serpentine scene
+SERPENTINES = ((30, 1, 5.0), (30, 2, 5.0), (200, 1, 20.0), (2000, 1, 5.0))
+INTERP = ((), ("--interp-dt", "0.2"), ("--interp-dt", "0.5"))
+REPLAYS = {
+    "seam": ("--scenario", "seam", "--offset-y", "1", "--rot-z-deg", "0.05"),
+    "seam_r10": ("--scenario", "seam", "--rate", "10", "--offset-x", "0.5"),
+    "pi": ("--scenario", "force", "--offset-z", "1"),
+    "fuzzy": ("--scenario", "force", "--controller", "fuzzy", "--roughness", "0.05",
+              "--seed", "7", "--offset-z", "2"),
+}
+EXPERIMENTS = ("scripts/run_seam_experiment.py", "scripts/run_force_experiment.py")
+
+
+class CannotRun(Exception):
+    pass
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the tree of `rev` into dest with git archive."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], capture_output=True)
+    if archive.returncode != 0:
+        raise CannotRun(f"git archive {rev}: {archive.stderr.decode().strip()}")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
+    """Write the input files and return the invocation list; inputs are
+    absolute paths, outputs relative to the runner's directory."""
+    inputs.mkdir(parents=True)
+    scenes = {}
+    for name in FIXTURE_SCENES:
+        scenes[name] = inputs / f"{name}.scene.json"
+        shutil.copyfile(tree / "tests" / "fixtures" / f"{name}.scene.json", scenes[name])
+    spec = importlib.util.spec_from_file_location("scenes", tree / "benchmarks" / "scenes.py")
+    generator = sys.modules["scenes"] = importlib.util.module_from_spec(spec)  # for dataclass
+    spec.loader.exec_module(generator)
+    for segments, seed, seg_mm in SERPENTINES:
+        name = f"serp{segments}_s{seed}"
+        scenes[name] = inputs / f"{name}.scene.json"
+        scenes[name].write_text(generator.serpentine(segments, seed, seg_mm).text)
+
+    invocations = []
+    for scene, path in scenes.items():
+        for interp in INTERP:
+            program = f"{scene}{'_dt' + interp[1] if interp else ''}.prog"
+            invocations.append((program, ["compile", "--scene", str(path), "--base", "B",
+                                          *interp, "--out", program]))
+            for replay, options in REPLAYS.items():
+                trace = f"{program[:-5]}.{replay}.csv"
+                invocations.append((trace, ["simulate", "--program", program, *options,
+                                            "--out", trace]))
+
+    bad_scene = json.loads(scenes["straight_seam"].read_text())
+    bad_scene["workspace"] = {"min": [1.0, 0.0, 0.0], "max": [0.0, 1.0, 1.0]}
+    (inputs / "bad.scene.json").write_text(json.dumps(bad_scene))
+    (inputs / "bad.prog").write_text("PROGRAM p\nWOBBLE t1 SPEED 1.0\nEND\n")
+    fixture = "straight_seam.prog"
+    invocations += [
+        ("refused_base", ["compile", "--scene", str(scenes["butt_joint"]), "--base", "nope",
+                          "--out", "refused_base.prog"]),
+        ("refused_scene", ["compile", "--scene", str(inputs / "bad.scene.json"), "--base", "B",
+                           "--out", "refused_scene.prog"]),
+        ("refused_interp", ["compile", "--scene", str(scenes["butt_joint"]), "--base", "B",
+                            "--interp-dt", "0", "--out", "refused_interp.prog"]),
+        ("refused_program", ["simulate", "--program", str(inputs / "bad.prog"),
+                             "--scenario", "seam", "--out", "refused_program.csv"]),
+        ("refused_rate", ["simulate", "--program", fixture, "--scenario", "force",
+                          "--rate", "0", "--out", "refused_rate.csv"]),
+        ("refused_resolution", ["simulate", "--program", fixture, "--scenario", "seam",
+                                "--resolution", "1e-320", "--out", "refused_resolution.csv"]),
+        ("refused_usage", ["simulate", "--program", fixture, "--out", "refused_usage.csv"]),
+    ]
+    return invocations
+
+
+def run_revision(tree: Path, invocations) -> dict[str, bytes]:
+    """Every output of one revision, keyed by name, with `tree` replaced by
+    `<root>`."""
+    runs = tree / "_compare_runs"
+    runs.mkdir()
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"}
+    proc = subprocess.run([sys.executable, "-c", RUNNER], cwd=runs, env=env, capture_output=True,
+                          input=json.dumps(invocations).encode())
+    if proc.returncode != 0:
+        raise CannotRun(f"runner in {tree} failed:\n{proc.stderr.decode()}")
+    outputs = {}
+    for name, code, stdout, stderr in json.loads(proc.stdout):
+        outputs[f"{name} [exit]"] = str(code).encode()
+        outputs[f"{name} [stdout]"] = stdout.encode()
+        outputs[f"{name} [stderr]"] = stderr.encode()
+    for script in EXPERIMENTS:
+        proc = subprocess.run([sys.executable, script], cwd=tree, env=env, capture_output=True)
+        outputs[f"{script} [exit]"] = str(proc.returncode).encode()
+        outputs[f"{script} [stdout]"] = proc.stdout
+        outputs[f"{script} [stderr]"] = proc.stderr
+    files = [p for d in (runs, tree / "out") if d.is_dir() for p in sorted(d.rglob("*"))]
+    for path in files:
+        if path.is_file():
+            outputs[str(path.relative_to(tree))] = path.read_bytes()
+    root = str(tree).encode()
+    return {key: value.replace(root, b"<root>") for key, value in outputs.items()}
+
+
+def first_difference(old: bytes, new: bytes) -> str:
+    old_lines, new_lines = old.decode(errors="replace").split("\n"), new.decode(
+        errors="replace").split("\n")
+    for i, (a, b) in enumerate(zip(old_lines, new_lines)):
+        if a != b:
+            return f"line {i + 1}: old {a!r} new {b!r}"
+    return f"line count: old {len(old_lines)} new {len(new_lines)}"
+
+
+def compare(old: dict[str, bytes], new: dict[str, bytes]) -> int:
+    differing = 0
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new or key not in old:
+            print(f"only in {'old' if key in old else 'new'}: {key}")
+            differing += 1
+        elif old[key] != new[key]:
+            print(f"differs: {key}: {first_difference(old[key], new[key])}")
+            differing += 1
+    print(f"{len(old.keys() | new.keys()) - differing} outputs identical, {differing} differ")
+    return differing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", help="git revision to compare from")
+    parser.add_argument("new", help="git revision to compare to")
+    parser.add_argument("--workdir", type=Path,
+                        help="empty or new directory for the exports (default: a temporary one, "
+                             "removed afterwards)")
+    args = parser.parse_args(argv)
+    work = args.workdir or Path(tempfile.mkdtemp(prefix="compare_outputs_"))
+    try:
+        if work.exists() and any(work.iterdir()):
+            raise CannotRun(f"{work} is not empty")
+        trees = {side: work / side for side in ("old", "new")}
+        export(args.old, trees["old"])
+        export(args.new, trees["new"])
+        invocations = write_inputs(work / "inputs", trees["new"])
+        print(f"{len(invocations)} invocations and {len(EXPERIMENTS)} experiments per revision: "
+              f"{args.old} -> {args.new}")
+        outputs = {side: run_revision(tree, invocations) for side, tree in trees.items()}
+        compare(outputs["old"], outputs["new"])
+    except (CannotRun, subprocess.CalledProcessError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if args.workdir is None:
+            shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

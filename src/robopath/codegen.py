@@ -253,8 +253,8 @@ def emit(program: RobotProgram) -> str:
 
     Refuses, with CodegenError, what `load_program` would refuse, in this
     order: a program or target name outside the name grammar, a non-finite
-    target number, a quaternion whose norm is off 1 by more than
-    NEAR_UNIT_TOL, and a move speed that would be written as 0.0000.
+    target number, a quaternion whose norm as written is off 1 by more
+    than NEAR_UNIT_TOL, and a move speed that would be written as 0.0000.
     """
     # every name matches NAME exactly when the names, one per line, match
     # NAME line by line and no name holds a line break
@@ -269,13 +269,21 @@ def emit(program: RobotProgram) -> str:
     vias = np.where(program.arities == 2, names[last - 1] + " ", "")  # a MOVEC's via
     labels = (np.array(program.opcodes, dtype=object) + " " + vias + names[last]).tolist()
     targets = fixed_point(_TARGET_LINE, _target_table(program), program.target_names)
-    norms = quaternion_norms(program.orientations)
-    off = np.abs(norms - 1.0) > NEAR_UNIT_TOL
-    if off.any():
-        i = int(off.argmax())
-        raise CodegenError(
-            f"target {program.target_names[i]!r}: quaternion norm is {float(norms[i])!r}, not 1"
-        )
+    # load checks the norm as written. Writing moves each component by at
+    # most 5e-5 and so the norm by at most 1e-4 (neither the sign rule nor
+    # the reads-zero rule changes it), so a row within NEAR_UNIT_TOL - 2e-4
+    # of 1 is written within NEAR_UNIT_TOL with room for float error; only
+    # the other rows need their written values.
+    near = np.flatnonzero(np.abs(quaternion_norms(program.orientations) - 1.0)
+                          > NEAR_UNIT_TOL - 2e-4)
+    if near.size:
+        written = [[float("%.4f" % v) for v in q] for q in program.orientations[near].tolist()]
+        norms = quaternion_norms(written)
+        off = np.abs(norms - 1.0) > NEAR_UNIT_TOL
+        if off.any():
+            k = int(off.argmax())
+            raise CodegenError(f"target {program.target_names[near[k]]!r}: "
+                               f"quaternion norm is {float(norms[k])!r}, not 1")
     slow = program.speeds < _READS_ZERO  # would read back as 0.0000, which load refuses
     if slow.any():
         raise CodegenError(

@@ -324,12 +324,10 @@ def _rotation(value, where) -> np.ndarray:
             f"{where}: matrix is not a rotation (orthonormality deviation {err:.2e}, det {det:.4f})"
         )
     if err > ATOL:
-        # project rounded entries onto the nearest proper rotation
+        # project rounded entries onto the nearest rotation; det(m) > 0, so
+        # the nearest orthogonal matrix has determinant +1
         u, _, vt = np.linalg.svd(m)
         m = u @ vt
-        if np.linalg.det(m) < 0.0:
-            u[:, -1] = -u[:, -1]
-            m = u @ vt
     return m
 
 

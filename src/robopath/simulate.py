@@ -216,8 +216,8 @@ def _fuzzy_increment(e: float, de: float) -> float:
         num += w * c
     if center is not None:
         den += weights[center]  # self-mirrored center rule, output ZE
-    if den == 0.0:
-        return 0.0
+    # den > 0: max(e0, e1) and max(d0, d1) are at least 0.5, and so is the
+    # weight of the rule (ke or ke + 1, kd or kd + 1) that pairs the larger two
     return num / den
 
 
@@ -338,36 +338,27 @@ class _PathProfile:
         self.total_time = float(self.ends[-1])
         if not math.isfinite(self.total_time):
             raise SimulationError("program path has no finite total time")
-        # The rounding in `ends` and in a running remainder of `schedule`
-        # together stays below this bound times max(t, total_time).
+        # The rounding in `ends` stays below this bound times
+        # max(t, total_time), so a time this near a leg end counts as on it.
         self._tie_tol = 2.0 * len(self.ends) * sys.float_info.epsilon
 
     def schedule(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Leg index and nominal position at each of `times` (clamped).
 
-        A time's leg is the first whose running remainder
-        `t - d0 - ... - d(i-1)` is at most its duration d(i). A search over
-        the cumulative end times finds it unless t lies within rounding of a
-        leg boundary, where the running subtraction itself decides, one time
-        at a time, so the chosen leg (and with it the travel direction) does
-        not depend on summation order.
+        A time's leg is the first whose end time is at least t - tol, with
+        tol the rounding bound of the end times: a time within rounding of a
+        leg boundary counts as on it and takes the leg that ends there, so
+        the leg (and with it the travel direction) does not depend on the
+        order in which leg durations are summed.
         """
-        ends, durations = self.ends, self.durations
+        ends = self.ends
         n = len(ends)
-        legs = np.searchsorted(ends, times)  # ends[i - 1] < t <= ends[i]
-        remaining = times - np.where(legs > 0, ends[np.maximum(legs - 1, 0)], 0.0)
         tol = self._tie_tol * np.maximum(times, self.total_time)
-        tie = ((legs < n) & (ends[np.minimum(legs, n - 1)] - times <= tol)) | (
-            (legs > 0) & (remaining <= tol)
-        )
-        for k in np.flatnonzero(tie):
-            left = np.subtract.accumulate(np.concatenate(([times[k]], durations)))
-            hits = np.flatnonzero(left[:-1] <= durations)
-            legs[k] = hits[0] if hits.size else n
-            remaining[k] = left[legs[k]]
+        legs = np.searchsorted(ends, times - tol)  # ends[i - 1] < t - tol <= ends[i]
+        remaining = times - np.where(legs > 0, ends[np.maximum(legs - 1, 0)], 0.0)
         past = legs == n  # past the end: hold the last leg's end point
         legs[past] = n - 1
-        frac = np.minimum(1.0, remaining / durations[legs])
+        frac = np.minimum(1.0, remaining / self.durations[legs])
         frac[past] = 1.0
         along = self.lengths[legs] * frac
         return legs, self.starts[legs] + self.directions[legs] * along[:, None]

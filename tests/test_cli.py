@@ -128,6 +128,60 @@ def test_compile_scene_outside_the_grammar_exits_1(tmp_path, capsys, edit):
     assert not out.exists()
 
 
+def _first_frame(scene):
+    return scene["frames"][0]
+
+
+def _first_segment(scene):
+    return scene["paths"][0]["segments"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda s: s.update(workspace={"min": [1.0, 0.0, 0.0], "max": [0.0, 1.0, 1.0]}),
+            "workspace min exceeds max", id="workspace_min_above_max",
+        ),
+        pytest.param(lambda s: _first_frame(s).update(origin=[1.0, 2.0]),
+                     "frames[0].origin: expected [x, y, z]", id="origin_of_two"),
+        pytest.param(lambda s: _first_frame(s).update(origin="p"),
+                     "frames[0].origin: expected [x, y, z]", id="origin_text"),
+        pytest.param(lambda s: _first_segment(s).update(points=[[1.0, 2.0], [3.0, 4.0, 5.0]]),
+                     "paths[0].segments[0].points[0]: expected [x, y, z]", id="point_of_two"),
+        pytest.param(lambda s: _first_segment(s).update(points=[[1.0, 2.0, 3.0], "p"]),
+                     "paths[0].segments[0].points[1]: expected [x, y, z]", id="point_text"),
+        pytest.param(lambda s: _first_frame(s).update(rotation={"quat": [1.0, 0.0, 0.0]}),
+                     "frames[0].rotation: quat must be [w, x, y, z]", id="quat_of_three"),
+        pytest.param(
+            lambda s: _first_frame(s).update(rotation={"quat": [0.0, 0.0, 0.0, 0.0]}),
+            "frames[0].rotation: cannot normalize quaternion (0.0, 0.0, 0.0, 0.0)",
+            id="quat_zero",
+        ),
+        pytest.param(
+            lambda s: _first_frame(s).update(rotation="x"),
+            "frames[0].rotation: rotation must be a 3x3 matrix or a quat object",
+            id="rotation_text",
+        ),
+        pytest.param(lambda s: s.update(frames={}), "frames: expected a list", id="frames_object"),
+        pytest.param(lambda s: s.update(paths={}), "paths: expected a list", id="paths_object"),
+        pytest.param(lambda s: s["paths"][0].update(segments={}),
+                     "paths[0].segments: expected a list", id="segments_object"),
+        pytest.param(lambda s: _first_segment(s).update(risk=1),
+                     "paths[0].segments[0].risk: expected true/false", id="risk_number"),
+    ],
+)
+def test_compile_refuses_a_malformed_scene_field(tmp_path, capsys, edit, message):
+    scene = json.loads((FIXTURES / "butt_joint.scene.json").read_text())
+    edit(scene)
+    scene_file = tmp_path / "bad.json"
+    scene_file.write_text(json.dumps(scene))
+    out = tmp_path / "bad.prog"
+    code, stdout, err = run(capsys, *compile_args(scene_file, out))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_compile_strict_workspace_violation_exits_2(tmp_path, capsys):
     scene = json.loads((FIXTURES / "straight_seam.scene.json").read_text())
     scene["workspace"] = {"min": [0.0, 0.0, 0.0], "max": [50.0, 50.0, 50.0]}
@@ -485,6 +539,35 @@ def test_simulate_refuses_overflowing_replay_arithmetic(
     )
     assert code == 1
     assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, option, message",
+    [
+        ("seam", ("--rate", "0"), "rate and resolution must be > 0"),
+        ("seam", ("--resolution", "0"), "rate and resolution must be > 0"),
+        ("seam", ("--gain-y", "-1"), "gains must be >= 0"),
+        ("force", ("--rate", "0"), "rate must be > 0"),
+        ("force", ("--setpoint", "0"), "force setpoint must be > 0"),
+        ("force", ("--kp", "-1"), "controller gains and scales must be >= 0"),
+        ("force", ("--roughness", "-1"), "roughness amplitude must be >= 0"),
+        ("force", ("--stiffness", "0"), "surface stiffness must be > 0"),
+    ],
+    ids=["seam_rate_0", "seam_resolution_0", "seam_gain_y_-1", "force_rate_0",
+         "force_setpoint_0", "force_kp_-1", "force_roughness_-1", "force_stiffness_0"],
+)
+def test_simulate_refuses_an_out_of_range_option(tmp_path, capsys, scenario, option, message):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(
+        capsys,
+        "simulate",
+        "--program", str(FIXTURES / "straight_seam.prog"),
+        "--scenario", scenario,
+        *option,
+        "--out", str(out),
+    )
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import finite, plan_of, quaternions, random_rotation
+from conftest import FIXTURES, finite, plan_of, quaternions, random_rotation
 from robopath.codegen import (
     _NUMBER_RE,
     _OPCODE_KINDS,
@@ -212,10 +212,12 @@ def reference_fmt_num(value):
 _REFERENCE_FLIPPED_RE = re.compile(r"0\.0000, (?:0\.0000, )*-")
 
 
-def reference_emit(program):
+def reference_emit(program, refuse_norms=True):
     """The per-line emit the table one replaced: one formatter call per
     number, and the reload sign decided from each quaternion's text; a name
-    or quaternion norm the loader refuses is refused per name and per row."""
+    or quaternion norm the loader refuses is refused per name and per row,
+    the norm taken of the quaternion as written. With `refuse_norms` false,
+    the text is written whatever the norms."""
     if not NAME_RE.fullmatch(program.name):
         raise CodegenError(f"program name {program.name!r} must match {NAME}")
     for name in program.target_names:
@@ -228,14 +230,15 @@ def reference_emit(program):
             text = ", ".join(map(reference_fmt_num, (-w, -x, -y, -z)))
         return text
 
+    quaternions = [quaternion(*q) for q in program.orientations.tolist()]
     targets = "".join(
-        f"TARGET {name} = [{', '.join(map(reference_fmt_num, p.tolist()))}], "
-        f"[{quaternion(*q.tolist())}]\n"
-        for name, p, q in zip(program.target_names, program.positions, program.orientations)
+        f"TARGET {name} = [{', '.join(map(reference_fmt_num, p.tolist()))}], [{q}]\n"
+        for name, p, q in zip(program.target_names, program.positions, quaternions)
     )
-    for name, (w, x, y, z) in zip(program.target_names, program.orientations.tolist()):
+    for name, q in zip(program.target_names, quaternions):
+        w, x, y, z = map(float, q.split(", "))
         norm = math.sqrt(w * w + x * x + y * y + z * z)
-        if abs(norm - 1.0) > NEAR_UNIT_TOL:
+        if refuse_norms and abs(norm - 1.0) > NEAR_UNIT_TOL:
             raise CodegenError(f"target {name!r}: quaternion norm is {norm!r}, not 1")
     moves = ""
     for ins in program.instructions:
@@ -827,6 +830,15 @@ def test_load_rejects_decimal_speed_that_overflows():
         load_program(text)
 
 
+def test_load_skips_blank_and_whitespace_only_lines():
+    text = (FIXTURES / "butt_joint.prog").read_text()
+    *statements, last = text.splitlines(keepends=True)
+    blanks = ["\n", "   \n", "\t \n"]
+    padded = "".join(line + blanks[i % 3] for i, line in enumerate(statements)) + last
+    assert padded.count("\n") == 2 * len(statements) + 1
+    assert load_program(padded) == load_program(text)
+
+
 @pytest.mark.parametrize(
     "old, new, line",
     [
@@ -908,3 +920,49 @@ def test_emit_writes_only_text_that_loads(program):
     except CodegenError:
         return
     load_program(text)
+
+
+
+@st.composite
+def near_bound_rows(draw):
+    """A quaternion row whose norm is near 1 - NEAR_UNIT_TOL or 1 +
+    NEAR_UNIT_TOL: a unit row scaled to such a norm, its components at times
+    moved to (or a float next to) a decimal tie of the fifth place, which
+    four-decimal writing rounds one way or the other."""
+    unit = draw(st.one_of(
+        st.sampled_from([[1.0, 0.0, 0.0, 0.0], [0.6, 0.0, -0.8, 0.0], [0.5, -0.5, 0.5, 0.5],
+                         [math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0]]),
+        quaternions().map(lambda q: q.as_array().tolist()),
+    ))
+    bound = NEAR_UNIT_TOL * draw(st.sampled_from([1.0, -1.0]))
+    norm = 1.0 + bound + draw(finite(-2e-4, 2e-4))
+    row = [norm * c for c in unit]
+    if draw(st.booleans()):
+        for k in range(4):
+            if draw(st.booleans()):
+                tie = float(f"{math.floor(abs(row[k]) * 1e4) / 1e4 + 5e-5:.5f}")
+                tie = math.copysign(tie, row[k])
+                row[k] = draw(st.sampled_from(
+                    [math.nextafter(tie, -math.inf), tie, math.nextafter(tie, math.inf)]
+                ))
+    return row
+
+
+@settings(max_examples=300)
+@given(st.lists(near_bound_rows(), min_size=1, max_size=4))
+@example([[0.70746, 0.70746, 0.0, 0.0]])  # emit's norm passes, its text's does not
+@example([[1.00051, 0.0, 0.0, 0.0]])  # emit's norm fails, its text's passes
+@example([[0.99949, 0.0, 0.0, 0.0], [0.0, 0.0, -1.00045, 0.0]])
+def test_emit_refuses_exactly_the_norms_load_refuses(rows):
+    n = len(rows)
+    program = RobotProgram("p", tuple(f"t{k + 1}" for k in range(n)), np.zeros((n, 3)), rows,
+                           (Opcode.MOVEJ,) * n, [1.0] * n)
+    text = reference_emit(program, refuse_norms=False)
+    try:
+        load_program(text)
+    except ProgramParseError as refused:
+        with pytest.raises(CodegenError) as err:
+            emit(program)
+        assert str(refused) == f"line {refused.line}: {err.value}"
+        return
+    assert emit(program) == text

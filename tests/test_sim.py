@@ -174,11 +174,13 @@ def test_closest_point_first_minimum_wins():
     assert point.tolist() == [0.0, -1.0, 0.0]
 
 
-def at_by_rescan(points, speeds, t):
+def at_by_rescan(points, speeds, t, tol):
     """Linear rescan, the reference for `_PathProfile.schedule`: skip legs
     shorter than 1e-12 mm, then walk the legs subtracting each duration from
-    t until the remainder fits in a leg; past the end, hold the last leg's
-    end. Returns the leg's index among the moving legs and the position."""
+    t until the remainder exceeds a leg's duration by at most `tol`, so a
+    time within rounding of a leg boundary stays on the leg that ends there;
+    past the end, hold the last leg's end. Returns the leg's index among the
+    moving legs and the position."""
     legs = []
     for a, b, speed in zip(points[:-1], points[1:], speeds):
         span = b - a
@@ -187,7 +189,7 @@ def at_by_rescan(points, speeds, t):
             legs.append((a, span / length, length, length / speed))
     remaining = t
     for i, (start, direction, length, duration) in enumerate(legs):
-        if remaining <= duration:
+        if remaining <= duration + tol:
             return i, start + direction * (length * min(1.0, remaining / duration))
         remaining -= duration
     start, direction, length, _ = legs[-1]
@@ -197,7 +199,8 @@ def at_by_rescan(points, speeds, t):
 def check_schedule_against_rescan(points, speeds, profile, times):
     legs, positions = profile.schedule(np.array(times))
     for t, got_leg, got_position in zip(times, legs, positions):
-        leg, position = at_by_rescan(points, speeds, t)
+        tol = profile._tie_tol * max(t, profile.total_time)
+        leg, position = at_by_rescan(points, speeds, t, tol)
         assert got_leg == leg, t
         assert np.array_equal(profile.directions[got_leg], profile.directions[leg]), t
         assert np.abs(got_position - position).max() <= 1e-9, t
@@ -224,17 +227,21 @@ def test_path_profile_matches_linear_rescan(points, data):
 
 
 def test_path_profile_leg_choice_where_summation_order_matters():
-    # 0.1 + 0.2 rounds up, so searching the cumulative end times alone would
-    # put t = 0.1 + 0.2 on the second leg, while the running remainder
-    # (t - 0.1 = 0.20000000000000004 > 0.2) puts it on the third
+    # 0.1 + 0.2 rounds up to the second leg's end time, while the running
+    # remainder t - 0.1 = 0.20000000000000004 exceeds that leg's duration:
+    # a search of the end times alone keeps t on the second leg, and
+    # subtracting the durations one by one passes it to the third. Within
+    # rounding of the boundary, t stays on the leg that ends there
+    # whichever way the durations are summed.
     points = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.1, 0.2, 0.0], [0.1, 0.2, 1.0]])
     profile = _PathProfile(points, np.ones(3))
     t = profile.ends[1]
     assert t == 0.1 + 0.2 and t - profile.ends[0] > profile.durations[1]
-    assert at_by_rescan(points, np.ones(3), t)[0] == 2
-    legs, _ = profile.schedule(np.array([t]))
-    assert profile.directions[legs[0]].tolist() == [0.0, 0.0, 1.0]
-    check_schedule_against_rescan(points, np.ones(3), profile, [t])
+    times = [0.1 + 0.2, 0.2 + 0.1, 0.3, math.nextafter(t, math.inf)]
+    legs, _ = profile.schedule(np.array(times))
+    assert legs.tolist() == [1] * len(times)
+    assert profile.directions[1].tolist() == [0.0, 1.0, 0.0]
+    check_schedule_against_rescan(points, np.ones(3), profile, times)
 
 
 def test_golden_program_loads_with_expected_targets():
@@ -676,21 +683,16 @@ def reference_fuzzy_pi_step(state, error, dt):
 
 
 def reference_at(profile, t):
-    """The per-time `_PathProfile.at` that `schedule` replaced: bisection
-    over the end times, with the running subtraction deciding near a leg
-    boundary. Returns the nominal position and the travel direction."""
+    """The per-time `_PathProfile.at` that `schedule` replaced, under the
+    boundary rule: bisection over the end times, with a time within
+    rounding of a leg boundary on the leg that ends there. Returns the
+    nominal position and the travel direction."""
     ends = profile.ends.tolist()
-    i = bisect_left(ends, t)
     tol = profile._tie_tol * max(t, profile.total_time)
-    if (i < len(ends) and ends[i] - t <= tol) or (i > 0 and t - ends[i - 1] <= tol):
-        left = np.subtract.accumulate(np.concatenate(([t], profile.durations)))
-        hits = np.flatnonzero(left[:-1] <= profile.durations)
-        i = int(hits[0]) if hits.size else len(ends)
-        remaining = float(left[i])
-    else:
-        remaining = t - (ends[i - 1] if i else 0.0)
+    i = bisect_left(ends, t - tol)
     if i == len(ends):
         return profile.starts[-1] + profile.directions[-1] * profile.lengths[-1], profile.directions[-1]
+    remaining = t - (ends[i - 1] if i else 0.0)
     frac = min(1.0, remaining / profile.durations[i])
     return profile.starts[i] + profile.directions[i] * (profile.lengths[i] * frac), profile.directions[i]
 
