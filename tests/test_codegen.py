@@ -922,7 +922,6 @@ def test_emit_writes_only_text_that_loads(program):
     load_program(text)
 
 
-
 @st.composite
 def near_bound_rows(draw):
     """A quaternion row whose norm is near 1 - NEAR_UNIT_TOL or 1 +
