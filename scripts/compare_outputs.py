@@ -13,7 +13,9 @@ revision, on the same input files:
   with the default `--interp-dt` and with others;
 * simulate of every compiled program under seam tracking, PI force and
   fuzzy force control;
-* a few refused inputs (a bad scene, program or option);
+* a few refused inputs (a bad scene, program or option), and one program
+  for each refusal of the program loader;
+* a program with CRLF line ends, tabs and blank lines, which loads;
 * both `scripts/run_*_experiment.py` of each revision.
 
 Programs, traces, manifests, stdout, stderr and exit codes are compared;
@@ -74,6 +76,29 @@ REPLAYS = {
 }
 EXPERIMENTS = ("scripts/run_seam_experiment.py", "scripts/run_force_experiment.py")
 
+_T1 = "TARGET t1 = [0.0000, 0.0000, 0.0000], [1.0000, 0.0000, 0.0000, 0.0000]"
+_T2 = "TARGET t2 = [10.0000, 0.0000, 0.0000], [1.0000, 0.0000, 0.0000, 0.0000]"
+_MOVE1, _MOVE2 = "MOVEJ t1 SPEED 5.0000", "MOVEL t2 SPEED 5.0000"
+# One program per refusal of the program loader, named by it
+LOADER_REFUSALS = {
+    "header": ["PROGAM p", _T1, _T2, _MOVE1, _MOVE2, "END"],
+    "program_name": ["PROGRAM 1p", _T1, _T2, _MOVE1, _MOVE2, "END"],
+    "target_after_motion": ["PROGRAM p", _T1, _MOVE1, _T2, _MOVE2, "END"],
+    "malformed_target": ["PROGRAM p", _T1, _T2.replace("],", "]"), _MOVE1, _MOVE2, "END"],
+    "duplicate_target": ["PROGRAM p", _T1, _T2, _T1, _MOVE1, _MOVE2, "END"],
+    "unknown_opcode": ["PROGRAM p", _T1, _T2, _MOVE1, "MOVEX t2 SPEED 5.0000", "END"],
+    "malformed_movec": ["PROGRAM p", _T1, _T2, "MOVEC t1 SPEED 5.0000", "END"],
+    "bad_speed": ["PROGRAM p", _T1, _T2, _MOVE1, "MOVEL t2 SPEED 5e3", "END"],
+    "undeclared": ["PROGRAM p", _T1, _T2, _MOVE1, "MOVEL t3 SPEED 5.0000", "END"],
+    "referenced_twice": ["PROGRAM p", _T1, _T2, _MOVE1, "MOVEL t1 SPEED 5.0000", "END"],
+    "norm": ["PROGRAM p", _T1, _T2.replace("[1.0000,", "[1.0010,"), _MOVE1, _MOVE2, "END"],
+    "infinite_speed": ["PROGRAM p", _T1, _T2, _MOVE1, f"MOVEL t2 SPEED 1{'0' * 400}.0", "END"],
+    "content_after_end": ["PROGRAM p", _T1, _T2, _MOVE1, _MOVE2, "END", "END"],
+    "missing_end": ["PROGRAM p", _T1, _T2, _MOVE1, _MOVE2],
+    "empty": ["", " "],
+    "unreferenced": ["PROGRAM p", _T1, _T2, _MOVE1, "END"],
+}
+
 
 class CannotRun(Exception):
     pass
@@ -119,6 +144,16 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
     bad_scene["workspace"] = {"min": [1.0, 0.0, 0.0], "max": [0.0, 1.0, 1.0]}
     (inputs / "bad.scene.json").write_text(json.dumps(bad_scene))
     (inputs / "bad.prog").write_text("PROGRAM p\nWOBBLE t1 SPEED 1.0\nEND\n")
+    for refusal, statements in LOADER_REFUSALS.items():
+        program = inputs / f"refused_load_{refusal}.prog"
+        program.write_text("\n".join(statements) + "\n")
+        invocations.append((program.stem, ["simulate", "--program", str(program), "--scenario",
+                                           "seam", "--out", f"{program.stem}.csv"]))
+    statements = (tree / "tests" / "fixtures" / "straight_seam.prog").read_text().splitlines()
+    spaced = "\r\n \t\r\n".join(line.replace(" ", "\t ") for line in statements) + "\r\n\r\n"
+    (inputs / "spaced.prog").write_bytes(spaced.encode())
+    invocations.append(("spaced", ["simulate", "--program", str(inputs / "spaced.prog"),
+                                   *REPLAYS["seam"], "--out", "spaced.csv"]))
     fixture = "straight_seam.prog"
     invocations += [
         ("refused_base", ["compile", "--scene", str(scenes["butt_joint"]), "--base", "nope",

@@ -9,8 +9,10 @@ move's row of the opcode table. `lower` names the planned poses and groups
 them into moves with array masks, taking the path's position and quaternion
 columns as they are. `RobotProgram.targets` is a read-only name ->
 TargetPose view that builds a pose only when one is looked up. `load_program`
-fills the columns without building a pose per target; it checks the target
-block as arrays.
+fills the columns in whole-block passes, with no Python step per statement: a
+pattern checks the target block, `str.split` turns the targets and the moves
+into token columns, and each rule of the grammar checks its column once. The
+error is that of the first statement in file order that breaks a rule.
 
 Program grammar (one statement per line, LF endings):
 
@@ -28,13 +30,14 @@ fixed-point with four decimals; target tuples are [x, y, z], [w, qx, qy, qz].
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import chain, compress, count, islice
+from operator import itemgetter
 from typing import NoReturn
 
 import numpy as np
@@ -312,12 +315,23 @@ def _target_table(program: RobotProgram) -> np.ndarray:
     return table
 
 
-_NUM = r"\s*([+-]?[0-9]+(?:\.[0-9]+)?)\s*"  # grammar `num`, with its blanks
-_NUMBER_RE = re.compile(_NUM)
-_TARGET_RE = re.compile(
-    rf"TARGET\s+({NAME})\s*=\s*\[{_NUM},{_NUM},{_NUM}\]"
-    rf"\s*,\s*\[{_NUM},{_NUM},{_NUM},{_NUM}\]"
+# Block patterns: each matches statements joined one per line, up to the
+# first that breaks the grammar. A blank inside a statement is any
+# whitespace but the newline that joins them. The quantifiers are possessive
+# where the `re` module has them (Python 3.11): every repeated item is
+# followed by a character it cannot match, so they match what plain ones
+# match, without the backtracking state a plain one keeps for each line.
+_P = "+" if sys.version_info >= (3, 11) else ""
+_BLANKS = rf"[^\S\n]*{_P}"
+_NUM = rf"[+-]?{_P}[0-9]+{_P}(?:\.[0-9]+{_P})?{_P}"  # grammar `num`
+_ARG = rf"{_BLANKS}{_NUM}{_BLANKS}"
+_TARGET_LINES_RE = re.compile(
+    rf"(?:TARGET[^\S\n]+{_P}{NAME}{_BLANKS}={_BLANKS}\[{_ARG},{_ARG},{_ARG}\]"
+    rf"{_BLANKS},{_BLANKS}\[{_ARG},{_ARG},{_ARG},{_ARG}\]\n)*{_P}"
 )
+_NUMBER_LINES_RE = re.compile(rf"(?:{_NUM}\n)*{_P}")
+_TARGET_PUNCTUATION = str.maketrans("=[],", "    ")
+_ARITIES = {op: len(kinds) for op, kinds in _OPCODE_KINDS.items()}
 
 
 def load_program(text: str) -> RobotProgram:
@@ -328,105 +342,159 @@ def load_program(text: str) -> RobotProgram:
     taking its motion kind from the opcode table. Raises ProgramParseError
     with the offending line number.
 
-    The target block is checked as arrays once it is complete, at the first
-    move. A target those checks reject is rebuilt as a TargetPose at the
-    move that references it, so the error carries the constructor's message
-    and that move's line.
+    The stripped, non-blank lines are read in a fixed number of passes, with
+    no Python step per statement. One pattern checks the target block and
+    the targets are tokenised, both _BLOCK_ROWS statements at a time; the
+    move block is split once into token columns, and each move rule checks
+    its column in one pass. A target with a non-finite number or a
+    quaternion norm off 1 by more than NEAR_UNIT_TOL is refused at the move
+    that references it, with the error building its TargetPose gives.
+
+    Which fault wins: that of the first statement in file order that breaks
+    a rule, and within it the first rule in this order: PROGRAM header,
+    program name; TARGET after motion, malformed TARGET, duplicate target;
+    unknown opcode, malformed move, bad speed; then operand by operand:
+    undeclared, referenced twice, rejected pose or speed. Missing END,
+    content after END and unreferenced targets come after every statement.
     """
-    name = None
-    declared: dict[str, int] = {}  # target name -> its row in `values`
-    values: list[float] = []  # x, y, z, w, qx, qy, qz of each declared target
-    table = None  # `values` as an (n, 7) array, quaternions in canonical sign
-    rejected: set[int] = set()  # rows that fail the pose checks
-    referenced: dict[str, int] = {}  # target name -> declared row, in reference order
-    opcodes: list[Opcode] = []
-    speeds: list[float] = []
-    ended = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if ended:
-            raise ProgramParseError("content after END", line_no)
-        if name is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "PROGRAM":
-                raise ProgramParseError("expected PROGRAM header", line_no)
-            name = parts[1]
-            if not NAME_RE.fullmatch(name):
-                raise ProgramParseError(f"program name {name!r} must match {NAME}", line_no)
-            continue
-        if line == "END":
-            ended = True
-            continue
-        if line.startswith("TARGET"):
-            if opcodes:
-                raise ProgramParseError("TARGET after motion statements", line_no)
-            m = _TARGET_RE.fullmatch(line)
-            if not m:
-                raise ProgramParseError("malformed TARGET statement", line_no)
-            tname, *numbers = m.groups()
-            if tname in declared:
-                raise ProgramParseError(f"duplicate target {tname!r}", line_no)
-            declared[tname] = len(declared)
-            values.extend(map(float, numbers))
-            continue
-        parts = line.split()
-        opcode = _OPCODES.get(parts[0])
-        if opcode is None:
-            raise ProgramParseError(f"unknown opcode {parts[0]!r}", line_no)
-        kinds = _OPCODE_KINDS[opcode]
-        n_names = len(kinds)
-        if len(parts) != n_names + 3 or parts[n_names + 1] != "SPEED":
-            raise ProgramParseError(f"malformed {opcode.value} statement", line_no)
-        if not _NUMBER_RE.fullmatch(parts[-1]):
-            raise ProgramParseError(f"bad speed {parts[-1]!r}", line_no)
-        speed = float(parts[-1])
-        speed_ok = speed > 0.0 and math.isfinite(speed)
-        if table is None:  # the first move: every target is declared
-            table, rejected = _check_targets(values)
-        for t, kind in zip(parts[1 : 1 + n_names], kinds):
-            row = declared.get(t)
-            if row is None:
-                raise ProgramParseError(f"undeclared target {t!r}", line_no)
-            if t in referenced:
-                raise ProgramParseError(f"target {t!r} referenced twice", line_no)
-            if row in rejected or not speed_ok:
-                _reject_target(t, values[7 * row : 7 * row + 7], kind, speed, line_no)
-            referenced[t] = row
-        opcodes.append(opcode)
-        speeds.append(speed)
+    lines = list(map(str.strip, text.splitlines()))
+    statements = list(filter(None, lines))
 
-    if name is None:
+    def fail(message: str, k: int) -> NoReturn:
+        """Raise at statements[k]."""
+        raise ProgramParseError(message, next(islice(compress(count(1), lines), k, None)))
+
+    if not statements:
         raise ProgramParseError("empty program", 1)
-    if not ended:
-        raise ProgramParseError("missing END", len(text.splitlines()) or 1)
-    unused = declared.keys() - referenced.keys()
-    if unused:
-        raise ProgramParseError(f"unreferenced targets {sorted(unused)}", 1)
-    table = np.empty((0, 7)) if table is None else table[list(referenced.values())]
-    return RobotProgram(name, tuple(referenced), table[:, :3], table[:, 3:], tuple(opcodes), speeds)
+    header = statements[0].split()
+    if len(header) != 2 or header[0] != "PROGRAM":
+        fail("expected PROGRAM header", 0)
+    name = header[1]
+    if not NAME_RE.fullmatch(name):
+        fail(f"program name {name!r} must match {NAME}", 0)
+    try:
+        end = statements.index("END", 1)
+    except ValueError:
+        end = len(statements)
+    body = statements[1:end]
 
+    n = _leading_matches(_TARGET_LINES_RE, body)  # the target block is body[:n]
+    target_names, values = _target_columns(body[:n])
+    k = _first_repeat(target_names)
+    if k < n:
+        fail(f"duplicate target {target_names[k]!r}", 1 + k)
+    if n < len(body) and body[n].startswith("TARGET"):
+        fail("malformed TARGET statement", 1 + n)
 
-def _check_targets(values: list[float]) -> tuple[np.ndarray, set[int]]:
-    """The declared targets as an (n, 7) array with each quaternion in
-    canonical sign, and the rows a TargetPose would reject: a non-finite
-    number or a quaternion norm off 1 by more than NEAR_UNIT_TOL."""
-    table = np.array(values, dtype=float).reshape(-1, 7)
-    norm = quaternion_norms(table[:, 3:])
-    ok = np.isfinite(table).all(axis=1) & (np.abs(norm - 1.0) <= NEAR_UNIT_TOL)
+    declared = dict(zip(target_names, range(n)))
+    opcodes, operands, table, speeds, fault = _move_columns(body[n:], declared, values)
+    if fault:
+        fail(fault[1], 1 + n + fault[0])
+    if end == len(statements):
+        raise ProgramParseError("missing END", len(lines) or 1)
+    if end + 1 < len(statements):
+        fail("content after END", end + 1)
+    if len(operands) < n:
+        unused = sorted(declared.keys() - set(operands))
+        raise ProgramParseError(f"unreferenced targets {unused}", 1)
     canonical_sign(table[:, 3:])
-    return table, set(np.flatnonzero(~ok).tolist())
+    return RobotProgram(name, tuple(operands), table[:, :3], table[:, 3:], tuple(opcodes), speeds)
 
 
-def _reject_target(
-    t: str, row: list[float], kind: MotionKind, speed: float, line_no: int
-) -> NoReturn:
-    """Raise the error building target t's pose gives, at line_no."""
+def _leading_matches(block_re: re.Pattern, lines: list[str]) -> int:
+    """How many of `lines`, from the first, `block_re` matches; it is given
+    _BLOCK_ROWS lines at a time."""
+    for lo in range(0, len(lines), _BLOCK_ROWS):
+        block = lines[lo : lo + _BLOCK_ROWS]
+        text = "\n".join(block) + "\n"
+        matched = text.count("\n", 0, block_re.match(text).end())
+        if matched < len(block):
+            return lo + matched
+    return len(lines)
+
+
+def _target_columns(lines: list[str]) -> tuple[list[str], np.ndarray]:
+    """The names and the (n, 7) numbers x, y, z, w, qx, qy, qz, as written,
+    of well-formed TARGET statements, tokenised _BLOCK_ROWS at a time."""
+    names: list[str] = []
+    values = np.empty((len(lines), 7))
+    for lo in range(0, len(lines), _BLOCK_ROWS):
+        tokens = " ".join(lines[lo : lo + _BLOCK_ROWS]).translate(_TARGET_PUNCTUATION).split()
+        del tokens[::9]  # TARGET; a name and seven numbers per statement remain
+        names += tokens[::8]
+        del tokens[::8]
+        numbers = np.fromiter(map(float, tokens), float, len(tokens))
+        values[lo : lo + _BLOCK_ROWS] = numbers.reshape(-1, 7)
+    return names, values
+
+
+def _move_columns(moves: list[str], declared: dict[str, int], values: np.ndarray):
+    """The opcodes, the operand names, the rows of `values` they name and
+    the speeds of the move statements, and their first fault as (index in
+    `moves`, message), or None.
+
+    Each rule checks its column once, over the moves before the first fault
+    found so far, so a later rule can only find an earlier fault.
+    """
+    parts = list(map(str.split, moves))
+    opcodes = list(map(_OPCODES.get, map(itemgetter(0), parts)))
+    k, fault = len(moves), None  # moves[:k] keep every rule checked so far
+    if None in opcodes:
+        k = opcodes.index(None)
+        fault = ("TARGET after motion statements" if moves[k].startswith("TARGET")
+                 else f"unknown opcode {parts[k][0]!r}")
+    arities = np.fromiter(map(_ARITIES.get, opcodes[:k]), np.intp, k)
+    # SPEED is next to last in a move of the right size (a one-token move
+    # reads its opcode here)
+    words = map(itemgetter(0), map(itemgetter(slice(-2, None)), parts[:k]))
+    malformed = ((np.fromiter(map(len, parts[:k]), np.intp, k) != arities + 3)
+                 | ~np.fromiter(map("SPEED".__eq__, words), bool, k))
+    if malformed.any():
+        k = int(malformed.argmax())
+        fault = f"malformed {opcodes[k].value} statement"
+    speed_text = list(map(itemgetter(-1), parts[:k]))
+    numbers = _leading_matches(_NUMBER_LINES_RE, speed_text)
+    if numbers < k:
+        k, fault = numbers, f"bad speed {speed_text[numbers]!r}"
+    speeds = np.fromiter(map(float, speed_text[:k]), float, k)
+
+    operands = list(chain.from_iterable(map(itemgetter(slice(1, -2)), parts[:k])))
+    owners = np.repeat(np.arange(k), arities[:k])  # the move of each operand
+    rows = list(map(declared.get, operands))
+    j = len(operands)  # operands[:j] keep every operand rule checked so far
+    if None in rows:
+        j = rows.index(None)
+        k, fault = owners[j], f"undeclared target {operands[j]!r}"
+    twice = _first_repeat(operands[:j])
+    if twice < j:
+        j, k, fault = twice, owners[twice], f"target {operands[twice]!r} referenced twice"
+    table = values[np.fromiter(rows, np.intp, j)]
+    rejected = ~np.isfinite(table).all(axis=1)
+    rejected |= ~(np.abs(quaternion_norms(table[:, 3:]) - 1.0) <= NEAR_UNIT_TOL)
+    rejected |= ~((speeds > 0.0) & np.isfinite(speeds))[owners[:j]]
+    if rejected.any():
+        j = int(rejected.argmax())
+        k = owners[j]
+        kind = next(islice(chain.from_iterable(map(_OPCODE_KINDS.get, opcodes)), j, None))
+        fault = _rejection(operands[j], table[j].tolist(), kind, float(speeds[k]))
+    return opcodes, operands, table, speeds, None if fault is None else (int(k), fault)
+
+
+def _first_repeat(names: list[str]) -> int:
+    """The index of the first name in `names` that an earlier one repeats,
+    or len(names)."""
+    if len(set(names)) == len(names):
+        return len(names)
+    seen: set[str] = set()
+    return next(i for i, name in enumerate(names) if name in seen or seen.add(name))
+
+
+def _rejection(t: str, row: list[float], kind: MotionKind, speed: float) -> str:
+    """The error building target t's pose gives."""
     try:
         TargetPose(row[:3], Quaternion(*row[3:]), kind, speed)
     except RobopathError as exc:
-        raise ProgramParseError(f"target {t!r}: {exc}", line_no) from exc
+        return f"target {t!r}: {exc}"
     raise AssertionError(f"target {t!r} passes the pose checks it was rejected by")
 
 

@@ -59,6 +59,15 @@ def _check_finite(config) -> None:
             raise SimulationError(f"{f.name} must be finite, got {value}")
 
 
+def _check_sign(config, *, strict: bool, **labels: str) -> None:
+    """Each field named in `labels` must be > 0 when `strict`, else >= 0;
+    the first that is not is refused with its label and value."""
+    for name, label in labels.items():
+        value = getattr(config, name)
+        if not (value > 0.0 if strict else value >= 0.0):
+            raise SimulationError(f"{label} must be {'>' if strict else '>='} 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Environment:
     """The perturbed 'real' cell: a rigid miscalibration offset, optional
@@ -90,12 +99,9 @@ class SeamConfig:
 
     def __post_init__(self):
         _check_finite(self)
-        if not self.rate_hz > 0.0 or not self.resolution_mm > 0.0:
-            raise SimulationError("rate and resolution must be > 0")
-        if self.gain_y < 0.0 or self.gain_z < 0.0:
-            raise SimulationError("gains must be >= 0")
-        if not self.max_step_mm > 0.0 or not self.sensing_range_mm > 0.0:
-            raise SimulationError("step limit and sensing range must be > 0")
+        _check_sign(self, strict=True, rate_hz="rate", resolution_mm="resolution")
+        _check_sign(self, strict=False, gain_y="gain y", gain_z="gain z")
+        _check_sign(self, strict=True, max_step_mm="step limit", sensing_range_mm="sensing range")
         # the largest correction a run can reach, in resolution steps, must
         # be finite for quantize to round it
         if not math.isfinite(MAX_TICKS * self.max_step_mm / self.resolution_mm):
@@ -125,18 +131,13 @@ class ForceConfig:
 
     def __post_init__(self):
         _check_finite(self)
-        if not self.rate_hz > 0.0:
-            raise SimulationError("rate must be > 0")
+        _check_sign(self, strict=True, rate_hz="rate")
         if not math.isfinite(1.0 / self.rate_hz):
             raise SimulationError(f"rate {self.rate_hz} Hz has no finite tick period")
-        if not self.setpoint_n > 0.0:
-            raise SimulationError("force setpoint must be > 0")
-        if min(self.kp, self.ki, self.error_scale, self.derror_scale, self.output_scale) < 0.0:
-            raise SimulationError("controller gains and scales must be >= 0")
-        if not self.output_limit_mm >= 0.0:
-            raise SimulationError(f"output limit must be >= 0, got {self.output_limit_mm}")
-        if not self.contact_timeout_s >= 0.0:
-            raise SimulationError(f"contact timeout must be >= 0, got {self.contact_timeout_s}")
+        _check_sign(self, strict=True, setpoint_n="force setpoint")
+        _check_sign(self, strict=False, kp="kp", ki="ki", error_scale="error scale",
+                    derror_scale="derror scale", output_scale="output scale",
+                    output_limit_mm="output limit", contact_timeout_s="contact timeout")
 
 
 # ---------------------------------------------------------------------------

@@ -545,12 +545,12 @@ def test_simulate_refuses_overflowing_replay_arithmetic(
 @pytest.mark.parametrize(
     "scenario, option, message",
     [
-        ("seam", ("--rate", "0"), "rate and resolution must be > 0"),
-        ("seam", ("--resolution", "0"), "rate and resolution must be > 0"),
-        ("seam", ("--gain-y", "-1"), "gains must be >= 0"),
-        ("force", ("--rate", "0"), "rate must be > 0"),
-        ("force", ("--setpoint", "0"), "force setpoint must be > 0"),
-        ("force", ("--kp", "-1"), "controller gains and scales must be >= 0"),
+        ("seam", ("--rate", "0"), "rate must be > 0, got 0.0"),
+        ("seam", ("--resolution", "0"), "resolution must be > 0, got 0.0"),
+        ("seam", ("--gain-y", "-1"), "gain y must be >= 0, got -1.0"),
+        ("force", ("--rate", "0"), "rate must be > 0, got 0.0"),
+        ("force", ("--setpoint", "0"), "force setpoint must be > 0, got 0.0"),
+        ("force", ("--kp", "-1"), "kp must be >= 0, got -1.0"),
         ("force", ("--roughness", "-1"), "roughness amplitude must be >= 0"),
         ("force", ("--stiffness", "0"), "surface stiffness must be > 0"),
     ],

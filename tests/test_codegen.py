@@ -11,10 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import FIXTURES, finite, plan_of, quaternions, random_rotation
 from robopath.codegen import (
-    _NUMBER_RE,
     _OPCODE_KINDS,
     _OPCODE_OF_FIRST_KIND,
-    _TARGET_RE,
     CodegenError,
     Instruction,
     LintFinding,
@@ -536,10 +534,21 @@ def test_load_mutated_text_raises_only_parse_errors(text):
     assert load_program(emit(loaded)) == loaded
 
 
+# The line grammar as the reference loader reads it, one statement at a time,
+# written out here so the reference shares no pattern with the loader.
+_REF_NUM = r"\s*([+-]?[0-9]+(?:\.[0-9]+)?)\s*"
+_REF_NUMBER_RE = re.compile(_REF_NUM)
+_REF_TARGET_RE = re.compile(
+    rf"TARGET\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\[{_REF_NUM},{_REF_NUM},{_REF_NUM}\]"
+    rf"\s*,\s*\[{_REF_NUM},{_REF_NUM},{_REF_NUM},{_REF_NUM}\]"
+)
+
+
 def reference_load(text):
-    """The per-target loader `load_program` replaced, kept as a brute-force
-    reference: one Quaternion and one TargetPose per target, validated as
-    each move references it. Returns (name, {target: pose}, instructions)."""
+    """A per-statement loader kept as a brute-force reference: one loop
+    iteration per line, and one Quaternion and one TargetPose per target,
+    validated as each move references it. Returns (name, {target: pose},
+    instructions)."""
     name = None
     declared = {}
     targets = {}
@@ -567,7 +576,7 @@ def reference_load(text):
         if line.startswith("TARGET"):
             if instructions:
                 raise ProgramParseError("TARGET after motion statements", line_no)
-            m = _TARGET_RE.fullmatch(line)
+            m = _REF_TARGET_RE.fullmatch(line)
             if not m:
                 raise ProgramParseError("malformed TARGET statement", line_no)
             tname, *values = m.groups()
@@ -584,7 +593,7 @@ def reference_load(text):
         n_names = len(kinds)
         if len(parts) != n_names + 3 or parts[n_names + 1] != "SPEED":
             raise ProgramParseError(f"malformed {opcode.value} statement", line_no)
-        if not _NUMBER_RE.fullmatch(parts[-1]):
+        if not _REF_NUMBER_RE.fullmatch(parts[-1]):
             raise ProgramParseError(f"bad speed {parts[-1]!r}", line_no)
         speed = float(parts[-1])
         names = tuple(parts[1 : 1 + n_names])
@@ -667,12 +676,54 @@ def edited_program_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# Whitespace the grammar reads as a blank inside a statement, and line breaks
+# `str.splitlines` splits on besides LF.
+_INLINE_BLANKS = ("\t", "\x1f", "\xa0", "\u3000", " ")
+_LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+
+def _program_texts():
+    return st.one_of(
+        random_plans().map(lambda path: emit(lower(path))),
+        mutated_program_texts(),
+        edited_program_texts(),
+    )
+
+
+@st.composite
+def respaced_program_texts(draw):
+    """A text of the other program strategies with blanks inserted anywhere
+    (between tokens, inside one, at a line's ends), spaces swapped for other
+    blanks, LF swapped for other line breaks, blank or blanks-only lines
+    added, and statements split by a line break."""
+    text = draw(_program_texts())
+    for _ in range(draw(st.integers(1, 8))):
+        edit = draw(st.sampled_from(["insert", "swap_space", "swap_break", "blank_line", "split"]))
+        if edit == "swap_space" and " " in text:
+            i = draw(st.sampled_from([i for i, c in enumerate(text) if c == " "]))
+            text = text[:i] + draw(st.sampled_from(_INLINE_BLANKS)) + text[i + 1 :]
+        elif edit == "swap_break" and "\n" in text:
+            i = draw(st.sampled_from([i for i, c in enumerate(text) if c == "\n"]))
+            text = text[:i] + draw(st.sampled_from(_LINE_BREAKS)) + text[i + 1 :]
+        elif edit == "blank_line":
+            i = draw(st.sampled_from([0] + [i + 1 for i, c in enumerate(text) if c == "\n"]))
+            blanks = draw(st.sampled_from(["", *_INLINE_BLANKS]))
+            text = text[:i] + blanks + draw(st.sampled_from(_LINE_BREAKS)) + text[i:]
+        elif edit == "split":  # a line break inside a statement
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(st.sampled_from(("\n", *_LINE_BREAKS))) + text[i:]
+        else:  # a blank next to a separator, which keeps a statement whole, or anywhere
+            separators = [i for i, c in enumerate(text) if c in " ,[]=\n"]
+            if separators and draw(st.booleans()):
+                i = draw(st.sampled_from(separators)) + draw(st.integers(0, 1))
+            else:
+                i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(st.sampled_from(_INLINE_BLANKS)) + text[i:]
+    return text
+
+
 @settings(max_examples=400)
-@given(st.one_of(
-    random_plans().map(lambda path: emit(lower(path))),
-    mutated_program_texts(),
-    edited_program_texts(),
-))
+@given(st.one_of(_program_texts(), respaced_program_texts()))
 def test_load_agrees_with_per_target_reference(text):
     try:
         name, targets, instructions = reference_load(text)
@@ -693,6 +744,50 @@ def test_load_agrees_with_per_target_reference(text):
         assert got.speed == pose.speed
         assert loaded.positions[row].tolist() == pose.position.tolist()
         assert loaded.orientations[row].tolist() == pose.orientation.as_array().tolist()
+
+
+def _program(*statements):
+    return "\n".join(["PROGRAM p", *statements, ""])
+
+
+_T1 = "TARGET t1 = [0, 0, 0], [1, 0, 0, 0]"
+_T2 = "TARGET t2 = [1, 0, 0], [1, 0, 0, 0]"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (_program(_T1, _T2.replace("t2", "t1"), "TARGET t2 = [2, 0, 0], [1, 0, 0]",
+                  "MOVEJ t1 SPEED 5", "END"), 3, "duplicate target 't1'"),
+        (_program(_T1, _T2.replace("],", "]"), "MOVEJ t1 SPEED fast", "MOVEX t2 SPEED 5", "END"),
+         3, "malformed TARGET statement"),
+        (_program(_T1, _T2, "MOVEJ t9 SPEED 5", "MOVEL t1 SPEED 5x", "END"),
+         4, "undeclared target 't9'"),
+        (_program(_T1, _T2, "MOVEJ t1 SPEED fast", "MOVEL t9 SPEED 5", "END"),
+         4, "bad speed 'fast'"),
+        (_program(_T1, _T2, "MOVEC t1 t9 SPEED 5", "END"), 4, "undeclared target 't9'"),
+        (_program(_T1, _T2, "MOVEC t1 t1 SPEED 5", "END"), 4, "target 't1' referenced twice"),
+        (_program(_T1, _T2, "MOVEC t1 t9 SPEED 0", "END"),
+         4, "target 't1': target speed must be positive and finite, got 0.0"),
+        (_program(_T1, _T2.replace("[1, 0, 0, 0]", "[2, 0, 0, 0]"), "MOVEJ t1 SPEED 5",
+                  "MOVEJ t2 SPEED 5", "MOVEX t1 SPEED 5", "END"),
+         5, "target 't2': quaternion norm is 2.0, not 1"),
+        (_program(_T1, _T2, "MOVEJ t1 SPEED 5", _T2, "END"), 5, "TARGET after motion statements"),
+        (_program(_T1, _T2, "MOVEJ t1 SPEED 5", "END", "MOVEJ t2 SPEED 5"),
+         6, "content after END"),
+    ],
+    ids=["duplicate_before_malformed_target", "malformed_target_before_bad_moves",
+         "undeclared_in_move_1_before_bad_speed_in_move_2",
+         "bad_speed_in_move_1_before_undeclared_in_move_2", "movec_second_operand_undeclared",
+         "movec_second_operand_repeats_the_first", "movec_speed_rejects_first_operand_first",
+         "rejected_pose_before_unknown_opcode", "target_after_motion_before_unreferenced",
+         "content_after_end_before_unreferenced"],
+)
+def test_load_reports_the_first_fault_in_file_order(text, line, message):
+    for loader in (load_program, reference_load):
+        with pytest.raises(ProgramParseError) as err:
+            loader(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
 @given(random_plans())
