@@ -14,7 +14,10 @@ pattern checks the target block, `str.split` turns the targets and the moves
 into token columns, and each rule of the grammar checks its column once. The
 error is that of the first statement in file order that breaks a rule.
 
-Program grammar (one statement per line, LF endings):
+Program grammar. Lines end where `str.splitlines` ends them (LF, CRLF, CR
+and the other Unicode line breaks); each is stripped and blank ones are
+skipped. What remains is one statement per line, and any other whitespace
+inside a statement reads as a blank:
 
     program := "PROGRAM" name NL { target } { move } "END" NL
     name    := [A-Za-z_][A-Za-z0-9_]*
@@ -185,8 +188,9 @@ class _TargetView(Mapping):
 # 0.00005, and Python formats the exact binary value correctly rounded.
 _READS_ZERO = 5e-5
 
-# Rows formatted per `%` operation: few enough that a block's argument tuple
-# and text stay small beside the finished text.
+# Rows per block, for emit's `%` formatting and the loader's passes: few
+# enough that a block's arguments, text and match state stay small beside
+# the whole program.
 _BLOCK_ROWS = 256
 
 
@@ -321,6 +325,9 @@ def _target_table(program: RobotProgram) -> np.ndarray:
 # where the `re` module has them (Python 3.11): every repeated item is
 # followed by a character it cannot match, so they match what plain ones
 # match, without the backtracking state a plain one keeps for each line.
+# Keeping that state makes a seam_dense benchmark call about 12 % slower
+# (the plain-spelling runs in BENCH_20.json); _leading_matches bounds its
+# size by giving a pattern _BLOCK_ROWS lines at a time.
 _P = "+" if sys.version_info >= (3, 11) else ""
 _BLANKS = rf"[^\S\n]*{_P}"
 _NUM = rf"[+-]?{_P}[0-9]+{_P}(?:\.[0-9]+{_P})?{_P}"  # grammar `num`
