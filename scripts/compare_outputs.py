@@ -168,6 +168,10 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
                           "--rate", "0", "--out", "refused_rate.csv"]),
         ("refused_resolution", ["simulate", "--program", fixture, "--scenario", "seam",
                                 "--resolution", "1e-320", "--out", "refused_resolution.csv"]),
+        ("refused_roughness", ["simulate", "--program", fixture, "--scenario", "force",
+                               "--roughness", "-1", "--out", "refused_roughness.csv"]),
+        ("refused_stiffness", ["simulate", "--program", fixture, "--scenario", "force",
+                               "--stiffness", "0", "--out", "refused_stiffness.csv"]),
         ("refused_usage", ["simulate", "--program", fixture, "--out", "refused_usage.csv"]),
     ]
     return invocations

@@ -5,9 +5,12 @@ number pattern and the opcode-to-motion-kind table are defined here once.
 The IR is one table, `RobotProgram(name, target_names, positions,
 orientations, opcodes, speeds)`: a row per target in reference order and a
 row per move, each target's motion kind and speed derived once from its
-move's row of the opcode table. `lower` names the planned poses and groups
-them into moves with array masks, taking the path's position and quaternion
-columns as they are. `RobotProgram.targets` is a read-only name ->
+move's row of the opcode table. Opcodes and motion kinds are held as their
+`Opcode` and `MotionKind` codes, integers numbered so that an opcode's code
+is that of its first operand's kind; the program text spells each by its
+member name. `lower` names the planned poses and groups them into moves
+with array masks, taking the path's position and quaternion columns as they
+are. `RobotProgram.targets` is a read-only name ->
 TargetPose view that builds a pose only when one is looked up. `load_program`
 fills the columns in whole-block passes, with no Python step per statement: a
 pattern checks the target block, `str.split` turns the targets and the moves
@@ -34,12 +37,11 @@ fixed-point with four decimals; target tuples are [x, y, z], [w, qx, qy, qz].
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from functools import cached_property
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from typing import NoReturn
 
@@ -69,23 +71,31 @@ class ProgramParseError(RobopathError):
         self.line = line
 
 
-class Opcode(str, Enum):
-    MOVEJ = "MOVEJ"
-    MOVEL = "MOVEL"
-    MOVEC = "MOVEC"
-    MOVES = "MOVES"
+class Opcode(IntEnum):
+    """Numbered as the `MotionKind` of the opcode's first operand."""
+
+    MOVEJ = 0
+    MOVEL = 1
+    MOVEC = 2
+    MOVES = 3
 
 
 # The motion kind of each target an opcode takes, in operand order; the
-# number of kinds is the opcode's arity.
+# number of kinds is the opcode's arity. Each opcode's first kind has the
+# opcode's code.
 _OPCODE_KINDS = {
     Opcode.MOVEJ: (MotionKind.JOINT,),
     Opcode.MOVEL: (MotionKind.LINEAR,),
     Opcode.MOVEC: (MotionKind.CIRCULAR_VIA, MotionKind.CIRCULAR_END),
     Opcode.MOVES: (MotionKind.SPLINE_VIA,),
 }
-_OPCODE_OF_FIRST_KIND = {kinds[0]: op for op, kinds in _OPCODE_KINDS.items()}
-_OPCODES = {op.value: op for op in Opcode}
+# The table by opcode code: the kind codes padded with -1 to two operands,
+# the arity, and the opcode's word in a move statement
+_OPERAND_KINDS = np.array([(*_OPCODE_KINDS[op], -1)[:2] for op in Opcode])
+_ARITIES = (_OPERAND_KINDS >= 0).sum(axis=1)
+_MOVE_WORDS = np.array([f"{op.name} " for op in Opcode])
+_OPCODE_CODES = {op.name: op.value for op in Opcode}
+_OPCODES = tuple(Opcode)  # the member of each code
 
 
 @dataclass(frozen=True)
@@ -103,28 +113,29 @@ class RobotProgram(ArrayRecord):
     one row per move.
 
     Target i is `target_names[i]` at `positions[i]` (x, y, z) and
-    `orientations[i]` (w, x, y, z in canonical sign). Move j is `opcodes[j]`
-    at `speeds[j]` and takes the next `arities[j]` targets, one per kind in
-    its row of the opcode table; `target_kinds` and `target_speeds` give
-    each target its move's kind and speed. Arrays passed in are kept without
-    a copy and made read-only. Programs are equal when all six columns are;
-    the derived columns are not compared.
+    `orientations[i]` (w, x, y, z in canonical sign). Move j is opcode code
+    `opcodes[j]` at `speeds[j]` and takes the next `arities[j]` targets, one
+    per kind in its row of the opcode table; `target_speeds` gives each
+    target its move's speed. Arrays passed in are kept without a copy and
+    made read-only. Programs are equal when all six columns are; the derived
+    columns are not compared.
     """
 
     name: str
     target_names: tuple[str, ...]
     positions: np.ndarray
     orientations: np.ndarray
-    opcodes: tuple[Opcode, ...]
+    opcodes: np.ndarray
     speeds: np.ndarray
     arities: np.ndarray = field(init=False, repr=False, compare=False)
-    target_kinds: tuple[MotionKind, ...] = field(init=False, repr=False, compare=False)
     target_speeds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names, opcodes = tuple(self.target_names), tuple(self.opcodes)
-        kinds = [_OPCODE_KINDS[op] for op in opcodes]
-        arities = np.array([len(k) for k in kinds], dtype=np.intp)
+        names, opcodes = tuple(self.target_names), np.asarray(self.opcodes, dtype=np.intp)
+        unknown = (opcodes < 0) | (opcodes >= len(Opcode))
+        if unknown.any():
+            raise CodegenError(f"opcode code {opcodes[unknown.argmax()]} is not an Opcode")
+        arities = _ARITIES[opcodes]
         if len(set(names)) != len(names):
             raise CodegenError("a target is referenced by more than one instruction")
         if arities.sum() != len(names):
@@ -143,16 +154,16 @@ class RobotProgram(ArrayRecord):
                 f"instruction speed must be positive and finite, got {self.speeds[bad.argmax()]}"
             )
         target_speeds = np.repeat(self.speeds, arities)
-        arities.setflags(write=False)
-        target_speeds.setflags(write=False)
+        for column in (opcodes, arities, target_speeds):
+            column.setflags(write=False)
         vars(self).update(  # frozen: set the normalized and derived columns directly
-            target_names=names, opcodes=opcodes, arities=arities,
-            target_kinds=tuple(chain.from_iterable(kinds)), target_speeds=target_speeds,
+            target_names=names, opcodes=opcodes, arities=arities, target_speeds=target_speeds,
         )
 
     @cached_property
     def targets(self) -> Mapping[str, TargetPose]:
-        poses = pose_rows(self.positions, self.orientations, self.target_kinds,
+        kinds = _OPERAND_KINDS[self.opcodes].ravel()
+        poses = pose_rows(self.positions, self.orientations, kinds[kinds >= 0],
                           self.target_speeds, [False] * len(self.target_names))
         return _TargetView(self.target_names, poses)
 
@@ -161,8 +172,9 @@ class RobotProgram(ArrayRecord):
         """The moves as Instruction records, built on first use."""
         names = iter(self.target_names)
         return tuple(
-            Instruction(op, tuple(islice(names, arity)), speed)
-            for op, arity, speed in zip(self.opcodes, self.arities, self.speeds.tolist())
+            Instruction(_OPCODES[op], tuple(islice(names, arity)), speed)
+            for op, arity, speed in zip(self.opcodes.tolist(), self.arities.tolist(),
+                                        self.speeds.tolist())
         )
 
 
@@ -235,8 +247,7 @@ def lower(path: PlannedPath) -> RobotProgram:
     program takes the path's position and orientation columns as they are.
     """
     kinds = path.kinds
-    via = np.array([k is MotionKind.CIRCULAR_VIA for k in kinds], dtype=bool)
-    end = np.array([k is MotionKind.CIRCULAR_END for k in kinds], dtype=bool)
+    via, end = kinds == MotionKind.CIRCULAR_VIA, kinds == MotionKind.CIRCULAR_END
     # pose i is a circular end exactly when pose i - 1 is a circular via
     unpaired = np.append(end, False) != np.insert(via, 0, False)
     if unpaired.any():
@@ -244,10 +255,10 @@ def lower(path: PlannedPath) -> RobotProgram:
         if i < len(kinds) and end[i]:
             raise CodegenError(f"path {path.name!r}: circular end at pose {i} has no via pose")
         raise CodegenError(f"path {path.name!r}: circular via at pose {i - 1} has no end pose")
-    opcodes = tuple(_OPCODE_OF_FIRST_KIND[k] for k in compress(kinds, ~end))
     names = tuple(f"t{i}" for i in range(1, len(kinds) + 1))
+    # each move's opcode has the code of its first pose's kind
     return RobotProgram(
-        path.name, names, path.positions, path.orientations, opcodes, path.speeds[~via]
+        path.name, names, path.positions, path.orientations, kinds[~end], path.speeds[~via]
     )
 
 
@@ -271,10 +282,10 @@ def emit(program: RobotProgram) -> str:
         i = next(i for i, name in enumerate(all_names) if not NAME_RE.fullmatch(name))
         kind = "target" if i else "program"
         raise CodegenError(f"{kind} name {all_names[i]!r} must match {NAME}")
-    names = np.array(program.target_names, dtype=object)
+    names = np.array(program.target_names, dtype=str)
     last = np.cumsum(program.arities) - 1  # the last target of each move
     vias = np.where(program.arities == 2, names[last - 1] + " ", "")  # a MOVEC's via
-    labels = (np.array(program.opcodes, dtype=object) + " " + vias + names[last]).tolist()
+    labels = (_MOVE_WORDS[program.opcodes] + vias + names[last]).tolist()
     targets = fixed_point(_TARGET_LINE, _target_table(program), program.target_names)
     # load checks the norm as written. Writing moves each component by at
     # most 5e-5 and so the norm by at most 1e-4 (neither the sign rule nor
@@ -321,24 +332,21 @@ def _target_table(program: RobotProgram) -> np.ndarray:
 
 # Block patterns: each matches statements joined one per line, up to the
 # first that breaks the grammar. A blank inside a statement is any
-# whitespace but the newline that joins them. The quantifiers are possessive
-# where the `re` module has them (Python 3.11): every repeated item is
-# followed by a character it cannot match, so they match what plain ones
-# match, without the backtracking state a plain one keeps for each line.
-# Keeping that state makes a seam_dense benchmark call about 12 % slower
-# (the plain-spelling runs in BENCH_20.json); _leading_matches bounds its
-# size by giving a pattern _BLOCK_ROWS lines at a time.
-_P = "+" if sys.version_info >= (3, 11) else ""
-_BLANKS = rf"[^\S\n]*{_P}"
-_NUM = rf"[+-]?{_P}[0-9]+{_P}(?:\.[0-9]+{_P})?{_P}"  # grammar `num`
+# whitespace but the newline that joins them. The quantifiers are
+# possessive: every repeated item is followed by a character it cannot
+# match, so they match what plain ones would, without the backtracking
+# state a plain one keeps for each line (with it, a seam_dense benchmark
+# call was about 12 % slower: the plain-spelling runs in BENCH_20.json).
+# _leading_matches gives a pattern _BLOCK_ROWS lines at a time.
+_BLANKS = r"[^\S\n]*+"
+_NUM = r"[+-]?+[0-9]++(?:\.[0-9]++)?+"  # grammar `num`
 _ARG = rf"{_BLANKS}{_NUM}{_BLANKS}"
 _TARGET_LINES_RE = re.compile(
-    rf"(?:TARGET[^\S\n]+{_P}{NAME}{_BLANKS}={_BLANKS}\[{_ARG},{_ARG},{_ARG}\]"
-    rf"{_BLANKS},{_BLANKS}\[{_ARG},{_ARG},{_ARG},{_ARG}\]\n)*{_P}"
+    rf"(?:TARGET[^\S\n]++{NAME}{_BLANKS}={_BLANKS}\[{_ARG},{_ARG},{_ARG}\]"
+    rf"{_BLANKS},{_BLANKS}\[{_ARG},{_ARG},{_ARG},{_ARG}\]\n)*+"
 )
-_NUMBER_LINES_RE = re.compile(rf"(?:{_NUM}\n)*{_P}")
+_NUMBER_LINES_RE = re.compile(rf"(?:{_NUM}\n)*+")
 _TARGET_PUNCTUATION = str.maketrans("=[],", "    ")
-_ARITIES = {op: len(kinds) for op, kinds in _OPCODE_KINDS.items()}
 
 
 def load_program(text: str) -> RobotProgram:
@@ -405,7 +413,7 @@ def load_program(text: str) -> RobotProgram:
         unused = sorted(declared.keys() - set(operands))
         raise ProgramParseError(f"unreferenced targets {unused}", 1)
     canonical_sign(table[:, 3:])
-    return RobotProgram(name, tuple(operands), table[:, :3], table[:, 3:], tuple(opcodes), speeds)
+    return RobotProgram(name, tuple(operands), table[:, :3], table[:, 3:], opcodes, speeds)
 
 
 def _leading_matches(block_re: re.Pattern, lines: list[str]) -> int:
@@ -436,21 +444,23 @@ def _target_columns(lines: list[str]) -> tuple[list[str], np.ndarray]:
 
 
 def _move_columns(moves: list[str], declared: dict[str, int], values: np.ndarray):
-    """The opcodes, the operand names, the rows of `values` they name and
-    the speeds of the move statements, and their first fault as (index in
-    `moves`, message), or None.
+    """The opcode codes, the operand names, the rows of `values` they name
+    and the speeds of the move statements, and their first fault as (index
+    in `moves`, message), or None.
 
     Each rule checks its column once, over the moves before the first fault
     found so far, so a later rule can only find an earlier fault.
     """
     parts = list(map(str.split, moves))
-    opcodes = list(map(_OPCODES.get, map(itemgetter(0), parts)))
+    codes = map(_OPCODE_CODES.get, map(itemgetter(0), parts), repeat(-1))  # -1: unknown
+    opcodes = np.fromiter(codes, np.intp, len(parts))
     k, fault = len(moves), None  # moves[:k] keep every rule checked so far
-    if None in opcodes:
-        k = opcodes.index(None)
+    unknown = opcodes < 0
+    if unknown.any():
+        k = int(unknown.argmax())
         fault = ("TARGET after motion statements" if moves[k].startswith("TARGET")
                  else f"unknown opcode {parts[k][0]!r}")
-    arities = np.fromiter(map(_ARITIES.get, opcodes[:k]), np.intp, k)
+    arities = _ARITIES[opcodes[:k]]
     # SPEED is next to last in a move of the right size (a one-token move
     # reads its opcode here)
     words = map(itemgetter(0), map(itemgetter(slice(-2, None)), parts[:k]))
@@ -458,7 +468,7 @@ def _move_columns(moves: list[str], declared: dict[str, int], values: np.ndarray
                  | ~np.fromiter(map("SPEED".__eq__, words), bool, k))
     if malformed.any():
         k = int(malformed.argmax())
-        fault = f"malformed {opcodes[k].value} statement"
+        fault = f"malformed {_OPCODES[opcodes[k]].name} statement"
     speed_text = list(map(itemgetter(-1), parts[:k]))
     numbers = _leading_matches(_NUMBER_LINES_RE, speed_text)
     if numbers < k:
@@ -482,8 +492,7 @@ def _move_columns(moves: list[str], declared: dict[str, int], values: np.ndarray
     if rejected.any():
         j = int(rejected.argmax())
         k = owners[j]
-        kind = next(islice(chain.from_iterable(map(_OPCODE_KINDS.get, opcodes)), j, None))
-        fault = _rejection(operands[j], table[j].tolist(), kind, float(speeds[k]))
+        fault = _rejection(operands[j], table[j].tolist(), float(speeds[k]))
     return opcodes, operands, table, speeds, None if fault is None else (int(k), fault)
 
 
@@ -496,10 +505,11 @@ def _first_repeat(names: list[str]) -> int:
     return next(i for i, name in enumerate(names) if name in seen or seen.add(name))
 
 
-def _rejection(t: str, row: list[float], kind: MotionKind, speed: float) -> str:
-    """The error building target t's pose gives."""
+def _rejection(t: str, row: list[float], speed: float) -> str:
+    """The error building target t's pose gives; a pose's motion kind is
+    never refused, so any kind will do."""
     try:
-        TargetPose(row[:3], Quaternion(*row[3:]), kind, speed)
+        TargetPose(row[:3], Quaternion(*row[3:]), MotionKind.LINEAR, speed)
     except RobopathError as exc:
         return f"target {t!r}: {exc}"
     raise AssertionError(f"target {t!r} passes the pose checks it was rejected by")

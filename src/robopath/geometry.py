@@ -155,17 +155,6 @@ class Quaternion:
             raise GeometryError(f"cannot normalize quaternion ({w}, {x}, {y}, {z})")
         return cls(w / norm, x / norm, y / norm, z / norm)
 
-    @classmethod
-    def from_axis_angle(cls, axis, angle_rad: float) -> "Quaternion":
-        a = np.asarray(axis, dtype=float).reshape(3)
-        n = float(np.linalg.norm(a))
-        if n < 1e-12:
-            raise GeometryError("rotation axis has zero length")
-        a = a / n
-        half = 0.5 * angle_rad
-        s = math.sin(half)
-        return cls.unit(math.cos(half), a[0] * s, a[1] * s, a[2] * s)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 

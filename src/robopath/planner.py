@@ -3,7 +3,8 @@ attach tool orientations, and densify risk-flagged regions.
 
 A `PlannedPath` holds its poses as columns (positions, quaternions, motion
 kinds, speeds, interpolated flags, source segments), the same table a
-`RobotProgram` takes; no stage builds an object per pose.
+`RobotProgram` takes; no stage builds an object per pose. A motion kind is
+held as its `MotionKind` code, an integer; the member name is its spelling.
 
 Risk smoothing subdivides each straight section of a flagged region into
 equally spaced points (the count set by the design speed and sampling width)
@@ -18,7 +19,7 @@ import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from functools import cached_property
 from itertools import product
 
@@ -52,12 +53,18 @@ class PlanningError(RobopathError):
     """A scene cannot be planned (unknown frame, degenerate geometry, bad config)."""
 
 
-class MotionKind(str, Enum):
-    JOINT = "joint"
-    LINEAR = "linear"
-    CIRCULAR_VIA = "circular_via"
-    CIRCULAR_END = "circular_end"
-    SPLINE_VIA = "spline_via"
+class MotionKind(IntEnum):
+    """Numbered so that the kind of an opcode's first operand is the
+    opcode's own code (`codegen.Opcode`)."""
+
+    JOINT = 0
+    LINEAR = 1
+    CIRCULAR_VIA = 2
+    SPLINE_VIA = 3
+    CIRCULAR_END = 4
+
+
+_MOTION_KINDS = tuple(MotionKind)  # the member of each code
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +86,9 @@ class TargetPose(ArrayRecord):
 @dataclass(frozen=True, eq=False)
 class PlannedPath(ArrayRecord):
     """Ordered poses of one path as columns: row i of `positions` (n, 3),
-    `orientations` (n, 4; w, x, y, z in canonical sign), `kinds`, `speeds`,
-    `interpolated` and `source_segments` (never decreasing) is pose i. The
-    arrays are kept without a copy and made read-only; `poses` views the rows
+    `orientations` (n, 4; w, x, y, z in canonical sign), `kinds` (MotionKind
+    codes), `speeds`, `interpolated` and `source_segments` (never decreasing)
+    is pose i. The arrays are kept without a copy and made read-only; `poses` views the rows
     as TargetPose objects. `segment_risk` carries each source segment's risk
     flag; interpolation consumes the flags, so a smoothed path holds
     all-False entries.
@@ -90,15 +97,17 @@ class PlannedPath(ArrayRecord):
     name: str
     positions: np.ndarray
     orientations: np.ndarray
-    kinds: tuple[MotionKind, ...]
+    kinds: np.ndarray
     speeds: np.ndarray
     interpolated: np.ndarray
     source_segments: np.ndarray
     segment_risk: tuple[bool, ...]
 
     def __post_init__(self):
-        for attr in ("positions", "orientations", "speeds", "interpolated", "source_segments"):
-            column = np.asarray(getattr(self, attr))
+        columns = ("positions", "orientations", "kinds", "speeds", "interpolated",
+                   "source_segments")
+        for attr in columns:
+            column = np.asarray(getattr(self, attr), dtype=np.intp if attr == "kinds" else None)
             column.setflags(write=False)
             object.__setattr__(self, attr, column)
         q = self.orientations
@@ -116,13 +125,14 @@ class PlannedPath(ArrayRecord):
 
 
 def pose_rows(positions, orientations, kinds, speeds, interpolated) -> Sequence[TargetPose]:
-    """Pose columns as a RowView that builds a TargetPose per lookup."""
+    """Pose columns, kinds as MotionKind codes, as a RowView that builds a
+    TargetPose per lookup."""
 
     def pose(i: int) -> TargetPose:
         return TargetPose(
             positions[i],
             Quaternion(*orientations[i].tolist()),
-            kinds[i],
+            _MOTION_KINDS[kinds[i]],
             float(speeds[i]),
             bool(interpolated[i]),
         )
@@ -188,11 +198,11 @@ def rebase(scene: Scene, base: str) -> Scene:
 # ---------------------------------------------------------------------------
 
 # The motion kind of a segment's last point and of each of its via points
-# (those between its first and last), by kind code: line, arc, spline.
-_END_KINDS = np.array(
-    [MotionKind.LINEAR, MotionKind.CIRCULAR_END, MotionKind.SPLINE_VIA], dtype=object
-)
-_VIA_KINDS = np.array([None, MotionKind.CIRCULAR_VIA, MotionKind.SPLINE_VIA], dtype=object)
+# (those between its first and last), by kind code: line, arc, spline. A
+# valid line has no via point; one built in code without validation moves
+# linearly to each.
+_END_KINDS = np.array([MotionKind.LINEAR, MotionKind.CIRCULAR_END, MotionKind.SPLINE_VIA])
+_VIA_KINDS = np.array([MotionKind.LINEAR, MotionKind.CIRCULAR_VIA, MotionKind.SPLINE_VIA])
 
 
 def assign_orientations(scene: Scene) -> list[PlannedPath]:
@@ -235,7 +245,7 @@ def assign_orientations(scene: Scene) -> list[PlannedPath]:
                 path.name,
                 path.points[pose],
                 quats[tool_rows[tool[pose]]],
-                tuple(kinds[pose].tolist()),
+                kinds[pose],
                 path.speeds[segment[pose]],
                 np.zeros(int(pose.sum()), dtype=bool),
                 segment[pose],
@@ -333,13 +343,13 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
     positions[generated] = new_positions
     orientations = path.orientations[rows]
     orientations[generated] = new_orientations
-    kinds = np.array(path.kinds, dtype=object)[rows]
+    kinds = path.kinds[rows]
     kinds[generated] = MotionKind.LINEAR
     return PlannedPath(
         path.name,
         positions,
         orientations,
-        tuple(kinds),
+        kinds,
         path.speeds[rows],
         path.interpolated[rows] | generated,
         sources[rows],

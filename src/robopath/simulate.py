@@ -80,12 +80,8 @@ class Environment:
 
     def __post_init__(self):
         _check_finite(self)
-        if self.roughness_mm < 0.0:
-            raise SimulationError("roughness amplitude must be >= 0")
-        if self.seed < 0:
-            raise SimulationError(f"seed must be >= 0, got {self.seed}")
-        if not self.stiffness_n_per_mm > 0.0:
-            raise SimulationError("surface stiffness must be > 0")
+        _check_sign(self, strict=False, roughness_mm="roughness amplitude", seed="seed")
+        _check_sign(self, strict=True, stiffness_n_per_mm="surface stiffness")
 
 
 @dataclass(frozen=True)

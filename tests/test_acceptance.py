@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, angle_between, plan_of, random_transform
+from conftest import FIXTURES, angle_between, axis_angle_quaternion, plan_of, random_transform
 from robopath.cli import main as cli_main
 from robopath.codegen import emit, load_program, lower
 from robopath.geometry import (
@@ -111,7 +111,7 @@ def test_criterion_3_interpolation():
     for _ in range(100):
         a = rng.uniform(-200, 200, size=3)
         b = a + rng.uniform(5, 150, size=3) * rng.choice([-1.0, 1.0], size=3)
-        q_exit = Quaternion.from_axis_angle(rng.normal(size=3), rng.uniform(0.2, 2.5))
+        q_exit = axis_angle_quaternion(rng.normal(size=3), rng.uniform(0.2, 2.5))
         v, dt = float(rng.uniform(1, 30)), float(rng.uniform(0.05, 1.0))
         poses = (
             TargetPose(a, q_entry, MotionKind.JOINT, v),
@@ -137,7 +137,7 @@ def test_criterion_3_interpolation():
 
     (mid,) = slerp(
         Quaternion.identity().as_array(),
-        Quaternion.from_axis_angle([0, 0, 1], math.radians(90)).as_array(),
+        axis_angle_quaternion([0, 0, 1], math.radians(90)).as_array(),
         [0.5],
     )
     assert np.abs(mid - np.array([0.92388, 0.0, 0.0, 0.38268])).max() < 1e-5

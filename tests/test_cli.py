@@ -551,8 +551,8 @@ def test_simulate_refuses_overflowing_replay_arithmetic(
         ("force", ("--rate", "0"), "rate must be > 0, got 0.0"),
         ("force", ("--setpoint", "0"), "force setpoint must be > 0, got 0.0"),
         ("force", ("--kp", "-1"), "kp must be >= 0, got -1.0"),
-        ("force", ("--roughness", "-1"), "roughness amplitude must be >= 0"),
-        ("force", ("--stiffness", "0"), "surface stiffness must be > 0"),
+        ("force", ("--roughness", "-1"), "roughness amplitude must be >= 0, got -1.0"),
+        ("force", ("--stiffness", "0"), "surface stiffness must be > 0, got 0.0"),
     ],
     ids=["seam_rate_0", "seam_resolution_0", "seam_gain_y_-1", "force_rate_0",
          "force_setpoint_0", "force_kp_-1", "force_roughness_-1", "force_stiffness_0"],

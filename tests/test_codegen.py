@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FIXTURES, finite, plan_of, quaternions, random_rotation
+from conftest import (
+    FIXTURES,
+    axis_angle_quaternion,
+    finite,
+    plan_of,
+    quaternions,
+    random_rotation,
+)
 from robopath.codegen import (
     _OPCODE_KINDS,
-    _OPCODE_OF_FIRST_KIND,
     CodegenError,
     Instruction,
     LintFinding,
@@ -45,6 +51,16 @@ def pose(x, kind=MotionKind.LINEAR, speed=10.0, interpolated=False, quat=None):
 
 def plan(poses, name="p"):
     return plan_of(name, tuple(poses), (0,) * len(poses), (False,))
+
+
+# The opcode table as the references below read it, written out here so
+# that no reference reads the table it checks.
+_REF_OPCODE_KINDS = {
+    Opcode.MOVEJ: (MotionKind.JOINT,),
+    Opcode.MOVEL: (MotionKind.LINEAR,),
+    Opcode.MOVEC: (MotionKind.CIRCULAR_VIA, MotionKind.CIRCULAR_END),
+    Opcode.MOVES: (MotionKind.SPLINE_VIA,),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +259,7 @@ def reference_emit(program, refuse_norms=True):
         speed = reference_fmt_num(ins.speed)
         if speed == "0.0000":  # load refuses it
             raise CodegenError(f"speed {ins.speed} mm/s would be written as 0.0000")
-        moves += f"{ins.opcode.value} {' '.join(ins.targets)} SPEED {speed}\n"
+        moves += f"{ins.opcode.name} {' '.join(ins.targets)} SPEED {speed}\n"
     return f"PROGRAM {program.name}\n{targets}{moves}END\n"
 
 
@@ -320,7 +336,7 @@ def table_programs(draw):
         opcode = Opcode.MOVEC if i + 1 < n and draw(st.booleans()) else Opcode.MOVEL
         opcodes.append(opcode)
         speeds.append(draw(st.one_of(st.sampled_from([1e-9, _BELOW, 5e-5, 1e17]), finite(1e-3, 1e3))))
-        i += len(_OPCODE_KINDS[opcode])
+        i += len(_REF_OPCODE_KINDS[opcode])
     return RobotProgram(
         "p", tuple(f"t{k + 1}" for k in range(n)),
         np.array(positions).reshape(n, 3), np.array(orientations).reshape(n, 4),
@@ -440,17 +456,18 @@ def reference_lower(path):
     """The per-pose `lower` the column one replaced, kept as a reference:
     one Instruction per move, the path checked pose by pose as the moves
     are grouped. Returns the moves."""
+    first_kinds = {kinds[0]: op for op, kinds in _REF_OPCODE_KINDS.items()}
     instructions = []
-    kinds, speeds = path.kinds, path.speeds.tolist()
+    kinds, speeds = list(map(MotionKind, path.kinds.tolist())), path.speeds.tolist()
     i = 0
     while i < len(kinds):
-        opcode = _OPCODE_OF_FIRST_KIND.get(kinds[i])
+        opcode = first_kinds.get(kinds[i])
         if opcode is None:
             raise CodegenError(
                 f"path {path.name!r}: circular end at pose {i} has no via pose"
             )
         names = []
-        for kind in _OPCODE_KINDS[opcode]:
+        for kind in _REF_OPCODE_KINDS[opcode]:
             if i == len(kinds) or kinds[i] is not kind:
                 raise CodegenError(
                     f"path {path.name!r}: circular via at pose {i - 1} has no end pose"
@@ -487,7 +504,7 @@ def test_lower_matches_per_pose_reference(path):
     assert emit(program) == reference_emit(reference)
     assert tuple(program.targets) == names
     for ins in instructions:
-        for t, kind in zip(ins.targets, _OPCODE_KINDS[ins.opcode]):
+        for t, kind in zip(ins.targets, _REF_OPCODE_KINDS[ins.opcode]):
             row = int(t[1:]) - 1
             got = program.targets[t]
             assert got.motion_kind is kind
@@ -586,13 +603,13 @@ def reference_load(text):
             continue
         parts = line.split()
         try:
-            opcode = Opcode(parts[0])
-        except ValueError:
+            opcode = Opcode[parts[0]]
+        except KeyError:
             raise ProgramParseError(f"unknown opcode {parts[0]!r}", line_no) from None
-        kinds = _OPCODE_KINDS[opcode]
+        kinds = _REF_OPCODE_KINDS[opcode]
         n_names = len(kinds)
         if len(parts) != n_names + 3 or parts[n_names + 1] != "SPEED":
-            raise ProgramParseError(f"malformed {opcode.value} statement", line_no)
+            raise ProgramParseError(f"malformed {opcode.name} statement", line_no)
         if not _REF_NUMBER_RE.fullmatch(parts[-1]):
             raise ProgramParseError(f"bad speed {parts[-1]!r}", line_no)
         speed = float(parts[-1])
@@ -892,7 +909,7 @@ def test_programs_differing_only_in_a_target_are_unequal():
     program = lower(plan([pose(0, MotionKind.JOINT), pose(10)]))
     assert program == lower(plan([pose(0, MotionKind.JOINT), pose(10)]))
     assert program != lower(plan([pose(0, MotionKind.JOINT), pose(99)]))
-    turned = Quaternion.from_axis_angle([0, 0, 1], 0.5)
+    turned = axis_angle_quaternion([0, 0, 1], 0.5)
     assert program != lower(plan([pose(0, MotionKind.JOINT), pose(10, quat=turned)]))
     # the move columns count too
     assert program != lower(plan([pose(0, MotionKind.JOINT), pose(10, MotionKind.SPLINE_VIA)]))
@@ -901,6 +918,18 @@ def test_programs_differing_only_in_a_target_are_unequal():
 
 def one_pose_columns(n):
     return [[0.0, 0.0, 0.0]] * n, [[1.0, 0.0, 0.0, 0.0]] * n
+
+
+def test_each_opcode_has_the_code_of_its_first_operand_kind():
+    assert list(_OPCODE_KINDS) == list(Opcode)
+    for op in Opcode:
+        assert _OPCODE_KINDS[op][0] == op
+
+
+@pytest.mark.parametrize("code", [-1, len(Opcode)])
+def test_program_refuses_an_opcode_code_outside_opcode(code):
+    with pytest.raises(CodegenError, match=f"^opcode code {code} is not an Opcode$"):
+        RobotProgram("p", ("t1",), *one_pose_columns(1), [code], [5.0])
 
 
 def test_instruction_arity_checked():

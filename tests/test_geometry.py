@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from conftest import (
     angle_between,
+    axis_angle_quaternion,
     finite,
     quaternions,
     reference_slerp,
@@ -299,14 +300,14 @@ def slerp_quats(q0, q1, ts):
 
 
 def test_slerp_degenerate_same_quaternion():
-    q = Quaternion.from_axis_angle([0, 0, 1], 0.3)
+    q = axis_angle_quaternion([0, 0, 1], 0.3)
     for r in slerp_quats(q, q, [0.0, 0.25, 0.5, 1.0]):
         assert angle_between(r, q) < 1e-12
 
 
 def test_slerp_endpoints_exact():
     q0 = Quaternion.identity()
-    q1 = Quaternion.from_axis_angle([0, 0, 1], math.radians(90))
+    q1 = axis_angle_quaternion([0, 0, 1], math.radians(90))
     assert slerp_quats(q0, q1, [0.0, 1.0]) == [q0, q1]
 
 
@@ -322,7 +323,7 @@ def test_slerp_endpoints_in_canonical_sign():
 
 def test_slerp_midpoint_example():
     q0 = Quaternion.identity()
-    q1 = Quaternion.from_axis_angle([0, 0, 1], math.radians(90))
+    q1 = axis_angle_quaternion([0, 0, 1], math.radians(90))
     (mid,) = slerp_quats(q0, q1, [0.5])
     # axis-angle oracle at 45 degrees
     half = math.radians(22.5)
@@ -347,9 +348,9 @@ def test_slerp_rejects_t_outside_range():
 def test_slerp_takes_shortest_path():
     # 350 degrees about z is 10 degrees the other way; midpoint must sit at -5.
     q0 = Quaternion.identity()
-    q1 = Quaternion.from_axis_angle([0, 0, 1], math.radians(350))
+    q1 = axis_angle_quaternion([0, 0, 1], math.radians(350))
     (mid,) = slerp_quats(q0, q1, [0.5])
-    expected = Quaternion.from_axis_angle([0, 0, 1], math.radians(-5))
+    expected = axis_angle_quaternion([0, 0, 1], math.radians(-5))
     assert angle_between(mid, expected) < 1e-9
 
 
@@ -419,7 +420,7 @@ def test_row_dot_has_the_bits_of_a_dot_per_pair(pairs):
 def test_rodrigues_matches_quaternion_construction():
     axis = np.array([1.0, 2.0, -0.5])
     angle = 1.1
-    q = Quaternion.from_axis_angle(axis, angle)
+    q = axis_angle_quaternion(axis, angle)
     np.testing.assert_allclose(
         quaternion_to_rotation(q), rodrigues(axis, angle), atol=1e-12
     )

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (
     FIXTURES,
     angle_between,
+    axis_angle_quaternion,
     finite,
     plan_of,
     random_transform,
@@ -237,7 +238,7 @@ def risk_plan(entry_quat, exit_quat, points, speed=10.0):
 def test_uniform_spacing_example():
     plan = risk_plan(
         Quaternion.identity(),
-        Quaternion.from_axis_angle([0, 0, 1], math.radians(90)),
+        axis_angle_quaternion([0, 0, 1], math.radians(90)),
         [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
     )
     out = interpolate_risk(plan, dt=0.25)
@@ -249,7 +250,7 @@ def test_uniform_spacing_example():
 
 
 def test_orientation_sweep_midpoint_example():
-    q90 = Quaternion.from_axis_angle([0, 0, 1], math.radians(90))
+    q90 = axis_angle_quaternion([0, 0, 1], math.radians(90))
     plan = risk_plan(
         Quaternion.identity(),
         q90,
@@ -275,7 +276,7 @@ def test_no_risk_is_identity():
 def test_rerunning_after_consumption_is_identity():
     plan = risk_plan(
         Quaternion.identity(),
-        Quaternion.from_axis_angle([0, 0, 1], 1.0),
+        axis_angle_quaternion([0, 0, 1], 1.0),
         [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
     )
     once = interpolate_risk(plan, 0.25)
@@ -285,7 +286,7 @@ def test_rerunning_after_consumption_is_identity():
 
 def test_sections_equidistant_collinear_and_monotone():
     rng = np.random.default_rng(11)
-    q_exit = Quaternion.from_axis_angle([1, 1, 0], 1.2)
+    q_exit = axis_angle_quaternion([1, 1, 0], 1.2)
     for _ in range(25):
         pts = [rng.uniform(-200, 200, size=3)]
         for _ in range(3):
@@ -336,7 +337,7 @@ def test_pose_count_matches_subdivision_oracle():
             pts.append(pts[-1] + step)
         v, dt = float(rng.uniform(1, 20)), float(rng.uniform(0.05, 0.8))
         plan = risk_plan(
-            Quaternion.identity(), Quaternion.from_axis_angle([0, 1, 0], 0.7), pts, speed=v
+            Quaternion.identity(), axis_angle_quaternion([0, 1, 0], 0.7), pts, speed=v
         )
         out = interpolate_risk(plan, dt)
         expected = 1 + sum(
@@ -347,7 +348,7 @@ def test_pose_count_matches_subdivision_oracle():
 
 
 def test_non_risk_poses_untouched():
-    q = Quaternion.from_axis_angle([0, 0, 1], 0.5)
+    q = axis_angle_quaternion([0, 0, 1], 0.5)
     poses = (
         TargetPose([0, 0, 0], Quaternion.identity(), MotionKind.JOINT, 10.0),
         TargetPose([10, 0, 0], Quaternion.identity(), MotionKind.LINEAR, 10.0),
@@ -383,7 +384,7 @@ def test_design_speed_is_slowest_risk_segment():
 def test_zero_length_risk_section_errors():
     # identical positions with different orientations are a legal pose pair
     # but cannot be subdivided
-    q = Quaternion.from_axis_angle([0, 0, 1], 0.5)
+    q = axis_angle_quaternion([0, 0, 1], 0.5)
     poses = (
         TargetPose([0, 0, 0], Quaternion.identity(), MotionKind.JOINT, 10.0),
         TargetPose([0, 0, 0], q, MotionKind.LINEAR, 10.0),
@@ -396,7 +397,7 @@ def test_zero_length_risk_section_errors():
 def test_bad_interpolation_config_errors():
     plan = risk_plan(
         Quaternion.identity(),
-        Quaternion.from_axis_angle([0, 0, 1], 1.0),
+        axis_angle_quaternion([0, 0, 1], 1.0),
         [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
     )
     for dt in (0.0, -1.0, math.inf, math.nan):
@@ -408,7 +409,7 @@ def test_pose_budget_refuses_fine_sampling(monkeypatch):
     monkeypatch.setattr(planner, "MAX_INTERPOLATED_POSES", 10)
     plan = risk_plan(
         Quaternion.identity(),
-        Quaternion.from_axis_angle([0, 0, 1], 1.0),
+        axis_angle_quaternion([0, 0, 1], 1.0),
         [np.array([0.0, 0.0, 0.0]), np.array([5.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
     )
     assert len(interpolate_risk(plan, 0.1).poses) == 1 + 10  # two 5-step sections
@@ -416,7 +417,7 @@ def test_pose_budget_refuses_fine_sampling(monkeypatch):
         interpolate_risk(plan, 0.09)  # 2 x 5.6 steps
     slow = risk_plan(
         Quaternion.identity(),
-        Quaternion.from_axis_angle([0, 0, 1], 1.0),
+        axis_angle_quaternion([0, 0, 1], 1.0),
         [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
         speed=1e-3,
     )
@@ -427,7 +428,7 @@ def test_pose_budget_refuses_fine_sampling(monkeypatch):
 def test_pose_budget_refuses_a_step_length_that_underflows():
     plan = risk_plan(
         Quaternion.identity(),
-        Quaternion.from_axis_angle([0, 0, 1], 1.0),
+        axis_angle_quaternion([0, 0, 1], 1.0),
         [np.array([0.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])],
         speed=1e-300,
     )
@@ -545,11 +546,11 @@ def reference_interpolate_risk(path, dt):
 # w*w + x*x + y*y + z*z other than exactly 1, so normalizing it changes its bits.
 _TOOL_QUATS = (
     Quaternion.identity(),
-    Quaternion.from_axis_angle([0, 0, 1], 1e-7),
+    axis_angle_quaternion([0, 0, 1], 1e-7),
     Quaternion(0.5, 0.5, 0.5, 0.5),
     Quaternion(0.5, -0.5, -0.5, -0.5),
-    Quaternion.from_axis_angle([1, 1, 0], 1.2),
-    Quaternion.from_axis_angle([1, 2, 3], 1.86),
+    axis_angle_quaternion([1, 1, 0], 1.2),
+    axis_angle_quaternion([1, 2, 3], 1.86),
 )
 _TOOL_FRAMES = tuple(
     Frame(f"Q{i}", Transform(quaternion_to_rotation(q), [0.0, 0.0, 0.0]))
@@ -643,10 +644,10 @@ def test_interpolate_risk_matches_per_pose_reference(plan, dt):
         assert str(got.value) == str(exc)
         return
     got = interpolate_risk(plan, dt)
-    for attr in ("positions", "orientations", "speeds", "interpolated", "source_segments"):
+    for attr in ("positions", "orientations", "kinds", "speeds", "interpolated",
+                 "source_segments"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), attr
-    assert got.kinds == want.kinds
     assert got.segment_risk == want.segment_risk
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FIXTURES, finite, plan_of, quaternions, transforms
+from conftest import FIXTURES, axis_angle_quaternion, finite, plan_of, quaternions, transforms
 from robopath.codegen import Opcode, RobotProgram, lower
 from robopath.geometry import Quaternion, RowView, Transform
 from robopath.planner import MotionKind, PlannedPath, TargetPose, assign_orientations
@@ -62,10 +62,10 @@ def reference_path_segment_eq(self, other):
 def reference_planned_path_eq(self, other):
     if not isinstance(other, PlannedPath):
         return NotImplemented
-    columns = ("positions", "orientations", "speeds", "interpolated", "source_segments")
-    return (self.name, self.kinds, self.segment_risk) == (
-        other.name, other.kinds, other.segment_risk
-    ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
+    columns = ("positions", "orientations", "kinds", "speeds", "interpolated", "source_segments")
+    return (self.name, self.segment_risk) == (other.name, other.segment_risk) and all(
+        np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
+    )
 
 
 def reference_target_pose_eq(self, other):
@@ -83,10 +83,10 @@ def reference_target_pose_eq(self, other):
 def reference_program_eq(self, other):
     if not isinstance(other, RobotProgram):
         return NotImplemented
-    columns = ("positions", "orientations", "speeds")
-    return (self.name, self.target_names, self.opcodes) == (
-        other.name, other.target_names, other.opcodes
-    ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
+    columns = ("positions", "orientations", "opcodes", "speeds")
+    return (self.name, self.target_names) == (other.name, other.target_names) and all(
+        np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
+    )
 
 
 REFERENCE_EQ = {
@@ -227,7 +227,7 @@ def field_pair(value, change):
     if isinstance(value, Quaternion):
         if change == "zero_sign":
             return Quaternion(1.0, 0.0, 0.0, 0.0), Quaternion(1.0, -0.0, 0.0, 0.0)
-        turned = Quaternion.from_axis_angle([0.0, 0.0, 1.0], 0.5)
+        turned = axis_angle_quaternion([0.0, 0.0, 1.0], 0.5)
         return value, turned if value != turned else Quaternion.identity()
     assert isinstance(value, str), value
     return value, value + "x"
@@ -338,7 +338,7 @@ def test_segments_are_rows_of_the_path(counts):
 
 
 def test_poses_and_targets_are_rows_of_their_columns():
-    quats = [Quaternion.identity(), Quaternion.from_axis_angle([0, 0, 1], 0.3)]
+    quats = [Quaternion.identity(), axis_angle_quaternion([0, 0, 1], 0.3)]
     poses = [
         TargetPose([0, 0, 0], quats[0], MotionKind.JOINT, 5.0),
         TargetPose([1, 0, 0], quats[1], MotionKind.CIRCULAR_VIA, 7.0),

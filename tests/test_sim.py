@@ -68,7 +68,7 @@ def test_load_inverts_emit():
     loaded = load_program(emit(program))
     assert loaded.name == program.name
     assert len(loaded.targets) == 2
-    assert [i.opcode.value for i in loaded.instructions] == ["MOVEJ", "MOVEL"]
+    assert [i.opcode.name for i in loaded.instructions] == ["MOVEJ", "MOVEL"]
 
 
 def test_load_reports_unknown_opcode_with_line():
