@@ -88,10 +88,10 @@ class PlannedPath(ArrayRecord):
     """Ordered poses of one path as columns: row i of `positions` (n, 3),
     `orientations` (n, 4; w, x, y, z in canonical sign), `kinds` (MotionKind
     codes), `speeds`, `interpolated` and `source_segments` (never decreasing)
-    is pose i. The arrays are kept without a copy and made read-only; `poses` views the rows
-    as TargetPose objects. `segment_risk` carries each source segment's risk
-    flag; interpolation consumes the flags, so a smoothed path holds
-    all-False entries.
+    is pose i. The arrays are kept without a copy and made read-only;
+    `poses` views the rows as TargetPose objects. `segment_risk` carries
+    each source segment's risk flag; interpolation consumes the flags, so a
+    smoothed path holds all-False entries.
     """
 
     name: str
