@@ -13,8 +13,9 @@ revision, on the same input files:
   with the default `--interp-dt` and with others;
 * simulate of every compiled program under seam tracking, PI force and
   fuzzy force control;
-* a few refused inputs (a bad scene, program or option), and one program
-  for each refusal of the program loader;
+* a few refused inputs (a bad scene, program or option), one scene for
+  each rule a scene's segment can break, and one program for each refusal
+  of the program loader;
 * a program with CRLF line ends, tabs and blank lines, which loads;
 * both `scripts/run_*_experiment.py` of each revision.
 
@@ -100,6 +101,24 @@ LOADER_REFUSALS = {
 }
 
 
+_SPEED, _POINTS = '"speed": 10.0', "[[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]"
+# One scene per refusal of a segment rule, named by it: the straight_seam
+# fixture's one segment with this text replaced
+SEGMENT_REFUSALS = {
+    "unknown_key": (_SPEED, f'{_SPEED}, "colour": 1.0'),
+    "missing_key": ('"risk": false,', ""),
+    "kind": ('"kind": "line"', '"kind": "helix"'),
+    "points_not_a_list": (_POINTS, '"p"'),
+    "bad_point": ("[100.0, 0.0, 0.0]", "[100.0, 0.0]"),
+    "one_point": (_POINTS, "[[0.0, 0.0, 0.0]]"),
+    "risk": ('"risk": false', '"risk": "no"'),
+    "tool_frame_name": ('"tool_frame": "T"', '"tool_frame": "T 1"'),
+    "speed_not_a_number": (_SPEED, '"speed": "10"'),
+    "speed_1e400": (_SPEED, '"speed": 1e400'),
+    "duplicate_key": (_SPEED, f"{_SPEED}, {_SPEED}"),
+}
+
+
 class CannotRun(Exception):
     pass
 
@@ -144,6 +163,15 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
     bad_scene["workspace"] = {"min": [1.0, 0.0, 0.0], "max": [0.0, 1.0, 1.0]}
     (inputs / "bad.scene.json").write_text(json.dumps(bad_scene))
     (inputs / "bad.prog").write_text("PROGRAM p\nWOBBLE t1 SPEED 1.0\nEND\n")
+    seam_text = scenes["straight_seam"].read_text()
+    for refusal, (old, new) in SEGMENT_REFUSALS.items():
+        if seam_text.count(old) != 1:
+            raise CannotRun(f"straight_seam.scene.json holds {old!r} {seam_text.count(old)} times")
+        scene = inputs / f"refused_segment_{refusal}.scene.json"
+        scene.write_text(seam_text.replace(old, new))
+        name = f"refused_segment_{refusal}"
+        invocations.append((name, ["compile", "--scene", str(scene), "--base", "B",
+                                   "--out", f"{name}.prog"]))
     for refusal, statements in LOADER_REFUSALS.items():
         program = inputs / f"refused_load_{refusal}.prog"
         program.write_text("\n".join(statements) + "\n")

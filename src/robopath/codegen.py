@@ -53,6 +53,7 @@ from .geometry import (
     Quaternion,
     RobopathError,
     canonical_sign,
+    code_column,
     quaternion_norms,
 )
 from .planner import MotionKind, PlannedPath, TargetPose, pose_rows
@@ -131,7 +132,8 @@ class RobotProgram(ArrayRecord):
     target_speeds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names, opcodes = tuple(self.target_names), np.asarray(self.opcodes, dtype=np.intp)
+        names = tuple(self.target_names)
+        opcodes = code_column(self.opcodes, CodegenError, "opcodes")
         unknown = (opcodes < 0) | (opcodes >= len(Opcode))
         if unknown.any():
             raise CodegenError(f"opcode code {opcodes[unknown.argmax()]} is not an Opcode")

@@ -49,6 +49,16 @@ class ArrayRecord:
         return True
 
 
+def code_column(values, error: type[RobopathError], what: str) -> np.ndarray:
+    """`values` as an intp column of enum codes. A column that is not
+    integer (floats, which would be truncated, or words) raises `error`
+    naming its dtype; an empty one builds, whatever its dtype."""
+    column = np.asarray(values)
+    if column.size and not np.issubdtype(column.dtype, np.integer):
+        raise error(f"{what} must be integer codes, got dtype {column.dtype}")
+    return column.astype(np.intp, copy=False)
+
+
 class RowView(Sequence):
     """Read-only sequence of `length` rows that calls `row(i)` for the row
     at index i, 0 <= i < length, on each lookup; negative indices count from

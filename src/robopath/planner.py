@@ -31,6 +31,7 @@ from .geometry import (
     RobopathError,
     RowView,
     Transform,
+    code_column,
     compose,
     invert,
     rotation_to_quaternion,
@@ -107,7 +108,8 @@ class PlannedPath(ArrayRecord):
         columns = ("positions", "orientations", "kinds", "speeds", "interpolated",
                    "source_segments")
         for attr in columns:
-            column = np.asarray(getattr(self, attr), dtype=np.intp if attr == "kinds" else None)
+            column = (code_column(self.kinds, PlanningError, f"path {self.name!r}: kinds")
+                      if attr == "kinds" else np.asarray(getattr(self, attr)))
             column.setflags(write=False)
             object.__setattr__(self, attr, column)
         q = self.orientations

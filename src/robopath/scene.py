@@ -33,6 +33,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -379,67 +380,82 @@ def _build_scene(data) -> Scene:
 
 
 _SEGMENT_KEYS = ["kind", "points", "tool_frame", "risk", "speed"]
-_SEGMENT_KEY_SET = frozenset(_SEGMENT_KEYS)
 
 
 def _path(name: str, segments, where: str) -> ScenePath:
-    """A path's segments, checked in file order, as one table. The key and
-    point checks run a cheap test first and build their messages only when
-    that fails."""
+    """A path's segments as one table. A well-formed list is checked and
+    built in a fixed number of passes over its columns (one per field), with
+    no Python step per segment; when a column check fails,
+    `_check_segment` runs over the segments in file order and raises the
+    first fault's message."""
     if not isinstance(segments, list):
         raise SceneValidationError(f"{where}: expected a list")
-    coords: list[float] = []
-    counts, kinds, tools, risks, speeds = [], [], [], [], []
-    for j, seg in enumerate(segments):
-        sw = f"{where}[{j}]"
-        if type(seg) is not dict or seg.keys() != _SEGMENT_KEY_SET:
-            _expect_keys(seg, _SEGMENT_KEYS, [], sw)
-        kind = seg["kind"]
-        code = _KIND_CODES.get(kind) if isinstance(kind, str) else None
-        if code is None:
-            raise SceneValidationError(
-                f"{sw}: kind must be one of line/arc/spline, got {kind!r}"
-            )
-        points = seg["points"]
-        if not isinstance(points, list):
-            raise SceneValidationError(f"{sw}.points: expected a list of points")
-        flat = _flat_points(points)
-        if flat is None:
-            flat = list(chain.from_iterable(
-                _point(p, f"{sw}.points[{k}]") for k, p in enumerate(points)
-            ))
-        if len(points) < 2:
-            raise SceneValidationError(f"{sw}: needs at least two points")
-        if not isinstance(seg["risk"], bool):
-            raise SceneValidationError(f"{sw}.risk: expected true/false")
-        tools.append(_name(seg["tool_frame"], f"{sw}.tool_frame"))
-        speeds.append(_number(seg["speed"], f"{sw}.speed"))
-        coords += flat
-        counts.append(len(points))
-        kinds.append(code)
-        risks.append(seg["risk"])
+    columns = _segment_columns(segments)
+    if columns is None:
+        for j, seg in enumerate(segments):
+            _check_segment(seg, f"{where}[{j}]")
+        raise AssertionError(f"{where}: a column check failed, but no segment breaks a rule")
+    kinds, counts, coords, tools, risks, speeds = columns
     return ScenePath(
-        name,
-        np.array(coords, dtype=float).reshape(-1, 3),
-        np.cumsum([0] + counts),
-        kinds,
-        tuple(tools),
-        tuple(risks),
-        speeds,
+        name, coords.reshape(-1, 3), np.cumsum([0, *counts]), kinds, tools, risks, speeds
     )
 
 
-def _flat_points(points: list) -> Optional[list[float]]:
-    """The coordinates of a list of [x, y, z] points of finite numbers, in
-    order, or None when some point is not one (or when a sum of finite
-    numbers overflows): `_point` then checks each point for its message."""
-    for p in points:
-        if type(p) is not list or len(p) != 3:
-            return None
-    flat = list(chain.from_iterable(points))
-    if set(map(type, flat)) <= {float} and math.isfinite(sum(flat)):
-        return flat
-    return None
+def _segment_columns(segments: list):
+    """(kind codes, point counts, coordinates, tool frames, risk flags,
+    speeds) of segments that each pass `_check_segment`, or None when some
+    segment does not. Each rule is checked once per column: the types as
+    one set, every coordinate's finiteness in one array, each distinct tool
+    frame name once."""
+    if not segments:
+        return [], [], np.empty(0), (), (), np.empty(0)
+    # as many keys as _SEGMENT_KEYS, all of them present, are exactly those
+    if not (set(map(type, segments)) <= {dict}
+            and set(map(len, segments)) == {len(_SEGMENT_KEYS)}):
+        return None
+    try:
+        kinds, points, tools, risks, speeds = zip(*map(itemgetter(*_SEGMENT_KEYS), segments))
+    except KeyError:
+        return None
+    if not (set(map(type, kinds)) <= {str} and set(kinds) <= _KIND_CODES.keys()
+            and set(map(type, points)) <= {list}):
+        return None
+    counts = list(map(len, points))
+    rows = list(chain.from_iterable(points))
+    if not (min(counts) >= 2 and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {float}:
+        return None
+    coords = np.fromiter(flat, float, len(flat))
+    if not (np.isfinite(coords).all() and set(map(type, risks)) <= {bool}
+            and set(map(type, tools)) <= {str} and all(map(NAME_RE.fullmatch, set(tools)))
+            and set(map(type, speeds)) <= {float}):
+        return None
+    speeds = np.fromiter(speeds, float, len(speeds))
+    if not np.isfinite(speeds).all():
+        return None
+    return list(map(_KIND_CODES.__getitem__, kinds)), counts, coords, tools, risks, speeds
+
+
+def _check_segment(seg, where: str) -> None:
+    """Raise the first fault of one segment, rule by rule, or return when it
+    has none: the rules `_segment_columns` checks column by column."""
+    _expect_keys(seg, _SEGMENT_KEYS, [], where)
+    kind = seg["kind"]
+    if not (isinstance(kind, str) and kind in _KIND_CODES):
+        raise SceneValidationError(f"{where}: kind must be one of line/arc/spline, got {kind!r}")
+    points = seg["points"]
+    if not isinstance(points, list):
+        raise SceneValidationError(f"{where}.points: expected a list of points")
+    for k, p in enumerate(points):
+        _point(p, f"{where}.points[{k}]")
+    if len(points) < 2:
+        raise SceneValidationError(f"{where}: needs at least two points")
+    if not isinstance(seg["risk"], bool):
+        raise SceneValidationError(f"{where}.risk: expected true/false")
+    _name(seg["tool_frame"], f"{where}.tool_frame")
+    _number(seg["speed"], f"{where}.speed")
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +523,8 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
             np.where(kinds == _SPLINE, counts < MIN_SPLINE_POINTS, counts != _EXACT_COUNT[kinds]),
             n_bad[starts[1:]] > n_bad[starts[:-1]],
             n_close[np.maximum(starts[1:] - 1, first)] > n_close[first],
-            np.array([tool not in names for tool in path.tool_frames], dtype=bool),
+            np.fromiter(map((set(path.tool_frames) - names).__contains__, path.tool_frames),
+                        bool, len(kinds)),
             ~(path.speeds > 0.0),
             path.speeds == np.inf,
             gaps > CHAIN_TOL,

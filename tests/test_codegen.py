@@ -932,6 +932,14 @@ def test_program_refuses_an_opcode_code_outside_opcode(code):
         RobotProgram("p", ("t1",), *one_pose_columns(1), [code], [5.0])
 
 
+@pytest.mark.parametrize("opcodes, dtype", [([1.7], "float64"), (["MOVEJ"], "<U5")])
+def test_program_refuses_an_opcode_column_that_is_not_integer(opcodes, dtype):
+    with pytest.raises(CodegenError, match=f"^opcodes must be integer codes, got dtype {dtype}$"):
+        RobotProgram("p", ("t1",), *one_pose_columns(1), opcodes, [5.0])
+    empty = RobotProgram("p", (), np.empty((0, 3)), np.empty((0, 4)), [], [])
+    assert empty.opcodes.dtype == np.intp and empty.opcodes.shape == (0,)
+
+
 def test_instruction_arity_checked():
     with pytest.raises(CodegenError):
         RobotProgram("p", ("t1",), *one_pose_columns(1), (Opcode.MOVEC,), [5.0])

@@ -24,6 +24,7 @@ from robopath.geometry import (
 )
 from robopath.planner import (
     MotionKind,
+    PlannedPath,
     PlanningError,
     TargetPose,
     assign_orientations,
@@ -705,6 +706,16 @@ def test_consecutive_identical_poses_forbidden():
     pose = TargetPose([0, 0, 0], Quaternion.identity(), MotionKind.JOINT, 10.0)
     with pytest.raises(PlanningError, match="identical"):
         plan_of("p", (pose, pose), (0, 0), (False,))
+
+
+@pytest.mark.parametrize("kinds, dtype", [([1.7, 1.0], "float64"), (["JOINT", "LINEAR"], "<U6")])
+def test_planned_path_refuses_a_kind_column_that_is_not_integer(kinds, dtype):
+    columns = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]] * 2
+    with pytest.raises(PlanningError, match=f"^path 'p': kinds must be integer codes, got dtype "
+                                            f"{dtype}$"):
+        PlannedPath("p", *columns, kinds, [5.0, 5.0], [False] * 2, [0, 0], (False,))
+    empty = PlannedPath("p", np.empty((0, 3)), np.empty((0, 4)), [], [], [], [], ())
+    assert empty.kinds.dtype == np.intp and empty.kinds.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

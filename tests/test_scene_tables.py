@@ -8,15 +8,19 @@ planned columns bit for bit, and the same error and diagnostic texts.
 """
 
 import dataclasses
+import importlib.util
 import json
+import sys
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import FIXTURES, finite, rotations
 from test_scene import code_built_paths, reference_validate_chain, steps
+from robopath import scene as scene_module
 from robopath.geometry import GeometryError, Transform, compose, invert, rotation_to_quaternion
 from robopath.planner import (
     MotionKind,
@@ -351,45 +355,76 @@ _SEGMENT_EDITS = {
     "kind": ["helix", 1.0, None, ["line"], True],
     "points": ["p", [], [[0.0, 0.0, 0.0]], None],
     "point": [[1.0, 2.0], "p", None, [1.0, 2.0, "3"], [1.0, True, 2.0], [1.0, 2.0, _HUGE],
-              [[1.0], 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]],
+              [[1.0], 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], {"x": 1.0, "y": 2.0, "z": 3.0}],
     "tool_frame": ["X", "F0\n", 3.0, ["F0"], "U"],
     "risk": ["yes", 1.0, None],
     "speed": [-1.0, 0.0, "5", True, None, _HUGE],
 }
+# values a whole segment may be replaced with
+_NOT_OBJECTS = [None, ["line", [[0.0, 0.0, 0.0]]], "segment"]
+# tool frames for every segment of a path: declared names, repeated, among
+# names that are undeclared, reserved or outside the grammar
+_TOOL_MIX = ["F0", "F0", "F1", "X", "U", "F0\n", 3.0]
+# finite coordinates whose sum overflows
+_FAR = 1e308
+
+
+def edit_segment(draw, seg, edit):
+    """Drop, add or replace one entry of a segment object, or move its first
+    point off the chain."""
+    if edit == "drop_key" and seg:
+        del seg[draw(st.sampled_from(sorted(seg)))]
+    elif edit == "extra_key":
+        seg["colour"] = 1.0
+    elif edit == "gap" and isinstance(seg.get("points"), list) and seg["points"]:
+        first = seg["points"][0]
+        if isinstance(first, list):  # _HUGE + 0.5 is _HUGE
+            seg["points"][0] = [v + 0.5 if type(v) is float else v for v in first]
+    elif edit == "point" and isinstance(seg.get("points"), list) and seg["points"]:
+        k = draw(st.integers(0, len(seg["points"]) - 1))
+        seg["points"][k] = draw(st.sampled_from(_SEGMENT_EDITS["point"]))
+    elif edit in _SEGMENT_EDITS and edit != "point":
+        seg[edit] = draw(st.sampled_from(_SEGMENT_EDITS[edit]))
 
 
 @st.composite
 def scene_texts(draw):
     """Scene text, valid or with up to three edits: a segment key dropped,
-    added or given another value, a segment moved off its chain, a path
-    renamed or repeated, or a frame dropped."""
+    added or given another value, a segment moved off its chain or replaced
+    by a value that is not an object, a path's segments emptied, moved to
+    x = 1e308 or each given a tool frame from a mix of good and bad names, a
+    path renamed or repeated, or a frame dropped."""
     doc = draw(scene_documents())
     for _ in range(draw(st.integers(0, 3))):
         path = draw(st.sampled_from(doc["paths"]))
-        seg = draw(st.sampled_from(path["segments"]))
+        objects = [seg for seg in path["segments"] if isinstance(seg, dict)]
         edit = draw(st.sampled_from(
             ["drop_key", "extra_key", "gap", "path_name", "repeat_path", "drop_frame",
-             *_SEGMENT_EDITS]
+             "not_object", "no_segments", "far", "tool_mix", *_SEGMENT_EDITS]
         ))
-        if edit == "drop_key":
-            del seg[draw(st.sampled_from(sorted(seg)))]
-        elif edit == "extra_key":
-            seg["colour"] = 1.0
-        elif edit == "gap" and isinstance(seg.get("points"), list) and seg["points"]:
-            first = seg["points"][0]
-            if isinstance(first, list):  # _HUGE + 0.5 is _HUGE
-                seg["points"][0] = [v + 0.5 if type(v) is float else v for v in first]
-        elif edit == "path_name":
+        if edit == "path_name":
             path["name"] = draw(st.sampled_from(["p 1", "", "p0"]))
         elif edit == "repeat_path":
             doc["paths"].append(path)
-        elif edit == "drop_frame" and len(doc["frames"]) > 1:
-            doc["frames"].pop()
-        elif edit == "point" and isinstance(seg.get("points"), list) and seg["points"]:
-            k = draw(st.integers(0, len(seg["points"]) - 1))
-            seg["points"][k] = draw(st.sampled_from(_SEGMENT_EDITS["point"]))
-        elif edit in _SEGMENT_EDITS and edit != "point":
-            seg[edit] = draw(st.sampled_from(_SEGMENT_EDITS[edit]))
+        elif edit == "drop_frame":
+            if len(doc["frames"]) > 1:
+                doc["frames"].pop()
+        elif edit == "not_object":
+            if path["segments"]:
+                j = draw(st.integers(0, len(path["segments"]) - 1))
+                path["segments"][j] = draw(st.sampled_from(_NOT_OBJECTS))
+        elif edit == "no_segments":
+            path["segments"] = []
+        elif edit == "far":  # each point keeps its y and z, so the path still chains
+            for seg in objects:
+                for point in seg["points"] if isinstance(seg.get("points"), list) else ():
+                    if isinstance(point, list) and point and type(point[0]) is float:
+                        point[0] = _FAR
+        elif edit == "tool_mix":
+            for seg in objects:
+                seg["tool_frame"] = draw(st.sampled_from(_TOOL_MIX))
+        elif objects:
+            edit_segment(draw, draw(st.sampled_from(objects)), edit)
     return json.dumps(doc).replace(repr(_HUGE), "1e400")
 
 
@@ -429,3 +464,124 @@ def test_code_built_scene_tables_match_per_segment_references(built, base):
     reference = Scene(frames, tuple(RefPath(name, segs) for name, segs in paths))
     assert_same_paths(scene, reference)
     assert_same_planning(scene, reference, base)
+
+
+# ---------------------------------------------------------------------------
+# the first fault in file order, and the per-segment rules off the fast path
+# ---------------------------------------------------------------------------
+
+
+def two_segment_document():
+    """A valid scene document of one path of two chained lines."""
+    identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    return {
+        "units": "mm",
+        "frames": [{"name": "F0", "rotation": identity, "origin": [0.0, 0.0, 0.0]}],
+        "paths": [{"name": "p0", "segments": [
+            {"kind": "line", "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "tool_frame": "F0",
+             "risk": False, "speed": 5.0},
+            {"kind": "line", "points": [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], "tool_frame": "F0",
+             "risk": False, "speed": 5.0},
+        ]}],
+    }
+
+
+_SEG = "paths[0].segments"
+# (edit of segment 0, edit of segment 1, the one message): each edit breaks
+# a rule, and segment 1's rule comes earlier in a segment's order than
+# segment 0's, but segment 0 comes first in the file. The last pair's arc of
+# two points is a validation fault, found only after every segment parsed.
+_FAULT_PAIRS = [
+    (("speed", "5"), ("kind", "helix"), f"{_SEG}[0].speed: expected a number, got '5'"),
+    (("speed", _HUGE), ("points", "p"), f"{_SEG}[0].speed: non-finite number inf"),
+    (("tool_frame", "F 0"), ("colour", 1.0),
+     f"{_SEG}[0].tool_frame: name 'F 0' must match [A-Za-z_][A-Za-z0-9_]*"),
+    (("risk", "yes"), (None, None), f"{_SEG}[0].risk: expected true/false"),
+    (("points", [[0.0, 0.0, 0.0]]), ("kind", None), f"{_SEG}[0]: needs at least two points"),
+    (("points", [[0.0, 0.0, 0.0], {"x": 1.0}]), ("risk", 1.0),
+     f"{_SEG}[0].points[1]: expected [x, y, z]"),
+    (("kind", "arc"), ("speed", "5"), f"{_SEG}[1].speed: expected a number, got '5'"),
+]
+
+
+@pytest.mark.parametrize("first, second, message", _FAULT_PAIRS)
+def test_the_first_segment_at_fault_in_the_file_sets_the_message(first, second, message):
+    doc = two_segment_document()
+    segments = doc["paths"][0]["segments"]
+    for j, (key, value) in enumerate((first, second)):
+        if key is None:
+            segments[j] = value
+        else:
+            segments[j][key] = value
+    text = json.dumps(doc).replace(repr(_HUGE), "1e400")
+    with pytest.raises(SceneValidationError) as err:
+        parse_scene(text)
+    assert str(err.value) == message
+    assert outcome(reference_parse, text)[1] == (SceneValidationError, message)
+
+
+# (key, value) edits of segment 1 that each break one rule alone, so that
+# each column check in turn is the only one to fail: a key of None replaces
+# the whole segment with the value, a value of None drops the key
+_ONE_FAULT = [
+    (None, None), (None, ["line"]), ("colour", 1.0), ("risk", None), ("kind", "helix"),
+    ("kind", ["line"]), ("points", "p"), ("points", [[1.0, 0.0, 0.0], [2.0, 0.0]]),
+    ("points", [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]),
+    ("points", [[1.0, 0.0, 0.0], {"x": 2.0}]), ("points", [[1.0, 0.0, 0.0], [2.0, 0.0, True]]),
+    ("points", [[1.0, 0.0, 0.0], [2.0, 0.0, _HUGE]]), ("points", [[1.0, 0.0, 0.0]]),
+    ("risk", 1.0), ("tool_frame", "F0\n"), ("tool_frame", ["F0"]), ("speed", "5"),
+    ("speed", True), ("speed", _HUGE),
+]
+
+
+@pytest.mark.parametrize("key, value", _ONE_FAULT)
+def test_a_segment_breaking_one_rule_gets_the_per_segment_message(key, value):
+    doc = two_segment_document()
+    segments = doc["paths"][0]["segments"]
+    if key is None:
+        segments[1] = value
+    elif value is None:
+        del segments[1][key]
+    else:
+        segments[1][key] = value
+    text = json.dumps(doc).replace(repr(_HUGE), "1e400")
+    error = outcome(parse_scene, text)[1]
+    assert error is not None and error[1].startswith(f"{_SEG}[1]")
+    assert error == outcome(reference_parse, text)[1]
+
+
+def test_coordinates_whose_sum_overflows_still_parse():
+    doc = two_segment_document()
+    for seg in doc["paths"][0]["segments"]:
+        for point in seg["points"]:
+            point[1:] = [_FAR, _FAR]
+    text = json.dumps(doc)
+    scene = parse_scene(text)
+    assert_same_paths(scene, reference_parse(text))
+    assert scene.paths[0].points[:, 1:].tolist() == [[_FAR, _FAR]] * 4
+
+
+def benchmark_scene_text(monkeypatch):
+    """The compile_dense benchmark's scene, at its size, from
+    benchmarks/scenes.py loaded by path; its dataclass needs the module
+    registered while it executes."""
+    path = FIXTURES.parent.parent / "benchmarks" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("benchmark_scenes", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.serpentine(2000, 1, 5.0).text
+
+
+@pytest.mark.parametrize("text", [*_FIXTURE_TEXTS, "benchmark"],
+                         ids=["butt_joint", "profile", "straight_seam", "serpentine_2000"])
+def test_well_formed_scenes_never_reach_the_per_segment_rules(text, monkeypatch):
+    if text == "benchmark":
+        text = benchmark_scene_text(monkeypatch)
+
+    def unreachable(seg, where):
+        raise AssertionError(f"{where}: per-segment rules ran on a well-formed scene")
+
+    monkeypatch.setattr(scene_module, "_check_segment", unreachable)
+    scene = parse_scene(text)
+    assert all(len(path.kinds) for path in scene.paths)
