@@ -101,9 +101,9 @@ LOADER_REFUSALS = {
 }
 
 
-_SPEED, _POINTS = '"speed": 10.0', "[[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]"
 # One scene per refusal of a segment rule, named by it: the straight_seam
 # fixture's one segment with this text replaced
+_SPEED, _POINTS = '"speed": 10.0', "[[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]"
 SEGMENT_REFUSALS = {
     "unknown_key": (_SPEED, f'{_SPEED}, "colour": 1.0'),
     "missing_key": ('"risk": false,', ""),
@@ -167,9 +167,9 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
     for refusal, (old, new) in SEGMENT_REFUSALS.items():
         if seam_text.count(old) != 1:
             raise CannotRun(f"straight_seam.scene.json holds {old!r} {seam_text.count(old)} times")
-        scene = inputs / f"refused_segment_{refusal}.scene.json"
-        scene.write_text(seam_text.replace(old, new))
         name = f"refused_segment_{refusal}"
+        scene = inputs / f"{name}.scene.json"
+        scene.write_text(seam_text.replace(old, new))
         invocations.append((name, ["compile", "--scene", str(scene), "--base", "B",
                                    "--out", f"{name}.prog"]))
     for refusal, statements in LOADER_REFUSALS.items():
