@@ -12,10 +12,11 @@ member name. `lower` names the planned poses and groups them into moves
 with array masks, taking the path's position and quaternion columns as they
 are. `RobotProgram.targets` is a read-only name ->
 TargetPose view that builds a pose only when one is looked up. `load_program`
-fills the columns in whole-block passes, with no Python step per statement: a
-pattern checks the target block, `str.split` turns the targets and the moves
-into token columns, and each rule of the grammar checks its column once. The
-error is that of the first statement in file order that breaks a rule.
+fills the columns in whole-block passes, with no Python step per statement:
+one block pattern checks the target block and one the move block, `str.split`
+turns the checked statements into token columns, and only the operand rules
+(undeclared, referenced twice, rejected pose or speed) check a column each.
+The error is that of the first statement in file order that breaks a rule.
 
 Program grammar. Lines end where `str.splitlines` ends them (LF, CRLF, CR
 and the other Unicode line breaks); each is stripped and blank ones are
@@ -41,7 +42,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice
 from operator import itemgetter
 from typing import NoReturn
 
@@ -133,10 +134,7 @@ class RobotProgram(ArrayRecord):
 
     def __post_init__(self):
         names = tuple(self.target_names)
-        opcodes = code_column(self.opcodes, CodegenError, "opcodes")
-        unknown = (opcodes < 0) | (opcodes >= len(Opcode))
-        if unknown.any():
-            raise CodegenError(f"opcode code {opcodes[unknown.argmax()]} is not an Opcode")
+        opcodes = code_column(self.opcodes, Opcode, CodegenError, "opcode")
         arities = _ARITIES[opcodes]
         if len(set(names)) != len(names):
             raise CodegenError("a target is referenced by more than one instruction")
@@ -334,20 +332,27 @@ def _target_table(program: RobotProgram) -> np.ndarray:
 
 # Block patterns: each matches statements joined one per line, up to the
 # first that breaks the grammar. A blank inside a statement is any
-# whitespace but the newline that joins them. The quantifiers are
-# possessive: every repeated item is followed by a character it cannot
-# match, so they match what plain ones would, without the backtracking
-# state a plain one keeps for each line (with it, a seam_dense benchmark
-# call was about 12 % slower: the plain-spelling runs in BENCH_20.json).
-# _leading_matches gives a pattern _BLOCK_ROWS lines at a time.
+# whitespace but the newline that joins them; Python's `\s` and
+# `str.isspace` agree on every code point, so the blanks split a statement
+# where `str.split` does. The quantifiers are possessive: every repeated
+# item is followed by a character it cannot match, so they match what plain
+# ones would, without the backtracking state a plain one keeps for each
+# line (with it, a seam_dense benchmark call was about 12 % slower: the
+# plain-spelling runs in BENCH_20.json). _leading_matches gives a pattern
+# _BLOCK_ROWS lines at a time.
+_GAP = r"[^\S\n]++"  # one or more blanks
 _BLANKS = r"[^\S\n]*+"
 _NUM = r"[+-]?+[0-9]++(?:\.[0-9]++)?+"  # grammar `num`
 _ARG = rf"{_BLANKS}{_NUM}{_BLANKS}"
 _TARGET_LINES_RE = re.compile(
-    rf"(?:TARGET[^\S\n]++{NAME}{_BLANKS}={_BLANKS}\[{_ARG},{_ARG},{_ARG}\]"
+    rf"(?:TARGET{_GAP}{NAME}{_BLANKS}={_BLANKS}\[{_ARG},{_ARG},{_ARG}\]"
     rf"{_BLANKS},{_BLANKS}\[{_ARG},{_ARG},{_ARG},{_ARG}\]\n)*+"
 )
-_NUMBER_LINES_RE = re.compile(rf"(?:{_NUM}\n)*+")
+# an operand is any token, so one outside the name grammar reads as undeclared
+_MOVE_LINES_RE = re.compile(
+    rf"(?:(?:(?:MOVEJ|MOVEL|MOVES){_GAP}\S++|MOVEC{_GAP}\S++{_GAP}\S++)"
+    rf"{_GAP}SPEED{_GAP}{_NUM}\n)*+"
+)
 _TARGET_PUNCTUATION = str.maketrans("=[],", "    ")
 
 
@@ -360,12 +365,14 @@ def load_program(text: str) -> RobotProgram:
     with the offending line number.
 
     The stripped, non-blank lines are read in a fixed number of passes, with
-    no Python step per statement. One pattern checks the target block and
-    the targets are tokenised, both _BLOCK_ROWS statements at a time; the
-    move block is split once into token columns, and each move rule checks
-    its column in one pass. A target with a non-finite number or a
-    quaternion norm off 1 by more than NEAR_UNIT_TOL is refused at the move
-    that references it, with the error building its TargetPose gives.
+    no Python step per statement. Two block patterns, given _BLOCK_ROWS
+    statements at a time, check the target block and the move block up to
+    the first statement that breaks the grammar; only that statement is
+    split on its own, to word its fault. The checked statements are split
+    into token columns, and each operand rule checks its column in one
+    pass. A target with a non-finite number or a quaternion norm off 1 by
+    more than NEAR_UNIT_TOL is refused at the move that references it, with
+    the error building its TargetPose gives.
 
     Which fault wins: that of the first statement in file order that breaks
     a rule, and within it the first rule in this order: PROGRAM header,
@@ -450,35 +457,20 @@ def _move_columns(moves: list[str], declared: dict[str, int], values: np.ndarray
     and the speeds of the move statements, and their first fault as (index
     in `moves`, message), or None.
 
-    Each rule checks its column once, over the moves before the first fault
-    found so far, so a later rule can only find an earlier fault.
+    _MOVE_LINES_RE finds the first statement that breaks a syntactic rule,
+    and _move_fault words it. Each operand rule then checks its column once,
+    over the moves before the first fault found so far, so a later rule can
+    only find an earlier fault.
     """
-    parts = list(map(str.split, moves))
-    codes = map(_OPCODE_CODES.get, map(itemgetter(0), parts), repeat(-1))  # -1: unknown
-    opcodes = np.fromiter(codes, np.intp, len(parts))
-    k, fault = len(moves), None  # moves[:k] keep every rule checked so far
-    unknown = opcodes < 0
-    if unknown.any():
-        k = int(unknown.argmax())
-        fault = ("TARGET after motion statements" if moves[k].startswith("TARGET")
-                 else f"unknown opcode {parts[k][0]!r}")
-    arities = _ARITIES[opcodes[:k]]
-    # SPEED is next to last in a move of the right size (a one-token move
-    # reads its opcode here)
-    words = map(itemgetter(0), map(itemgetter(slice(-2, None)), parts[:k]))
-    malformed = ((np.fromiter(map(len, parts[:k]), np.intp, k) != arities + 3)
-                 | ~np.fromiter(map("SPEED".__eq__, words), bool, k))
-    if malformed.any():
-        k = int(malformed.argmax())
-        fault = f"malformed {_OPCODES[opcodes[k]].name} statement"
-    speed_text = list(map(itemgetter(-1), parts[:k]))
-    numbers = _leading_matches(_NUMBER_LINES_RE, speed_text)
-    if numbers < k:
-        k, fault = numbers, f"bad speed {speed_text[numbers]!r}"
-    speeds = np.fromiter(map(float, speed_text[:k]), float, k)
+    k = _leading_matches(_MOVE_LINES_RE, moves)  # moves[:k] are well-formed
+    fault = _move_fault(moves[k]) if k < len(moves) else None
+    parts = list(map(str.split, moves[:k]))
+    opcodes = np.fromiter(map(_OPCODE_CODES.__getitem__, map(itemgetter(0), parts)), np.intp, k)
+    arities = _ARITIES[opcodes]
+    speeds = np.fromiter(map(float, map(itemgetter(-1), parts)), float, k)
 
-    operands = list(chain.from_iterable(map(itemgetter(slice(1, -2)), parts[:k])))
-    owners = np.repeat(np.arange(k), arities[:k])  # the move of each operand
+    operands = list(chain.from_iterable(map(itemgetter(slice(1, -2)), parts)))
+    owners = np.repeat(np.arange(k), arities)  # the move of each operand
     rows = list(map(declared.get, operands))
     j = len(operands)  # operands[:j] keep every operand rule checked so far
     if None in rows:
@@ -496,6 +488,19 @@ def _move_columns(moves: list[str], declared: dict[str, int], values: np.ndarray
         k = owners[j]
         fault = _rejection(operands[j], table[j].tolist(), float(speeds[k]))
     return opcodes, operands, table, speeds, None if fault is None else (int(k), fault)
+
+
+def _move_fault(move: str) -> str:
+    """The message for a move statement _MOVE_LINES_RE stops at: the first
+    rule it breaks of TARGET after motion, unknown opcode, malformed move
+    and bad speed."""
+    word, *_ = parts = move.split()
+    if word not in _OPCODE_CODES:
+        return ("TARGET after motion statements" if word.startswith("TARGET")
+                else f"unknown opcode {word!r}")
+    if len(parts) != _ARITIES[_OPCODE_CODES[word]] + 3 or parts[-2] != "SPEED":
+        return f"malformed {word} statement"
+    return f"bad speed {parts[-1]!r}"
 
 
 def _first_repeat(names: list[str]) -> int:

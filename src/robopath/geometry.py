@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 
@@ -49,14 +50,22 @@ class ArrayRecord:
         return True
 
 
-def code_column(values, error: type[RobopathError], what: str) -> np.ndarray:
-    """`values` as an intp column of enum codes. A column that is not
-    integer (floats, which would be truncated, or words) raises `error`
-    naming its dtype; an empty one builds, whatever its dtype."""
+def code_column(values, codes: type[Enum], error: type[RobopathError], what: str) -> np.ndarray:
+    """`values` as an intp column of `codes` codes, the member numbers 0, 1,
+    ... of the enum in definition order. A column that is not integer
+    (floats, which would be truncated, or words) raises `error` naming its
+    dtype, and one holding a number that is not a code raises it naming the
+    first such number; an empty one builds, whatever its dtype. `what` is
+    the singular of the column's name."""
     column = np.asarray(values)
     if column.size and not np.issubdtype(column.dtype, np.integer):
-        raise error(f"{what} must be integer codes, got dtype {column.dtype}")
-    return column.astype(np.intp, copy=False)
+        raise error(f"{what}s must be integer codes, got dtype {column.dtype}")
+    column = column.astype(np.intp, copy=False)
+    outside = column[(column < 0) | (column >= len(codes))]
+    if outside.size:
+        article = "an" if codes.__name__[0] in "AEIOU" else "a"
+        raise error(f"{what} code {outside[0]} is not {article} {codes.__name__}")
+    return column
 
 
 class RowView(Sequence):

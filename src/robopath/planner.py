@@ -108,7 +108,8 @@ class PlannedPath(ArrayRecord):
         columns = ("positions", "orientations", "kinds", "speeds", "interpolated",
                    "source_segments")
         for attr in columns:
-            column = (code_column(self.kinds, PlanningError, f"path {self.name!r}: kinds")
+            column = (code_column(self.kinds, MotionKind, PlanningError,
+                                  f"path {self.name!r}: kind")
                       if attr == "kinds" else np.asarray(getattr(self, attr)))
             column.setflags(write=False)
             object.__setattr__(self, attr, column)

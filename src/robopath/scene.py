@@ -46,6 +46,7 @@ from .geometry import (
     RobopathError,
     RowView,
     Transform,
+    code_column,
     quaternion_to_rotation,
 )
 
@@ -144,9 +145,11 @@ class ScenePath(ArrayRecord):
     speeds: np.ndarray
 
     def __post_init__(self):
-        for attr, dtype in (("points", float), ("starts", np.intp), ("kinds", np.intp),
+        for attr, dtype in (("points", float), ("starts", np.intp), ("kinds", None),
                             ("speeds", float)):
-            column = np.asarray(getattr(self, attr), dtype=dtype)
+            column = (np.asarray(getattr(self, attr), dtype=dtype) if dtype else
+                      code_column(self.kinds, SegmentKind, SceneValidationError,
+                                  f"path {self.name!r}: kind"))
             column.setflags(write=False)
             object.__setattr__(self, attr, column)
 
@@ -577,14 +580,10 @@ def serialize_scene(scene: Scene) -> str:
             {
                 "name": p.name,
                 "segments": [
-                    {
-                        "kind": s.kind.value,
-                        "points": s.points.tolist(),
-                        "tool_frame": s.tool_frame,
-                        "risk": s.risk,
-                        "speed": s.speed,
-                    }
-                    for s in p.segments
+                    dict(zip(_SEGMENT_KEYS, row))
+                    for row in zip([SEGMENT_KINDS[k].value for k in p.kinds],
+                                   map(np.ndarray.tolist, np.split(p.points, p.starts[1:-1])),
+                                   p.tool_frames, p.risk, p.speeds.tolist())
                 ],
             }
             for p in scene.paths
@@ -596,3 +595,4 @@ def serialize_scene(scene: Scene) -> str:
             "max": scene.workspace.hi.tolist(),
         }
     return json.dumps(doc, indent=2) + "\n"
+

@@ -792,19 +792,47 @@ _T2 = "TARGET t2 = [1, 0, 0], [1, 0, 0, 0]"
         (_program(_T1, _T2, "MOVEJ t1 SPEED 5", _T2, "END"), 5, "TARGET after motion statements"),
         (_program(_T1, _T2, "MOVEJ t1 SPEED 5", "END", "MOVEJ t2 SPEED 5"),
          6, "content after END"),
+        (_program(_T1, _T2, "MOVEJ t1 SPEED 5", "MOVEX t2 SPEED fast", "END"),
+         5, "unknown opcode 'MOVEX'"),
+        (_program(_T1, _T2, "MOVEC t1 SPEED fast", "END"), 4, "malformed MOVEC statement"),
+        (_program(_T1, _T2, "MOVEL t1 t2 SPEED 5", "END"), 4, "malformed MOVEL statement"),
+        (_program(_T1, _T2, "MOVEJ t1 SPEED 5", "MOVEL t-2 SPEED 5", "END"),
+         5, "undeclared target 't-2'"),
+        (_program(_T1, _T2, _T2.replace("t2", "t3"), _T2.replace("t2", "t4"),
+                  "MOVEJ\tt1\tSPEED\t5", "MOVEL\xa0t2\xa0SPEED\xa05",
+                  "MOVES\x1ft3\x1fSPEED\x1f5", "END"),
+         1, "unreferenced targets ['t4']"),
+        (_program(_T1, _T2, "MOVEJ t9 SPEED 5", "MOVEL t2 SPEED 5", "MOVEL t1 t2 SPEED 5", "END"),
+         4, "undeclared target 't9'"),
     ],
     ids=["duplicate_before_malformed_target", "malformed_target_before_bad_moves",
          "undeclared_in_move_1_before_bad_speed_in_move_2",
          "bad_speed_in_move_1_before_undeclared_in_move_2", "movec_second_operand_undeclared",
          "movec_second_operand_repeats_the_first", "movec_speed_rejects_first_operand_first",
          "rejected_pose_before_unknown_opcode", "target_after_motion_before_unreferenced",
-         "content_after_end_before_unreferenced"],
+         "content_after_end_before_unreferenced", "unknown_opcode_before_its_bad_speed",
+         "one_operand_movec_malformed_before_its_bad_speed", "two_operand_movel_malformed",
+         "operand_outside_name_undeclared", "tab_nbsp_and_unit_separator_blanks_load",
+         "undeclared_in_move_1_before_malformed_move_3"],
 )
 def test_load_reports_the_first_fault_in_file_order(text, line, message):
     for loader in (load_program, reference_load):
         with pytest.raises(ProgramParseError) as err:
             loader(text)
         assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("op", list(Opcode))
+def test_a_move_loads_with_as_many_operands_as_its_opcode_table_row(op):
+    names = ["t1", "t2", "t3"]
+    targets = [f"TARGET {t} = [{x}, 0, 0], [1, 0, 0, 0]" for x, t in enumerate(names)]
+    for n in range(len(names) + 1):
+        text = _program(*targets[:n], f"{op.name} {' '.join(names[:n])} SPEED 5", "END")
+        if n == len(_OPCODE_KINDS[op]):
+            assert load_program(text).instructions == (Instruction(op, tuple(names[:n]), 5.0),)
+        else:
+            with pytest.raises(ProgramParseError, match=f"^line {n + 2}: malformed {op.name} "):
+                load_program(text)
 
 
 @given(random_plans())

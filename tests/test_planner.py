@@ -718,6 +718,13 @@ def test_planned_path_refuses_a_kind_column_that_is_not_integer(kinds, dtype):
     assert empty.kinds.dtype == np.intp and empty.kinds.shape == (0,)
 
 
+@pytest.mark.parametrize("code", [-1, len(MotionKind), 7])
+def test_planned_path_refuses_a_kind_code_outside_motion_kind(code):
+    columns = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]] * 2
+    with pytest.raises(PlanningError, match=f"^path 'p': kind code {code} is not a MotionKind$"):
+        PlannedPath("p", *columns, [0, code], [5.0, 5.0], [False] * 2, [0, 0], (False,))
+
+
 # ---------------------------------------------------------------------------
 # fixture end-to-end sanity
 # ---------------------------------------------------------------------------

@@ -589,6 +589,17 @@ def test_a_scene_has_no_unit_but_mm():
         dataclasses.replace(scene, units="in")
 
 
+@pytest.mark.parametrize(
+    "kinds, message",
+    [([0.7], "kinds must be integer codes, got dtype float64"),
+     ([-1], "kind code -1 is not a SegmentKind"),
+     ([len(SegmentKind)], f"kind code {len(SegmentKind)} is not a SegmentKind")],
+)
+def test_scene_path_refuses_a_kind_column_outside_segment_kind(kinds, message):
+    with pytest.raises(SceneValidationError, match=f"^path 'p': {message}$"):
+        ScenePath("p", [[0, 0, 0], [1, 0, 0]], [0, 2], kinds, ("U",), (False,), [1.0])
+
+
 def test_parse_preserves_declaration_order():
     d = doc()
     d["frames"].append(
