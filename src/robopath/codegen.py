@@ -494,7 +494,8 @@ def _move_fault(move: str) -> str:
     """The message for a move statement _MOVE_LINES_RE stops at: the first
     rule it breaks of TARGET after motion, unknown opcode, malformed move
     and bad speed."""
-    word, *_ = parts = move.split()
+    parts = move.split()
+    word = parts[0]
     if word not in _OPCODE_CODES:
         return ("TARGET after motion statements" if word.startswith("TARGET")
                 else f"unknown opcode {word!r}")

@@ -51,12 +51,12 @@ class ArrayRecord:
 
 
 def code_column(values, codes: type[Enum], error: type[RobopathError], what: str) -> np.ndarray:
-    """`values` as an intp column of `codes` codes, the member numbers 0, 1,
-    ... of the enum in definition order. A column that is not integer
-    (floats, which would be truncated, or words) raises `error` naming its
-    dtype, and one holding a number that is not a code raises it naming the
+    """`values` as an intp column of codes of the enum `codes`, which
+    numbers its members 0, 1, ... in definition order. A column that is not
+    integer (floats, which would be truncated, or words) raises `error`
+    naming its dtype, and one holding another number raises it naming the
     first such number; an empty one builds, whatever its dtype. `what` is
-    the singular of the column's name."""
+    the column's name in the singular."""
     column = np.asarray(values)
     if column.size and not np.issubdtype(column.dtype, np.integer):
         raise error(f"{what}s must be integer codes, got dtype {column.dtype}")

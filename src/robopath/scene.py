@@ -145,11 +145,11 @@ class ScenePath(ArrayRecord):
     speeds: np.ndarray
 
     def __post_init__(self):
-        for attr, dtype in (("points", float), ("starts", np.intp), ("kinds", None),
+        for attr, dtype in (("points", float), ("starts", np.intp), ("kinds", np.intp),
                             ("speeds", float)):
-            column = (np.asarray(getattr(self, attr), dtype=dtype) if dtype else
-                      code_column(self.kinds, SegmentKind, SceneValidationError,
-                                  f"path {self.name!r}: kind"))
+            column = (code_column(self.kinds, SegmentKind, SceneValidationError,
+                                  f"path {self.name!r}: kind")
+                      if attr == "kinds" else np.asarray(getattr(self, attr), dtype=dtype))
             column.setflags(write=False)
             object.__setattr__(self, attr, column)
 
@@ -595,4 +595,3 @@ def serialize_scene(scene: Scene) -> str:
             "max": scene.workspace.hi.tolist(),
         }
     return json.dumps(doc, indent=2) + "\n"
-
