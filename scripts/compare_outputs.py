@@ -8,9 +8,11 @@ OLD and NEW are git revisions of this repository. Each is exported with
 `git archive` and runs the same invocations, in one Python process per
 revision, on the same input files:
 
-* compile of each fixture scene and of seeded serpentine scenes from the
-  NEW revision's `benchmarks/scenes.py` (imported, not run as a benchmark),
-  with the default `--interp-dt` and with others;
+* compile of each fixture scene, of seeded serpentine scenes from the
+  NEW revision's `benchmarks/scenes.py` (imported, not run as a benchmark)
+  and of a straight seam whose numbers the fixed-point writer spells with
+  `%.4f` itself (ties on a 1/32 mm grid, a y beyond 2**52 / 1e4 mm), with
+  the default `--interp-dt` and with others;
 * simulate of every compiled program under seam tracking, PI force and
   fuzzy force control;
 * a few refused inputs (a bad scene, program or option), one scene for
@@ -147,6 +149,15 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
         name = f"serp{segments}_s{seed}"
         scenes[name] = inputs / f"{name}.scene.json"
         scenes[name].write_text(generator.serpentine(segments, seed, seg_mm).text)
+    # the straight_seam fixture on a 1/32 mm grid, so with ties at the fourth
+    # decimal, and with frame B moved so that every target's y is 4.6e11 mm
+    grid = json.loads(scenes["straight_seam"].read_text())
+    grid["frames"][0]["origin"] = [0.0, -4.6e11, 0.0]
+    segment = grid["paths"][0]["segments"][0]
+    segment["points"] = [[0.03125, 0.09375, -0.15625], [100.09375, 0.03125, 0.65625]]
+    segment["speed"] = 10.03125
+    scenes["grid32"] = inputs / "grid32.scene.json"
+    scenes["grid32"].write_text(json.dumps(grid))
 
     invocations = []
     for scene, path in scenes.items():

@@ -33,6 +33,8 @@ inside a statement reads as a blank:
 
 Each target is referenced by exactly one move. `emit` writes numbers
 fixed-point with four decimals; target tuples are [x, y, z], [w, qx, qy, qz].
+`fixed_point`, which writes the numbers of programs and traces, rounds and
+spells a block of rows in array passes, as `%.4f` would write each number.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, compress, count, islice
 from operator import itemgetter
 from typing import NoReturn
@@ -95,7 +97,7 @@ _OPCODE_KINDS = {
 # the arity, and the opcode's word in a move statement
 _OPERAND_KINDS = np.array([(*_OPCODE_KINDS[op], -1)[:2] for op in Opcode])
 _ARITIES = (_OPERAND_KINDS >= 0).sum(axis=1)
-_MOVE_WORDS = np.array([f"{op.name} " for op in Opcode])
+_MOVE_WORDS = np.array([f"{op.name} ".encode() for op in Opcode])
 _OPCODE_CODES = {op.name: op.value for op in Opcode}
 _OPCODES = tuple(Opcode)  # the member of each code
 
@@ -200,18 +202,53 @@ class _TargetView(Mapping):
 # 0.00005, and Python formats the exact binary value correctly rounded.
 _READS_ZERO = 5e-5
 
-# Rows per block, for emit's `%` formatting and the loader's passes: few
-# enough that a block's arguments, text and match state stay small beside
-# the whole program.
+# Rows per block for the loader's passes: few enough that a block's text
+# and match state stay small beside the whole program.
 _BLOCK_ROWS = 256
+# Rows per block for fixed_point: enough that numpy's cost per call is small
+# beside a block's work (256 rows wrote a 6.4k-target table about 25 %
+# slower on a 2-vCPU VM), few enough that a block's word matrix stays a
+# few hundred kB.
+_WRITE_ROWS = 1024
+
+
+def _digit_groups() -> np.ndarray:
+    """The digits of each number 0-9999 as one 4-byte word, in three runs:
+    zero-padded (index n), with the leading zeros blank (10000 + n; the
+    units digit stays, so 0 reads "0"), and all blank (20000). Blank bytes
+    are NUL, which fixed_point drops from the finished text."""
+    n = np.arange(10_000, dtype=np.uint16)[:, None]
+    place = np.array([1000, 100, 10, 1], np.uint16)
+    digits = (n // place % 10 + ord("0")).astype(np.uint8)
+    leading_zero = (n < place) & (place > 1)
+    blanked = np.where(leading_zero, np.uint8(0), digits)
+    return np.vstack([digits, blanked, np.zeros((1, 4), np.uint8)]).view(np.uint32).ravel()
+
+
+_GROUPS = _digit_groups()
+_MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]
+# fixed_point clips numbers to this before scaling them by 1e4, so that the
+# scaled numbers stay finite and within int64; every |x| from 2**51 / 1e4 up
+# is written with `%.4f` anyway
+_CLIP = 2.0**52 / 1e4
+_FIELD_RE = re.compile(r"(%s|%\.4f)")
 
 
 def fixed_point(row_template: str, numbers: np.ndarray, labels=None) -> list[str]:
     """The text of the rows of `numbers`, an (n, k) array, in blocks of up
-    to _BLOCK_ROWS rows. Each row is written as `row_template % (label, *row)`,
+    to _WRITE_ROWS rows. Each row is written as `row_template % (label, *row)`,
     or as `row_template % tuple(row)` without `labels`; every number a
     `%.4f` field takes is fixed-point with four decimals, no exponent and no
-    negative zero.
+    negative zero. `labels` are ASCII strings without NUL, or a bytes array
+    of them.
+
+    A block is written in array passes: each number is rounded to a whole
+    number of 1e-4 by `rint(x * 1e4)` and spelled from a table of 4-digit
+    words into one word matrix of the block's rows, whose NUL padding is
+    dropped. The product is within half an ulp of x * 10**4, so `rint` rounds
+    as `%.4f` does unless a .5 boundary lies within that distance. Only
+    those numbers, which take in exact ties and every |x| from 2**51 / 1e4
+    up, are written with `%.4f` itself, in the same field.
 
     Raises CodegenError for the first non-finite number in row order.
     """
@@ -219,21 +256,77 @@ def fixed_point(row_template: str, numbers: np.ndarray, labels=None) -> list[str
     if bad.any():
         value = float(numbers.flat[bad.argmax()])
         raise CodegenError(f"cannot write non-finite number {value}")
-    width = numbers.shape[1] + (labels is not None)
+    label_words = 0
+    if labels is not None:
+        labels = np.asarray(labels, dtype="S")
+        label_words = -(-labels.itemsize // 4)
+        labels = labels.astype(f"S{4 * label_words}", copy=False)
     blocks = []
-    for lo in range(0, len(numbers), _BLOCK_ROWS):
-        block = numbers[lo : lo + _BLOCK_ROWS]
-        # a number that reads zero is written as 0.0, so never as -0.0000
-        block = np.where(np.abs(block) < _READS_ZERO, 0.0, block)
-        if labels is None:
-            args = block.ravel().tolist()
-        else:
-            args = [None] * (len(block) * width)
-            args[0::width] = labels[lo : lo + _BLOCK_ROWS]
-            for j in range(1, width):
-                args[j::width] = block[:, j - 1].tolist()
-        blocks.append(row_template * len(block) % tuple(args))
+    for lo in range(0, len(numbers), _WRITE_ROWS):
+        block = numbers[lo : lo + _WRITE_ROWS]
+        scaled = np.clip(block, -_CLIP, _CLIP) * 1e4
+        rounded = np.rint(scaled)
+        # scaled - rounded is exact, and |scaled| * 2**-52 is at least an ulp
+        # of scaled (and 0.5 or more from 2**51 up)
+        inexact = np.abs(scaled) * 2.0**-52 >= 0.5 - np.abs(scaled - rounded)
+        units, fraction = np.divmod(np.abs(rounded).astype(np.int64), 10_000)
+        top = int(units.max(initial=0))
+        groups = 1 + (top >= 10_000) + (top >= 10**8)
+        width = groups + 3  # words per number: sign, groups, ".", fraction
+        rows, cols = np.nonzero(inexact)
+        if rows.size:
+            values = block[rows, cols]
+            # a number that reads zero is written as 0.0, so never as -0.0000
+            values[np.abs(values) < _READS_ZERO] = 0.0
+            texts = np.array(["%.4f" % v for v in values.tolist()], dtype="S")
+            width = max(width, -(-texts.itemsize // 4))
+        row, label_at, ends = _row_words(row_template, label_words, width)
+        matrix = np.empty((len(block), len(row)), np.uint32)
+        matrix[:] = row
+        if label_words:
+            matrix[:, label_at : label_at + label_words] = (
+                labels[lo : lo + _WRITE_ROWS].view(np.uint32).reshape(len(block), label_words)
+            )
+        # -0.0 (a number that reads zero) has no sign
+        matrix[:, ends - 3 - groups] = np.where(rounded < 0.0, _MINUS, 0)
+        matrix[:, ends - 1] = _GROUPS[fraction]
+        rest = units
+        for g in range(groups):  # units group first
+            rest, part = np.divmod(rest, 10_000)
+            blank = rest == 0  # nothing above it: no leading zeros
+            index = part + 10_000 * blank
+            if g:  # above the units group, a zero with nothing above is blank
+                index += 10_000 * (blank & (part == 0))
+            matrix[:, ends - 3 - g] = _GROUPS[index]
+        if rows.size:
+            fields = ends[cols, None] - width + np.arange(width)
+            matrix[rows[:, None], fields] = (
+                texts.astype(f"S{4 * width}").view(np.uint32).reshape(-1, width)
+            )
+        blocks.append(matrix.tobytes().translate(None, b"\0").decode("ascii"))
     return blocks
+
+
+@lru_cache(maxsize=16)
+def _row_words(row_template: str, label_words: int, width: int):
+    """One row of `row_template` as 4-byte words: the row with its literal
+    text and each number field's "." in place and NUL elsewhere, the column
+    of the label field's first word, and the column after each number
+    field, each field `width` words wide. Both arrays are read-only, as the
+    cache hands them to every caller."""
+    row, label_at, ends = b"", 0, []
+    for piece in _FIELD_RE.split(row_template):
+        if piece == "%s":
+            label_at = len(row) // 4
+            row += bytes(4 * label_words)
+        elif piece == "%.4f":
+            row += bytes(4 * width - 5) + b"." + bytes(4)
+            ends.append(len(row) // 4)
+        else:
+            row += piece.encode("ascii").rjust(-(-len(piece) // 4) * 4, b"\0")
+    ends = np.array(ends, np.intp)
+    ends.setflags(write=False)
+    return np.frombuffer(row, np.uint32), label_at, ends
 
 
 def lower(path: PlannedPath) -> RobotProgram:
@@ -282,11 +375,11 @@ def emit(program: RobotProgram) -> str:
         i = next(i for i, name in enumerate(all_names) if not NAME_RE.fullmatch(name))
         kind = "target" if i else "program"
         raise CodegenError(f"{kind} name {all_names[i]!r} must match {NAME}")
-    names = np.array(program.target_names, dtype=str)
+    names = np.array(program.target_names, dtype="S")  # ASCII, as NAME is
     last = np.cumsum(program.arities) - 1  # the last target of each move
-    vias = np.where(program.arities == 2, names[last - 1] + " ", "")  # a MOVEC's via
-    labels = (_MOVE_WORDS[program.opcodes] + vias + names[last]).tolist()
-    targets = fixed_point(_TARGET_LINE, _target_table(program), program.target_names)
+    vias = np.where(program.arities == 2, names[last - 1] + b" ", b"")  # a MOVEC's via
+    labels = _MOVE_WORDS[program.opcodes] + vias + names[last]
+    targets = fixed_point(_TARGET_LINE, _target_table(program), names)
     # load checks the norm as written. Writing moves each component by at
     # most 5e-5 and so the norm by at most 1e-4 (neither the sign rule nor
     # the reads-zero rule changes it), so a row within NEAR_UNIT_TOL - 2e-4

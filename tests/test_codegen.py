@@ -1,13 +1,14 @@
 
 import dataclasses
 import math
+import operator
 import re
 from collections.abc import Mapping
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import (
     FIXTURES,
@@ -18,7 +19,9 @@ from conftest import (
     random_rotation,
 )
 from robopath.codegen import (
+    _GROUPS,
     _OPCODE_KINDS,
+    _WRITE_ROWS,
     CodegenError,
     Instruction,
     LintFinding,
@@ -32,7 +35,7 @@ from robopath.codegen import (
     workspace_lint,
 )
 from robopath.geometry import NEAR_UNIT_TOL, Quaternion, rotation_to_quaternion
-from robopath.planner import MotionKind, TargetPose
+from robopath.planner import MotionKind, PlanningError, TargetPose
 from robopath.scene import NAME, NAME_RE, Workspace
 from robopath.simulate import (
     FORCE_COLUMNS,
@@ -210,6 +213,18 @@ def test_numbers_below_5e_5_read_zero_and_others_do_not():
         assert fmt_num(sign * 5e-5) == fmt_num(sign * float(np.nextafter(5e-5, 1.0)))
 
 
+def test_fmt_num_rounds_exact_ties_to_even():
+    assert fmt_num(0.03125) == "0.0312"
+    assert fmt_num(0.09375) == "0.0938"
+    assert fmt_num(-0.15625) == "-0.1562"
+
+
+def test_group_table_spells_each_4_digit_group():
+    spellings = [f"{n:04d}" for n in range(10_000)] + [f"{n:4d}" for n in range(10_000)]
+    want = np.frombuffer("".join(spellings + ["    "]).replace(" ", "\0").encode(), np.uint32)
+    assert np.array_equal(_GROUPS, want)
+
+
 # ---------------------------------------------------------------------------
 # emit and to_csv against the per-value formatter
 # ---------------------------------------------------------------------------
@@ -382,6 +397,100 @@ def test_to_csv_matches_per_value_reference(trace):
 
 
 # ---------------------------------------------------------------------------
+# fixed_point against the `%` writer
+# ---------------------------------------------------------------------------
+
+
+def reference_fixed_point(row_template, numbers, labels=None):
+    """The `%`-block fixed_point the array one replaced: each block of 256
+    rows is written by one `row_template * rows % args`."""
+    bad = ~np.isfinite(numbers)
+    if bad.any():
+        value = float(numbers.flat[bad.argmax()])
+        raise CodegenError(f"cannot write non-finite number {value}")
+    width = numbers.shape[1] + (labels is not None)
+    blocks = []
+    for lo in range(0, len(numbers), 256):
+        block = numbers[lo : lo + 256]
+        # a number that reads zero is written as 0.0, so never as -0.0000
+        block = np.where(np.abs(block) < 5e-5, 0.0, block)
+        if labels is None:
+            args = block.ravel().tolist()
+        else:
+            args = [None] * (len(block) * width)
+            args[0::width] = labels[lo : lo + 256]
+            for j in range(1, width):
+                args[j::width] = block[:, j - 1].tolist()
+        blocks.append(row_template * len(block) % tuple(args))
+    return blocks
+
+
+def ulps_from(x, n):
+    """x moved n ulps, up for n > 0."""
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, math.copysign(math.inf, n)))
+    return x
+
+
+def rounding_numbers():
+    """Numbers where `rint(x * 1e4)` could round other than `%.4f` does:
+    exact ties, one ulp either side of a tie, either side of 2**52 / 1e4 and
+    beyond; and the edges of reading zero and ordinary numbers."""
+    k = st.integers(0, 10**7)
+    return st.builds(operator.mul, st.sampled_from([1.0, -1.0]), st.one_of(
+        k.map(lambda k: (2 * k + 1) / 32),
+        st.builds(lambda k, n: ulps_from(k / 1e4 + 5e-5, n), k, st.integers(-1, 1)),
+        st.builds(ulps_from, st.sampled_from([2.0**52 / 1e4, 2.0**51 / 1e4, 4.5e11]),
+                  st.integers(-2, 2)),
+        finite(0.0, 1e308),
+        finite(0.0, 2e4),
+        st.sampled_from(_EDGES),
+    ))
+
+
+_FP_TARGET_LINE = "TARGET %s = [%.4f, %.4f, %.4f], [%.4f, %.4f, %.4f, %.4f]\n"
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """(row template, numbers, labels as fixed_point is given them, labels
+    as strings): a table of one of the three row templates, its numbers and
+    labels drawn from small pools, with row counts either side of a block."""
+    pool = draw(st.lists(rounding_numbers(), min_size=1, max_size=12))
+    if draw(st.integers(0, 9)) == 0:
+        pool.append(draw(st.sampled_from(_NON_FINITE)))
+    rows = draw(st.sampled_from([0, 1, 2, 3, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1,
+                                 2 * _WRITE_ROWS + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = draw(st.lists(st.from_regex(NAME_RE, fullmatch=True), min_size=1, max_size=4))
+    template = draw(st.sampled_from([_FP_TARGET_LINE, "%s SPEED %.4f\n", "csv"]))
+    if template == "csv":
+        columns = draw(st.sampled_from([SEAM_COLUMNS, FORCE_COLUMNS]))
+        status = draw(st.sampled_from(["OK", "ABORTED"]))
+        template = ",".join(["%.4f"] * len(columns)) + f",{status}\n"
+        texts = labels = None
+    elif template == _FP_TARGET_LINE:
+        texts = labels = tuple(rng.choice(names, rows).tolist())
+    else:
+        moves = [f"{word} {a}" for word in ("MOVEJ", "MOVEL", "MOVES") for a in names]
+        moves += [f"MOVEC {a} {b}" for a in names for b in names]
+        texts = rng.choice(moves, rows).tolist()
+        labels = np.array(texts, dtype="S")  # as emit gives them
+    numbers = rng.choice(pool, (rows, template.count("%.4f")))
+    return template, numbers, labels, texts
+
+
+@settings(max_examples=200, deadline=None)  # two blocks can outlast the default
+@given(fixed_point_cases())
+@example((_FP_TARGET_LINE, np.array([[0.03125, -0.09375, 1e308, -2.0**52, 2.0**52 / 1e4,
+                                      -_BELOW, 5e-5]]), ("t1",), ("t1",)))
+def test_fixed_point_matches_percent_reference(case):
+    template, numbers, labels, texts = case
+    same_text_or_error(lambda: "".join(fixed_point(template, numbers, labels)),
+                       lambda: "".join(reference_fixed_point(template, numbers, texts)))
+
+
+# ---------------------------------------------------------------------------
 # load round trip
 # ---------------------------------------------------------------------------
 
@@ -438,7 +547,10 @@ def random_plans(draw, step_kinds=_STEPS):
         for step in steps
         for kind in step
     ]
-    return plan(poses)
+    try:
+        return plan(poses)
+    except PlanningError:  # two poses in a row drawn the same, which no plan holds
+        reject()
 
 
 @given(random_plans())
