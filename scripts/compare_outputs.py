@@ -14,7 +14,8 @@ revision, on the same input files:
   `%.4f` itself (ties on a 1/32 mm grid, a y beyond 2**52 / 1e4 mm), with
   the default `--interp-dt` and with others;
 * simulate of every compiled program under seam tracking, PI force and
-  fuzzy force control;
+  fuzzy force control, and under PI and fuzzy force control with the
+  surface 40 mm away, which loses contact and aborts (PI also at 16 Hz);
 * a few refused inputs (a bad scene, program or option), one scene for
   each rule a scene's segment can break, and one program for each refusal
   of the program loader;
@@ -76,6 +77,9 @@ REPLAYS = {
     "pi": ("--scenario", "force", "--offset-z", "1"),
     "fuzzy": ("--scenario", "force", "--controller", "fuzzy", "--roughness", "0.05",
               "--seed", "7", "--offset-z", "2"),
+    "pi_lost": ("--scenario", "force", "--offset-z", "-40"),
+    "fuzzy_lost": ("--scenario", "force", "--controller", "fuzzy", "--offset-z", "-40"),
+    "pi_lost_r16": ("--scenario", "force", "--rate", "16", "--offset-z", "-40"),
 }
 EXPERIMENTS = ("scripts/run_seam_experiment.py", "scripts/run_force_experiment.py")
 

@@ -11,7 +11,8 @@ Two scenarios are modeled:
 * force: the tool follows the programmed profile pressing onto a surface
   modeled as a unilateral linear spring (force = stiffness * penetration,
   zero when separated). A PI or fuzzy-PI controller turns the force error
-  into a normal-direction displacement. Surface roughness is seeded
+  into a normal-direction displacement; each is a step closure, built once
+  per run, that keeps its own state. Surface roughness is seeded
   zero-mean Gaussian height noise, drawn as one block with one value per
   tick (the same stream as one draw per tick).
 
@@ -30,7 +31,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional
+from itertools import chain
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -141,27 +143,27 @@ class ForceConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PIController:
-    """Position-form PI with back-calculation anti-windup."""
-
-    kp: float
-    ki: float
-    output_limit: float = math.inf
-    integral: float = 0.0
-
-
-def pi_step(state: PIController, error: float, dt: float) -> float:
-    """u = Kp*e + Ki * integral(e dt), rectangular integration."""
+def pi_controller(
+    kp: float, ki: float, output_limit: float, dt: float
+) -> Callable[[float], float]:
+    """Position-form PI with back-calculation anti-windup, as a step function
+    error -> u with u = Kp*e + Ki * integral(e dt), rectangular integration
+    and |u| clamped to output_limit; the integral lives in the closure."""
     if not dt > 0.0:
         raise SimulationError("dt must be > 0")
-    state.integral += error * dt
-    u = state.kp * error + state.ki * state.integral
-    if abs(u) > state.output_limit:
-        u = math.copysign(state.output_limit, u)
-        if state.ki > 0.0:
-            state.integral = (u - state.kp * error) / state.ki
-    return u
+    integral = 0.0
+
+    def step(error: float) -> float:
+        nonlocal integral
+        integral += error * dt
+        u = kp * error + ki * integral
+        if abs(u) > output_limit:
+            u = math.copysign(output_limit, u)
+            if ki > 0.0:
+                integral = (u - kp * error) / ki
+        return u
+
+    return step
 
 
 # Five symmetric triangular sets on [-1, 1]: NB NS ZE PS PB. An input v with
@@ -199,11 +201,17 @@ def _fuzzy_increment(e: float, de: float) -> float:
     """Center-of-gravity defuzzification of the rule table, in [-1, 1]."""
     ke = 0 if e < -0.5 else 1 if e < 0.0 else 2 if e < 0.5 else 3
     kd = 0 if de < -0.5 else 1 if de < 0.0 else 2 if de < 0.5 else 3
-    e0 = max(0.0, 1.0 - abs(e - _CENTERS[ke]) * 2.0)
-    e1 = max(0.0, 1.0 - abs(e - _CENTERS[ke + 1]) * 2.0)
-    d0 = max(0.0, 1.0 - abs(de - _CENTERS[kd]) * 2.0)
-    d1 = max(0.0, 1.0 - abs(de - _CENTERS[kd + 1]) * 2.0)
-    weights = (min(e0, d0), min(e0, d1), min(e1, d0), min(e1, d1))
+    # max(0.0, m) and min(a, b) as conditionals, with the builtins' bits
+    e0 = 1.0 - abs(e - _CENTERS[ke]) * 2.0
+    e0 = e0 if e0 > 0.0 else 0.0
+    e1 = 1.0 - abs(e - _CENTERS[ke + 1]) * 2.0
+    e1 = e1 if e1 > 0.0 else 0.0
+    d0 = 1.0 - abs(de - _CENTERS[kd]) * 2.0
+    d0 = d0 if d0 > 0.0 else 0.0
+    d1 = 1.0 - abs(de - _CENTERS[kd + 1]) * 2.0
+    d1 = d1 if d1 > 0.0 else 0.0
+    weights = (d0 if d0 < e0 else e0, d1 if d1 < e0 else e0,
+               d0 if d0 < e1 else e1, d1 if d1 < e1 else e1)
     rules, center = _CELLS[ke][kd]
     num = 0.0
     den = 0.0
@@ -218,30 +226,33 @@ def _fuzzy_increment(e: float, de: float) -> float:
     return num / den
 
 
-@dataclass
-class FuzzyPIController:
-    """Incremental fuzzy PI: du from the rule table, accumulated into u."""
-
-    error_scale: float
-    derror_scale: float
-    output_scale: float
-    output_limit: float = math.inf
-    prev_error: Optional[float] = None
-    output: float = 0.0
-
-
-def fuzzy_pi_step(state: FuzzyPIController, error: float, dt: float) -> float:
+def fuzzy_pi_controller(
+    error_scale: float, derror_scale: float, output_scale: float, output_limit: float, dt: float
+) -> Callable[[float], float]:
+    """Incremental fuzzy PI as a step function error -> u: du from the rule
+    table on the scaled error and error rate (0 on the first step), each
+    clamped to [-1, 1], accumulated into u with |u| clamped to output_limit;
+    the previous error and u live in the closure."""
     if not dt > 0.0:
         raise SimulationError("dt must be > 0")
-    derror = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
-    state.prev_error = error
-    e = min(1.0, max(-1.0, error * state.error_scale))
-    de = min(1.0, max(-1.0, derror * state.derror_scale))
-    u = state.output + state.output_scale * _fuzzy_increment(e, de)
-    if abs(u) > state.output_limit:
-        u = math.copysign(state.output_limit, u)
-    state.output = u
-    return u
+    prev = None
+    u = 0.0
+
+    def step(error: float) -> float:
+        nonlocal prev, u
+        derror = 0.0 if prev is None else (error - prev) / dt
+        prev = error
+        # min(1.0, max(-1.0, x)) with the same bits, nan -> -1.0 included
+        e = error * error_scale
+        e = (e if e < 1.0 else 1.0) if e > -1.0 else -1.0
+        de = derror * derror_scale
+        de = (de if de < 1.0 else 1.0) if de > -1.0 else -1.0
+        u += output_scale * _fuzzy_increment(e, de)
+        if abs(u) > output_limit:
+            u = math.copysign(output_limit, u)
+        return u
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +497,9 @@ def run_force(
     unperturbed cell; the environment offset (projected on the local normal)
     and the roughness noise move the true surface. Contact is a unilateral
     spring; the controller displaces the tool along the normal (positive
-    into the surface). Losing contact for longer than the timeout aborts.
+    into the surface). Losing contact for longer than the timeout aborts:
+    the run stops on the lost tick, counted in a row, whose count exceeds
+    contact_timeout_s * rate_hz, so at 20 Hz and 1 s on the 21st.
     """
     times, nominals, frames = _ticks(program, cfg.rate_hz, duration_s)
     # the offset surface's shift along each tick's normal, plus roughness
@@ -509,31 +522,32 @@ def run_force(
             f"({max_shift} mm shift + {cfg.output_limit_mm} mm output limit) is not finite"
         )
     dt = 1.0 / cfg.rate_hz
-
     if cfg.controller is ControllerKind.PI:
-        controller = PIController(cfg.kp, cfg.ki, cfg.output_limit_mm)
-        step = pi_step
+        step = pi_controller(cfg.kp, cfg.ki, cfg.output_limit_mm, dt)
     else:
-        controller = FuzzyPIController(
-            cfg.error_scale, cfg.derror_scale, cfg.output_scale, cfg.output_limit_mm
+        step = fuzzy_pi_controller(
+            cfg.error_scale, cfg.derror_scale, cfg.output_scale, cfg.output_limit_mm, dt
         )
-        step = fuzzy_pi_step
+    setpoint = cfg.setpoint_n
+    stiffness = env.stiffness_n_per_mm
+    max_lost = cfg.contact_timeout_s * cfg.rate_hz  # the timeout in ticks
 
     disp = 0.0
-    lost_for = 0.0
+    lost = 0  # ticks in a row without contact
     loop = []  # force, setpoint, disp of each tick
     status = "OK"
     for surface_shift in shifts.tolist():
-        force = max(0.0, cfg.setpoint_n + env.stiffness_n_per_mm * (surface_shift + disp))
-        error = cfg.setpoint_n - force
-        disp = step(controller, error, dt)
-        loop.append((force, cfg.setpoint_n, disp))
-        if force == 0.0:
-            lost_for += dt
-            if lost_for > cfg.contact_timeout_s:
-                status = "ABORTED"
-                break
+        force = setpoint + stiffness * (surface_shift + disp)
+        if force > 0.0:
+            lost = 0
         else:
-            lost_for = 0.0
+            force = 0.0
+            lost += 1
+        disp = step(setpoint - force)
+        loop.append((force, setpoint, disp))
+        if lost > max_lost:
+            status = "ABORTED"
+            break
     n = len(loop)
-    return SimTrace(FORCE_COLUMNS, np.column_stack((times[:n], nominals[:n], loop)), status)
+    columns = np.fromiter(chain.from_iterable(loop), float, 3 * n).reshape(n, 3)
+    return SimTrace(FORCE_COLUMNS, np.column_stack((times[:n], nominals[:n], columns)), status)

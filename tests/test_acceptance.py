@@ -33,9 +33,8 @@ from robopath.simulate import (
     ControllerKind,
     Environment,
     ForceConfig,
-    FuzzyPIController,
     SeamConfig,
-    fuzzy_pi_step,
+    fuzzy_pi_controller,
     run_force,
     run_seam,
 )
@@ -230,11 +229,11 @@ def test_criterion_6_force_loop():
     for e in errors:
         for de in rates:
             prev = e - de * dt
-            pos = FuzzyPIController(0.05, 0.01, 0.1)
-            neg = FuzzyPIController(0.05, 0.01, 0.1)
-            fuzzy_pi_step(pos, prev, dt)
-            fuzzy_pi_step(neg, -prev, dt)
-            assert fuzzy_pi_step(neg, -e, dt) == -fuzzy_pi_step(pos, e, dt)
+            pos = fuzzy_pi_controller(0.05, 0.01, 0.1, math.inf, dt)
+            neg = fuzzy_pi_controller(0.05, 0.01, 0.1, math.inf, dt)
+            pos(prev)
+            neg(-prev)
+            assert neg(-e) == -pos(e)
     ok(6, "force loop at 20 Hz: PI + fuzzy steady state <= 0.5 N, fluctuation, symmetry")
 
 

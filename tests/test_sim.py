@@ -1,5 +1,7 @@
 import math
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -24,8 +26,6 @@ from robopath.simulate import (
     ControllerKind,
     Environment,
     ForceConfig,
-    FuzzyPIController,
-    PIController,
     SeamConfig,
     SimTrace,
     SimulationError,
@@ -36,8 +36,8 @@ from robopath.simulate import (
     _Polyline,
     _fuzzy_increment,
     _tick_count,
-    fuzzy_pi_step,
-    pi_step,
+    fuzzy_pi_controller,
+    pi_controller,
     quantize,
     run_force,
     run_seam,
@@ -372,37 +372,46 @@ def test_seam_duration_cap():
 
 
 def test_pi_zero_error_zero_output():
-    state = PIController(kp=1.0, ki=0.5)
+    step = pi_controller(1.0, 0.5, math.inf, 0.05)
     for _ in range(10):
-        assert pi_step(state, 0.0, 0.05) == 0.0
+        assert step(0.0) == 0.0
 
 
 def test_pi_pure_proportional():
-    state = PIController(kp=1.0, ki=0.0)
-    assert pi_step(state, 2.0, 0.05) == 2.0
+    step = pi_controller(1.0, 0.0, math.inf, 0.05)
+    assert step(2.0) == 2.0
 
 
 def test_pi_integrator_grows_linearly_until_clamp():
-    state = PIController(kp=0.0, ki=1.0, output_limit=1.0)
-    outputs = [pi_step(state, 2.0, 0.1) for _ in range(10)]
+    step = pi_controller(0.0, 1.0, 1.0, 0.1)
+    outputs = [step(2.0) for _ in range(10)]
     # u_k = Ki * k * e * dt = 0.2 k until the clamp at 1.0
     for k, u in enumerate(outputs, start=1):
         assert u == pytest.approx(min(1.0, 0.2 * k), abs=1e-12)
     assert outputs[-1] == 1.0
-    # anti-windup: integrator held at the clamp level
-    assert state.integral == pytest.approx(1.0, abs=1e-12)
+    # anti-windup: the integrator is held at the clamp level, so with Kp = 0
+    # a zero error outputs Ki times it
+    assert step(0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05, math.nan])
+def test_controllers_refuse_a_tick_period_that_is_not_positive(dt):
+    with pytest.raises(SimulationError, match="^dt must be > 0$"):
+        pi_controller(0.02, 0.5, 25.0, dt)
+    with pytest.raises(SimulationError, match="^dt must be > 0$"):
+        fuzzy_pi_controller(0.05, 0.01, 0.1, 25.0, dt)
 
 
 def test_fuzzy_zero_inputs_zero_increment():
     assert _fuzzy_increment(0.0, 0.0) == 0.0
-    state = FuzzyPIController(0.05, 0.01, 0.1)
-    assert fuzzy_pi_step(state, 0.0, 0.05) == 0.0
+    step = fuzzy_pi_controller(0.05, 0.01, 0.1, math.inf, 0.05)
+    assert step(0.0) == 0.0
 
 
 def test_fuzzy_positive_saturation_steps_by_output_scale():
-    state = FuzzyPIController(error_scale=0.05, derror_scale=0.0, output_scale=0.1)
+    step = fuzzy_pi_controller(0.05, 0.0, 0.1, math.inf, 0.05)
     # saturated error, zero error-rate: the PB rule fires alone
-    assert fuzzy_pi_step(state, 100.0, 0.05) == pytest.approx(0.1, abs=1e-15)
+    assert step(100.0) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_fuzzy_increment_odd_symmetry_exact_on_grid():
@@ -415,11 +424,11 @@ def test_fuzzy_increment_odd_symmetry_exact_on_grid():
 def test_fuzzy_step_odd_symmetry():
     dt = 0.05
     for e0, e1 in [(3.0, 7.0), (-12.0, 5.0), (40.0, 38.5)]:
-        a = FuzzyPIController(0.05, 0.01, 0.1)
-        b = FuzzyPIController(0.05, 0.01, 0.1)
-        fuzzy_pi_step(a, e0, dt)
-        fuzzy_pi_step(b, -e0, dt)
-        assert fuzzy_pi_step(b, -e1, dt) == -fuzzy_pi_step(a, e1, dt)
+        a = fuzzy_pi_controller(0.05, 0.01, 0.1, math.inf, dt)
+        b = fuzzy_pi_controller(0.05, 0.01, 0.1, math.inf, dt)
+        a(e0)
+        b(-e0)
+        assert b(-e1) == -a(e1)
 
 
 def test_fuzzy_increment_bounded():
@@ -509,6 +518,20 @@ def test_force_contact_loss_aborts():
     assert trace.aborted
     assert trace.to_csv().strip().splitlines()[-1].endswith("ABORTED")
     assert len(trace.rows) < 20
+
+
+@pytest.mark.parametrize("controller", list(ControllerKind))
+@pytest.mark.parametrize("rate", [16.0, 20.0, 33.0])
+def test_force_contact_loss_aborts_after_the_timeout_in_ticks(rate, controller):
+    # the surface 40 mm below the path, beyond the 25 mm output limit: no
+    # contact from tick 0 on. The run aborts on the first lost tick past the
+    # 1 s timeout at every rate; a sum of tick periods aborted one tick early
+    # at 20 Hz, where 20 * 0.05 s sums to more than 1.0 s.
+    cfg = ForceConfig(rate_hz=rate, controller=controller)
+    trace = run_force(straight_program(), offset_env(z=-40.0), cfg)
+    assert trace.aborted
+    assert np.all(trace.data[:, 4] == 0.0)
+    assert len(trace.data) == math.floor(cfg.contact_timeout_s * rate) + 1
 
 
 def test_force_never_negative():
@@ -669,8 +692,49 @@ def reference_fuzzy_increment(e, de):
     return num / den
 
 
-def reference_fuzzy_pi_step(state, error, dt):
-    """`fuzzy_pi_step` on the all-pairs increment."""
+# The controller records and per-tick step functions that the step closures
+# `pi_controller` and `fuzzy_pi_controller` replaced. `fuzzy_pi_step` calls
+# the all-pairs increment, which gives the bits of the 2 x 2 cell one.
+
+
+@dataclass
+class PIController:
+    """Position-form PI with back-calculation anti-windup."""
+
+    kp: float
+    ki: float
+    output_limit: float = math.inf
+    integral: float = 0.0
+
+
+def pi_step(state: PIController, error: float, dt: float) -> float:
+    """u = Kp*e + Ki * integral(e dt), rectangular integration."""
+    if not dt > 0.0:
+        raise SimulationError("dt must be > 0")
+    state.integral += error * dt
+    u = state.kp * error + state.ki * state.integral
+    if abs(u) > state.output_limit:
+        u = math.copysign(state.output_limit, u)
+        if state.ki > 0.0:
+            state.integral = (u - state.kp * error) / state.ki
+    return u
+
+
+@dataclass
+class FuzzyPIController:
+    """Incremental fuzzy PI: du from the rule table, accumulated into u."""
+
+    error_scale: float
+    derror_scale: float
+    output_scale: float
+    output_limit: float = math.inf
+    prev_error: Optional[float] = None
+    output: float = 0.0
+
+
+def fuzzy_pi_step(state: FuzzyPIController, error: float, dt: float) -> float:
+    if not dt > 0.0:
+        raise SimulationError("dt must be > 0")
     derror = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
     state.prev_error = error
     e = min(1.0, max(-1.0, error * state.error_scale))
@@ -741,7 +805,9 @@ def reference_run_seam(program, env, cfg, duration_s=None):
 
 def reference_run_force(program, env, cfg, duration_s=None):
     """The per-tick `run_force`: leg, nominal point, frame, surface shift
-    and roughness draw found each tick."""
+    and roughness draw found each tick, and the controller a record stepped
+    by its own function. The run aborts on the lost tick that takes the
+    count past contact_timeout_s * rate_hz."""
     profile = _PathProfile(program.positions, program.target_speeds[1:])
     dt = 1.0 / cfg.rate_hz
     rng = np.random.default_rng(env.seed)
@@ -752,9 +818,9 @@ def reference_run_force(program, env, cfg, duration_s=None):
         controller = FuzzyPIController(
             cfg.error_scale, cfg.derror_scale, cfg.output_scale, cfg.output_limit_mm
         )
-        step = reference_fuzzy_pi_step
+        step = fuzzy_pi_step
     disp = 0.0
-    lost_for = 0.0
+    lost = 0
     rows = []
     status = "OK"
     for k in range(_tick_count(profile, cfg.rate_hz, duration_s)):
@@ -769,12 +835,12 @@ def reference_run_force(program, env, cfg, duration_s=None):
         disp = step(controller, error, dt)
         rows.append((t, *nominal, force, cfg.setpoint_n, disp))
         if force == 0.0:
-            lost_for += dt
-            if lost_for > cfg.contact_timeout_s:
+            lost += 1
+            if lost > cfg.contact_timeout_s * cfg.rate_hz:
                 status = "ABORTED"
                 break
         else:
-            lost_for = 0.0
+            lost = 0
     return SimTrace(FORCE_COLUMNS, tuple(rows), status)
 
 
@@ -811,6 +877,45 @@ def test_fuzzy_increment_matches_reference_on_every_edge_pair():
     assert len(pairs) > 2000
     for e, de in pairs:
         assert _fuzzy_increment(e, de).hex() == reference_fuzzy_increment(e, de).hex(), (e, de)
+
+
+# Controller errors: multiples of 1/16, so that with the power-of-two scales
+# and tick periods below the scaled error and error rate land exactly on the
+# set centres and on +-1 and past them; any finite value; and now and then a
+# non-finite one.
+controller_errors = st.one_of(
+    st.integers(-1024, 1024).map(lambda k: k / 16.0),
+    finite(-1e3, 1e3),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+)
+# 5e-324 s makes an error rate infinite, and with a zero rate scale nan
+controller_dts = st.sampled_from([0.0625, 0.05, 1.0, 5e-324])
+controller_limits = st.sampled_from([0.0, 0.25, 1.0, 25.0, math.inf])
+
+
+@given(st.lists(controller_errors, min_size=1, max_size=30), st.sampled_from([0.0, 0.02, 1.0]),
+       st.sampled_from([0.0, 0.5, 4.0]), controller_limits, controller_dts)
+@example([2.0] * 12, 0.0, 1.0, 1.0, 0.0625)  # the integral winds up into the clamp
+@example([40.0, -40.0, 3.0], 1.0, 0.0, 25.0, 0.05)  # proportional only, clamped both ways
+def test_pi_controller_matches_record_step_bitwise(errors, kp, ki, limit, dt):
+    step, state = pi_controller(kp, ki, limit, dt), PIController(kp, ki, limit)
+    for error in errors:
+        assert step(error).hex() == pi_step(state, error, dt).hex()
+
+
+@given(st.lists(controller_errors, min_size=1, max_size=30), st.sampled_from([0.0625, 0.05, 1.0]),
+       st.sampled_from([1 / 256, 0.01, 0.0]), st.sampled_from([0.1, 1.0]), controller_limits,
+       controller_dts)
+# scaled errors at -1, +1 and past them, error rates of -2 and +2.5
+@example([16.0, -16.0, 24.0, -8.0], 0.0625, 1 / 256, 0.1, 25.0, 0.0625)
+@example([5.0, 2.0, -4.0, -1e3], 0.05, 0.0, 1.0, 1.0, 5e-324)  # rates inf * 0: nan
+def test_fuzzy_pi_controller_matches_record_step_bitwise(
+    errors, error_scale, derror_scale, output_scale, limit, dt
+):
+    step = fuzzy_pi_controller(error_scale, derror_scale, output_scale, limit, dt)
+    state = FuzzyPIController(error_scale, derror_scale, output_scale, limit)
+    for error in errors:
+        assert step(error).hex() == fuzzy_pi_step(state, error, dt).hex()
 
 
 replay_points = st.lists(

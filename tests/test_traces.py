@@ -26,6 +26,7 @@ CASES = {
     "seam_y1.5_rz0.3": (["--scenario", "seam", "--offset-y", "1.5", "--rot-z-deg", "0.3"], 0),
     "seam_lost_x60": (["--scenario", "seam", "--offset-x", "60"], 3),
     "force_pi_z1": (["--scenario", "force", "--offset-z", "1"], 0),
+    "force_lost_z-40": (["--scenario", "force", "--offset-z", "-40"], 3),
     "force_fuzzy_rough": (
         ["--scenario", "force", "--controller", "fuzzy", "--roughness", "0.05", "--seed", "1"],
         0,
