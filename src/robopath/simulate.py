@@ -499,7 +499,9 @@ def run_force(
     spring; the controller displaces the tool along the normal (positive
     into the surface). Losing contact for longer than the timeout aborts:
     the run stops on the lost tick, counted in a row, whose count exceeds
-    contact_timeout_s * rate_hz, so at 20 Hz and 1 s on the 21st.
+    contact_timeout_s * rate_hz (a product that rounds to just under a whole
+    count, as 0.29 * 100 does, counts as that whole), so at 20 Hz and 1 s on
+    the 21st, and at 100 Hz and 0.29 s on the 30th.
     """
     times, nominals, frames = _ticks(program, cfg.rate_hz, duration_s)
     # the offset surface's shift along each tick's normal, plus roughness
@@ -530,7 +532,7 @@ def run_force(
         )
     setpoint = cfg.setpoint_n
     stiffness = env.stiffness_n_per_mm
-    max_lost = cfg.contact_timeout_s * cfg.rate_hz  # the timeout in ticks
+    max_lost = cfg.contact_timeout_s * cfg.rate_hz + 1e-9  # the timeout in ticks
 
     disp = 0.0
     lost = 0  # ticks in a row without contact

@@ -391,7 +391,10 @@ def test_pi_integrator_grows_linearly_until_clamp():
     assert outputs[-1] == 1.0
     # anti-windup: the integrator is held at the clamp level, so with Kp = 0
     # a zero error outputs Ki times it
+    # a zero error outputs Ki times it, and an error of -0.5 takes it to 0.95
+    # inside the clamp, where a wound-up integral of 2.0 would still clamp to 1.0
     assert step(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert step(-0.5) == pytest.approx(0.95, abs=1e-12)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.05, math.nan])
@@ -521,17 +524,20 @@ def test_force_contact_loss_aborts():
 
 
 @pytest.mark.parametrize("controller", list(ControllerKind))
-@pytest.mark.parametrize("rate", [16.0, 20.0, 33.0])
-def test_force_contact_loss_aborts_after_the_timeout_in_ticks(rate, controller):
+@pytest.mark.parametrize(
+    "rate, timeout_s, rows", [(16.0, 1.0, 17), (20.0, 1.0, 21), (33.0, 1.0, 34), (100.0, 0.29, 30)]
+)
+def test_force_contact_loss_aborts_after_the_timeout_in_ticks(rate, timeout_s, rows, controller):
     # the surface 40 mm below the path, beyond the 25 mm output limit: no
     # contact from tick 0 on. The run aborts on the first lost tick past the
-    # 1 s timeout at every rate; a sum of tick periods aborted one tick early
-    # at 20 Hz, where 20 * 0.05 s sums to more than 1.0 s.
-    cfg = ForceConfig(rate_hz=rate, controller=controller)
+    # timeout at every rate; a sum of tick periods aborted one tick early
+    # at 20 Hz, where 20 * 0.05 s sums to more than 1.0 s, and so would a
+    # bare product at 100 Hz, where 0.29 * 100 rounds to just under 29.
+    cfg = ForceConfig(rate_hz=rate, controller=controller, contact_timeout_s=timeout_s)
     trace = run_force(straight_program(), offset_env(z=-40.0), cfg)
     assert trace.aborted
     assert np.all(trace.data[:, 4] == 0.0)
-    assert len(trace.data) == math.floor(cfg.contact_timeout_s * rate) + 1
+    assert len(trace.data) == rows
 
 
 def test_force_never_negative():
@@ -807,7 +813,7 @@ def reference_run_force(program, env, cfg, duration_s=None):
     """The per-tick `run_force`: leg, nominal point, frame, surface shift
     and roughness draw found each tick, and the controller a record stepped
     by its own function. The run aborts on the lost tick that takes the
-    count past contact_timeout_s * rate_hz."""
+    count past contact_timeout_s * rate_hz, less rounding."""
     profile = _PathProfile(program.positions, program.target_speeds[1:])
     dt = 1.0 / cfg.rate_hz
     rng = np.random.default_rng(env.seed)
@@ -836,7 +842,7 @@ def reference_run_force(program, env, cfg, duration_s=None):
         rows.append((t, *nominal, force, cfg.setpoint_n, disp))
         if force == 0.0:
             lost += 1
-            if lost > cfg.contact_timeout_s * cfg.rate_hz:
+            if lost > cfg.contact_timeout_s * cfg.rate_hz + 1e-9:
                 status = "ABORTED"
                 break
         else:
