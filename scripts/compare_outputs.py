@@ -20,6 +20,10 @@ revision, on the same input files:
   each rule a scene's segment can break, and one program for each refusal
   of the program loader;
 * a program with CRLF line ends, tabs and blank lines, which loads;
+* compile, seam and fuzzy force runs with options (`--rate`, `--gain-y`),
+  then a refused `--rate 0`, `--version` and an unknown subcommand, then the
+  same seam and force runs with defaults: `cli.main` keeps one parser per
+  process, and a value that leaks from one call into the next shows here;
 * both `scripts/run_*_experiment.py` of each revision.
 
 Programs, traces, manifests, stdout, stderr and exit codes are compared;
@@ -216,6 +220,21 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
         ("refused_stiffness", ["simulate", "--program", fixture, "--scenario", "force",
                                "--stiffness", "0", "--out", "refused_stiffness.csv"]),
         ("refused_usage", ["simulate", "--program", fixture, "--out", "refused_usage.csv"]),
+    ]
+    simulate = ["simulate", "--program", "reuse.prog", "--scenario"]
+    invocations += [
+        ("reuse_compile", ["compile", "--scene", str(scenes["straight_seam"]), "--base", "B",
+                           "--out", "reuse.prog"]),
+        ("reuse_seam_options", [*simulate, "seam", "--rate", "2", "--gain-y", "0.5",
+                                "--out", "reuse_seam_options.csv"]),
+        ("reuse_fuzzy_r16", [*simulate, "force", "--controller", "fuzzy", "--rate", "16",
+                             "--out", "reuse_fuzzy_r16.csv"]),
+        ("reuse_refused_rate", [*simulate, "force", "--rate", "0",
+                                "--out", "reuse_refused_rate.csv"]),
+        ("reuse_version", ["--version"]),
+        ("reuse_unknown_subcommand", ["weld", "--out", "reuse_weld.csv"]),
+        ("reuse_seam", [*simulate, "seam", "--out", "reuse_seam.csv"]),
+        ("reuse_force", [*simulate, "force", "--out", "reuse_force.csv"]),
     ]
     return invocations
 

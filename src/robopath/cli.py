@@ -5,6 +5,10 @@ the resolved configuration, input digests, seed, and tool version, so the
 run can be reproduced from the manifest alone. Identical invocations produce
 byte-identical outputs.
 
+The module builds its one parser with `build_parser` at import, and every
+`main` call in the process reuses it; argparse keeps no state from one parse
+to the next, so each call parses as a fresh parser would.
+
 Exit codes: 0 success; 1 parse/validation/load failure; 2 workspace lint
 failures under --strict (compile); 3 aborted simulation run (partial trace
 still written).
@@ -262,8 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -17,10 +17,11 @@ Two scenarios are modeled:
   tick (the same stream as one draw per tick).
 
 Each run builds one tick table: every tick's time and nominal point, and its
-path frame, framed in one array pass over the ticks. Only the closed loop
-itself steps tick by tick, and it keeps only the columns it computes; the
-trace is one float table, the tick table's time and nominal point stacked
-once beside them. `run_seam` is the one code path that senses the seam.
+path frame. The frames are built in one array pass over the legs in use,
+one per leg, and repeated over each leg's ticks. Only the closed loop itself
+steps tick by tick, and it keeps only the columns it computes; the trace is
+one float table, the tick table's time and nominal point stacked once
+beside them. `run_seam` is the one code path that senses the seam.
 
 Runs are fully deterministic for a given program, environment, and config.
 """
@@ -383,6 +384,15 @@ def _path_frames(directions: np.ndarray) -> np.ndarray:
     return np.stack((x, y, np.cross(x, y)), axis=1)
 
 
+def _leg_frames(directions: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    """`_path_frames(directions[legs])`, framing each run of equal legs once
+    and repeating its frame over the run. `_path_frames` works row by row, so
+    the bits are the same; a schedule's legs never decrease, so each leg in
+    use is framed once."""
+    new = np.diff(legs, prepend=-1) != 0
+    return _path_frames(directions[legs[new]])[np.cumsum(new) - 1]
+
+
 class _Polyline:
     """A polyline's segments as arrays, built once for many closest-point
     queries: start points `a`, spans `w = b - a` and `w . w`."""
@@ -421,14 +431,15 @@ def _tick_count(profile: _PathProfile, rate_hz: float, duration_s: Optional[floa
 def _ticks(
     program: RobotProgram, rate_hz: float, duration_s: Optional[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each tick's time, nominal point and path frame."""
+    """Each tick's time, nominal point and path frame; the frames are built
+    per leg in use, not per tick."""
     # every target is referenced once, in column order, so the waypoints are
     # the position column itself; a leg runs at the speed of the move that
     # reaches it
     profile = _PathProfile(program.positions, program.target_speeds[1:])
     times = np.arange(_tick_count(profile, rate_hz, duration_s)) / rate_hz
     legs, nominals = profile.schedule(times)
-    return times, nominals, _path_frames(profile.directions[legs])
+    return times, nominals, _leg_frames(profile.directions, legs)
 
 
 def quantize(value: float, resolution: float) -> float:

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -24,7 +25,7 @@ from robopath.codegen import CodegenError, ProgramParseError
 from robopath.geometry import GeometryError, RobopathError
 from robopath.planner import MAX_INTERPOLATED_POSES, PlanningError
 from robopath.scene import SceneError, SceneParseError, SceneValidationError
-from robopath.simulate import SimTrace, SimulationError
+from robopath.simulate import ForceConfig, SeamConfig, SimTrace, SimulationError
 
 
 def run(capsys, *argv):
@@ -745,6 +746,72 @@ def test_repeat_invocations_byte_identical(tmp_path, capsys):
         doc["options"].pop("program")
         doc["inputs"].pop("path")
     assert a == b
+
+
+def test_one_process_parses_every_call_as_a_fresh_parser_would(tmp_path, capsys, monkeypatch):
+    """`main` keeps one parser per process: runs with options, a refused
+    option, --version and an unknown subcommand leave nothing behind for the
+    default runs after them. Each step is checked against the same argv
+    parsed by a parser built for it alone, in a directory of its own."""
+    program = "p.prog"
+    simulate = ["simulate", "--program", program, "--scenario"]
+    steps = [
+        compile_args(FIXTURES / "straight_seam.scene.json", program),
+        [*simulate, "seam", "--rate", "2", "--gain-y", "0.5", "--out", "seam_options.csv"],
+        [*simulate, "force", "--controller", "fuzzy", "--rate", "16", "--out", "fuzzy_16.csv"],
+        [*simulate, "force", "--rate", "0", "--out", "refused.csv"],
+        ["--version"],
+        ["weld", "--out", "weld.csv"],
+        [*simulate, "seam", "--out", "seam.csv"],
+        [*simulate, "force", "--out", "force.csv"],
+    ]
+    build_parser = robopath.cli.build_parser
+
+    def fresh(argv):
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    def call(parse, argv):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    for side in ("fresh", "reused"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "fresh")
+    expected = [call(fresh, argv) for argv in steps]
+
+    built = []
+
+    def counted_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(robopath.cli, "build_parser", counted_build_parser)
+    monkeypatch.chdir(tmp_path / "reused")
+    got = [call(main, argv) for argv in steps]
+
+    assert len(built) <= 1
+    assert got == expected
+    assert [code for code, _, _ in got] == [0, 0, 0, 1, "SystemExit(0)", "SystemExit(2)", 0, 0]
+    assert got[4][1] == f"robopath {robopath.__version__}\n"
+    assert got[3][2] == "error: rate must be > 0, got 0.0\n"
+    assert files(tmp_path / "reused") == files(tmp_path / "fresh")
+    assert (tmp_path / "reused" / program).read_bytes() == (
+        FIXTURES / "straight_seam.prog").read_bytes()
+    # the default runs after the option runs did take the defaults
+    manifests = {name: json.loads((tmp_path / "reused" / f"{name}.csv.manifest.json").read_text())
+                 for name in ("seam_options", "fuzzy_16", "seam", "force")}
+    assert manifests["seam"]["options"]["config"] == dataclasses.asdict(SeamConfig())
+    assert manifests["force"]["options"]["config"] == dataclasses.asdict(ForceConfig())
+    assert manifests["seam_options"]["options"]["config"]["gain_y"] == 0.5
+    assert manifests["fuzzy_16"]["options"]["config"]["rate_hz"] == 16.0
 
 
 def test_simulate_manifest_records_resolved_config(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import axes, finite, plan_of, rodrigues
+from conftest import FIXTURES, axes, finite, plan_of, rodrigues
 from robopath import simulate
 from robopath.codegen import (
     Opcode,
@@ -32,6 +32,7 @@ from robopath.simulate import (
     _CELLS,
     _CENTERS,
     _PathProfile,
+    _leg_frames,
     _path_frames,
     _Polyline,
     _fuzzy_increment,
@@ -245,8 +246,6 @@ def test_path_profile_leg_choice_where_summation_order_matters():
 
 
 def test_golden_program_loads_with_expected_targets():
-    from conftest import FIXTURES
-
     program = load_program((FIXTURES / "butt_joint.prog").read_text())
     assert program.name == "weld_seam"
     assert len(program.targets) == 23  # 3 raw poses + 20 risk-interpolated
@@ -1015,13 +1014,15 @@ def test_path_frames_scale_with_ticks_not_program_legs(monkeypatch):
     # which reaches at most 5 of its legs
     points = [(5.0 * i, 2.0 * (i % 2), 0.0) for i in range(2001)]
     program = polyline_program(points, [10.0] * 2000)
+    profile = _PathProfile(program.positions, program.target_speeds[1:])
     for run, cfg in ((run_seam, SeamConfig(rate_hz=5.0)), (run_force, ForceConfig(rate_hz=20.0))):
         framed.clear()
         trace = run(program, offset_env(z=0.5), cfg, duration_s=2.0)
         assert len(trace.rows) > 5
-        # one array pass over the ticks, never over the program's legs
-        assert len(framed) == 1
-        assert 0 < framed[0] <= len(trace.rows) < 2000
+        legs, _ = profile.schedule(trace.data[:, 0])
+        # one call, one frame per leg reached, never one per tick or per program leg
+        assert framed == [len(set(legs.tolist()))]
+        assert 1 < framed[0] <= 5
 
 
 # unit rows whose x axis has |z| one ulp below, at and one ulp above 0.99,
@@ -1053,6 +1054,39 @@ def test_path_frames_match_per_leg_reference_bitwise(rows):
     directions = np.array(rows)
     reference = np.array([reference_path_frame(d) for d in directions])
     assert _path_frames(directions).tobytes() == reference.tobytes()
+
+
+def check_leg_frames(directions, legs):
+    directions, legs = np.array(directions), np.array(legs)
+    assert _leg_frames(directions, legs).tobytes() == _path_frames(directions[legs]).tobytes()
+
+
+@given(st.lists(frame_rows, min_size=1, max_size=8).flatmap(
+    lambda rows: st.tuples(st.just(rows), st.lists(
+        st.integers(0, len(rows) - 1), min_size=1, max_size=40).map(sorted))))
+@example((FRAME_EDGE_ROWS, [0] * 7))  # a single leg
+@example((FRAME_EDGE_ROWS, list(range(len(FRAME_EDGE_ROWS)))))  # a new leg every tick
+@example((FRAME_EDGE_ROWS, [0, 0, 1, 3, 3, 3, 4, 5, 5]))
+def test_leg_frames_match_framing_every_tick_bitwise(case):
+    check_leg_frames(*case)
+
+
+def test_ticks_past_the_path_end_keep_the_last_legs_frame():
+    # legs along the frame edge rows, and ticks until half again the path's time
+    points = np.cumsum([(0.0, 0.0, 0.0)] + FRAME_EDGE_ROWS, axis=0) * 10.0
+    profile = _PathProfile(points, np.full(len(FRAME_EDGE_ROWS), 3.0))
+    legs, _ = profile.schedule(np.linspace(0.0, 1.5 * profile.total_time, 60))
+    assert legs[0] == 0 and (legs == len(FRAME_EDGE_ROWS) - 1).sum() > 20
+    check_leg_frames(profile.directions, legs)
+
+
+@pytest.mark.parametrize("program", ["straight_seam", "butt_joint", "profile"])
+def test_tick_frames_match_framing_every_tick_bitwise(program):
+    program = load_program((FIXTURES / f"{program}.prog").read_text())
+    profile = _PathProfile(program.positions, program.target_speeds[1:])
+    times, _, frames = simulate._ticks(program, 20.0, None)
+    legs, _ = profile.schedule(times)
+    assert frames.tobytes() == _path_frames(profile.directions[legs]).tobytes()
 
 
 def test_aborted_seam_row_holds_the_sensor_offsets():
