@@ -20,6 +20,9 @@ revision, on the same input files:
   each rule a scene's segment can break, and one program for each refusal
   of the program loader;
 * a program with CRLF line ends, tabs and blank lines, which loads;
+* seam runs of a hairpin with legs 8 mm apart and of a path that repeats
+  targets (zero-length legs), each moved in y, moved and rotated, and moved
+  60 mm in x, which loses the seam;
 * compile, seam and fuzzy force runs with options (`--rate`, `--gain-y`),
   then a refused `--rate 0`, `--version` and an unknown subcommand, then the
   same seam and force runs with defaults: `cli.main` keeps one parser per
@@ -111,6 +114,29 @@ LOADER_REFUSALS = {
 }
 
 
+def _program(name: str, points) -> list[str]:
+    """The statements of a program that joint-moves to the first point and
+    moves linearly through the rest at 10 mm/s."""
+    targets = [f"TARGET t{i} = [{x:.4f}, {y:.4f}, {z:.4f}], [1.0000, 0.0000, 0.0000, 0.0000]"
+               for i, (x, y, z) in enumerate(points, 1)]
+    moves = [f"{'MOVEL' if i > 1 else 'MOVEJ'} t{i} SPEED 10.0000"
+             for i in range(1, len(points) + 1)]
+    return [f"PROGRAM {name}", *targets, *moves, "END"]
+
+
+# Programs for the seam search, and the offsets each is replayed under
+SEAM_PROGRAMS = {
+    "hairpin": _program("hairpin", [(0, 0, 0), (100, 0, 0), (100, 8, 0), (0, 8, 0)]),
+    "repeated": _program("repeated", [(0, 0, 0), (0, 0, 0), (40, 0, 0), (40, 0, 0), (40, 0, 0),
+                                      (40, 30, 5), (40, 30, 5)]),
+}
+SEAM_OFFSETS = {
+    "y5": ("--offset-y", "5"),
+    "x2_y1_rz3": ("--offset-x", "2", "--offset-y", "1", "--rot-z-deg", "3"),
+    "lost_x60": ("--offset-x", "60"),
+}
+
+
 # One scene per refusal of a segment rule, named by it: the straight_seam
 # fixture's one segment with this text replaced
 _SPEED, _POINTS = '"speed": 10.0', "[[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]"
@@ -196,6 +222,13 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
         program.write_text("\n".join(statements) + "\n")
         invocations.append((program.stem, ["simulate", "--program", str(program), "--scenario",
                                            "seam", "--out", f"{program.stem}.csv"]))
+    for name, statements in SEAM_PROGRAMS.items():
+        program = inputs / f"{name}.prog"
+        program.write_text("\n".join(statements) + "\n")
+        for case, options in SEAM_OFFSETS.items():
+            invocations.append((f"{name}.{case}", ["simulate", "--program", str(program),
+                                                   "--scenario", "seam", *options,
+                                                   "--out", f"{name}.{case}.csv"]))
     statements = (tree / "tests" / "fixtures" / "straight_seam.prog").read_text().splitlines()
     spaced = "\r\n \t\r\n".join(line.replace(" ", "\t ") for line in statements) + "\r\n\r\n"
     (inputs / "spaced.prog").write_bytes(spaced.encode())

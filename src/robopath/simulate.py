@@ -21,7 +21,8 @@ path frame. The frames are built in one array pass over the legs in use,
 one per leg, and repeated over each leg's ticks. Only the closed loop itself
 steps tick by tick, and it keeps only the columns it computes; the trace is
 one float table, the tick table's time and nominal point stacked once
-beside them. `run_seam` is the one code path that senses the seam.
+beside them. `run_seam`, the one code path that senses the seam, searches it
+over the legs the ticks were scheduled on, in the workpiece frame.
 
 Runs are fully deterministic for a given program, environment, and config.
 """
@@ -38,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .codegen import RobotProgram, fixed_point
-from .geometry import ArrayRecord, RobopathError, Transform
+from .geometry import ArrayRecord, GeometryError, RobopathError, Transform, apply, invert
 
 # Most ticks one run may take, about 50 times the longest benchmark run; a
 # longer run is refused before any tick runs, since each tick adds a trace row.
@@ -372,6 +373,17 @@ class _PathProfile:
         along = self.lengths[legs] * frac
         return legs, self.starts[legs] + self.directions[legs] * along[:, None]
 
+    def closest(self, q: np.ndarray) -> tuple[np.ndarray, float]:
+        """Closest point to q over all legs and its distance; on a tie the
+        first leg wins."""
+        with np.errstate(over="ignore"):  # an infinite distance is out of range
+            along = np.clip(_dot_rows(q - self.starts, self.directions), 0.0, self.lengths)
+            candidates = self.starts + self.directions * along[:, None]
+            gap = candidates - q
+            dist = np.sqrt(_dot_rows(gap, gap))
+        i = int(np.argmin(dist))
+        return candidates[i], float(dist[i])
+
 
 def _path_frames(directions: np.ndarray) -> np.ndarray:
     """Right-handed (X=travel, Y=lateral, Z=vertical-ish) frames of (n, 3)
@@ -393,31 +405,6 @@ def _leg_frames(directions: np.ndarray, legs: np.ndarray) -> np.ndarray:
     return _path_frames(directions[legs[new]])[np.cumsum(new) - 1]
 
 
-class _Polyline:
-    """A polyline's segments as arrays, built once for many closest-point
-    queries: start points `a`, spans `w = b - a` and `w . w`."""
-
-    def __init__(self, points: np.ndarray):
-        points = np.asarray(points, dtype=float)
-        self.a = points[:-1]
-        self.w = points[1:] - self.a
-        ww = _dot_rows(self.w, self.w)
-        self.degenerate = ww < 1e-24  # a zero-length segment is its start point
-        self.ww = np.where(self.degenerate, 1.0, ww)
-
-    def closest(self, p: np.ndarray) -> tuple[np.ndarray, float]:
-        """Closest point to p over all segments and its distance; on a tie
-        the first segment wins."""
-        with np.errstate(over="ignore"):  # an infinite distance is out of range
-            frac = np.clip(_dot_rows(p - self.a, self.w) / self.ww, 0.0, 1.0)
-            frac[self.degenerate] = 0.0
-            candidates = self.a + frac[:, None] * self.w
-            gap = candidates - p
-            dist = np.sqrt(_dot_rows(gap, gap))
-        i = int(np.argmin(dist))
-        return candidates[i], float(dist[i])
-
-
 def _tick_count(profile: _PathProfile, rate_hz: float, duration_s: Optional[float]) -> int:
     if duration_s is not None and not (duration_s >= 0.0 and math.isfinite(duration_s)):
         raise SimulationError(f"duration must be finite and >= 0, got {duration_s}")
@@ -430,16 +417,16 @@ def _tick_count(profile: _PathProfile, rate_hz: float, duration_s: Optional[floa
 
 def _ticks(
     program: RobotProgram, rate_hz: float, duration_s: Optional[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each tick's time, nominal point and path frame; the frames are built
-    per leg in use, not per tick."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _PathProfile]:
+    """Each tick's time, nominal point and path frame, and the path profile
+    they were read from; the frames are built per leg in use, not per tick."""
     # every target is referenced once, in column order, so the waypoints are
     # the position column itself; a leg runs at the speed of the move that
     # reaches it
     profile = _PathProfile(program.positions, program.target_speeds[1:])
     times = np.arange(_tick_count(profile, rate_hz, duration_s)) / rate_hz
     legs, nominals = profile.schedule(times)
-    return times, nominals, _leg_frames(profile.directions, legs)
+    return times, nominals, _leg_frames(profile.directions, legs), profile
 
 
 def quantize(value: float, resolution: float) -> float:
@@ -463,11 +450,18 @@ def run_seam(
     The tool advances along the programmed path at the programmed speeds;
     each tick the sensed Y/Z deviation moves the accumulated correction by
     gain * error, clamped to max_step_mm and quantized to resolution_mm.
+    The seam is sensed on the path profile's legs, in the workpiece frame.
     Losing the seam aborts the run with a last row of the offsets to the
     closest seam point; the partial trace is flagged.
     """
-    times, nominals, frames = _ticks(program, cfg.rate_hz, duration_s)
-    true_seam = _Polyline(program.positions @ env.offset.rotation.T + env.offset.origin)
+    times, nominals, frames, profile = _ticks(program, cfg.rate_hz, duration_s)
+    try:
+        with np.errstate(over="ignore"):  # an inverse origin past the float range is refused
+            to_workpiece = invert(env.offset)
+    except GeometryError:
+        raise SimulationError(
+            f"workpiece offset {env.offset.origin.tolist()} mm has no finite inverse"
+        ) from None
 
     corr_y = 0.0
     corr_z = 0.0
@@ -475,8 +469,8 @@ def run_seam(
     status = "OK"
     for nominal, frame in zip(nominals, frames):
         tool = nominal + corr_y * frame[1] + corr_z * frame[2]
-        closest, dist = true_seam.closest(tool)
-        d = closest - tool
+        closest, dist = profile.closest(apply(to_workpiece, tool))
+        d = apply(env.offset, closest) - tool
         err_y, err_z = float(d @ frame[1]), float(d @ frame[2])
         if dist > cfg.sensing_range_mm:
             loop.append((err_y, err_z, corr_y, corr_z))
@@ -514,7 +508,7 @@ def run_force(
     count, as 0.29 * 100 does, counts as that whole), so at 20 Hz and 1 s on
     the 21st, and at 100 Hz and 0.29 s on the 30th.
     """
-    times, nominals, frames = _ticks(program, cfg.rate_hz, duration_s)
+    times, nominals, frames, _ = _ticks(program, cfg.rate_hz, duration_s)
     # the offset surface's shift along each tick's normal, plus roughness
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         shifted = nominals @ env.offset.rotation.T + env.offset.origin

@@ -524,6 +524,8 @@ def test_simulate_rejects_bad_number_option(tmp_path, capsys, scenario, option):
         ("force", ("--roughness", "1e308"), "surface shift"),
         ("force", ("--offset-z", "1e308"), "contact force bound"),
         ("force", ("--stiffness", "1e307", "--offset-z", "100"), "contact force bound"),
+        ("seam", ("--offset-x", "1.7e308", "--offset-y", "1.7e308", "--rot-z-deg", "45"),
+         "workpiece offset [1.7e+308, 1.7e+308, 0.0] mm has no finite inverse"),
     ],
 )
 def test_simulate_refuses_overflowing_replay_arithmetic(

@@ -5,9 +5,9 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import FIXTURES, axes, finite, plan_of, rodrigues
+from conftest import FIXTURES, axes, finite, plan_of, rodrigues, transforms
 from robopath import simulate
 from robopath.codegen import (
     Opcode,
@@ -17,7 +17,7 @@ from robopath.codegen import (
     load_program,
     lower,
 )
-from robopath.geometry import Quaternion, Transform, apply
+from robopath.geometry import Quaternion, Transform, apply, invert
 from robopath.planner import MotionKind, TargetPose
 from robopath.simulate import (
     FORCE_COLUMNS,
@@ -34,7 +34,6 @@ from robopath.simulate import (
     _PathProfile,
     _leg_frames,
     _path_frames,
-    _Polyline,
     _fuzzy_increment,
     _tick_count,
     fuzzy_pi_controller,
@@ -124,10 +123,27 @@ def test_sensor_loses_distant_seam():
     assert trace.rows[0][4:] == (60.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the seam search takes the nearest point "
+                   "on every leg, so the hairpin's return leg tracks the outbound seam")
+def test_hairpin_return_leg_ends_on_the_true_seam():
+    # legs 8 mm apart moved 5 mm in y: on the return leg (nominal y = 8) the
+    # moved outbound seam (y = 5) is nearer than the true return seam (y = 13)
+    program = polyline_program([(0, 0, 0), (100, 0, 0), (100, 8, 0), (0, 8, 0)], [10.0] * 3)
+    cfg = SeamConfig()
+    trace = run_seam(program, offset_env(y=5.0), cfg)
+    _, nominals, frames, _ = simulate._ticks(program, cfg.rate_hz, None)
+    err_y, _, corr_y, corr_z = trace.data[-1, 4:].tolist()
+    tool = nominals[-1] + corr_y * frames[-1, 1] + corr_z * frames[-1, 2]
+    assert trace.status == "OK" and len(trace.data) == len(nominals)
+    assert abs(tool[1] - 13.0) <= cfg.resolution_mm
+    assert abs(err_y) <= cfg.resolution_mm
+
+
 def closest_by_loop(points, p):
-    """Per-segment scan, the reference for `_Polyline.closest`: a segment
-    with |w|^2 < 1e-24 is its start point, frac is clamped to [0, 1], and only
-    a strictly smaller distance replaces the best, so the first minimum wins."""
+    """Per-segment scan of a polyline, the geometric reference for the seam
+    search: a segment with |w|^2 < 1e-24 is its start point, frac is clamped
+    to [0, 1], and only a strictly smaller distance replaces the best, so the
+    first minimum wins."""
     px, py, pz = p
     best, best_d = None, math.inf
     for (ax, ay, az), (bx, by, bz) in zip(points[:-1], points[1:]):
@@ -146,9 +162,27 @@ def closest_by_loop(points, p):
     return best, best_d
 
 
+def closest_by_leg_loop(profile, q):
+    """Per-leg scan of a path profile's legs, the reference for
+    `_PathProfile.closest`: the distance along each leg is clamped to
+    [0, length], and only a strictly smaller distance replaces the best, so
+    the first minimum wins."""
+    qx, qy, qz = q
+    best, best_d = None, math.inf
+    legs = zip(profile.starts.tolist(), profile.directions.tolist(), profile.lengths.tolist())
+    for (sx, sy, sz), (dx, dy, dz), length in legs:
+        along = min(length, max(0.0, (qx - sx) * dx + (qy - sy) * dy + (qz - sz) * dz))
+        candidate = (sx + dx * along, sy + dy * along, sz + dz * along)
+        gx, gy, gz = candidate[0] - qx, candidate[1] - qy, candidate[2] - qz
+        d = math.sqrt(gx * gx + gy * gy + gz * gz)
+        if d < best_d:
+            best, best_d = candidate, d
+    return best, best_d
+
+
 # Small integer grids repeat points (zero-length segments) and put many
 # segments at exactly the same distance (ties); sub-picometre steps make
-# segments below the 1e-24 mm^2 cut-off that are not exactly zero; free
+# segments below the 1e-12 mm cut-off that are not exactly zero; free
 # floats cover the rest.
 grid_coord = st.integers(-3, 3).map(float)
 tiny_coord = st.sampled_from([1e-13, -4e-13])
@@ -157,22 +191,44 @@ coords = st.one_of(grid_coord, tiny_coord, free_coord)
 points3 = st.tuples(coords, coords, coords)
 
 
+def leg_profile(points):
+    """The path profile of `points` at 1 mm/s, for a polyline with at least
+    one leg of 1e-12 mm or more (summed as the profile sums it)."""
+    spans = [[b - a for a, b in zip(p, q)] for p, q in zip(points, points[1:])]
+    assume(any(math.sqrt(x * x + y * y + z * z) >= 1e-12 for x, y, z in spans))
+    return _PathProfile(np.array(points, dtype=float), np.ones(len(points) - 1))
+
+
 @given(st.lists(points3, min_size=2, max_size=12), points3)
-@example([(0.0, 0.0, 0.0), (1e-13, 0.0, 0.0)], (5.0, 0.0, 0.0))
-def test_closest_point_matches_per_segment_loop(points, p):
-    point, dist = _Polyline(np.array(points)).closest(np.array(p))
-    ref_point, ref_dist = closest_by_loop(points, p)
+@example([(0.0, 0.0, 0.0), (1e-13, 0.0, 0.0), (1.0, 0.0, 0.0)], (-5.0, 0.0, 0.0))
+def test_closest_point_matches_per_leg_loop(points, q):
+    profile = leg_profile(points)
+    point, dist = profile.closest(np.array(q))
+    ref_point, ref_dist = closest_by_leg_loop(profile, q)
     assert tuple(point.tolist()) == ref_point
     assert dist == ref_dist
 
 
 def test_closest_point_first_minimum_wins():
     # a square around the origin: every side is 1 mm away
-    square = np.array([[-1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, -1.0, 0.0]])
-    point, dist = _Polyline(square).closest(np.zeros(3))
-    assert point.tolist() == [0.0, 1.0, 0.0] and dist == 1.0
-    point, _ = _Polyline(square[::-1].copy()).closest(np.zeros(3))
-    assert point.tolist() == [0.0, -1.0, 0.0]
+    square = [[-1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, -1.0, 0.0]]
+    for points, nearest in ((square, (0.0, 1.0, 0.0)), (square[::-1], (0.0, -1.0, 0.0))):
+        profile = _PathProfile(np.array(points), np.ones(3))
+        point, dist = profile.closest(np.zeros(3))
+        assert (tuple(point.tolist()), dist) == (nearest, 1.0)
+        assert closest_by_leg_loop(profile, (0.0, 0.0, 0.0)) == (nearest, 1.0)
+
+
+@given(st.lists(points3, min_size=2, max_size=12), points3, transforms())
+def test_workpiece_frame_search_matches_world_frame_search(points, p, offset):
+    # the seam is the polyline moved by `offset`; the tool sits at p moved
+    # the same way
+    seam = [apply(offset, point).tolist() for point in points]
+    tool = apply(offset, p)
+    _, dist = leg_profile(points).closest(apply(invert(offset), tool))
+    _, world_dist = closest_by_loop(seam, tool.tolist())
+    scale = max(map(abs, [*np.ravel(points), *np.ravel(seam), *p, *tool]))
+    assert abs(dist - world_dist) <= 1e-9 * (1.0 + scale)
 
 
 def at_by_rescan(points, speeds, t, tol):
@@ -598,7 +654,7 @@ def test_trace_is_one_read_only_table(run, cfg):
     with pytest.raises(ValueError):
         trace.data[0, 0] = 1.0
     # t, x, y and z are the tick table's bits, and rows read the table as tuples
-    times, nominals, _ = simulate._ticks(program, cfg.rate_hz, 1.0)
+    times, nominals, _, _ = simulate._ticks(program, cfg.rate_hz, 1.0)
     assert trace.data[:, :4].tobytes() == np.column_stack((times, nominals)).tobytes()
     assert isinstance(trace.rows, tuple) and trace.rows[0] == tuple(trace.data[0].tolist())
     assert SimTrace(trace.columns, trace.rows, trace.status) == trace
@@ -781,10 +837,10 @@ def reference_path_frame(direction):
 
 def reference_run_seam(program, env, cfg, duration_s=None):
     """The per-tick `run_seam`: leg, nominal point and frame found each tick,
-    and the seam sensed by a per-segment scan."""
-    points = program.positions
-    profile = _PathProfile(points, program.target_speeds[1:])
-    true_seam = (points @ env.offset.rotation.T + env.offset.origin).tolist()
+    and the seam sensed by a per-leg scan of the path profile in the
+    workpiece frame."""
+    profile = _PathProfile(program.positions, program.target_speeds[1:])
+    to_workpiece = invert(env.offset)
     corr_y = corr_z = 0.0
     rows = []
     status = "OK"
@@ -793,8 +849,8 @@ def reference_run_seam(program, env, cfg, duration_s=None):
         nominal, direction = reference_at(profile, t)
         _, y_axis, z_axis = reference_path_frame(direction)
         tool = nominal + corr_y * y_axis + corr_z * z_axis
-        closest, dist = closest_by_loop(true_seam, tool.tolist())
-        offset = np.array(closest) - tool
+        closest, dist = closest_by_leg_loop(profile, apply(to_workpiece, tool).tolist())
+        offset = apply(env.offset, closest) - tool
         err_y, err_z = float(offset @ y_axis), float(offset @ z_axis)
         if dist > cfg.sensing_range_mm:
             rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
@@ -1084,7 +1140,7 @@ def test_ticks_past_the_path_end_keep_the_last_legs_frame():
 def test_tick_frames_match_framing_every_tick_bitwise(program):
     program = load_program((FIXTURES / f"{program}.prog").read_text())
     profile = _PathProfile(program.positions, program.target_speeds[1:])
-    times, _, frames = simulate._ticks(program, 20.0, None)
+    times, _, frames, _ = simulate._ticks(program, 20.0, None)
     legs, _ = profile.schedule(times)
     assert frames.tobytes() == _path_frames(profile.directions[legs]).tobytes()
 
@@ -1100,7 +1156,8 @@ def test_aborted_seam_row_holds_the_sensor_offsets():
     assert corr_y != 0.0
     # travel along +x frames the correction and the offsets as world y and z
     tool = (x, y + corr_y, z + corr_z)
-    true_seam = program.positions @ env.offset.rotation.T + env.offset.origin
-    closest, dist = closest_by_loop(true_seam.tolist(), tool)
+    profile = _PathProfile(program.positions, program.target_speeds[1:])
+    closest, dist = closest_by_leg_loop(profile, apply(invert(env.offset), tool).tolist())
     assert dist > cfg.sensing_range_mm
-    assert (err_y, err_z) == (closest[1] - tool[1], closest[2] - tool[2])
+    seam_point = apply(env.offset, closest)
+    assert (err_y, err_z) == (seam_point[1] - tool[1], seam_point[2] - tool[2])
