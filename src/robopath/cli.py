@@ -24,8 +24,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .codegen import emit, load_program, lower, workspace_lint
 from .geometry import RobopathError, Transform, rotation_about_z
@@ -178,19 +176,7 @@ def cmd_simulate(args) -> int:
     except _ERRORS as exc:
         return _fail(str(exc))
 
-    data = trace.data
-    if args.scenario == "seam":
-        print(
-            f"seam run {trace.status}: final correction y={data[-1, 6]:.4f} mm "
-            f"z={data[-1, 7]:.4f} mm over {data[-1, 0]:.2f} s"
-        )
-    else:
-        window = data[data[:, 0] >= data[-1, 0] - 1.0]
-        err = np.abs(window[:, 4] - window[:, 5]).max()
-        print(
-            f"force run {trace.status}: steady-state |F - setpoint| = {err:.4f} N "
-            f"over the final second ({data[-1, 0]:.2f} s simulated)"
-        )
+    print(trace.summary())
     return 3 if trace.aborted else 0
 
 

@@ -144,23 +144,19 @@ class RobotProgram(ArrayRecord):
             raise CodegenError(f"the moves take {arities.sum()} target(s), got {len(names)}")
         shapes = {"positions": (len(names), 3), "orientations": (len(names), 4),
                   "speeds": arities.shape}
+        columns = {}
         for attr, shape in shapes.items():
-            column = np.asarray(getattr(self, attr), dtype=float)
+            column = columns[attr] = np.asarray(getattr(self, attr), dtype=float)
             if column.shape != shape:
                 raise CodegenError(f"{attr} has shape {column.shape}, expected {shape}")
-            column.setflags(write=False)
-            object.__setattr__(self, attr, column)
-        bad = ~(self.speeds > 0.0) | ~np.isfinite(self.speeds)
+        speeds = columns["speeds"]
+        bad = ~(speeds > 0.0) | ~np.isfinite(speeds)
         if bad.any():
             raise CodegenError(
-                f"instruction speed must be positive and finite, got {self.speeds[bad.argmax()]}"
+                f"instruction speed must be positive and finite, got {speeds[bad.argmax()]}"
             )
-        target_speeds = np.repeat(self.speeds, arities)
-        for column in (opcodes, arities, target_speeds):
-            column.setflags(write=False)
-        vars(self).update(  # frozen: set the normalized and derived columns directly
-            target_names=names, opcodes=opcodes, arities=arities, target_speeds=target_speeds,
-        )
+        self._store(target_names=names, opcodes=opcodes, arities=arities,
+                    target_speeds=np.repeat(speeds, arities), **columns)
 
     @cached_property
     def targets(self) -> Mapping[str, TargetPose]:

@@ -2,9 +2,9 @@
 
 Also what every module of the pipeline shares: `RobopathError`, the base of
 every error raised for input that robopath refuses; `quaternion_norms`, the
-one quaternion norm formula; `ArrayRecord`, the equality of records that
-hold numpy arrays; and `RowView`, the lazy read-only sequence through which
-a table hands out its rows as records.
+one quaternion norm formula; `ArrayRecord`, the equality and the store
+rule of records that hold numpy arrays; and `RowView`, the lazy read-only
+sequence through which a table hands out its rows as records.
 """
 
 from __future__ import annotations
@@ -37,7 +37,14 @@ class ArrayRecord:
     `eq=False`, so that this equality is kept): two records are equal when
     they are of the same type and every field not marked `compare=False` is
     equal, arrays by `np.array_equal` and other values by `==`. Records are
-    unhashable, as their arrays are."""
+    unhashable, as their arrays are, and set their fields through `_store`."""
+
+    def _store(self, **values) -> None:
+        """Set fields of this frozen record, making each array among them read-only."""
+        for value in values.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(values)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -186,8 +193,7 @@ class Transform(ArrayRecord):
     origin: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", rotation_matrix(self.rotation))
-        object.__setattr__(self, "origin", vec3(self.origin))
+        self._store(rotation=rotation_matrix(self.rotation), origin=vec3(self.origin))
 
     @classmethod
     def identity(cls) -> "Transform":

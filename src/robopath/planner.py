@@ -79,7 +79,7 @@ class TargetPose(ArrayRecord):
     interpolated: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "position", vec3(self.position))
+        self._store(position=vec3(self.position))
         if not (self.speed > 0.0 and math.isfinite(self.speed)):
             raise PlanningError(f"target speed must be positive and finite, got {self.speed}")
 
@@ -105,14 +105,12 @@ class PlannedPath(ArrayRecord):
     segment_risk: tuple[bool, ...]
 
     def __post_init__(self):
-        columns = ("positions", "orientations", "kinds", "speeds", "interpolated",
-                   "source_segments")
-        for attr in columns:
-            column = (code_column(self.kinds, MotionKind, PlanningError,
-                                  f"path {self.name!r}: kind")
-                      if attr == "kinds" else np.asarray(getattr(self, attr)))
-            column.setflags(write=False)
-            object.__setattr__(self, attr, column)
+        self._store(
+            positions=np.asarray(self.positions), orientations=np.asarray(self.orientations),
+            kinds=code_column(self.kinds, MotionKind, PlanningError, f"path {self.name!r}: kind"),
+            speeds=np.asarray(self.speeds), interpolated=np.asarray(self.interpolated),
+            source_segments=np.asarray(self.source_segments),
+        )
         q = self.orientations
         angle = np.arccos(np.minimum(1.0, np.abs(np.vecdot(q[:-1], q[1:]))))
         same = (_section_lengths(self.positions) <= POSITION_TOL) & (angle <= ANGLE_TOL)

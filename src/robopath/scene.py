@@ -145,13 +145,13 @@ class ScenePath(ArrayRecord):
     speeds: np.ndarray
 
     def __post_init__(self):
-        for attr, dtype in (("points", float), ("starts", np.intp), ("kinds", np.intp),
-                            ("speeds", float)):
-            column = (code_column(self.kinds, SegmentKind, SceneValidationError,
-                                  f"path {self.name!r}: kind")
-                      if attr == "kinds" else np.asarray(getattr(self, attr), dtype=dtype))
-            column.setflags(write=False)
-            object.__setattr__(self, attr, column)
+        self._store(
+            points=np.asarray(self.points, dtype=float),
+            starts=np.asarray(self.starts, dtype=np.intp),
+            kinds=code_column(self.kinds, SegmentKind, SceneValidationError,
+                              f"path {self.name!r}: kind"),
+            speeds=np.asarray(self.speeds, dtype=float),
+        )
 
     @classmethod
     def from_segments(cls, name: str, segments: Iterable[PathSegment]) -> ScenePath:
@@ -193,10 +193,7 @@ class Workspace(ArrayRecord):
             raise SceneValidationError("workspace bounds contain non-finite values")
         if np.any(lo > hi):
             raise SceneValidationError("workspace min exceeds max")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._store(lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,11 @@ Two scenarios are modeled:
 Each run builds one tick table: every tick's time and nominal point, and its
 path frame. The frames are built in one array pass over the legs in use,
 one per leg, and repeated over each leg's ticks. Only the closed loop itself
-steps tick by tick, and it keeps only the columns it computes; the trace is
-one float table, the tick table's time and nominal point stacked once
-beside them. `run_seam`, the one code path that senses the seam, searches it
-over the legs the ticks were scheduled on, in the workpiece frame.
+steps tick by tick, and it keeps only the columns it computes. The trace is
+one float table, with the tick table's time and nominal point stacked once
+beside them, and words its own one-line verdict (`SimTrace.summary`).
+`run_seam`, the one code path that senses the seam, searches it over the
+legs the ticks were scheduled on, in the workpiece frame.
 
 Runs are fully deterministic for a given program, environment, and config.
 """
@@ -276,9 +277,8 @@ class SimTrace(ArrayRecord):
     status: str  # OK | ABORTED
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float).reshape(len(self.data), len(self.columns))
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        data = np.asarray(self.data, dtype=float)
+        self._store(data=data.reshape(len(data), len(self.columns)))
 
     @property
     def aborted(self) -> bool:
@@ -287,6 +287,17 @@ class SimTrace(ArrayRecord):
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
         return tuple(map(tuple, self.data.tolist()))
+
+    def summary(self) -> str:
+        """One line on the run: its final seam correction or final-second force error."""
+        t, last = self.data[:, 0], self.data[-1]
+        if self.columns == SEAM_COLUMNS:
+            return (f"seam run {self.status}: final correction y={last[6]:.4f} mm "
+                    f"z={last[7]:.4f} mm over {t[-1]:.2f} s")
+        final = self.data[t >= t[-1] - 1.0]
+        err = np.abs(final[:, 4] - final[:, 5]).max()
+        return (f"force run {self.status}: steady-state |F - setpoint| = {err:.4f} N "
+                f"over the final second ({t[-1]:.2f} s simulated)")
 
     def to_csv(self) -> str:
         """Header, then each row fixed-point with its status: OK, or ABORTED
