@@ -5,7 +5,11 @@ For each module under src/robopath and in total, prints the number of AST
 nodes (every node `ast.walk` visits) and the number of lines that are
 neither blank nor a `#` comment. Docstrings count as lines.
 
-    python3 scripts/src_size.py [PACKAGE_DIR]
+    python3 scripts/src_size.py [PACKAGE_DIR [NEW_PACKAGE_DIR]]
+
+Given two package directories, prints both sizes of each module and the
+change from the first to the second; a module missing on one side counts
+as 0 there.
 """
 
 import ast
@@ -23,16 +27,36 @@ def size(source: str) -> tuple[int, int]:
     return nodes, lines
 
 
+def sizes(package: Path) -> dict[str, tuple[int, int]]:
+    """Module file name -> (AST nodes, lines) for every module of `package`,
+    then "total" -> their sums."""
+    table = {path.name: size(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    table["total"] = tuple(map(sum, zip(*table.values()))) or (0, 0)
+    return table
+
+
 def main(package: Path) -> None:
-    total_nodes = total_lines = 0
     print(f"{'module':<16} {'nodes':>7} {'lines':>6}")
-    for path in sorted(package.glob("*.py")):
-        nodes, lines = size(path.read_text(encoding="utf-8"))
-        total_nodes += nodes
-        total_lines += lines
-        print(f"{path.name:<16} {nodes:>7} {lines:>6}")
-    print(f"{'total':<16} {total_nodes:>7} {total_lines:>6}")
+    for name, (nodes, lines) in sizes(package).items():
+        print(f"{name:<16} {nodes:>7} {lines:>6}")
+
+
+def compare(old_package: Path, new_package: Path) -> None:
+    old, new = sizes(old_package), sizes(new_package)
+    names = sorted((old.keys() | new.keys()) - {"total"}) + ["total"]
+    print(f"{'module':<16} {'nodes':>7} {'new':>7} {'change':>7} "
+          f"{'lines':>6} {'new':>6} {'change':>7}")
+    for name in names:
+        (old_nodes, old_lines), (new_nodes, new_lines) = (
+            old.get(name, (0, 0)), new.get(name, (0, 0))
+        )
+        print(f"{name:<16} {old_nodes:>7} {new_nodes:>7} {new_nodes - old_nodes:>+7} "
+              f"{old_lines:>6} {new_lines:>6} {new_lines - old_lines:>+7}")
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]) if len(sys.argv) > 1 else PACKAGE)
+    if len(sys.argv) > 2:
+        compare(Path(sys.argv[1]), Path(sys.argv[2]))
+    else:
+        main(Path(sys.argv[1]) if len(sys.argv) > 1 else PACKAGE)

@@ -198,8 +198,10 @@ class _TargetView(Mapping):
 # 0.00005, and Python formats the exact binary value correctly rounded.
 _READS_ZERO = 5e-5
 
-# Rows per block for the loader's passes: few enough that a block's text
-# and match state stay small beside the whole program.
+# Rows per block for the loader's passes, measured on the 12 530-statement
+# compile_dense program (seed 1, medians of 31 calls, 2-vCPU VM): 256 and 1024
+# rows load it alike (20-22 ms), the whole program as one block is 3-17 %
+# slower, and the tracemalloc peak is 6.1-6.2 MB at every size.
 _BLOCK_ROWS = 256
 # Rows per block for fixed_point: enough that numpy's cost per call is small
 # beside a block's work (256 rows wrote a 6.4k-target table about 25 %

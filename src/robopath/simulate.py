@@ -277,6 +277,8 @@ class SimTrace(ArrayRecord):
     status: str  # OK | ABORTED
 
     def __post_init__(self):
+        if self.status not in ("OK", "ABORTED"):
+            raise SimulationError(f"trace status must be OK or ABORTED, got {self.status!r}")
         data = np.asarray(self.data, dtype=float)
         self._store(data=data.reshape(len(data), len(self.columns)))
 
@@ -326,13 +328,16 @@ class _PathProfile:
     leg i runs from point i to point i + 1 at `leg_speeds[i]`.
 
     Raises SimulationError, before any tick, for fewer than two points, a
-    leg whose length or duration is not finite, or a path of zero length or
-    with no finite total time.
+    point with a non-finite coordinate, a leg whose length or duration is
+    not finite, or a path of zero length or with no finite total time.
     """
 
     def __init__(self, points: np.ndarray, leg_speeds: np.ndarray):
         if len(points) < 2:
             raise SimulationError("program needs at least two targets to traverse")
+        unplaced = ~np.isfinite(points).all(axis=1)
+        if unplaced.any():
+            raise SimulationError(f"target {unplaced.argmax() + 1} has non-finite coordinates")
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             span = points[1:] - points[:-1]
             lengths = np.sqrt(_dot_rows(span, span))

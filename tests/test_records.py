@@ -8,6 +8,9 @@ took ArrayRecord's. The property checks that `==` and `!=` agree
 with them on pairs of records that are equal or differ in one field. The
 row tests check the `RowView` behind `ScenePath.segments`,
 `PlannedPath.poses` and `RobotProgram.targets` against rows built one by one.
+The store test builds one record of every ArrayRecord type from writable
+arrays and checks that each array field, derived and code columns too, is
+read-only afterwards.
 """
 
 import copy
@@ -21,9 +24,10 @@ from hypothesis import given, strategies as st
 
 from conftest import FIXTURES, axis_angle_quaternion, finite, plan_of, quaternions, transforms
 from robopath.codegen import Opcode, RobotProgram, lower
-from robopath.geometry import Quaternion, RowView, Transform
+from robopath.geometry import ArrayRecord, Quaternion, RowView, Transform
 from robopath.planner import MotionKind, PlannedPath, TargetPose, assign_orientations
 from robopath.scene import PathSegment, ScenePath, SegmentKind, Workspace, parse_scene
+from robopath.simulate import SEAM_COLUMNS, SimTrace
 
 
 def reference_transform_eq(self, other):
@@ -277,6 +281,50 @@ def test_planned_paths_and_segments_compare_by_value():
     assert assign_orientations(first) == assign_orientations(second)
     path = plan_of("p", [origin_pose()], (0,), (False,))
     assert path == copy.copy(path) and path != dataclasses.replace(path, name="q")
+
+
+# ---------------------------------------------------------------------------
+# store rule
+# ---------------------------------------------------------------------------
+
+# ArrayRecord types whose arrays stay as given, each with its reason
+UNSTORED = {
+    PathSegment: "a plain row record: it keeps its points as given, and "
+                 "ScenePath.from_segments copies them into the path's table",
+}
+
+
+def writable_records():
+    """One record of every other ArrayRecord type, each array passed in a
+    new writable array, code columns as intp so that they are kept without
+    a copy."""
+    line = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    quats = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
+    return [
+        Transform(np.eye(3), np.zeros(3)),
+        Workspace(np.zeros(3), np.ones(3)),
+        ScenePath("p", line.copy(), np.array([0, 2]), np.array([0], dtype=np.intp), ("B",),
+                  (False,), np.array([1.0])),
+        TargetPose(np.zeros(3), Quaternion.identity(), MotionKind.JOINT, 1.0),
+        PlannedPath("p", line.copy(), quats.copy(), np.array([0, 1], dtype=np.intp),
+                    np.ones(2), np.zeros(2, dtype=bool), np.zeros(2, dtype=np.intp), (False,)),
+        RobotProgram("p", ("t1", "t2"), line.copy(), quats.copy(),
+                     np.array([Opcode.MOVEJ, Opcode.MOVEL], dtype=np.intp), np.ones(2)),
+        SimTrace(SEAM_COLUMNS, np.zeros((2, len(SEAM_COLUMNS))), "OK"),
+    ]
+
+
+def test_every_array_record_stores_its_arrays_read_only():
+    records = writable_records()
+    assert {type(r) for r in records} == set(ArrayRecord.__subclasses__()) - set(UNSTORED)
+    for record in records:
+        arrays = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+                  if f.type == "np.ndarray"}
+        # every field declared an array holds one, RobotProgram's derived
+        # arities and target_speeds included
+        assert all(isinstance(a, np.ndarray) for a in arrays.values()), type(record)
+        for name, array in arrays.items():
+            assert not array.flags.writeable, f"{type(record).__name__}.{name}"
 
 
 # ---------------------------------------------------------------------------

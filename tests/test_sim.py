@@ -666,6 +666,12 @@ def test_trace_takes_rows_of_its_width_only():
         SimTrace(FORCE_COLUMNS, ((0.0,) * 14,), "OK")
 
 
+@pytest.mark.parametrize("status", ["BAD", "ok", "", None])
+def test_trace_refuses_a_status_other_than_ok_or_aborted(status):
+    with pytest.raises(SimulationError, match="^trace status must be OK or ABORTED, got "):
+        SimTrace(("a",), [[1.0]], status)
+
+
 def test_quantize_multiples():
     assert quantize(0.504, 0.01) == pytest.approx(0.5, abs=1e-15)
     assert quantize(-0.017, 0.01) == pytest.approx(-0.02, abs=1e-15)
@@ -685,6 +691,17 @@ def test_path_profile_refuses_a_path_with_no_finite_total_time():
     points = np.array([[0.0, 0.0, 0.0], [1e150, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(SimulationError, match="^program path has no finite total time$"):
         _PathProfile(points, np.array([1e-158, 1e-158]))
+
+
+@pytest.mark.parametrize("run, cfg", [(run_seam, SeamConfig()), (run_force, ForceConfig())])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_names_a_target_with_non_finite_coordinates(run, cfg, bad):
+    """A program built in code may hold a coordinate the loader would
+    refuse; the run names the target rather than calling its leg too long."""
+    points = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]]
+    points[1][2] = bad
+    with pytest.raises(SimulationError, match="^target 2 has non-finite coordinates$"):
+        run(polyline_program(points, [10.0, 10.0]), Environment(), cfg)
 
 
 def test_run_requires_two_targets():
