@@ -27,7 +27,7 @@ revision, on the same input files:
   then a refused `--rate 0`, `--version` and an unknown subcommand, then the
   same seam and force runs with defaults: `cli.main` keeps one parser per
   process, and a value that leaks from one call into the next shows here;
-* both `scripts/run_*_experiment.py` of each revision.
+* the desk-scale experiments, `scripts/run_experiments.py`, of each revision.
 
 Programs, traces, manifests, stdout, stderr and exit codes are compared;
 the export directory is replaced by `<root>` in every output first. Each
@@ -88,7 +88,7 @@ REPLAYS = {
     "fuzzy_lost": ("--scenario", "force", "--controller", "fuzzy", "--offset-z", "-40"),
     "pi_lost_r16": ("--scenario", "force", "--rate", "16", "--offset-z", "-40"),
 }
-EXPERIMENTS = ("scripts/run_seam_experiment.py", "scripts/run_force_experiment.py")
+EXPERIMENT_RUNNER = "scripts/run_experiments.py"  # run as a script in each tree
 
 _T1 = "TARGET t1 = [0.0000, 0.0000, 0.0000], [1.0000, 0.0000, 0.0000, 0.0000]"
 _T2 = "TARGET t2 = [10.0000, 0.0000, 0.0000], [1.0000, 0.0000, 0.0000, 0.0000]"
@@ -287,11 +287,11 @@ def run_revision(tree: Path, invocations) -> dict[str, bytes]:
         outputs[f"{name} [exit]"] = str(code).encode()
         outputs[f"{name} [stdout]"] = stdout.encode()
         outputs[f"{name} [stderr]"] = stderr.encode()
-    for script in EXPERIMENTS:
-        proc = subprocess.run([sys.executable, script], cwd=tree, env=env, capture_output=True)
-        outputs[f"{script} [exit]"] = str(proc.returncode).encode()
-        outputs[f"{script} [stdout]"] = proc.stdout
-        outputs[f"{script} [stderr]"] = proc.stderr
+    proc = subprocess.run([sys.executable, EXPERIMENT_RUNNER], cwd=tree, env=env,
+                          capture_output=True)
+    outputs[f"{EXPERIMENT_RUNNER} [exit]"] = str(proc.returncode).encode()
+    outputs[f"{EXPERIMENT_RUNNER} [stdout]"] = proc.stdout
+    outputs[f"{EXPERIMENT_RUNNER} [stderr]"] = proc.stderr
     files = [p for d in (runs, tree / "out") if d.is_dir() for p in sorted(d.rglob("*"))]
     for path in files:
         if path.is_file():
@@ -338,7 +338,7 @@ def main(argv=None) -> int:
         export(args.old, trees["old"])
         export(args.new, trees["new"])
         invocations = write_inputs(work / "inputs", trees["new"])
-        print(f"{len(invocations)} invocations and {len(EXPERIMENTS)} experiments per revision: "
+        print(f"{len(invocations)} invocations and {EXPERIMENT_RUNNER} per revision: "
               f"{args.old} -> {args.new}")
         outputs = {side: run_revision(tree, invocations) for side, tree in trees.items()}
         compare(outputs["old"], outputs["new"])

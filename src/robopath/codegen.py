@@ -198,16 +198,14 @@ class _TargetView(Mapping):
 # 0.00005, and Python formats the exact binary value correctly rounded.
 _READS_ZERO = 5e-5
 
-# Rows per block for the loader's passes, measured on the 12 530-statement
-# compile_dense program (seed 1, medians of 31 calls, 2-vCPU VM): 256 and 1024
-# rows load it alike (20-22 ms), the whole program as one block is 3-17 %
-# slower, and the tracemalloc peak is 6.1-6.2 MB at every size.
-_BLOCK_ROWS = 256
-# Rows per block for fixed_point: enough that numpy's cost per call is small
-# beside a block's work (256 rows wrote a 6.4k-target table about 25 %
-# slower on a 2-vCPU VM), few enough that a block's word matrix stays a
-# few hundred kB.
-_WRITE_ROWS = 1024
+# Rows per block, for fixed_point and for the loader's passes: enough that
+# the cost of each numpy or regex call is small beside a block's work, few
+# enough that a block's word matrix stays a few hundred kB. Measured on a
+# 2-vCPU VM (medians of 31 calls): 256-row blocks wrote a 6.4k-target table
+# about 25 % slower, and loaded the 6464-target seam_dense program in
+# 27.7-34.3 ms against 26.8-28.8 ms; compile_dense's 12 530 statements
+# loaded alike at 256 and 1024 rows (20-22 ms) and 3-17 % slower as one block.
+_BLOCK_ROWS = 1024
 
 
 def _digit_groups() -> np.ndarray:
@@ -234,7 +232,7 @@ _FIELD_RE = re.compile(r"(%s|%\.4f)")
 
 def fixed_point(row_template: str, numbers: np.ndarray, labels=None) -> list[str]:
     """The text of the rows of `numbers`, an (n, k) array, in blocks of up
-    to _WRITE_ROWS rows. Each row is written as `row_template % (label, *row)`,
+    to _BLOCK_ROWS rows. Each row is written as `row_template % (label, *row)`,
     or as `row_template % tuple(row)` without `labels`; every number a
     `%.4f` field takes is fixed-point with four decimals, no exponent and no
     negative zero. `labels` are ASCII strings without NUL, or a bytes array
@@ -260,8 +258,8 @@ def fixed_point(row_template: str, numbers: np.ndarray, labels=None) -> list[str
         label_words = -(-labels.itemsize // 4)
         labels = labels.astype(f"S{4 * label_words}", copy=False)
     blocks = []
-    for lo in range(0, len(numbers), _WRITE_ROWS):
-        block = numbers[lo : lo + _WRITE_ROWS]
+    for lo in range(0, len(numbers), _BLOCK_ROWS):
+        block = numbers[lo : lo + _BLOCK_ROWS]
         scaled = np.clip(block, -_CLIP, _CLIP) * 1e4
         rounded = np.rint(scaled)
         # scaled - rounded is exact, and |scaled| * 2**-52 is at least an ulp
@@ -283,7 +281,7 @@ def fixed_point(row_template: str, numbers: np.ndarray, labels=None) -> list[str
         matrix[:] = row
         if label_words:
             matrix[:, label_at : label_at + label_words] = (
-                labels[lo : lo + _WRITE_ROWS].view(np.uint32).reshape(len(block), label_words)
+                labels[lo : lo + _BLOCK_ROWS].view(np.uint32).reshape(len(block), label_words)
             )
         # -0.0 (a number that reads zero) has no sign
         matrix[:, ends - 3 - groups] = np.where(rounded < 0.0, _MINUS, 0)

@@ -93,7 +93,10 @@ class RowView(Sequence):
 
 def vec3(values) -> np.ndarray:
     """Coerce to a finite (3,) float vector; returns a read-only copy."""
-    v = np.array(values, dtype=float).reshape(3)
+    v = np.array(values, dtype=float)
+    if v.size != 3:
+        raise GeometryError(f"vector must have 3 components, got shape {v.shape}")
+    v = v.reshape(3)
     x, y, z = v.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise GeometryError(f"vector has non-finite components: {v!r}")
@@ -249,7 +252,7 @@ def rotation_to_quaternion(r) -> Quaternion:
 
 def quaternion_to_rotation(q: Quaternion) -> np.ndarray:
     """Convert a quaternion to a rotation matrix (renormalizing first)."""
-    norm = math.sqrt(q.w**2 + q.x**2 + q.y**2 + q.z**2)
+    (norm,) = quaternion_norms([(q.w, q.x, q.y, q.z)]).tolist()
     w, x, y, z = q.w / norm, q.x / norm, q.y / norm, q.z / norm
     return rotation_matrix(
         [

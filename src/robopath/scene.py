@@ -187,8 +187,12 @@ class Workspace(ArrayRecord):
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.array(self.lo, dtype=float).reshape(3)
-        hi = np.array(self.hi, dtype=float).reshape(3)
+        lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
+        if lo.size != 3 or hi.size != 3:
+            raise SceneValidationError(
+                f"workspace bounds must have 3 components, got shapes {lo.shape} and {hi.shape}"
+            )
+        lo, hi = lo.reshape(3), hi.reshape(3)
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise SceneValidationError("workspace bounds contain non-finite values")
         if np.any(lo > hi):

@@ -280,6 +280,10 @@ class SimTrace(ArrayRecord):
         if self.status not in ("OK", "ABORTED"):
             raise SimulationError(f"trace status must be OK or ABORTED, got {self.status!r}")
         data = np.asarray(self.data, dtype=float)
+        if data.ndim == 0 or data.size != len(data) * len(self.columns):
+            raise SimulationError(
+                f"trace data of shape {data.shape} is not rows of {len(self.columns)} columns"
+            )
         self._store(data=data.reshape(len(data), len(self.columns)))
 
     @property

@@ -19,9 +19,9 @@ from conftest import (
     random_rotation,
 )
 from robopath.codegen import (
+    _BLOCK_ROWS,
     _GROUPS,
     _OPCODE_KINDS,
-    _WRITE_ROWS,
     CodegenError,
     Instruction,
     LintFinding,
@@ -459,8 +459,8 @@ def fixed_point_cases(draw):
     pool = draw(st.lists(rounding_numbers(), min_size=1, max_size=12))
     if draw(st.integers(0, 9)) == 0:
         pool.append(draw(st.sampled_from(_NON_FINITE)))
-    rows = draw(st.sampled_from([0, 1, 2, 3, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1,
-                                 2 * _WRITE_ROWS + 3]))
+    rows = draw(st.sampled_from([0, 1, 2, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                 2 * _BLOCK_ROWS + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     names = draw(st.lists(st.from_regex(NAME_RE, fullmatch=True), min_size=1, max_size=4))
     template = draw(st.sampled_from([_FP_TARGET_LINE, "%s SPEED %.4f\n", "csv"]))
@@ -851,9 +851,9 @@ def respaced_program_texts(draw):
     return text
 
 
-@settings(max_examples=400)
-@given(st.one_of(_program_texts(), respaced_program_texts()))
-def test_load_agrees_with_per_target_reference(text):
+def assert_loads_as_reference(text):
+    """load_program refuses `text` with reference_load's error text and
+    line, or loads it as reference_load does."""
     try:
         name, targets, instructions = reference_load(text)
     except ProgramParseError as expected:
@@ -873,6 +873,50 @@ def test_load_agrees_with_per_target_reference(text):
         assert got.speed == pose.speed
         assert loaded.positions[row].tolist() == pose.position.tolist()
         assert loaded.orientations[row].tolist() == pose.orientation.as_array().tolist()
+
+
+@settings(max_examples=400)
+@given(st.one_of(_program_texts(), respaced_program_texts()))
+def test_load_agrees_with_per_target_reference(text):
+    assert_loads_as_reference(text)
+
+
+def block_seam_program(fault=None, k=0):
+    """A program of two loader blocks plus 3 targets, each moved to once in
+    order, with `fault` put at target k or at move k, and the line of that
+    statement. A rejected pose is refused at the move that names it."""
+    n = 2 * _BLOCK_ROWS + 3
+    targets = [f"TARGET t{i} = [{i}, 0, 0], [1, 0, 0, 0]" for i in range(n)]
+    moves = [f"{'MOVEL' if i else 'MOVEJ'} t{i} SPEED 10" for i in range(n)]
+    if fault == "malformed_target":
+        targets[k] = targets[k].replace("],", "]")
+    elif fault == "duplicate_target":
+        targets[k] = targets[k].replace(f"t{k} ", "t0 ")
+    elif fault == "rejected_pose":
+        targets[k] = targets[k].replace("[1,", "[2,")
+    elif fault == "unknown_opcode":
+        moves[k] = moves[k].replace("MOVEL", "MOVEX")
+    elif fault == "undeclared_operand":
+        moves[k] = moves[k].replace(f"t{k} ", "t_none ")
+    line = 2 + k + n * (fault not in ("malformed_target", "duplicate_target"))
+    return "\n".join(["PROGRAM seams", *targets, *moves, "END", ""]), line
+
+
+@pytest.mark.parametrize("k", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("fault", ["malformed_target", "duplicate_target", "unknown_opcode",
+                                   "undeclared_operand", "rejected_pose"])
+def test_load_agrees_with_reference_on_a_fault_beside_a_block_seam(fault, k):
+    text, line = block_seam_program(fault, k)
+    with pytest.raises(ProgramParseError) as err:
+        reference_load(text)
+    assert err.value.line == line
+    assert_loads_as_reference(text)
+
+
+def test_load_agrees_with_reference_across_block_seams():
+    text, _ = block_seam_program()
+    assert len(reference_load(text)[1]) == 2 * _BLOCK_ROWS + 3
+    assert_loads_as_reference(text)
 
 
 def _program(*statements):

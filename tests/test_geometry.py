@@ -25,6 +25,7 @@ from robopath.geometry import (
     rotation_matrix,
     rotation_to_quaternion,
     slerp,
+    vec3,
 )
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,18 @@ def test_canonical_sign_invariant(q):
     first_nonzero = next(c for c in comps if c != 0.0)
     assert first_nonzero > 0.0
     assert abs(math.sqrt(sum(c * c for c in comps)) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("build", [lambda: vec3([1, 2]), lambda: vec3(np.ones((2, 2))),
+                                   lambda: Transform(np.eye(3), [1, 2])])
+def test_vector_of_other_than_3_components_is_refused(build):
+    with pytest.raises(GeometryError, match=r"^vector must have 3 components, got shape \("):
+        build()
+
+
+def test_vector_takes_any_shape_of_3_components():
+    for values in ([1, 2, 3], [[1, 2, 3]], [[1], [2], [3]]):
+        assert vec3(values).tolist() == [1.0, 2.0, 3.0]
 
 
 def test_quaternion_rejects_non_unit():

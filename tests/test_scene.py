@@ -643,3 +643,9 @@ def test_butt_joint_fixture_shape():
     (path,) = scene.paths
     assert [s.risk for s in path.segments] == [False, True, True, False]
     assert scene.workspace is not None
+
+
+@pytest.mark.parametrize("lo, hi", [([0, 0], [1, 1]), ([0, 0, 0], [1, 1, 1, 1]), (0.0, [1, 1, 1])])
+def test_workspace_refuses_bounds_of_other_than_3_components(lo, hi):
+    with pytest.raises(SceneValidationError, match="^workspace bounds must have 3 components"):
+        Workspace(lo, hi)

@@ -384,6 +384,24 @@ def test_seam_ramp_offset_builds_monotone_staircase():
     assert 1.8 <= corr[-1] <= 2.1
 
 
+# A path with legs at 45 degrees in the xy plane and one that climbs in z
+FORTY_FIVE_DEGREE_PATH = [(0, 0, 0), (10, 0, 0), (15, 5, 0), (25, 5, 0), (30, 0, 0), (40, 0, 2)]
+
+
+@pytest.mark.parametrize("offset", [dict(y=1.0), dict(x=0.3, y=-0.7, z=0.2, rot_z_deg=0.5),
+                                    dict(x=1.0, y=1.0, rot_z_deg=-2.0),
+                                    dict(y=2.5, z=-0.4, rot_z_deg=3.0)])
+def test_seam_correction_is_whole_resolution_steps_on_45_degree_legs(offset):
+    """Each correction is a whole number of resolution steps on every leg,
+    within the 1e-6 of a step that the benchmark's seam check allows."""
+    program = polyline_program(FORTY_FIVE_DEGREE_PATH, [10.0] * 6)
+    cfg = SeamConfig()
+    trace = run_seam(program, offset_env(**offset), cfg)
+    assert not trace.aborted
+    steps = trace.data[:, 6:8] / cfg.resolution_mm
+    assert np.abs(steps - np.round(steps)).max() <= 1e-6
+
+
 def test_seam_steady_state_on_offset_gain_grid():
     """Accumulated correction approaches the offset for any gain in (0, 1].
 
@@ -664,6 +682,13 @@ def test_trace_takes_rows_of_its_width_only():
     assert SimTrace(FORCE_COLUMNS, (), "OK").data.shape == (0, 7)
     with pytest.raises(ValueError):  # one row of 14 numbers, as many as two rows of 7
         SimTrace(FORCE_COLUMNS, ((0.0,) * 14,), "OK")
+
+
+@pytest.mark.parametrize("columns, data", [(("a", "b"), [[1, 2, 3]]), (("a",), 1.0),
+                                           (FORCE_COLUMNS, np.zeros((2, 3, 7)))])
+def test_trace_refuses_data_that_is_not_rows_of_its_width(columns, data):
+    with pytest.raises(SimulationError, match=r"^trace data of shape \(.*\) is not rows of \d+ "):
+        SimTrace(columns, data, "OK")
 
 
 @pytest.mark.parametrize("status", ["BAD", "ok", "", None])
