@@ -202,9 +202,8 @@ _READS_ZERO = 5e-5
 # the cost of each numpy or regex call is small beside a block's work, few
 # enough that a block's word matrix stays a few hundred kB. Measured on a
 # 2-vCPU VM (medians of 31 calls): 256-row blocks wrote a 6.4k-target table
-# about 25 % slower, and loaded the 6464-target seam_dense program in
-# 27.7-34.3 ms against 26.8-28.8 ms; compile_dense's 12 530 statements
-# loaded alike at 256 and 1024 rows (20-22 ms) and 3-17 % slower as one block.
+# about 25 % slower; programs of 6464 and 12 530 statements loaded alike at
+# 256 and 1024 rows, and 3-17 % slower as one block.
 _BLOCK_ROWS = 1024
 
 
