@@ -57,7 +57,7 @@ from .geometry import (
     RobopathError,
     canonical_sign,
     code_column,
-    quaternion_norms,
+    row_norms,
 )
 from .planner import MotionKind, PlannedPath, TargetPose, pose_rows
 from .scene import NAME, NAME_RE, Workspace
@@ -380,11 +380,10 @@ def emit(program: RobotProgram) -> str:
     # the reads-zero rule changes it), so a row within NEAR_UNIT_TOL - 2e-4
     # of 1 is written within NEAR_UNIT_TOL with room for float error; only
     # the other rows need their written values.
-    near = np.flatnonzero(np.abs(quaternion_norms(program.orientations) - 1.0)
-                          > NEAR_UNIT_TOL - 2e-4)
+    near = np.flatnonzero(np.abs(row_norms(program.orientations) - 1.0) > NEAR_UNIT_TOL - 2e-4)
     if near.size:
         written = [[float("%.4f" % v) for v in q] for q in program.orientations[near].tolist()]
-        norms = quaternion_norms(written)
+        norms = row_norms(written)
         off = np.abs(norms - 1.0) > NEAR_UNIT_TOL
         if off.any():
             k = int(off.argmax())
@@ -569,7 +568,7 @@ def _move_columns(moves: list[str], declared: dict[str, int], values: np.ndarray
         j, k, fault = twice, owners[twice], f"target {operands[twice]!r} referenced twice"
     table = values[np.fromiter(rows, np.intp, j)]
     rejected = ~np.isfinite(table).all(axis=1)
-    rejected |= ~(np.abs(quaternion_norms(table[:, 3:]) - 1.0) <= NEAR_UNIT_TOL)
+    rejected |= ~(np.abs(row_norms(table[:, 3:]) - 1.0) <= NEAR_UNIT_TOL)
     rejected |= ~((speeds > 0.0) & np.isfinite(speeds))[owners[:j]]
     if rejected.any():
         j = int(rejected.argmax())

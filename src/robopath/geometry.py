@@ -1,10 +1,12 @@
 """Rigid 3D transform, rotation, and quaternion algebra. All lengths in millimetres.
 
 Also what every module of the pipeline shares: `RobopathError`, the base of
-every error raised for input that robopath refuses; `quaternion_norms`, the
-one quaternion norm formula; `ArrayRecord`, the equality and the store
-rule of records that hold numpy arrays; and `RowView`, the lazy read-only
-sequence through which a table hands out its rows as records.
+every error raised for input that robopath refuses; the one row rule,
+`dot_rows` and `row_norms`, by which every stage measures the rows of an
+array; `apply`, the one map of a point or of an array of points through a
+transform; `ArrayRecord`, the equality and the store rule of records that
+hold numpy arrays; and `RowView`, the lazy read-only sequence through which
+a table hands out its rows as records.
 """
 
 from __future__ import annotations
@@ -132,12 +134,20 @@ def rotation_about_z(angle_rad: float) -> np.ndarray:
     return rotation_matrix([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def quaternion_norms(q: np.ndarray) -> np.ndarray:
-    """The norm of each row of an (n, 4) quaternion array, its squares summed
-    in w, x, y, z order; a norm that overflows is inf, without a warning."""
-    w, x, y, z = np.asarray(q, dtype=float).T
+def dot_rows(u, v) -> np.ndarray:
+    """Row-wise dot product of two (n, k) arrays, or of (n, k) rows and one
+    (k,) vector: the products summed left to right in column order by
+    elementwise ufuncs, so that a row has the bits of the scalar sum
+    u0*v0 + u1*v1 + ..., whatever BLAS the host runs."""
+    products = (np.asarray(u, dtype=float) * v).T
+    return sum(products[1:], products[0])
+
+
+def row_norms(u) -> np.ndarray:
+    """The length of each row of an (n, k) array, sqrt(dot_rows(u, u)); a
+    length that overflows is inf, without a warning."""
     with np.errstate(over="ignore"):
-        return np.sqrt(w * w + x * x + y * y + z * z)
+        return np.sqrt(dot_rows(u, u))
 
 
 # Largest norm deviation the Quaternion constructor accepts: covers unit
@@ -165,7 +175,7 @@ class Quaternion:
         w, x, y, z = comps = (self.w, self.x, self.y, self.z)
         if not (math.isfinite(w) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise GeometryError(f"quaternion has non-finite components: {comps}")
-        (norm,) = quaternion_norms([comps]).tolist()
+        (norm,) = row_norms([comps]).tolist()
         if abs(norm - 1.0) > NEAR_UNIT_TOL:
             raise GeometryError(f"quaternion norm is {norm!r}, not 1")
         (row,) = canonical_sign(np.array([comps], dtype=float)).tolist()
@@ -179,7 +189,7 @@ class Quaternion:
     @classmethod
     def unit(cls, w: float, x: float, y: float, z: float) -> "Quaternion":
         """Normalize an arbitrary nonzero 4-vector into a unit quaternion."""
-        (norm,) = quaternion_norms([(w, x, y, z)]).tolist()
+        (norm,) = row_norms([(w, x, y, z)]).tolist()
         if not math.isfinite(norm) or norm < 1e-12:
             raise GeometryError(f"cannot normalize quaternion ({w}, {x}, {y}, {z})")
         return cls(w / norm, x / norm, y / norm, z / norm)
@@ -215,8 +225,17 @@ def invert(t: Transform) -> Transform:
 
 
 def apply(t: Transform, p) -> np.ndarray:
-    """Map a point: R p + origin."""
-    return t.rotation @ np.asarray(p, dtype=float).reshape(3) + t.origin
+    """Map one (3,) point, or each row of an (n, 3) array of points, to
+    p @ R.T + origin. A (1, 3) array gives a (1, 3) array; any other shape
+    raises GeometryError. A point has the bits it has as a row of any array:
+    numpy takes a product of one row to BLAS gemv, which rounds otherwise
+    than the gemm of two or more rows, so one row is mapped as two."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != 3:
+        raise GeometryError(f"points must be a (3,) point or (n, 3) rows, got shape {p.shape}")
+    rows = p.reshape(-1, 3)
+    pair = np.concatenate((rows, rows)) if len(rows) == 1 else rows
+    return (pair @ t.rotation.T + t.origin)[: len(rows)].reshape(p.shape)
 
 
 def rotation_to_quaternion(r) -> Quaternion:
@@ -252,8 +271,8 @@ def rotation_to_quaternion(r) -> Quaternion:
 
 def quaternion_to_rotation(q: Quaternion) -> np.ndarray:
     """Convert a quaternion to a rotation matrix (renormalizing first)."""
-    (norm,) = quaternion_norms([(q.w, q.x, q.y, q.z)]).tolist()
-    w, x, y, z = q.w / norm, q.x / norm, q.y / norm, q.z / norm
+    a = q.as_array()
+    w, x, y, z = (a / row_norms([a])).tolist()
     return rotation_matrix(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -292,7 +311,7 @@ def slerp(q0, q1, t, arc=None) -> np.ndarray:
     q0 = np.asarray(q0, dtype=float).reshape(-1, 4)
     q1 = np.asarray(q1, dtype=float).reshape(-1, 4)
     arc = np.zeros(len(t), dtype=int) if arc is None else np.asarray(arc)
-    dot = np.vecdot(q0, q1)  # a @ b per arc, with its bits
+    dot = dot_rows(q0, q1)
     flip = dot < 0.0
     b = np.where(flip[:, None], -q1, q1)
     dot = np.where(flip, -dot, dot)
@@ -309,7 +328,7 @@ def slerp(q0, q1, t, arc=None) -> np.ndarray:
     w0[far] = np.sin(w0[far] * th) / st
     w1[far] = np.sin(t[far] * th) / st
     mixed = w0[:, None] * q0[arc] + w1[:, None] * b[arc]
-    out = mixed / quaternion_norms(mixed)[:, None]
+    out = mixed / row_norms(mixed)[:, None]
     ends = t == 0.0
     out[ends] = q0[arc[ends]]
     ends = t == 1.0

@@ -31,10 +31,13 @@ from .geometry import (
     RobopathError,
     RowView,
     Transform,
+    apply,
     code_column,
     compose,
+    dot_rows,
     invert,
     rotation_to_quaternion,
+    row_norms,
     slerp,
     vec3,
 )
@@ -112,7 +115,7 @@ class PlannedPath(ArrayRecord):
             source_segments=np.asarray(self.source_segments),
         )
         q = self.orientations
-        angle = np.arccos(np.minimum(1.0, np.abs(np.vecdot(q[:-1], q[1:]))))
+        angle = np.arccos(np.minimum(1.0, np.abs(dot_rows(q[:-1], q[1:]))))
         same = (_section_lengths(self.positions) <= POSITION_TOL) & (angle <= ANGLE_TOL)
         if same.any():
             i = int(same.argmax()) + 1
@@ -142,11 +145,10 @@ def pose_rows(positions, orientations, kinds, speeds, interpolated) -> Sequence[
 
 
 def _section_lengths(positions: np.ndarray) -> np.ndarray:
-    """Distance from each pose to the next, with np.linalg.norm's bits; a
-    distance that overflows is inf, without a warning."""
+    """Distance from each pose to the next; a distance that overflows is
+    inf, without a warning."""
     with np.errstate(over="ignore"):
-        d = np.diff(positions, axis=0)
-        return np.sqrt(np.vecdot(d, d))
+        return row_norms(np.diff(positions, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,6 @@ def rebase(scene: Scene, base: str) -> Scene:
             raise PlanningError(f"unknown base frame {base!r}")
         base_to_universe = frame.transform
     universe_to_base = invert(base_to_universe)
-    rot_t, origin = universe_to_base.rotation.T, universe_to_base.origin
 
     frames = tuple(
         Frame(f.name, compose(universe_to_base, f.transform)) for f in scene.frames
@@ -178,7 +179,7 @@ def rebase(scene: Scene, base: str) -> Scene:
     paths = []
     for path in scene.paths:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            points = path.points @ rot_t + origin
+            points = apply(universe_to_base, path.points)
         if not np.isfinite(points).all():
             raise PlanningError(f"path {path.name!r}: rebased points are not finite")
         paths.append(dataclasses.replace(path, points=points))
@@ -187,7 +188,7 @@ def rebase(scene: Scene, base: str) -> Scene:
     if workspace is not None:
         corners = np.array(list(product(*zip(workspace.lo, workspace.hi))))
         with np.errstate(over="ignore", invalid="ignore"):  # Workspace checks the result
-            corners = corners @ rot_t + origin
+            corners = apply(universe_to_base, corners)
         # rotated box re-boxed as its enclosing axis-aligned hull
         workspace = Workspace(corners.min(axis=0), corners.max(axis=0))
 

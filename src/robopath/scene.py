@@ -48,6 +48,7 @@ from .geometry import (
     Transform,
     code_column,
     quaternion_to_rotation,
+    row_norms,
 )
 
 # Endpoint chaining / distinct-point tolerance, in millimetres.
@@ -511,7 +512,7 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
         # step too long to square is inf, still far, and one from a
         # non-finite point is inf or nan, neither close nor a gap
         with np.errstate(over="ignore", invalid="ignore"):
-            dist = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
+            dist = row_norms(np.diff(path.points, axis=0))
         # the join into each segment, checked only where it and the segment
         # before it have points
         joins = np.flatnonzero((counts[:-1] > 0) & (counts[1:] > 0)) + 1

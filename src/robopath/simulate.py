@@ -40,7 +40,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .codegen import RobotProgram, fixed_point
-from .geometry import ArrayRecord, GeometryError, RobopathError, Transform, apply, invert
+from .geometry import (
+    ArrayRecord,
+    GeometryError,
+    RobopathError,
+    Transform,
+    apply,
+    dot_rows,
+    invert,
+    row_norms,
+)
 
 # Most ticks one run may take, about 50 times the longest benchmark run; a
 # longer run is refused before any tick runs, since each tick adds a trace row.
@@ -295,7 +304,13 @@ class SimTrace(ArrayRecord):
         return tuple(map(tuple, self.data.tolist()))
 
     def summary(self) -> str:
-        """One line on the run: its final seam correction or final-second force error."""
+        """One line on the run: its final seam correction or final-second
+        force error. A trace of other columns than a seam or a force run's,
+        or of no rows, has none and raises SimulationError."""
+        if self.columns not in (SEAM_COLUMNS, FORCE_COLUMNS):
+            raise SimulationError(f"a trace of columns {self.columns} has no summary")
+        if not len(self.data):
+            raise SimulationError("a trace of no rows has no summary")
         t, last = self.data[:, 0], self.data[-1]
         if self.columns == SEAM_COLUMNS:
             return (f"seam run {self.status}: final correction y={last[6]:.4f} mm "
@@ -322,11 +337,6 @@ class SimTrace(ArrayRecord):
 # ---------------------------------------------------------------------------
 
 
-def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of two (n, 3) arrays, summed x + y + z."""
-    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
-
-
 class _PathProfile:
     """Time-parameterized traversal of a waypoint polyline at per-leg speeds;
     leg i runs from point i to point i + 1 at `leg_speeds[i]`.
@@ -344,7 +354,7 @@ class _PathProfile:
             raise SimulationError(f"target {unplaced.argmax() + 1} has non-finite coordinates")
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             span = points[1:] - points[:-1]
-            lengths = np.sqrt(_dot_rows(span, span))
+            lengths = row_norms(span)
             durations = lengths / leg_speeds
         bad = ~np.isfinite(durations)
         if bad.any():
@@ -397,10 +407,9 @@ class _PathProfile:
         """Closest point to q over all legs and its distance; on a tie the
         first leg wins."""
         with np.errstate(over="ignore"):  # an infinite distance is out of range
-            along = np.clip(_dot_rows(q - self.starts, self.directions), 0.0, self.lengths)
+            along = np.clip(dot_rows(q - self.starts, self.directions), 0.0, self.lengths)
             candidates = self.starts + self.directions * along[:, None]
-            gap = candidates - q
-            dist = np.sqrt(_dot_rows(gap, gap))
+            dist = row_norms(candidates - q)
         i = int(np.argmin(dist))
         return candidates[i], float(dist[i])
 
@@ -409,10 +418,10 @@ def _path_frames(directions: np.ndarray) -> np.ndarray:
     """Right-handed (X=travel, Y=lateral, Z=vertical-ish) frames of (n, 3)
     travel directions, as an (n, 3, 3) array of x, y and z axes; a nearly
     vertical travel takes y rather than z as "up"."""
-    x = directions / np.sqrt(np.vecdot(directions, directions))[:, None]
+    x = directions / row_norms(directions)[:, None]
     up = np.where((np.abs(x[:, 2]) > 0.99)[:, None], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
     y = np.cross(up, x)
-    y = y / np.sqrt(np.vecdot(y, y))[:, None]
+    y = y / row_norms(y)[:, None]
     return np.stack((x, y, np.cross(x, y)), axis=1)
 
 
@@ -491,7 +500,7 @@ def run_seam(
         tool = nominal + corr_y * frame[1] + corr_z * frame[2]
         closest, dist = profile.closest(apply(to_workpiece, tool))
         d = apply(env.offset, closest) - tool
-        err_y, err_z = float(d @ frame[1]), float(d @ frame[2])
+        err_y, err_z = dot_rows(d, frame[1:]).tolist()
         if dist > cfg.sensing_range_mm:
             loop.append((err_y, err_z, corr_y, corr_z))
             status = "ABORTED"
@@ -531,8 +540,7 @@ def run_force(
     times, nominals, frames, _ = _ticks(program, cfg.rate_hz, duration_s)
     # the offset surface's shift along each tick's normal, plus roughness
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        shifted = nominals @ env.offset.rotation.T + env.offset.origin
-        shifts = _dot_rows(shifted - nominals, frames[:, 2])
+        shifts = dot_rows(apply(env.offset, nominals) - nominals, frames[:, 2])
         if env.roughness_mm > 0.0:
             rng = np.random.default_rng(env.seed)
             shifts += env.roughness_mm * rng.standard_normal(len(times))

@@ -1,6 +1,8 @@
 """Shared strategies and builders for the test suite."""
 
 import math
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,13 @@ def axis_angle_quaternion(axis, angle_rad):
     a = a / np.linalg.norm(a)
     s = math.sin(0.5 * angle_rad)
     return Quaternion.unit(math.cos(0.5 * angle_rad), a[0] * s, a[1] * s, a[2] * s)
+
+
+def reference_dot(a, b) -> float:
+    """The dot product of two vectors as the scalar sum a0*b0 + a1*b1 + ...,
+    added left to right in Python floats."""
+    return reduce(add, map(mul, np.asarray(a, dtype=float).tolist(),
+                           np.asarray(b, dtype=float).tolist()))
 
 
 def angle_between(a, b):
@@ -101,7 +110,7 @@ def reference_slerp(q0, q1, t):
         return q1
     a = q0.as_array()
     b = q1.as_array()
-    dot = float(a @ b)
+    dot = reference_dot(a, b)
     if dot < 0.0:
         b = -b
         dot = -dot

@@ -9,6 +9,7 @@ from conftest import (
     axis_angle_quaternion,
     finite,
     quaternions,
+    reference_dot,
     reference_slerp,
     rodrigues,
     transforms,
@@ -19,11 +20,12 @@ from robopath.geometry import (
     Transform,
     apply,
     compose,
+    dot_rows,
     invert,
-    quaternion_norms,
     quaternion_to_rotation,
     rotation_matrix,
     rotation_to_quaternion,
+    row_norms,
     slerp,
     vec3,
 )
@@ -120,6 +122,25 @@ def test_apply_round_trip():
     np.testing.assert_allclose(
         apply(invert(RZ90_AT_100), apply(RZ90_AT_100, p)), p, atol=1e-9
     )
+
+
+@given(transforms(), st.lists(st.tuples(*[finite(-1000, 1000)] * 3), max_size=6))
+def test_apply_maps_rows_as_it_maps_each_point(t, points):
+    rows = np.array(points, dtype=float).reshape(-1, 3)
+    got = apply(t, rows)
+    want = np.array([apply(t, p) for p in rows]).reshape(-1, 3)
+    assert got.shape == rows.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "points, shape",
+    [([1.0, 2.0], (2,)), ([[1.0, 2.0, 3.0, 4.0]], (1, 4)), ([[[1.0, 2.0, 3.0]]], (1, 1, 3)),
+     (5.0, ()), ([[1.0], [2.0], [3.0]], (3, 1))],
+)
+def test_apply_refuses_points_of_other_shapes(points, shape):
+    with pytest.raises(GeometryError) as err:
+        apply(RZ90_AT_100, points)
+    assert str(err.value) == f"points must be a (3,) point or (n, 3) rows, got shape {shape}"
 
 
 @given(transforms())
@@ -229,11 +250,11 @@ def test_quaternion_norm_error_texts(comps, message):
     assert str(err.value) == message
 
 
-def reference_norm(w, x, y, z) -> float:
-    """The scalar norm the Quaternion constructor, `Quaternion.unit`, `slerp`
-    and the program loader each wrote out before they shared
-    `quaternion_norms`."""
-    return math.sqrt(w * w + x * x + y * y + z * z)
+def reference_norm(*row) -> float:
+    """The scalar length of a row, sqrt(w*w + x*x + y*y + z*z) for a
+    quaternion: the norm the Quaternion constructor, `Quaternion.unit`,
+    `slerp` and the program loader each wrote out before they shared one."""
+    return math.sqrt(reference_dot(row, row))
 
 
 # floats in general, and the ones a sum of squares treats specially
@@ -254,10 +275,31 @@ norm_components = (
 @example([(1e154, 1e154, 0.0, 0.0), (-1e154, 0.0, 0.0, -1e154), (1.34e154, 0.0, 0.0, 0.0)])
 @example([(-0.0, -0.0, 0.0, -0.0), (5e-324, -5e-324, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0)])
 @example([(0.5, -0.5, 0.5, -0.5), (0.9239, 0.0, 0.0, 0.3827)])
-def test_quaternion_norms_match_the_scalar_formula_bit_for_bit(rows):
-    got = quaternion_norms(np.array(rows, dtype=float).reshape(-1, 4))
-    want = np.array([reference_norm(*row) for row in rows])
+@pytest.mark.parametrize("width", [3, 4])
+def test_row_norms_match_the_scalar_formula_bit_for_bit(width, rows):
+    table = np.array(rows, dtype=float).reshape(-1, 4)[:, :width]
+    got = row_norms(table)
+    want = np.array([reference_norm(*row) for row in table.tolist()])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.tuples(st.tuples(*[norm_components] * k), st.tuples(*[norm_components] * k)),
+    max_size=8))))
+@example((4, [((0.5, -0.5, 0.5, -0.5), (0.9239, 0.0, 0.0, 0.3827))]))
+@example((3, [((-0.0, 0.0, -0.0), (1.0, -1.0, 1.0)),
+              ((1e154, 1e154, 0.0), (1e154, -1e154, 5e-324))]))
+def test_dot_rows_matches_the_scalar_sum_bit_for_bit(case):
+    width, pairs = case
+    u = np.array([a for a, _ in pairs], dtype=float).reshape(-1, width)
+    v = np.array([b for _, b in pairs], dtype=float).reshape(-1, width)
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy warns of these, Python not
+        got = dot_rows(u, v)
+    want = np.array([reference_dot(a, b) for a, b in zip(u, v)])
+    # inf - inf is nan on both sides, whose sign bit is the hardware's choice
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_quaternion_preserves_near_unit_components():
@@ -414,15 +456,6 @@ def test_slerp_matches_scalar_reference_on_random_arcs():
         ts = rng.random(3)
         want = [reference_slerp(a, b, t).as_array() for t in ts]
         assert slerp(a.as_array(), b.as_array(), ts).tobytes() == np.array(want).tobytes()
-
-
-@given(st.lists(st.tuples(quaternions(), quaternions()), min_size=1, max_size=20))
-def test_row_dot_has_the_bits_of_a_dot_per_pair(pairs):
-    # slerp takes q0 . q1 of every arc with one np.vecdot; it must give the
-    # bits of `a @ b`, which a slerp of one arc took
-    a = np.array([p.as_array() for p, _ in pairs])
-    b = np.array([q.as_array() for _, q in pairs]) * 1.0000001
-    assert np.vecdot(a, b).tolist() == [float(x @ y) for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

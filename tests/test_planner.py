@@ -11,6 +11,7 @@ from conftest import (
     finite,
     plan_of,
     random_transform,
+    reference_dot,
     reference_slerp,
     rodrigues,
 )
@@ -486,9 +487,8 @@ def reference_interpolate_risk(path, dt):
         exit_ = last_pose_of_segment[seg_b]
         lengths = []
         for i in range(entry, exit_):
-            length = float(
-                np.linalg.norm(poses[i + 1].position - poses[i].position)
-            )
+            step = poses[i + 1].position - poses[i].position
+            length = math.sqrt(reference_dot(step, step))
             if length < planner.POSITION_TOL:
                 raise PlanningError(
                     f"path {path.name!r}: zero-length section at pose {i} inside a "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import FIXTURES, axes, finite, plan_of, rodrigues, transforms
+from conftest import FIXTURES, axes, finite, plan_of, reference_dot, rodrigues, transforms
 from robopath import simulate
 from robopath.codegen import (
     Opcode,
@@ -691,6 +691,21 @@ def test_trace_refuses_data_that_is_not_rows_of_its_width(columns, data):
         SimTrace(columns, data, "OK")
 
 
+@pytest.mark.parametrize("columns, data, status, cause", [
+    (FORCE_COLUMNS, (), "OK", "no rows"),
+    (SEAM_COLUMNS, (), "ABORTED", "no rows"),
+    (("a",), [[1.0]], "OK", "columns ('a',)"),
+    (("t_s", "x"), [[0.0, 1.0]], "OK", "columns ('t_s', 'x')"),
+])
+def test_trace_without_a_summary_refuses_to_summarize(columns, data, status, cause):
+    trace = SimTrace(columns, data, status)
+    with pytest.raises(SimulationError) as err:
+        trace.summary()
+    assert str(err.value) == f"a trace of {cause} has no summary"
+    if not len(data):  # it still builds and writes its header
+        assert trace.to_csv() == ",".join(columns + ("status",)) + "\n"
+
+
 @pytest.mark.parametrize("status", ["BAD", "ok", "", None])
 def test_trace_refuses_a_status_other_than_ok_or_aborted(status):
     with pytest.raises(SimulationError, match="^trace status must be OK or ABORTED, got "):
@@ -867,12 +882,12 @@ def reference_at(profile, t):
 def reference_path_frame(direction):
     """The per-leg `_path_frame` that `_path_frames` replaced: right-handed
     (X=travel, Y=lateral, Z=vertical-ish) axes of one travel direction."""
-    x = direction / np.linalg.norm(direction)
+    x = direction / math.sqrt(reference_dot(direction, direction))
     up = np.array([0.0, 0.0, 1.0])
-    if abs(float(x @ up)) > 0.99:
+    if abs(reference_dot(x, up)) > 0.99:
         up = np.array([0.0, 1.0, 0.0])
     y = np.cross(up, x)
-    y = y / np.linalg.norm(y)
+    y = y / math.sqrt(reference_dot(y, y))
     z = np.cross(x, y)
     return x, y, z
 
@@ -893,7 +908,7 @@ def reference_run_seam(program, env, cfg, duration_s=None):
         tool = nominal + corr_y * y_axis + corr_z * z_axis
         closest, dist = closest_by_leg_loop(profile, apply(to_workpiece, tool).tolist())
         offset = apply(env.offset, closest) - tool
-        err_y, err_z = float(offset @ y_axis), float(offset @ z_axis)
+        err_y, err_z = reference_dot(offset, y_axis), reference_dot(offset, z_axis)
         if dist > cfg.sensing_range_mm:
             rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
             status = "ABORTED"
@@ -930,7 +945,7 @@ def reference_run_force(program, env, cfg, duration_s=None):
         t = k / cfg.rate_hz
         nominal, direction = reference_at(profile, t)
         _, _, z_axis = reference_path_frame(direction)
-        surface_shift = float((apply(env.offset, nominal) - nominal) @ z_axis)
+        surface_shift = reference_dot(apply(env.offset, nominal) - nominal, z_axis)
         if env.roughness_mm > 0.0:
             surface_shift += env.roughness_mm * float(rng.standard_normal())
         force = max(0.0, cfg.setpoint_n + env.stiffness_n_per_mm * (surface_shift + disp))
