@@ -21,9 +21,10 @@ revision, on the same input files:
   each rule a scene's segment can break, and one program for each refusal
   of the program loader;
 * a program with CRLF line ends, tabs and blank lines, which loads;
-* seam runs of a hairpin with legs 8 mm apart and of a path that repeats
-  targets (zero-length legs), each moved in y, moved and rotated, and moved
-  60 mm in x, which loses the seam;
+* seam runs of a hairpin with legs 8 mm apart, of a path whose steep first
+  leg frames world y as its z axis and whose next leg frames it as its y
+  axis, and of a path that repeats targets (zero-length legs), each moved
+  in y, moved and rotated, and moved 60 mm in x, which loses the seam;
 * compile, seam and fuzzy force runs with options (`--rate`, `--gain-y`),
   then a refused `--rate 0`, `--version` and an unknown subcommand, then the
   same seam and force runs with defaults: `cli.main` keeps one parser per
@@ -132,6 +133,7 @@ def _program(name: str, points) -> list[str]:
 # Programs for the seam search, and the offsets each is replayed under
 SEAM_PROGRAMS = {
     "hairpin": _program("hairpin", [(0, 0, 0), (100, 0, 0), (100, 8, 0), (0, 8, 0)]),
+    "steep": _program("steep", [(0, 0, 0), (10, 0, 100), (40, 0, 200)]),
     "repeated": _program("repeated", [(0, 0, 0), (0, 0, 0), (40, 0, 0), (40, 0, 0), (40, 0, 0),
                                       (40, 30, 5), (40, 30, 5)]),
 }

@@ -4,8 +4,10 @@ Two scenarios are modeled:
 
 * seam: the tool advances along the programmed path while a virtual seam
   sensor measures the lateral (Y) and vertical (Z) deviation to the true,
-  rigidly displaced seam. Every tick the accumulated correction moves by
-  gain * error per axis, clamped to a per-tick step limit and quantized to
+  rigidly displaced seam. The accumulated correction is one vector in the
+  cell frame, so a turn of the path does not move it in the world. Every
+  tick it moves by gain * error along the tick frame's Y and Z axes,
+  clamped to a per-tick step limit, and its Y and Z parts are quantized to
   the robot's resolution.
 
 * force: the tool follows the programmed profile pressing onto a surface
@@ -16,14 +18,17 @@ Two scenarios are modeled:
   zero-mean Gaussian height noise, drawn as one block with one value per
   tick (the same stream as one draw per tick).
 
-Each run builds one tick table: every tick's time and nominal point, and its
+Each run builds one tick table: every tick's time, nominal point and leg, and its
 path frame. The frames are built in one array pass over the legs in use,
 one per leg, and repeated over each leg's ticks. Only the closed loop itself
 steps tick by tick, and it keeps only the columns it computes. The trace is
 one float table, with the tick table's time and nominal point stacked once
 beside them, and words its own one-line verdict (`SimTrace.summary`).
-`run_seam`, the one code path that senses the seam, searches it over the
-legs the ticks were scheduled on, in the workpiece frame.
+`run_seam`, the one code path that senses the seam, searches it in the
+workpiece frame over a window of the legs the ticks were scheduled on: those
+within sensing range, along the path, of the tick's leg. One search over
+the legs' path lengths finds every tick's window, so a tick costs the same
+however long the program is.
 
 Runs are fully deterministic for a given program, environment, and config.
 """
@@ -381,6 +386,9 @@ class _PathProfile:
         # The rounding in `ends` stays below this bound times
         # max(t, total_time), so a time this near a leg end counts as on it.
         self._tie_tol = 2.0 * len(self.ends) * sys.float_info.epsilon
+        # path length at each leg's end and start, summed left to right
+        self.path_ends = np.cumsum(self.lengths)
+        self.path_starts = np.concatenate(([0.0], self.path_ends[:-1]))
 
     def schedule(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Leg index and nominal position at each of `times` (clamped).
@@ -403,12 +411,22 @@ class _PathProfile:
         along = self.lengths[legs] * frac
         return legs, self.starts[legs] + self.directions[legs] * along[:, None]
 
-    def closest(self, q: np.ndarray) -> tuple[np.ndarray, float]:
-        """Closest point to q over all legs and its distance; on a tie the
-        first leg wins."""
+    def windows(self, legs: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+        """The window of each of `legs`: the first leg and one past the last
+        whose stretch of path length comes within `reach` of the leg's own,
+        so that every point within `reach` along the path of a point on the
+        leg lies on a leg of its window."""
+        lo = np.searchsorted(self.path_ends, self.path_starts[legs] - reach)
+        hi = np.searchsorted(self.path_starts, self.path_ends[legs] + reach, side="right")
+        return lo, hi
+
+    def closest(self, q: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, float]:
+        """Closest point to q over legs lo to hi - 1 and its distance; on a
+        tie the first leg wins."""
+        starts, directions = self.starts[lo:hi], self.directions[lo:hi]
         with np.errstate(over="ignore"):  # an infinite distance is out of range
-            along = np.clip(dot_rows(q - self.starts, self.directions), 0.0, self.lengths)
-            candidates = self.starts + self.directions * along[:, None]
+            along = np.clip(dot_rows(q - starts, directions), 0.0, self.lengths[lo:hi])
+            candidates = starts + directions * along[:, None]
             dist = row_norms(candidates - q)
         i = int(np.argmin(dist))
         return candidates[i], float(dist[i])
@@ -446,16 +464,17 @@ def _tick_count(profile: _PathProfile, rate_hz: float, duration_s: Optional[floa
 
 def _ticks(
     program: RobotProgram, rate_hz: float, duration_s: Optional[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, _PathProfile]:
-    """Each tick's time, nominal point and path frame, and the path profile
-    they were read from; the frames are built per leg in use, not per tick."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _PathProfile]:
+    """Each tick's time, nominal point, path frame and leg, and the path
+    profile they were read from; the frames are built per leg in use, not
+    per tick."""
     # every target is referenced once, in column order, so the waypoints are
     # the position column itself; a leg runs at the speed of the move that
     # reaches it
     profile = _PathProfile(program.positions, program.target_speeds[1:])
     times = np.arange(_tick_count(profile, rate_hz, duration_s)) / rate_hz
     legs, nominals = profile.schedule(times)
-    return times, nominals, _leg_frames(profile.directions, legs), profile
+    return times, nominals, _leg_frames(profile.directions, legs), legs, profile
 
 
 def quantize(value: float, resolution: float) -> float:
@@ -476,14 +495,20 @@ def run_seam(
 ) -> SimTrace:
     """Closed-loop seam-tracking replay.
 
-    The tool advances along the programmed path at the programmed speeds;
-    each tick the sensed Y/Z deviation moves the accumulated correction by
-    gain * error, clamped to max_step_mm and quantized to resolution_mm.
-    The seam is sensed on the path profile's legs, in the workpiece frame.
-    Losing the seam aborts the run with a last row of the offsets to the
-    closest seam point; the partial trace is flagged.
+    The tool advances along the programmed path at the programmed speeds,
+    displaced by a correction held in the cell frame, so that it stays put
+    in the world when the path turns. Each tick the sensed Y/Z deviation
+    moves the correction by gain * error along the tick frame's y and z
+    axes, clamped to max_step_mm; its parts along those axes are quantized
+    to resolution_mm and written as corr_y and corr_z, and its part along
+    the travel is kept. The seam is sensed in the workpiece frame, on the
+    legs within sensing range of the tick's leg along the path (its window),
+    so a seam that comes back near itself is not taken for the stretch
+    being tracked. Losing the seam aborts the run with a last row of the
+    offsets to the closest seam point in the window; the partial trace is
+    flagged.
     """
-    times, nominals, frames, profile = _ticks(program, cfg.rate_hz, duration_s)
+    times, nominals, frames, legs, profile = _ticks(program, cfg.rate_hz, duration_s)
     try:
         with np.errstate(over="ignore"):  # an inverse origin past the float range is refused
             to_workpiece = invert(env.offset)
@@ -491,16 +516,17 @@ def run_seam(
         raise SimulationError(
             f"workpiece offset {env.offset.origin.tolist()} mm has no finite inverse"
         ) from None
+    lo, hi = profile.windows(legs, cfg.sensing_range_mm)
 
-    corr_y = 0.0
-    corr_z = 0.0
+    corr = np.zeros(3)  # the correction, in the cell frame
     loop = []  # err_y, err_z, corr_y, corr_z of each tick
     status = "OK"
-    for nominal, frame in zip(nominals, frames):
-        tool = nominal + corr_y * frame[1] + corr_z * frame[2]
-        closest, dist = profile.closest(apply(to_workpiece, tool))
+    for nominal, frame, first, stop in zip(nominals, frames, lo.tolist(), hi.tolist()):
+        tool = nominal + corr
+        closest, dist = profile.closest(apply(to_workpiece, tool), first, stop)
         d = apply(env.offset, closest) - tool
         err_y, err_z = dot_rows(d, frame[1:]).tolist()
+        along, corr_y, corr_z = dot_rows(frame, corr).tolist()
         if dist > cfg.sensing_range_mm:
             loop.append((err_y, err_z, corr_y, corr_z))
             status = "ABORTED"
@@ -509,6 +535,7 @@ def run_seam(
         step_z = min(cfg.max_step_mm, max(-cfg.max_step_mm, cfg.gain_z * err_z))
         corr_y = quantize(corr_y + step_y, cfg.resolution_mm)
         corr_z = quantize(corr_z + step_z, cfg.resolution_mm)
+        corr = along * frame[0] + corr_y * frame[1] + corr_z * frame[2]
         loop.append((err_y, err_z, corr_y, corr_z))
     n = len(loop)
     return SimTrace(SEAM_COLUMNS, np.column_stack((times[:n], nominals[:n], loop)), status)
@@ -537,7 +564,7 @@ def run_force(
     count, as 0.29 * 100 does, counts as that whole), so at 20 Hz and 1 s on
     the 21st, and at 100 Hz and 0.29 s on the 30th.
     """
-    times, nominals, frames, _ = _ticks(program, cfg.rate_hz, duration_s)
+    times, nominals, frames, _, _ = _ticks(program, cfg.rate_hz, duration_s)
     # the offset surface's shift along each tick's normal, plus roughness
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         shifts = dot_rows(apply(env.offset, nominals) - nominals, frames[:, 2])

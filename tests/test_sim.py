@@ -123,15 +123,14 @@ def test_sensor_loses_distant_seam():
     assert trace.rows[0][4:] == (60.0, 0.0, 0.0, 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the seam search takes the nearest point "
-                   "on every leg, so the hairpin's return leg tracks the outbound seam")
 def test_hairpin_return_leg_ends_on_the_true_seam():
     # legs 8 mm apart moved 5 mm in y: on the return leg (nominal y = 8) the
-    # moved outbound seam (y = 5) is nearer than the true return seam (y = 13)
+    # moved outbound seam (y = 5) is nearer to the nominal path than the true
+    # return seam (y = 13), and the return leg's frame has y along world -y
     program = polyline_program([(0, 0, 0), (100, 0, 0), (100, 8, 0), (0, 8, 0)], [10.0] * 3)
     cfg = SeamConfig()
     trace = run_seam(program, offset_env(y=5.0), cfg)
-    _, nominals, frames, _ = simulate._ticks(program, cfg.rate_hz, None)
+    _, nominals, frames, _, _ = simulate._ticks(program, cfg.rate_hz, None)
     err_y, _, corr_y, corr_z = trace.data[-1, 4:].tolist()
     tool = nominals[-1] + corr_y * frames[-1, 1] + corr_z * frames[-1, 2]
     assert trace.status == "OK" and len(trace.data) == len(nominals)
@@ -162,15 +161,15 @@ def closest_by_loop(points, p):
     return best, best_d
 
 
-def closest_by_leg_loop(profile, q):
-    """Per-leg scan of a path profile's legs, the reference for
-    `_PathProfile.closest`: the distance along each leg is clamped to
-    [0, length], and only a strictly smaller distance replaces the best, so
-    the first minimum wins."""
+def closest_by_leg_loop(profile, q, legs=None):
+    """Per-leg scan of a path profile's legs, all of them or those listed in
+    `legs`, the reference for `_PathProfile.closest`: the distance along each
+    leg is clamped to [0, length], and only a strictly smaller distance
+    replaces the best, so the first minimum wins."""
     qx, qy, qz = q
     best, best_d = None, math.inf
-    legs = zip(profile.starts.tolist(), profile.directions.tolist(), profile.lengths.tolist())
-    for (sx, sy, sz), (dx, dy, dz), length in legs:
+    rows = list(zip(profile.starts.tolist(), profile.directions.tolist(), profile.lengths.tolist()))
+    for (sx, sy, sz), (dx, dy, dz), length in (rows if legs is None else [rows[j] for j in legs]):
         along = min(length, max(0.0, (qx - sx) * dx + (qy - sy) * dy + (qz - sz) * dz))
         candidate = (sx + dx * along, sy + dy * along, sz + dz * along)
         gx, gy, gz = candidate[0] - qx, candidate[1] - qy, candidate[2] - qz
@@ -199,12 +198,28 @@ def leg_profile(points):
     return _PathProfile(np.array(points, dtype=float), np.ones(len(points) - 1))
 
 
-@given(st.lists(points3, min_size=2, max_size=12), points3)
-@example([(0.0, 0.0, 0.0), (1e-13, 0.0, 0.0), (1.0, 0.0, 0.0)], (-5.0, 0.0, 0.0))
-def test_closest_point_matches_per_leg_loop(points, q):
+def reference_window(profile, leg, reach):
+    """The legs within `reach` of `leg` along the path, the reference for
+    `_PathProfile.windows`: path lengths summed leg by leg from 0, and leg j
+    listed when its stretch [start, end] of path length comes within
+    `reach` of the stretch of `leg`."""
+    spans, end = [], 0.0
+    for length in profile.lengths.tolist():
+        spans.append((end, end + length))
+        end += length
+    start, end = spans[leg]
+    return [j for j, (a, b) in enumerate(spans) if b >= start - reach and a <= end + reach]
+
+
+@given(st.lists(points3, min_size=2, max_size=12), points3, st.integers(0, 10), st.integers(1, 11))
+@example([(0.0, 0.0, 0.0), (1e-13, 0.0, 0.0), (1.0, 0.0, 0.0)], (-5.0, 0.0, 0.0), 0, 11)
+def test_closest_point_matches_per_leg_loop(points, q, first, stop):
     profile = leg_profile(points)
-    point, dist = profile.closest(np.array(q))
-    ref_point, ref_dist = closest_by_leg_loop(profile, q)
+    # a window of at least one of the profile's legs
+    lo = min(first, len(profile.lengths) - 1)
+    hi = min(max(stop, lo + 1), len(profile.lengths))
+    point, dist = profile.closest(np.array(q), lo, hi)
+    ref_point, ref_dist = closest_by_leg_loop(profile, q, range(lo, hi))
     assert tuple(point.tolist()) == ref_point
     assert dist == ref_dist
 
@@ -212,11 +227,13 @@ def test_closest_point_matches_per_leg_loop(points, q):
 def test_closest_point_first_minimum_wins():
     # a square around the origin: every side is 1 mm away
     square = [[-1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, -1.0, 0.0]]
-    for points, nearest in ((square, (0.0, 1.0, 0.0)), (square[::-1], (0.0, -1.0, 0.0))):
+    for points, nearest in ((square, [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]),
+                            (square[::-1], [(0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])):
         profile = _PathProfile(np.array(points), np.ones(3))
-        point, dist = profile.closest(np.zeros(3))
-        assert (tuple(point.tolist()), dist) == (nearest, 1.0)
-        assert closest_by_leg_loop(profile, (0.0, 0.0, 0.0)) == (nearest, 1.0)
+        for lo in range(3):  # the window's first leg wins
+            point, dist = profile.closest(np.zeros(3), lo, 3)
+            assert (tuple(point.tolist()), dist) == (nearest[lo], 1.0)
+            assert closest_by_leg_loop(profile, (0.0, 0.0, 0.0), range(lo, 3)) == (nearest[lo], 1.0)
 
 
 @given(st.lists(points3, min_size=2, max_size=12), points3, transforms())
@@ -225,10 +242,22 @@ def test_workpiece_frame_search_matches_world_frame_search(points, p, offset):
     # the same way
     seam = [apply(offset, point).tolist() for point in points]
     tool = apply(offset, p)
-    _, dist = leg_profile(points).closest(apply(invert(offset), tool))
+    profile = leg_profile(points)
+    _, dist = profile.closest(apply(invert(offset), tool), 0, len(profile.lengths))
     _, world_dist = closest_by_loop(seam, tool.tolist())
     scale = max(map(abs, [*np.ravel(points), *np.ravel(seam), *p, *tool]))
     assert abs(dist - world_dist) <= 1e-9 * (1.0 + scale)
+
+
+@given(st.lists(points3, min_size=2, max_size=12), st.sampled_from([1e-13, 0.5, 1.0, 3.0, 50.0]))
+# the third leg starts exactly `reach` past the first one's end
+@example([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 1.0, 0.0)], 1.0)
+def test_path_windows_match_per_leg_reference(points, reach):
+    profile = leg_profile(points)
+    legs = np.arange(len(profile.lengths))
+    lo, hi = profile.windows(legs, reach)
+    for leg, first, stop in zip(legs.tolist(), lo.tolist(), hi.tolist()):
+        assert list(range(first, stop)) == reference_window(profile, leg, reach)
 
 
 def at_by_rescan(points, speeds, t, tol):
@@ -672,7 +701,7 @@ def test_trace_is_one_read_only_table(run, cfg):
     with pytest.raises(ValueError):
         trace.data[0, 0] = 1.0
     # t, x, y and z are the tick table's bits, and rows read the table as tuples
-    times, nominals, _, _ = simulate._ticks(program, cfg.rate_hz, 1.0)
+    times, nominals, _, _, _ = simulate._ticks(program, cfg.rate_hz, 1.0)
     assert trace.data[:, :4].tobytes() == np.column_stack((times, nominals)).tobytes()
     assert isinstance(trace.rows, tuple) and trace.rows[0] == tuple(trace.data[0].tolist())
     assert SimTrace(trace.columns, trace.rows, trace.status) == trace
@@ -868,15 +897,17 @@ def reference_at(profile, t):
     """The per-time `_PathProfile.at` that `schedule` replaced, under the
     boundary rule: bisection over the end times, with a time within
     rounding of a leg boundary on the leg that ends there. Returns the
-    nominal position and the travel direction."""
+    nominal position, the travel direction and the leg."""
     ends = profile.ends.tolist()
     tol = profile._tie_tol * max(t, profile.total_time)
     i = bisect_left(ends, t - tol)
     if i == len(ends):
-        return profile.starts[-1] + profile.directions[-1] * profile.lengths[-1], profile.directions[-1]
-    remaining = t - (ends[i - 1] if i else 0.0)
-    frac = min(1.0, remaining / profile.durations[i])
-    return profile.starts[i] + profile.directions[i] * (profile.lengths[i] * frac), profile.directions[i]
+        i -= 1
+        along = profile.lengths[i]
+    else:
+        remaining = t - (ends[i - 1] if i else 0.0)
+        along = profile.lengths[i] * min(1.0, remaining / profile.durations[i])
+    return profile.starts[i] + profile.directions[i] * along, profile.directions[i], i
 
 
 def reference_path_frame(direction):
@@ -893,22 +924,25 @@ def reference_path_frame(direction):
 
 
 def reference_run_seam(program, env, cfg, duration_s=None):
-    """The per-tick `run_seam`: leg, nominal point and frame found each tick,
-    and the seam sensed by a per-leg scan of the path profile in the
-    workpiece frame."""
+    """The per-tick `run_seam`: leg, nominal point, frame and window found
+    each tick, the seam sensed by a per-leg scan of the window in the
+    workpiece frame, and the correction held as a cell-frame vector in
+    Python floats, whose y and z parts in the tick's frame are quantized."""
     profile = _PathProfile(program.positions, program.target_speeds[1:])
     to_workpiece = invert(env.offset)
-    corr_y = corr_z = 0.0
+    corr = [0.0, 0.0, 0.0]
     rows = []
     status = "OK"
     for k in range(_tick_count(profile, cfg.rate_hz, duration_s)):
         t = k / cfg.rate_hz
-        nominal, direction = reference_at(profile, t)
-        _, y_axis, z_axis = reference_path_frame(direction)
-        tool = nominal + corr_y * y_axis + corr_z * z_axis
-        closest, dist = closest_by_leg_loop(profile, apply(to_workpiece, tool).tolist())
+        nominal, direction, leg = reference_at(profile, t)
+        x_axis, y_axis, z_axis = reference_path_frame(direction)
+        tool = nominal + np.array(corr)
+        window = reference_window(profile, leg, cfg.sensing_range_mm)
+        closest, dist = closest_by_leg_loop(profile, apply(to_workpiece, tool).tolist(), window)
         offset = apply(env.offset, closest) - tool
         err_y, err_z = reference_dot(offset, y_axis), reference_dot(offset, z_axis)
+        along, corr_y, corr_z = (reference_dot(corr, axis) for axis in (x_axis, y_axis, z_axis))
         if dist > cfg.sensing_range_mm:
             rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
             status = "ABORTED"
@@ -917,6 +951,8 @@ def reference_run_seam(program, env, cfg, duration_s=None):
         step_z = min(cfg.max_step_mm, max(-cfg.max_step_mm, cfg.gain_z * err_z))
         corr_y = quantize(corr_y + step_y, cfg.resolution_mm)
         corr_z = quantize(corr_z + step_z, cfg.resolution_mm)
+        corr = [along * x + corr_y * y + corr_z * z
+                for x, y, z in zip(x_axis.tolist(), y_axis.tolist(), z_axis.tolist())]
         rows.append((t, *nominal, err_y, err_z, corr_y, corr_z))
     return SimTrace(SEAM_COLUMNS, tuple(rows), status)
 
@@ -943,7 +979,7 @@ def reference_run_force(program, env, cfg, duration_s=None):
     status = "OK"
     for k in range(_tick_count(profile, cfg.rate_hz, duration_s)):
         t = k / cfg.rate_hz
-        nominal, direction = reference_at(profile, t)
+        nominal, direction, _ = reference_at(profile, t)
         _, _, z_axis = reference_path_frame(direction)
         surface_shift = reference_dot(apply(env.offset, nominal) - nominal, z_axis)
         if env.roughness_mm > 0.0:
@@ -1115,6 +1151,117 @@ def test_seam_replay_matches_per_tick_reference(case, sensing_range_mm):
     assert trace.to_csv() == reference.to_csv()
 
 
+def side_points(sides, leg_mm):
+    """The polyline from the origin through straight sides of (length mm,
+    yaw degrees, pitch degrees), each split into equal legs of at most
+    leg_mm, and the path length at each side's end."""
+    points, ends, corner, total = [(0.0, 0.0, 0.0)], [], np.zeros(3), 0.0
+    for length, yaw, pitch in sides:
+        yaw, pitch = math.radians(yaw), math.radians(pitch)
+        direction = np.array([math.cos(pitch) * math.cos(yaw), math.cos(pitch) * math.sin(yaw),
+                              math.sin(pitch)])
+        n = max(1, math.ceil(length / leg_mm))
+        points += [tuple((corner + direction * (length * i / n)).tolist()) for i in range(1, n + 1)]
+        corner = corner + direction * length
+        total += length
+        ends.append(total)
+    return points, ends
+
+
+# Straight sides within 60 degrees of +x (yaw up to 45 and pitch up to 40
+# degrees, so travel x >= cos 45 * cos 40 > 0.5): two points s mm apart
+# along such a path are over s / 2 apart in space, so the path never comes
+# back within sensing range of itself. Sides of 100 mm or more give the
+# tracker 50 ticks to settle after each turn.
+outbound_sides = st.lists(st.tuples(finite(100.0, 160.0), finite(-45.0, 45.0), finite(-40.0, 40.0)),
+                          min_size=2, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(outbound_sides, st.sampled_from([0.6, 5.0, math.inf]), axes(), finite(0.0, 0.01),
+       st.tuples(finite(-3.0, 3.0), finite(-3.0, 3.0), finite(-3.0, 3.0)),
+       st.sampled_from([0.5, 1.0]))
+# 0.6 mm legs (10 mm/s at an interpolation step of 0.06 s) moved 3 mm in x:
+# the true seam point lies 5 legs along the path, outside a window of 4 legs
+@example([(100.0, 0.0, 0.0), (100.0, 30.0, 0.0), (100.0, 0.0, -30.0)], 0.6,
+         np.array([0.0, 0.0, 1.0]), 0.0, (3.0, 0.0, 0.0), 1.0)
+def test_seam_tracks_outbound_paths_with_the_global_nearest_point(
+    sides, leg_mm, axis, angle, origin, gain
+):
+    """On a path that never comes back within sensing range, under a small
+    rigid offset about any axis, the window holds the nearest seam point of
+    the whole path on every tick, and the tracker settles on every side: to
+    the quantizer's deadband plus the lag behind a seam the rotation tilts
+    by up to `angle` against the travel."""
+    points, side_ends = side_points(sides, leg_mm)
+    program = polyline_program(points, [10.0] * (len(points) - 1))
+    env = Environment(offset=Transform(rodrigues(axis, angle), list(origin)))
+    cfg = SeamConfig(gain_y=gain, gain_z=gain)
+    searched = []
+    windowed = _PathProfile.closest
+
+    def recording_closest(profile, q, lo, hi):
+        found = windowed(profile, q, lo, hi)
+        searched.append((profile, q.tolist(), tuple(found[0].tolist())))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_PathProfile, "closest", recording_closest)
+        trace = run_seam(program, env, cfg)
+    assert trace.status == "OK" and len(searched) == len(trace.data)
+    for profile, q, point in searched:
+        assert closest_by_leg_loop(profile, q)[0] == point
+    # The correction along the travel is never sensed, so near its end a
+    # side's tool may run up to the farthest the offset moves a point ahead
+    # of its nominal, and see the next side's seam.
+    ahead = np.linalg.norm(apply(env.offset, points) - points, axis=1).max()
+    times = trace.data[:, 0]
+    lag = 10.0 / cfg.rate_hz * angle  # the tilted seam's drift across the travel per tick
+    for end in side_ends:  # the side's last tick that far from its end
+        err = trace.data[times <= (end - ahead) / 10.0][-1, 4:6]
+        assert np.abs(err).max() <= (cfg.resolution_mm + lag) / gain + 1e-9, end
+
+
+def test_steep_leg_frame_switch_keeps_the_correction_in_the_cell():
+    # The first leg climbs at |travel z| 0.995 > 0.99, so its frame takes y,
+    # not z, as "up" and has world y as its z axis; the second, at 0.958,
+    # has world y as its y axis. The 2 mm held as corr_z on the first leg
+    # is corr_y on the second from its first tick, with no error to re-acquire.
+    program = polyline_program([(0, 0, 0), (10, 0, 100), (40, 0, 200)], [10.0] * 2)
+    cfg = SeamConfig()
+    trace = run_seam(program, offset_env(y=2.0), cfg)
+    _, _, frames, legs, _ = simulate._ticks(program, cfg.rate_hz, None)
+    assert trace.status == "OK"
+    assert frames[legs == 0][0, 2].tolist() == [0.0, 1.0, 0.0]
+    assert frames[legs == 1][0, 1].tolist() == [0.0, 1.0, 0.0]
+    err, corr = trace.data[:, 4:6], trace.data[:, 6:8]
+    # acquired in 4 steps of the 0.5 mm step limit
+    assert np.abs(err[:4] - [[0.0, 2.0], [0.0, 1.5], [0.0, 1.0], [0.0, 0.5]]).max() <= 1e-12
+    assert np.abs(err[4:]).max() <= 1e-12
+    assert np.abs(corr[4:][legs[4:] == 0] - [0.0, 2.0]).max() <= 1e-12
+    assert np.abs(corr[legs == 1] - [2.0, 0.0]).max() <= 1e-12
+
+
+def test_seam_search_rows_scale_with_the_window_not_program_legs(monkeypatch):
+    searched = []
+    windowed = _PathProfile.closest
+
+    def counting_closest(profile, q, lo, hi):
+        searched.append(hi - lo)
+        return windowed(profile, q, lo, hi)
+
+    monkeypatch.setattr(_PathProfile, "closest", counting_closest)
+    # a 2000-leg zigzag of legs 29 ** 0.5 = 5.39 mm long, replayed in full
+    points = [(5.0 * i, 2.0 * (i % 2), 0.0) for i in range(2001)]
+    program = polyline_program(points, [10.0] * 2000)
+    cfg = SeamConfig()
+    trace = run_seam(program, offset_env(z=0.5), cfg)
+    assert trace.status == "OK" and len(searched) == len(trace.data) > 5000
+    # a window holds the tick's leg and the 10 legs either side that start
+    # or end within the 50 mm sensing range of it, fewer at the path's ends
+    assert max(searched) == 21 and min(searched) == 11
+
+
 def test_path_frames_scale_with_ticks_not_program_legs(monkeypatch):
     framed = []
 
@@ -1196,9 +1343,7 @@ def test_ticks_past_the_path_end_keep_the_last_legs_frame():
 @pytest.mark.parametrize("program", ["straight_seam", "butt_joint", "profile"])
 def test_tick_frames_match_framing_every_tick_bitwise(program):
     program = load_program((FIXTURES / f"{program}.prog").read_text())
-    profile = _PathProfile(program.positions, program.target_speeds[1:])
-    times, _, frames, _ = simulate._ticks(program, 20.0, None)
-    legs, _ = profile.schedule(times)
+    _, _, frames, legs, profile = simulate._ticks(program, 20.0, None)
     assert frames.tobytes() == _path_frames(profile.directions[legs]).tobytes()
 
 
