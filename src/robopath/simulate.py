@@ -503,10 +503,10 @@ def run_seam(
     to resolution_mm and written as corr_y and corr_z, and its part along
     the travel is kept. The seam is sensed in the workpiece frame, on the
     legs within sensing range of the tick's leg along the path (its window),
-    so a seam that comes back near itself is not taken for the stretch
-    being tracked. Losing the seam aborts the run with a last row of the
-    offsets to the closest seam point in the window; the partial trace is
-    flagged.
+    so a stretch of seam farther along the path is not taken for the one
+    being tracked, however near it passes. Losing the seam aborts the run
+    with a last row of the offsets to the closest seam point in the window;
+    the partial trace is flagged.
     """
     times, nominals, frames, legs, profile = _ticks(program, cfg.rate_hz, duration_s)
     try:
