@@ -21,6 +21,10 @@ revision, on the same input files:
   each rule a scene's segment can break, and one program for each refusal
   of the program loader;
 * a program with CRLF line ends, tabs and blank lines, which loads;
+* the profile fixture program with tab, unit separator, no-break and
+  ideographic space blanks inside its TARGET and move statements, and with
+  its numbers spelled with signs, leading zeros, signed zeros and more than
+  20 digits, each under seam tracking and fuzzy force control;
 * seam runs of a hairpin with legs 8 mm apart, of a path whose steep first
   leg frames world y as its z axis and whose next leg frames it as its y
   axis, and of a path that repeats targets (zero-length legs), each moved
@@ -43,10 +47,12 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import cycle
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -95,6 +101,8 @@ REPLAYS = {
     "pi_lost_r16": ("--scenario", "force", "--rate", "16", "--offset-z", "-40"),
 }
 EXPERIMENT_RUNNER = "scripts/run_experiments.py"  # run as a script in each tree
+# Blanks the program grammar reads inside a statement, besides the space
+BLANKS = ("\t", "\x1f", "\xa0", "\u3000")
 
 _T1 = "TARGET t1 = [0.0000, 0.0000, 0.0000], [1.0000, 0.0000, 0.0000, 0.0000]"
 _T2 = "TARGET t2 = [10.0000, 0.0000, 0.0000], [1.0000, 0.0000, 0.0000, 0.0000]"
@@ -241,6 +249,22 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
     (inputs / "spaced.prog").write_bytes(spaced.encode())
     invocations.append(("spaced", ["simulate", "--program", str(inputs / "spaced.prog"),
                                    *REPLAYS["seam"], "--out", "spaced.csv"]))
+    profile = (tree / "tests" / "fixtures" / "profile.prog").read_text().splitlines()
+    blanks = cycle(BLANKS)
+    zeros = cycle(("-0", "+0.0000", "0", "-000.0"))
+    spelled = {
+        "blanks": [re.sub(" ", lambda _: next(blanks), line) for line in profile],
+        "long_numbers": [re.sub(r"(-?)([0-9]+)\.([0-9]+)", lambda m: (
+            next(zeros) if float(m[0]) == 0.0 else f"{m[1] or '+'}000{m[2]}.{m[3]}{'3' * 17}"
+        ), line) for line in profile],
+    }
+    for name, statements in spelled.items():
+        program = inputs / f"{name}.prog"
+        program.write_bytes(("\n".join(statements) + "\n").encode())
+        for replay in ("seam", "fuzzy"):
+            invocations.append((f"{name}.{replay}", ["simulate", "--program", str(program),
+                                                     *REPLAYS[replay],
+                                                     "--out", f"{name}.{replay}.csv"]))
     fixture = "straight_seam.prog"
     invocations += [
         ("refused_base", ["compile", "--scene", str(scenes["butt_joint"]), "--base", "nope",

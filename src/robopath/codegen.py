@@ -12,11 +12,14 @@ member name. `lower` names the planned poses and groups them into moves
 with array masks, taking the path's position and quaternion columns as they
 are. `RobotProgram.targets` is a read-only name ->
 TargetPose view that builds a pose only when one is looked up. `load_program`
-fills the columns in whole-block passes, with no Python step per statement:
-one block pattern checks the target block and one the move block, `str.split`
-turns the checked statements into token columns, and only the operand rules
-(undeclared, referenced twice, rejected pose or speed) check a column each.
-The error is that of the first statement in file order that breaks a rule.
+fills the columns in whole-block passes, with no Python step per number or
+token: one block pattern checks the target block and one the move block;
+numpy's text reader reads every number of the checked TARGET statements, with
+`float()`'s rounding, in one pass; the checked moves are split once into
+tokens, from which index arrays take the operands and speeds by position; and
+only the operand rules (undeclared, referenced twice, rejected pose or speed)
+check a column each. The error is that of the first statement in file order
+that breaks a rule.
 
 Program grammar. Lines end where `str.splitlines` ends them (LF, CRLF, CR
 and the other Unicode line breaks); each is stripped and blank ones are
@@ -39,13 +42,13 @@ spells a block of rows in array passes, as `%.4f` would write each number.
 
 from __future__ import annotations
 
+import io
 import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, lru_cache
-from itertools import chain, compress, count, islice
-from operator import itemgetter
+from itertools import compress, count, islice
 from typing import NoReturn
 
 import numpy as np
@@ -100,6 +103,9 @@ _ARITIES = (_OPERAND_KINDS >= 0).sum(axis=1)
 _MOVE_WORDS = np.array([f"{op.name} ".encode() for op in Opcode])
 _OPCODE_CODES = {op.name: op.value for op in Opcode}
 _OPCODES = tuple(Opcode)  # the member of each code
+# the opcode code by the fifth letter of its word, which tells the words apart
+_OPCODE_BY_LETTER = np.zeros(256, np.intp)
+_OPCODE_BY_LETTER[[ord(op.name[4]) for op in Opcode]] = list(Opcode)
 
 
 @dataclass(frozen=True)
@@ -198,12 +204,14 @@ class _TargetView(Mapping):
 # 0.00005, and Python formats the exact binary value correctly rounded.
 _READS_ZERO = 5e-5
 
-# Rows per block, for fixed_point and for the loader's passes: enough that
-# the cost of each numpy or regex call is small beside a block's work, few
-# enough that a block's word matrix stays a few hundred kB. Measured on a
-# 2-vCPU VM (medians of 31 calls): 256-row blocks wrote a 6.4k-target table
-# about 25 % slower; programs of 6464 and 12 530 statements loaded alike at
-# 256 and 1024 rows, and 3-17 % slower as one block.
+# Rows per block, for fixed_point and for the loader's two block patterns
+# (its number reader and move tokens take all checked statements at once):
+# enough that the cost of each numpy or regex call is small beside a block's
+# work, few enough that a block's word matrix stays a few hundred kB.
+# Measured on a 2-vCPU VM (medians of 31 calls): 256-row blocks wrote a
+# 6.4k-target table about 25 % slower; programs of 6464 and 12 530 statements
+# loaded alike at 256 and 1024 rows, and 3-17 % slower as one block, when the
+# loader also split its statements into tokens block by block.
 _BLOCK_ROWS = 1024
 
 
@@ -452,11 +460,13 @@ def load_program(text: str) -> RobotProgram:
     with the offending line number.
 
     The stripped, non-blank lines are read in a fixed number of passes, with
-    no Python step per statement. Two block patterns, given _BLOCK_ROWS
-    statements at a time, check the target block and the move block up to
-    the first statement that breaks the grammar; only that statement is
-    split on its own, to word its fault. The checked statements are split
-    into token columns, and each operand rule checks its column in one
+    no Python step per number or token. Two block patterns, given
+    _BLOCK_ROWS statements at a time, check the target block and the move
+    block up to the first statement that breaks the grammar; only that
+    statement is split on its own, to word its fault. numpy's text reader
+    reads the numbers of all checked TARGET statements, each as `float()`
+    would; the checked moves are split into tokens once, and index arrays
+    take each column from them. Each operand rule checks its column in one
     pass. A target with a non-finite number or a quaternion norm off 1 by
     more than NEAR_UNIT_TOL is refused at the move that references it, with
     the error building its TargetPose gives.
@@ -526,16 +536,19 @@ def _leading_matches(block_re: re.Pattern, lines: list[str]) -> int:
 
 def _target_columns(lines: list[str]) -> tuple[list[str], np.ndarray]:
     """The names and the (n, 7) numbers x, y, z, w, qx, qy, qz, as written,
-    of well-formed TARGET statements, tokenised _BLOCK_ROWS at a time."""
-    names: list[str] = []
-    values = np.empty((len(lines), 7))
-    for lo in range(0, len(lines), _BLOCK_ROWS):
-        tokens = " ".join(lines[lo : lo + _BLOCK_ROWS]).translate(_TARGET_PUNCTUATION).split()
-        del tokens[::9]  # TARGET; a name and seven numbers per statement remain
-        names += tokens[::8]
-        del tokens[::8]
-        numbers = np.fromiter(map(float, tokens), float, len(tokens))
-        values[lo : lo + _BLOCK_ROWS] = numbers.reshape(-1, 7)
+    of well-formed TARGET statements.
+
+    With its punctuation blanked, each statement is nine blank-separated
+    fields: TARGET, the name and the seven numbers. numpy's text reader
+    reads the numbers of all statements in one pass; it hands each field to
+    the parser `float()` uses, so every value has `float()`'s bits, and one
+    too large for a float reads as inf, as it does with `float()`.
+    """
+    if not lines:  # loadtxt warns on empty input
+        return [], np.empty((0, 7))
+    text = "\n".join(lines).translate(_TARGET_PUNCTUATION)
+    names = [line.split(None, 2)[1] for line in text.split("\n")]
+    values = np.loadtxt(io.StringIO(text), float, comments=None, usecols=range(2, 9), ndmin=2)
     return names, values
 
 
@@ -545,28 +558,34 @@ def _move_columns(moves: list[str], declared: dict[str, int], values: np.ndarray
     in `moves`, message), or None.
 
     _MOVE_LINES_RE finds the first statement that breaks a syntactic rule,
-    and _move_fault words it. Each operand rule then checks its column once,
-    over the moves before the first fault found so far, so a later rule can
-    only find an earlier fault.
+    and _move_fault words it. The statements before it are split as one
+    string into tokens. Each opcode comes from its word's fifth letter, and
+    the operands and speeds are taken from the tokens by position, so a
+    token is never read by its value: an operand spelled SPEED is a name.
+    Each operand rule then checks its column once, over the moves before the
+    first fault found so far, so a later rule can only find an earlier fault.
     """
     k = _leading_matches(_MOVE_LINES_RE, moves)  # moves[:k] are well-formed
     fault = _move_fault(moves[k]) if k < len(moves) else None
-    parts = list(map(str.split, moves[:k]))
-    opcodes = np.fromiter(map(_OPCODE_CODES.__getitem__, map(itemgetter(0), parts)), np.intp, k)
+    opcodes = _OPCODE_BY_LETTER[np.array(moves[:k], dtype="U5").view(np.uint32)[4::5]]
     arities = _ARITIES[opcodes]
-    speeds = np.fromiter(map(float, map(itemgetter(-1), parts)), float, k)
-
-    operands = list(chain.from_iterable(map(itemgetter(slice(1, -2)), parts)))
+    tokens = np.array(" ".join(moves[:k]).split(), dtype=object)
     owners = np.repeat(np.arange(k), arities)  # the move of each operand
+    # a move's tokens are its opcode, operands, SPEED and speed, so three
+    # tokens per earlier move and the move's opcode precede an operand
+    operands = tokens[np.arange(len(owners)) + 3 * owners + 1].tolist()
+    speeds = tokens[np.cumsum(arities) + 3 * np.arange(k) + 2].astype(float)
+
     rows = list(map(declared.get, operands))
     j = len(operands)  # operands[:j] keep every operand rule checked so far
     if None in rows:
         j = rows.index(None)
         k, fault = owners[j], f"undeclared target {operands[j]!r}"
-    twice = _first_repeat(operands[:j])
-    if twice < j:
-        j, k, fault = twice, owners[twice], f"target {operands[twice]!r} referenced twice"
-    table = values[np.fromiter(rows, np.intp, j)]
+    index = np.fromiter(rows, np.intp, j)
+    if np.bincount(index).max(initial=0) > 1:  # a target is referenced twice
+        j = _first_repeat(operands[:j])
+        k, fault = owners[j], f"target {operands[j]!r} referenced twice"
+    table = values[index[:j]]
     rejected = ~np.isfinite(table).all(axis=1)
     rejected |= ~(np.abs(row_norms(table[:, 3:]) - 1.0) <= NEAR_UNIT_TOL)
     rejected |= ~((speeds > 0.0) & np.isfinite(speeds))[owners[:j]]

@@ -919,6 +919,53 @@ def test_load_agrees_with_reference_across_block_seams():
     assert_loads_as_reference(text)
 
 
+_DIGITS = "0123456789"
+
+
+@st.composite
+def grammar_numbers(draw):
+    """A grammar `num`: an optional sign, leading zeros, up to 30 integer
+    and 30 fraction digits; or a signed zero, a 400-digit run that
+    overflows to inf, or a fraction below the least subnormal."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole = "0" * draw(st.integers(0, 3)) + draw(st.text(_DIGITS, min_size=1, max_size=30))
+    fraction = draw(st.text(_DIGITS, max_size=30))
+    drawn = sign + whole + ("." + fraction if fraction else "")
+    return draw(st.sampled_from(
+        [drawn, "-0", "+0.0000", sign + "7" * 400, sign + "0." + "0" * 330 + "1"]
+    ))
+
+
+@st.composite
+def target_number_programs(draw):
+    """A program whose targets' positions are grammar numbers, with blanks
+    of _INLINE_BLANKS around its punctuation, and the position tokens."""
+    rows = draw(st.lists(st.lists(grammar_numbers(), min_size=3, max_size=3),
+                         min_size=1, max_size=4))
+    blanks = st.sampled_from(_INLINE_BLANKS)
+    targets = []
+    for i, row in enumerate(rows):
+        b = [draw(blanks) for _ in range(6)]
+        targets.append(f"TARGET{b[0]}t{i}{b[1]}={b[2]}[{row[0]},{b[3]}{row[1]}{b[4]},{row[2]}]"
+                       f",{b[5]}[1, 0, 0, 0]")
+    moves = [f"MOVEL{draw(blanks)}t{i} SPEED 5" for i in range(len(rows))]
+    return "\n".join(["PROGRAM p", *targets, *moves, "END", ""]), rows
+
+
+@settings(max_examples=200)
+@given(target_number_programs())
+def test_load_reads_each_number_with_the_bits_of_float(case):
+    text, rows = case
+    want = np.array([[float(token) for token in row] for row in rows])
+    if np.isfinite(want).all():
+        positions = load_program(text).positions
+        assert positions.view(np.int64).tolist() == want.view(np.int64).tolist()
+    else:
+        with pytest.raises(ProgramParseError):
+            reference_load(text)
+        assert_loads_as_reference(text)
+
+
 def _program(*statements):
     return "\n".join(["PROGRAM p", *statements, ""])
 
@@ -989,6 +1036,38 @@ def test_a_move_loads_with_as_many_operands_as_its_opcode_table_row(op):
         else:
             with pytest.raises(ProgramParseError, match=f"^line {n + 2}: malformed {op.name} "):
                 load_program(text)
+
+
+_T3 = "TARGET t3 = [2, 0, 0], [1, 0, 0, 0]"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("PROGRAM p\nEND", None),
+        (_program(_T1, "MOVEJ t1 SPEED 5", "END"), None),
+        (_program(_T1, _T2, "MOVEC t1 t2 SPEED 5", "END"), None),
+        (_program(_T1, _T2, _T3, "MOVEC t1 t2 SPEED 5", "MOVEL t3 SPEED 6", "END"), None),
+        (_program(_T1, _T2, _T3, "MOVEJ t1 SPEED 5", "MOVEC t2 t3 SPEED 6", "END"), None),
+        (_program(_T1, _T2, _T3, "MOVEJ t1 SPEED 5", "MOVEL SPEED SPEED 6", "END"), 6),
+        (_program(_T1, _T2, _T3, "MOVEJ t1 SPEED 5", "MOVEC t2 MOVEC SPEED 6", "END"), 6),
+        (_program(_T1, _T2, "MOVEC t1 t2 SPEED 5", "MOVES END SPEED 6", "END"), 5),
+        (_program(*(t.replace("t1", "SPEED").replace("t2", "MOVEC").replace("t3", "END")
+                    for t in (_T1, _T2, _T3)),
+                  "MOVEL SPEED SPEED 5", "MOVEC MOVEC END SPEED 6", "END"), None),
+    ],
+    ids=["no_targets_no_moves", "one_move", "lone_movec", "movec_first", "movec_last",
+         "operand_spelled_speed", "operand_spelled_movec", "operand_spelled_end",
+         "targets_named_speed_movec_end"],
+)
+def test_load_takes_move_columns_by_position_as_the_reference_does(text, line):
+    """Each case loads, or is refused at `line`, as reference_load does."""
+    if line is None:
+        reference_load(text)
+    else:
+        with pytest.raises(ProgramParseError, match=f"^line {line}: undeclared target "):
+            reference_load(text)
+    assert_loads_as_reference(text)
 
 
 @given(random_plans())
