@@ -45,7 +45,7 @@ from __future__ import annotations
 import io
 import re
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
@@ -57,6 +57,7 @@ from .geometry import (
     NEAR_UNIT_TOL,
     ArrayRecord,
     Quaternion,
+    Record,
     RobopathError,
     canonical_sign,
     code_column,
@@ -108,8 +109,7 @@ _OPCODE_BY_LETTER = np.zeros(256, np.intp)
 _OPCODE_BY_LETTER[[ord(op.name[4]) for op in Opcode]] = list(Opcode)
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(Record):
     """One move as a plain record; only `RobotProgram.instructions` builds it."""
 
     opcode: Opcode
@@ -117,7 +117,6 @@ class Instruction:
     speed: float
 
 
-@dataclass(frozen=True, eq=False)
 class RobotProgram(ArrayRecord):
     """A program as columns: one row per target, in reference order, and
     one row per move.
@@ -629,8 +628,7 @@ def _rejection(t: str, row: list[float], speed: float) -> str:
     raise AssertionError(f"target {t!r} passes the pose checks it was rejected by")
 
 
-@dataclass(frozen=True)
-class LintFinding:
+class LintFinding(Record):
     """A target position outside the declared workspace box."""
 
     target: str

@@ -4,17 +4,20 @@ Also what every module of the pipeline shares: `RobopathError`, the base of
 every error raised for input that robopath refuses; the one row rule,
 `dot_rows` and `row_norms`, by which every stage measures the rows of an
 array; `apply`, the one map of a point or of an array of points through a
-transform; `ArrayRecord`, the equality and the store rule of records that
-hold numpy arrays; and `RowView`, the lazy read-only sequence through which
-a table hands out its rows as records.
+transform; `Record`, the base from which every record takes its binding,
+repr, equality, hash and frozenness, with no method generated per class;
+`ArrayRecord`, the equality and the store rule of records that hold numpy
+arrays; and `RowView`, the lazy read-only sequence through which a table
+hands out its rows as records.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
+from inspect import Parameter, Signature
 
 import numpy as np
 
@@ -34,12 +37,132 @@ class GeometryError(RobopathError):
     """A rotation, quaternion, or transform failed validation."""
 
 
-class ArrayRecord:
-    """Base of the dataclass records that hold numpy arrays (declared with
-    `eq=False`, so that this equality is kept): two records are equal when
-    they are of the same type and every field not marked `compare=False` is
-    equal, arrays by `np.array_equal` and other values by `==`. Records are
-    unhashable, as their arrays are, and set their fields through `_store`."""
+class _Factory:
+    """The default a signature shows for a field with a `default_factory`."""
+
+    def __repr__(self):
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+class Record:
+    """Base of every record: a frozen class whose fields are declared as
+    dataclass fields, annotated in the class body.
+
+    Each subclass is registered with `dataclasses.dataclass` without
+    generating any method, so `fields`, `replace`, `asdict` and
+    `__match_args__` work on it, and takes these methods from here:
+    `__init__` binds the init fields from positional and keyword arguments,
+    fills in defaults and default factories, sets each `init=False` field
+    that has a default and then calls `__post_init__`; a missing, extra or
+    repeated argument raises TypeError. `__repr__` shows the `repr=True`
+    fields; two records are equal when they are of the same class and their
+    `compare=True` fields are, and the hash is that of those fields. Setting
+    or deleting an attribute raises `dataclasses.FrozenInstanceError`, so a
+    `__post_init__` that converts its fields writes them through
+    `object.__setattr__` or `ArrayRecord._store`.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False)
+        table = fields(cls)
+        cls._init_names = tuple(f.name for f in table if f.init)
+        cls._defaults = {f.name: f.default for f in table if f.default is not MISSING}
+        cls._factories = {f.name: f.default_factory for f in table
+                          if f.default_factory is not MISSING}
+        cls._set_names = tuple(f.name for f in table if not f.init and (
+            f.name in cls._defaults or f.name in cls._factories))
+        cls._repr_names = tuple(f.name for f in table if f.repr)
+        cls._compare_names = tuple(f.name for f in table if f.compare)
+        cls.__signature__ = Signature(
+            [
+                Parameter(
+                    f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                    default=cls._defaults.get(
+                        f.name, _FACTORY if f.name in cls._factories else Parameter.empty
+                    ),
+                )
+                for f in table if f.init
+            ],
+            return_annotation=None,
+        )
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if kwargs or len(args) != len(cls._init_names):
+            args = cls._bind(args, kwargs)
+        # each field through object.__setattr__, past the frozen rule: unlike
+        # a write to vars(self), this keeps the attributes in the instance's
+        # compact layout, which Python reads several times faster
+        store = object.__setattr__
+        for name, value in zip(cls._init_names, args):
+            store(self, name, value)
+        defaults, factories = cls._defaults, cls._factories
+        for name in cls._set_names:
+            store(self, name, defaults[name] if name in defaults else factories[name]())
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The value of each init field, in order, from a call's arguments."""
+        names = cls._init_names
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(names)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name in values:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+            if name not in names:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
+        values.update(kwargs)
+        defaults, factories = cls._defaults, cls._factories
+        missing = [repr(name) for name in names
+                   if name not in values and name not in defaults and name not in factories]
+        if missing:
+            raise TypeError(
+                f"{cls.__qualname__}() missing {len(missing)} required argument(s): "
+                + ", ".join(missing)
+            )
+        return [values[name] if name in values else defaults[name] if name in defaults
+                else factories[name]() for name in names]
+
+    def __post_init__(self) -> None:
+        """Check or convert the bound fields; a record with no rule keeps them as given."""
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_names)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compare_names)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ArrayRecord(Record):
+    """Base of the records that hold numpy arrays, with their own equality:
+    two records are equal when they are of the same type and every field not
+    marked `compare=False` is equal, arrays by `np.array_equal` and other
+    values by `==`. Records are unhashable, as their arrays are, and set
+    their fields through `_store`."""
 
     def _store(self, **values) -> None:
         """Set fields of this frozen record, making each array among them read-only."""
@@ -51,11 +174,10 @@ class ArrayRecord:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        for f in fields(self):
-            if f.compare:
-                a, b = getattr(self, f.name), getattr(other, f.name)
-                if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
-                    return False
+        for name in self._compare_names:
+            a, b = getattr(self, name), getattr(other, name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
         return True
 
 
@@ -155,8 +277,7 @@ def row_norms(u) -> np.ndarray:
 NEAR_UNIT_TOL = 5e-4
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(Record):
     """Quaternion in (w, x, y, z) order, unit up to NEAR_UNIT_TOL, canonical sign.
 
     Canonical sign: w >= 0; if w == 0, the first nonzero of (x, y, z) >= 0.
@@ -198,7 +319,6 @@ class Quaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
 
-@dataclass(frozen=True, eq=False)
 class Transform(ArrayRecord):
     """Rigid transform: rotation matrix plus origin (frame pose or point map)."""
 

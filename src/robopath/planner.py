@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import product
@@ -71,7 +70,6 @@ class MotionKind(IntEnum):
 _MOTION_KINDS = tuple(MotionKind)  # the member of each code
 
 
-@dataclass(frozen=True, eq=False)
 class TargetPose(ArrayRecord):
     """One motion endpoint: position plus unit quaternion in the calibration frame."""
 
@@ -87,7 +85,6 @@ class TargetPose(ArrayRecord):
             raise PlanningError(f"target speed must be positive and finite, got {self.speed}")
 
 
-@dataclass(frozen=True, eq=False)
 class PlannedPath(ArrayRecord):
     """Ordered poses of one path as columns: row i of `positions` (n, 3),
     `orientations` (n, 4; w, x, y, z in canonical sign), `kinds` (MotionKind

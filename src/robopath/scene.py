@@ -30,7 +30,6 @@ import json
 import math
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
@@ -43,6 +42,7 @@ from .geometry import (
     ArrayRecord,
     GeometryError,
     Quaternion,
+    Record,
     RobopathError,
     RowView,
     Transform,
@@ -102,13 +102,14 @@ _SPLINE = _KIND_CODES[SegmentKind.SPLINE]
 _EXACT_COUNT = np.array([_POINT_COUNT[kind] or 0 for kind in SEGMENT_KINDS])
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
+    """A named frame: `transform` maps its coordinates (mm) to the universe
+    frame's, so its origin is the frame's origin in universe coordinates."""
+
     name: str
     transform: Transform
 
 
-@dataclass(frozen=True, eq=False)
 class PathSegment(ArrayRecord):
     """One curve of a path as a plain record, for scenes built in code and
     for `ScenePath.segments`."""
@@ -120,7 +121,6 @@ class PathSegment(ArrayRecord):
     speed: float
 
 
-@dataclass(frozen=True, eq=False)
 class ScenePath(ArrayRecord):
     """A path as one table: every segment's points, in order, in `points`
     (m, 3; universe coordinates; a join point is the last point of one
@@ -182,8 +182,11 @@ class ScenePath(ArrayRecord):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class Workspace(ArrayRecord):
+    """The box a program's targets must stay in: the (3,) corners `lo` and
+    `hi`, in mm of the universe frame, finite and with lo <= hi on each
+    axis; its faces belong to it."""
+
     lo: np.ndarray
     hi: np.ndarray
 
@@ -201,8 +204,10 @@ class Workspace(ArrayRecord):
         self._store(lo=lo, hi=hi)
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(Record):
+    """A parsed scene: its named `frames`, its `paths` (points in mm of the
+    universe frame), and the `workspace` box, if the scene declares one."""
+
     frames: tuple[Frame, ...]
     paths: tuple[ScenePath, ...]
     workspace: Optional[Workspace] = None
@@ -211,8 +216,7 @@ class Scene:
         return {f.name: f for f in self.frames}
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One scene invariant violation; `path`/`segment` locate the offender."""
 
     code: str

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from enum import Enum
 from itertools import chain
 from typing import Callable, Optional
@@ -48,6 +48,7 @@ from .codegen import RobotProgram, fixed_point
 from .geometry import (
     ArrayRecord,
     GeometryError,
+    Record,
     RobopathError,
     Transform,
     apply,
@@ -87,8 +88,7 @@ def _check_sign(config, *, strict: bool, **labels: str) -> None:
             raise SimulationError(f"{label} must be {'>' if strict else '>='} 0, got {value}")
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(Record):
     """The perturbed 'real' cell: a rigid miscalibration offset, optional
     surface roughness, and the contact stiffness (force scenario)."""
 
@@ -103,8 +103,13 @@ class Environment:
         _check_sign(self, strict=True, stiffness_n_per_mm="surface stiffness")
 
 
-@dataclass(frozen=True)
-class SeamConfig:
+class SeamConfig(Record):
+    """The seam sensor and correction loop: `rate_hz` ticks per second, the
+    `resolution_mm` step of the robot's correction, the unitless `gain_y`
+    and `gain_z` of the error that each tick corrects, the `max_step_mm`
+    limit of one tick's step, and the `sensing_range_mm` beyond which the
+    sensor loses the seam and the run aborts."""
+
     rate_hz: float = 5.0
     resolution_mm: float = 0.01
     gain_y: float = 1.0
@@ -131,8 +136,15 @@ class ControllerKind(str, Enum):
     FUZZY_PI = "fuzzy"
 
 
-@dataclass(frozen=True)
-class ForceConfig:
+class ForceConfig(Record):
+    """The force loop: `rate_hz` ticks per second toward `setpoint_n` (N) of
+    contact force, through the PI controller (`kp` in mm/N, `ki` in
+    mm/(N s)) or the fuzzy PI one (`error_scale` in 1/N and `derror_scale`
+    in s/N map the error and its rate onto the rule table, whose output
+    moves the tool up to `output_scale` mm per tick). Either output is a
+    normal displacement limited to `output_limit_mm`; a run aborts once the
+    tool has been out of contact for longer than `contact_timeout_s` seconds."""
+
     rate_hz: float = 20.0
     setpoint_n: float = 20.0
     controller: ControllerKind = ControllerKind.PI
@@ -280,7 +292,6 @@ SEAM_COLUMNS = ("t_s", "x_mm", "y_mm", "z_mm", "err_y_mm", "err_z_mm", "corr_y_m
 FORCE_COLUMNS = ("t_s", "x_mm", "y_mm", "z_mm", "force_N", "setpoint_N", "disp_mm")
 
 
-@dataclass(frozen=True, eq=False)
 class SimTrace(ArrayRecord):
     """A run as one float table: a row per tick and a column per name in
     `columns`. `data` takes anything numpy reads as (n, len(columns)) and is

@@ -1,4 +1,13 @@
-"""ArrayRecord equality and RowView rows against the code they replaced.
+"""Records against the code they replaced.
+
+`Record` gives every record the methods that `@dataclass(frozen=True)`
+generated for each one before. The property checks each record's binding,
+repr, equality, hash, signature, `replace` and `asdict` against a reference
+twin: a `dataclass(frozen=True)` over the same fields, as each record was
+declared before. The guard test keeps every record on `Record`, with no
+method of its own that would bring the generated code back, and the
+docstring test keeps each record's docstring in its own class body, which
+spares `dataclass` building one from the signature.
 
 The `reference_*_eq` functions are the `__eq__` methods that Transform,
 Workspace, ScenePath, TargetPose and RobotProgram each wrote out before they
@@ -13,21 +22,29 @@ arrays and checks that each array field, derived and code columns too, is
 read-only afterwards.
 """
 
+import ast
 import copy
 import dataclasses
+import importlib
+import inspect
 import math
+import pickle
+import pkgutil
 from enum import Enum
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import robopath
 from conftest import FIXTURES, axis_angle_quaternion, finite, plan_of, quaternions, transforms
-from robopath.codegen import Opcode, RobotProgram, lower
-from robopath.geometry import ArrayRecord, Quaternion, RowView, Transform
+from robopath.codegen import Instruction, LintFinding, Opcode, RobotProgram, lower, workspace_lint
+from robopath.geometry import ArrayRecord, Quaternion, Record, RowView, Transform
 from robopath.planner import MotionKind, PlannedPath, TargetPose, assign_orientations
-from robopath.scene import PathSegment, ScenePath, SegmentKind, Workspace, parse_scene
-from robopath.simulate import SEAM_COLUMNS, SimTrace
+from robopath.scene import (
+    Diagnostic, Frame, PathSegment, Scene, ScenePath, SegmentKind, Workspace, parse_scene,
+)
+from robopath.simulate import SEAM_COLUMNS, Environment, ForceConfig, SeamConfig, SimTrace
 
 
 def reference_transform_eq(self, other):
@@ -404,3 +421,214 @@ def test_poses_and_targets_are_rows_of_their_columns():
     check_rows(targets._poses, want, lambda a, b: a == b)
     assert isinstance(path.poses, RowView) and isinstance(targets._poses, RowView)
 
+
+
+# ---------------------------------------------------------------------------
+# the record base
+# ---------------------------------------------------------------------------
+
+
+def robopath_classes():
+    """Every class defined in a robopath module."""
+    for info in pkgutil.iter_modules(robopath.__path__):
+        module = importlib.import_module(f"robopath.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                yield value
+
+
+RECORDS = (Quaternion, Transform, Frame, PathSegment, ScenePath, Workspace, Scene, Diagnostic,
+           TargetPose, PlannedPath, Instruction, RobotProgram, LintFinding, Environment,
+           SeamConfig, ForceConfig, SimTrace)
+
+# what Record gives every record, which none may write for itself
+RECORD_METHODS = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
+
+
+def test_every_record_takes_its_methods_from_record():
+    dataclass_types = {cls for cls in robopath_classes() if dataclasses.is_dataclass(cls)}
+    assert dataclass_types == set(RECORDS) | {ArrayRecord}
+    for cls in dataclass_types:
+        assert issubclass(cls, Record), cls.__name__
+        own = set(RECORD_METHODS) & set(vars(cls))
+        if cls is ArrayRecord:
+            # its array equality, and the unhashability Python gives a
+            # class that defines __eq__ alone
+            assert own == {"__eq__", "__hash__"} and ArrayRecord.__hash__ is None
+        else:
+            assert own == set(), f"{cls.__name__} defines {sorted(own)}"
+
+
+def test_every_record_has_its_own_docstring():
+    for cls in (Record, ArrayRecord) + RECORDS:
+        tree = ast.parse(inspect.getsource(cls))
+        (node,) = tree.body
+        assert node.name == cls.__name__
+        doc = ast.get_docstring(node, clean=False)
+        assert doc is not None, f"{cls.__name__} has no docstring"
+        assert vars(cls)["__doc__"] == doc
+
+
+class ReferenceArrayRecord:
+    """`ArrayRecord` as it was before it derived from `Record`: the base of
+    records declared `@dataclass(frozen=True, eq=False)`."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in dataclasses.fields(self):
+            if f.compare:
+                a, b = getattr(self, f.name), getattr(other, f.name)
+                if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                    return False
+        return True
+
+
+def reference_twin(cls):
+    """`cls` as `@dataclass(frozen=True)` built it, over the same fields and
+    with no `__post_init__`; on ReferenceArrayRecord and with `eq=False`
+    for an array record."""
+    namespace = {"__annotations__": {}, "__qualname__": cls.__qualname__, "__module__": __name__}
+    for f in dataclasses.fields(cls):
+        namespace["__annotations__"][f.name] = f.type
+        namespace[f.name] = dataclasses.field(
+            default=f.default, default_factory=f.default_factory, init=f.init, repr=f.repr,
+            compare=f.compare,
+        )
+    array = issubclass(cls, ArrayRecord)
+    bases = (ReferenceArrayRecord,) if array else ()
+    return dataclasses.dataclass(type(cls.__name__, bases, namespace), frozen=True, eq=not array)
+
+
+def unchecked(cls):
+    """`cls` without its `__post_init__`, so that it binds any values."""
+    return type(cls.__name__, (cls,), {"__post_init__": Record.__post_init__,
+                                       "__qualname__": cls.__qualname__, "__doc__": cls.__doc__})
+
+
+# each record class as (the record without its checks, its reference twin)
+PAIRS = {cls: (unchecked(cls), reference_twin(cls)) for cls in RECORDS}
+ABSENT = object()
+
+
+def outcome(call, *args, **kwargs):
+    """What `call` returns, or the type of the error it raises."""
+    try:
+        return call(*args, **kwargs)
+    except (TypeError, ValueError, AttributeError) as exc:
+        return type(exc)
+
+
+def bound(record):
+    """A record's field values by name, or the type of error it was refused with."""
+    if isinstance(record, type):
+        return record
+    return {f.name: getattr(record, f.name, ABSENT) for f in dataclasses.fields(record)}
+
+
+def init_names(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.init]
+
+
+values = st.integers(0, 2)
+
+
+@st.composite
+def calls(draw):
+    """A record class and a call to it: some init fields passed by position
+    and some by keyword, others left out, and perhaps a positional past the
+    last field, a repeated or an unknown argument."""
+    cls = draw(st.sampled_from(RECORDS))
+    names = init_names(cls)
+    faults = draw(st.sets(st.sampled_from(["extra", "repeated", "unknown"])))
+    k = len(names) if "extra" in faults else draw(st.integers(0, len(names)))
+    args = [draw(values) for _ in names[:k]]
+    kwargs = {name: draw(values) for name in names[k:] if draw(st.booleans())}
+    if "extra" in faults:
+        args.append(draw(values))
+    if "repeated" in faults and k:
+        kwargs[names[draw(st.integers(0, k - 1))]] = draw(values)
+    if "unknown" in faults:
+        kwargs["unknown"] = draw(values)
+    return cls, tuple(args), kwargs
+
+
+@given(calls())
+def test_records_bind_their_arguments_as_their_twins(call):
+    cls, args, kwargs = call
+    record_type, twin_type = PAIRS[cls]
+    record, twin = outcome(record_type, *args, **kwargs), outcome(twin_type, *args, **kwargs)
+    assert bound(record) == bound(twin)
+    if not isinstance(twin, type):
+        assert repr(record) == repr(twin)
+        assert repr(outcome(dataclasses.asdict, record)) == repr(outcome(dataclasses.asdict, twin))
+
+
+@given(st.sampled_from(RECORDS), st.data())
+def test_records_compare_hash_and_replace_as_their_twins(cls, data):
+    record_type, twin_type = PAIRS[cls]
+    names = init_names(cls)
+    first = [data.draw(values) for _ in names]
+    second = [v + data.draw(st.sampled_from([0, 0, 1])) for v in first]
+    a, b = record_type(*first), record_type(*second)
+    ta, tb = twin_type(*first), twin_type(*second)
+    for x, y, tx, ty in ((a, b, ta, tb), (a, a, ta, ta), (b, a, tb, ta)):
+        assert (x == y) is (tx == ty) and (x != y) is (tx != ty)
+    assert (a == ta) is False and a != ta
+    assert outcome(hash, a) == outcome(hash, ta)
+    assert outcome(hash, a) == outcome(hash, record_type(*first))
+    changes = {name: data.draw(values) for name in [f.name for f in dataclasses.fields(cls)]
+               + ["unknown"] if data.draw(st.booleans())}
+    assert bound(outcome(dataclasses.replace, a, **changes)) == bound(
+        outcome(dataclasses.replace, ta, **changes))
+
+
+def parameters(call):
+    return [(p.name, p.kind, repr(p.default), p.annotation)
+            for p in inspect.signature(call).parameters.values()]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_have_their_twins_signatures(cls):
+    twin = PAIRS[cls][1]
+    assert str(inspect.signature(cls)) == str(inspect.signature(twin))
+    assert parameters(cls) == parameters(twin)
+    assert cls.__match_args__ == twin.__match_args__ == tuple(init_names(cls))
+
+
+def one_of_each_record():
+    """A checked record of every record class."""
+    scene = parse_scene((FIXTURES / "butt_joint.scene.json").read_text())
+    path = assign_orientations(scene)[0]
+    program = lower(path)
+    box = Workspace(np.zeros(3), np.ones(3))
+    return [
+        Quaternion.identity(), Transform.identity(), scene.frames[0],
+        scene.paths[0].segments[0], scene.paths[0], box, scene, Diagnostic("chain", "gap", "p", 1),
+        origin_pose(), path, program.instructions[0], program,
+        workspace_lint(program, box)[0], Environment(), SeamConfig(), ForceConfig(),
+        SimTrace(SEAM_COLUMNS, np.zeros((2, len(SEAM_COLUMNS))), "OK"),
+    ]
+
+
+def test_records_are_frozen_and_copy_and_pickle_equal():
+    records = one_of_each_record()
+    assert [type(r) for r in records] == list(RECORDS)
+    for record in records:
+        name = dataclasses.fields(record)[0].name
+        for attr in (name, "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, attr, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, attr)
+        for again in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(again) is type(record) and again == record
+        # the twin of the same values, the fields set by __post_init__ too
+        twin = PAIRS[type(record)][1](**{name: getattr(record, name)
+                                          for name in init_names(type(record))})
+        for f in dataclasses.fields(record):
+            if not f.init:
+                object.__setattr__(twin, f.name, getattr(record, f.name))
+        assert repr(record) == repr(twin)
+        assert repr(dataclasses.asdict(record)) == repr(dataclasses.asdict(twin))
