@@ -45,7 +45,6 @@ from __future__ import annotations
 import io
 import re
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import field
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
@@ -136,8 +135,6 @@ class RobotProgram(ArrayRecord):
     orientations: np.ndarray
     opcodes: np.ndarray
     speeds: np.ndarray
-    arities: np.ndarray = field(init=False, repr=False, compare=False)
-    target_speeds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.target_names)

@@ -5,10 +5,12 @@ every error raised for input that robopath refuses; the one row rule,
 `dot_rows` and `row_norms`, by which every stage measures the rows of an
 array; `apply`, the one map of a point or of an array of points through a
 transform; `Record`, the base from which every record takes its binding,
-repr, equality, hash and frozenness, with no method generated per class;
-`ArrayRecord`, the equality and the store rule of records that hold numpy
-arrays; and `RowView`, the lazy read-only sequence through which a table
-hands out its rows as records.
+repr, equality, hash and frozenness, with no method generated per class:
+it holds one field list, binds arguments through its signature and stores
+converted values through `_store`, its one store rule; `ArrayRecord`, which
+adds only the array equality of records that hold numpy arrays; and
+`RowView`, the lazy read-only sequence through which a table hands out its
+rows as records.
 """
 
 from __future__ import annotations
@@ -53,94 +55,67 @@ class Record:
 
     Each subclass is registered with `dataclasses.dataclass` without
     generating any method, so `fields`, `replace`, `asdict` and
-    `__match_args__` work on it, and takes these methods from here:
-    `__init__` binds the init fields from positional and keyword arguments,
-    fills in defaults and default factories, sets each `init=False` field
-    that has a default and then calls `__post_init__`; a missing, extra or
-    repeated argument raises TypeError. `__repr__` shows the `repr=True`
-    fields; two records are equal when they are of the same class and their
-    `compare=True` fields are, and the hash is that of those fields. Setting
-    or deleting an attribute raises `dataclasses.FrozenInstanceError`, so a
-    `__post_init__` that converts its fields writes them through
-    `object.__setattr__` or `ArrayRecord._store`.
+    `__match_args__` work on it, and keeps one field list, `_names`, which
+    every method here reads: each field is bound, shown, compared and
+    hashed. `__init__` binds its arguments through the class's
+    `__signature__`, which fills in defaults and calls default factories
+    (a missing, extra, repeated or unknown argument raises TypeError), and
+    then calls `__post_init__`. `__repr__` shows the fields; two records
+    are equal when they are of the same class and their fields are, and the
+    hash is that of the fields. Setting or deleting an attribute raises
+    `dataclasses.FrozenInstanceError`, so a `__post_init__` that converts
+    or derives values writes them through `_store`, the one store rule.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         dataclass(cls, init=False, repr=False, eq=False)
         table = fields(cls)
-        cls._init_names = tuple(f.name for f in table if f.init)
-        cls._defaults = {f.name: f.default for f in table if f.default is not MISSING}
-        cls._factories = {f.name: f.default_factory for f in table
-                          if f.default_factory is not MISSING}
-        cls._set_names = tuple(f.name for f in table if not f.init and (
-            f.name in cls._defaults or f.name in cls._factories))
-        cls._repr_names = tuple(f.name for f in table if f.repr)
-        cls._compare_names = tuple(f.name for f in table if f.compare)
+        cls._names = tuple(f.name for f in table)
         cls.__signature__ = Signature(
             [
                 Parameter(
                     f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
-                    default=cls._defaults.get(
-                        f.name, _FACTORY if f.name in cls._factories else Parameter.empty
-                    ),
+                    default=_FACTORY if f.default_factory is not MISSING
+                    else Parameter.empty if f.default is MISSING else f.default,
                 )
-                for f in table if f.init
+                for f in table
             ],
             return_annotation=None,
         )
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
-        if kwargs or len(args) != len(cls._init_names):
-            args = cls._bind(args, kwargs)
+        if kwargs or len(args) != len(cls._names):
+            bound = cls.__signature__.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = [cls.__dataclass_fields__[name].default_factory() if value is _FACTORY
+                    else value for name, value in bound.arguments.items()]
         # each field through object.__setattr__, past the frozen rule: unlike
         # a write to vars(self), this keeps the attributes in the instance's
         # compact layout, which Python reads several times faster
         store = object.__setattr__
-        for name, value in zip(cls._init_names, args):
+        for name, value in zip(cls._names, args):
             store(self, name, value)
-        defaults, factories = cls._defaults, cls._factories
-        for name in cls._set_names:
-            store(self, name, defaults[name] if name in defaults else factories[name]())
         self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The value of each init field, in order, from a call's arguments."""
-        names = cls._init_names
-        if len(args) > len(names):
-            raise TypeError(
-                f"{cls.__qualname__}() takes {len(names)} positional arguments "
-                f"but {len(args)} were given"
-            )
-        values = dict(zip(names, args))
-        for name in kwargs:
-            if name in values:
-                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
-            if name not in names:
-                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
-        values.update(kwargs)
-        defaults, factories = cls._defaults, cls._factories
-        missing = [repr(name) for name in names
-                   if name not in values and name not in defaults and name not in factories]
-        if missing:
-            raise TypeError(
-                f"{cls.__qualname__}() missing {len(missing)} required argument(s): "
-                + ", ".join(missing)
-            )
-        return [values[name] if name in values else defaults[name] if name in defaults
-                else factories[name]() for name in names]
 
     def __post_init__(self) -> None:
         """Check or convert the bound fields; a record with no rule keeps them as given."""
 
+    def _store(self, **values) -> None:
+        """Set attributes of this frozen record, as `__init__` does, making
+        each array among them read-only."""
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_names)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({shown})"
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compare_names)
+        return tuple(getattr(self, name) for name in self._names)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -158,23 +133,15 @@ class Record:
 
 
 class ArrayRecord(Record):
-    """Base of the records that hold numpy arrays, with their own equality:
-    two records are equal when they are of the same type and every field not
-    marked `compare=False` is equal, arrays by `np.array_equal` and other
-    values by `==`. Records are unhashable, as their arrays are, and set
-    their fields through `_store`."""
-
-    def _store(self, **values) -> None:
-        """Set fields of this frozen record, making each array among them read-only."""
-        for value in values.values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        vars(self).update(values)
+    """Base of the records that hold numpy arrays; it adds only their
+    equality: two records are equal when they are of the same type and
+    every field is equal, arrays by `np.array_equal` and other values by
+    `==`. Records are unhashable, as their arrays are."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        for name in self._compare_names:
+        for name in self._names:
             a, b = getattr(self, name), getattr(other, name)
             if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
                 return False
@@ -300,8 +267,7 @@ class Quaternion(Record):
         if abs(norm - 1.0) > NEAR_UNIT_TOL:
             raise GeometryError(f"quaternion norm is {norm!r}, not 1")
         (row,) = canonical_sign(np.array([comps], dtype=float)).tolist()
-        for name, value in zip(("w", "x", "y", "z"), row):
-            object.__setattr__(self, name, value)
+        self._store(**dict(zip(self._names, row)))
 
     @classmethod
     def identity(cls) -> "Quaternion":

@@ -19,7 +19,7 @@ import dataclasses
 import math
 from collections.abc import Sequence
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 import numpy as np
@@ -128,17 +128,18 @@ class PlannedPath(ArrayRecord):
 def pose_rows(positions, orientations, kinds, speeds, interpolated) -> Sequence[TargetPose]:
     """Pose columns, kinds as MotionKind codes, as a RowView that builds a
     TargetPose per lookup."""
+    return RowView(len(kinds), partial(_pose, positions, orientations, kinds, speeds, interpolated))
 
-    def pose(i: int) -> TargetPose:
-        return TargetPose(
-            positions[i],
-            Quaternion(*orientations[i].tolist()),
-            _MOTION_KINDS[kinds[i]],
-            float(speeds[i]),
-            bool(interpolated[i]),
-        )
 
-    return RowView(len(kinds), pose)
+def _pose(positions, orientations, kinds, speeds, interpolated, i: int) -> TargetPose:
+    """Row i of pose columns; a module function, so that a view of them pickles."""
+    return TargetPose(
+        positions[i],
+        Quaternion(*orientations[i].tolist()),
+        _MOTION_KINDS[kinds[i]],
+        float(speeds[i]),
+        bool(interpolated[i]),
+    )
 
 
 def _section_lengths(positions: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ with them on pairs of records that are equal or differ in one field. The
 row tests check the `RowView` behind `ScenePath.segments`,
 `PlannedPath.poses` and `RobotProgram.targets` against rows built one by one.
 The store test builds one record of every ArrayRecord type from writable
-arrays and checks that each array field, derived and code columns too, is
+arrays and checks that each array it holds, derived and code columns too, is
 read-only afterwards.
 """
 
@@ -263,7 +263,7 @@ def with_field(record, name, value):
 @given(records(), st.sampled_from(CHANGES))
 def test_equality_agrees_with_the_removed_eq_methods(record, change):
     reference = REFERENCE_EQ[type(record)]
-    # every field in turn, derived RobotProgram columns included
+    # every field in turn
     for f in dataclasses.fields(record):
         left, right = field_pair(getattr(record, f.name), change)
         a, b = with_field(record, f.name, left), with_field(record, f.name, right)
@@ -335,11 +335,13 @@ def test_every_array_record_stores_its_arrays_read_only():
     records = writable_records()
     assert {type(r) for r in records} == set(ArrayRecord.__subclasses__()) - set(UNSTORED)
     for record in records:
-        arrays = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
-                  if f.type == "np.ndarray"}
-        # every field declared an array holds one, RobotProgram's derived
-        # arities and target_speeds included
-        assert all(isinstance(a, np.ndarray) for a in arrays.values()), type(record)
+        declared = [f.name for f in dataclasses.fields(record) if f.type == "np.ndarray"]
+        # every field declared an array holds one
+        assert all(isinstance(getattr(record, name), np.ndarray) for name in declared), type(record)
+        # every array the record holds, RobotProgram's derived arities and
+        # target_speeds included
+        arrays = {name: v for name, v in vars(record).items() if isinstance(v, np.ndarray)}
+        assert set(declared) <= set(arrays), type(record)
         for name, array in arrays.items():
             assert not array.flags.writeable, f"{type(record).__name__}.{name}"
 
@@ -614,6 +616,11 @@ def one_of_each_record():
 def test_records_are_frozen_and_copy_and_pickle_equal():
     records = one_of_each_record()
     assert [type(r) for r in records] == list(RECORDS)
+    scene, path, program = records[6], records[9], records[11]
+    # a row of each row view, read first: poses and targets cache their view
+    # on the record, which the round trips then carry
+    segment, pose, target = scene.paths[0].segments[0], path.poses[0], program.targets["t1"]
+    assert segment == records[3] and pose == path.poses[0]
     for record in records:
         name = dataclasses.fields(record)[0].name
         for attr in (name, "other"):
@@ -624,6 +631,8 @@ def test_records_are_frozen_and_copy_and_pickle_equal():
         for again in (copy.copy(record), copy.deepcopy(record),
                       pickle.loads(pickle.dumps(record))):
             assert type(again) is type(record) and again == record
+            if record is program:
+                assert again.targets["t1"] == target
         # the twin of the same values, the fields set by __post_init__ too
         twin = PAIRS[type(record)][1](**{name: getattr(record, name)
                                           for name in init_names(type(record))})
