@@ -20,6 +20,13 @@ revision, on the same input files:
 * a few refused inputs (a bad scene, program or option), one scene for
   each rule a scene's segment can break, and one program for each refusal
   of the program loader;
+* compile with `--path` naming the scene's path and naming none of its
+  paths, with `--speed-override 7.5` and the refused `--speed-override 0`,
+  and of a scene whose targets leave its workspace, with and without
+  `--strict`, which prints lint lines (and exits 2 with `--strict`);
+* compile of a scene whose frame B has the diagonal 1.00000000049 (rows
+  within 1e-9 of orthonormal, determinant 1.47e-9 off 1), which is snapped,
+  and of one whose frame B has an entry of 1e200, which is refused;
 * a program with CRLF line ends, tabs and blank lines, which loads;
 * the profile fixture program with tab, unit separator, no-break and
   ideographic space blanks inside its TARGET and move statements, and with
@@ -157,6 +164,7 @@ SEAM_OFFSETS = {
 _SPEED, _POINTS = '"speed": 10.0', "[[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]"
 SEGMENT_REFUSALS = {
     "unknown_key": (_SPEED, f'{_SPEED}, "colour": 1.0'),
+    "unknown_key_for_speed": (_SPEED, '"colour": 10.0'),
     "missing_key": ('"risk": false,', ""),
     "kind": ('"kind": "line"', '"kind": "helix"'),
     "points_not_a_list": (_POINTS, '"p"'),
@@ -223,6 +231,19 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
     bad_scene["workspace"] = {"min": [1.0, 0.0, 0.0], "max": [0.0, 1.0, 1.0]}
     (inputs / "bad.scene.json").write_text(json.dumps(bad_scene))
     (inputs / "bad.prog").write_text("PROGRAM p\nWOBBLE t1 SPEED 1.0\nEND\n")
+    # the straight_seam fixture with its workspace shrunk past its targets,
+    # or with frame B's rotation edited
+    d = 1.00000000049
+    edited = {
+        "cramped": ("workspace", {"min": [0.0, 0.0, 0.0], "max": [50.0, 50.0, 50.0]}),
+        "rotation_det_off": ("rotation", [[d, 0.0, 0.0], [0.0, d, 0.0], [0.0, 0.0, d]]),
+        "rotation_entry_1e200": ("rotation", [[1e200, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                              [0.0, 0.0, 1.0]]),
+    }
+    for name, (key, value) in edited.items():
+        scene = json.loads(scenes["straight_seam"].read_text())
+        (scene if key == "workspace" else scene["frames"][0])[key] = value
+        (inputs / f"{name}.scene.json").write_text(json.dumps(scene))
     seam_text = scenes["straight_seam"].read_text()
     for refusal, (old, new) in SEGMENT_REFUSALS.items():
         if seam_text.count(old) != 1:
@@ -285,6 +306,20 @@ def write_inputs(inputs: Path, tree: Path) -> list[tuple[str, list[str]]]:
                                "--stiffness", "0", "--out", "refused_stiffness.csv"]),
         ("refused_usage", ["simulate", "--program", fixture, "--out", "refused_usage.csv"]),
     ]
+    seam = ["compile", "--scene", str(scenes["straight_seam"]), "--base", "B"]
+    invocations += [
+        ("path_named", [*seam, "--path", "seam", "--out", "path_named.prog"]),
+        ("refused_path", [*seam, "--path", "nope", "--out", "refused_path.prog"]),
+        ("speed_override", [*seam, "--speed-override", "7.5", "--out", "speed_override.prog"]),
+        ("refused_speed_override", [*seam, "--speed-override", "0",
+                                    "--out", "refused_speed_override.prog"]),
+    ]
+    for name in edited:
+        invocations.append((name, ["compile", "--scene", str(inputs / f"{name}.scene.json"),
+                                   "--base", "B", "--out", f"{name}.prog"]))
+    invocations.append(("cramped_strict", ["compile", "--scene", str(inputs / "cramped.scene.json"),
+                                           "--base", "B", "--strict",
+                                           "--out", "cramped_strict.prog"]))
     simulate = ["simulate", "--program", "reuse.prog", "--scenario"]
     invocations += [
         ("reuse_compile", ["compile", "--scene", str(scenes["straight_seam"]), "--base", "B",

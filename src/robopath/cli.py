@@ -142,9 +142,10 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             stiffness_n_per_mm=args.stiffness,
         )
+        rate = {} if args.rate is None else {"rate_hz": args.rate}  # else the config's default
         if args.scenario == "seam":
             cfg = SeamConfig(
-                rate_hz=args.rate if args.rate is not None else SeamConfig.rate_hz,
+                **rate,
                 resolution_mm=args.resolution,
                 gain_y=args.gain_y,
                 gain_z=args.gain_z,
@@ -152,7 +153,7 @@ def cmd_simulate(args) -> int:
             trace = run_seam(program, env, cfg, args.duration)
         else:
             cfg = ForceConfig(
-                rate_hz=args.rate if args.rate is not None else ForceConfig.rate_hz,
+                **rate,
                 setpoint_n=args.setpoint,
                 controller=ControllerKind(args.controller),
                 kp=args.kp,

@@ -101,7 +101,6 @@ _OPCODE_KINDS = {
 _OPERAND_KINDS = np.array([(*_OPCODE_KINDS[op], -1)[:2] for op in Opcode])
 _ARITIES = (_OPERAND_KINDS >= 0).sum(axis=1)
 _MOVE_WORDS = np.array([f"{op.name} ".encode() for op in Opcode])
-_OPCODE_CODES = {op.name: op.value for op in Opcode}
 _OPCODES = tuple(Opcode)  # the member of each code
 # the opcode code by the fifth letter of its word, which tells the words apart
 _OPCODE_BY_LETTER = np.zeros(256, np.intp)
@@ -439,10 +438,12 @@ _TARGET_LINES_RE = re.compile(
     rf"(?:TARGET{_GAP}{NAME}{_BLANKS}={_BLANKS}\[{_ARG},{_ARG},{_ARG}\]"
     rf"{_BLANKS},{_BLANKS}\[{_ARG},{_ARG},{_ARG},{_ARG}\]\n)*+"
 )
-# an operand is any token, so one outside the name grammar reads as undeclared
+# each opcode's word and as many operands as its row of the table takes; an
+# operand is any token, so one outside the name grammar reads as undeclared
 _MOVE_LINES_RE = re.compile(
-    rf"(?:(?:(?:MOVEJ|MOVEL|MOVES){_GAP}\S++|MOVEC{_GAP}\S++{_GAP}\S++)"
-    rf"{_GAP}SPEED{_GAP}{_NUM}\n)*+"
+    "(?:(?:"
+    + "|".join(op.name + rf"{_GAP}\S++" * arity for op, arity in zip(Opcode, _ARITIES))
+    + rf"){_GAP}SPEED{_GAP}{_NUM}\n)*+"
 )
 _TARGET_PUNCTUATION = str.maketrans("=[],", "    ")
 
@@ -598,10 +599,10 @@ def _move_fault(move: str) -> str:
     and bad speed."""
     parts = move.split()
     word = parts[0]
-    if word not in _OPCODE_CODES:
+    if word not in Opcode.__members__:
         return ("TARGET after motion statements" if word.startswith("TARGET")
                 else f"unknown opcode {word!r}")
-    if len(parts) != _ARITIES[_OPCODE_CODES[word]] + 3 or parts[-2] != "SPEED":
+    if len(parts) != _ARITIES[Opcode[word]] + 3 or parts[-2] != "SPEED":
         return f"malformed {word} statement"
     return f"bad speed {parts[-1]!r}"
 

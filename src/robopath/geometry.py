@@ -1,16 +1,19 @@
 """Rigid 3D transform, rotation, and quaternion algebra. All lengths in millimetres.
 
 Also what every module of the pipeline shares: `RobopathError`, the base of
-every error raised for input that robopath refuses; the one row rule,
+every error raised for input that robopath refuses; `orthonormality`, the one
+measure of how far a matrix is from a rotation, by which a rotation is
+accepted here and snapped or refused in a scene; the one row rule,
 `dot_rows` and `row_norms`, by which every stage measures the rows of an
-array; `apply`, the one map of a point or of an array of points through a
+array, and `step_lengths`, the one distance from each point of a polyline to
+the next; `apply`, the one map of a point or of an array of points through a
 transform; `Record`, the base from which every record takes its binding,
 repr, equality, hash and frozenness, with no method generated per class:
-it holds one field list, binds arguments through its signature and stores
-converted values through `_store`, its one store rule; `ArrayRecord`, which
-adds only the array equality of records that hold numpy arrays; and
-`RowView`, the lazy read-only sequence through which a table hands out its
-rows as records.
+it holds one field list, binds arguments through its signature, which
+fills in each field's default, and stores converted values through
+`_store`, its one store rule; `ArrayRecord`, which adds only the array
+equality of records that hold numpy arrays; and `RowView`, the lazy
+read-only sequence through which a table hands out its rows as records.
 """
 
 from __future__ import annotations
@@ -39,16 +42,6 @@ class GeometryError(RobopathError):
     """A rotation, quaternion, or transform failed validation."""
 
 
-class _Factory:
-    """The default a signature shows for a field with a `default_factory`."""
-
-    def __repr__(self):
-        return "<factory>"
-
-
-_FACTORY = _Factory()
-
-
 class Record:
     """Base of every record: a frozen class whose fields are declared as
     dataclass fields, annotated in the class body.
@@ -58,8 +51,8 @@ class Record:
     `__match_args__` work on it, and keeps one field list, `_names`, which
     every method here reads: each field is bound, shown, compared and
     hashed. `__init__` binds its arguments through the class's
-    `__signature__`, which fills in defaults and calls default factories
-    (a missing, extra, repeated or unknown argument raises TypeError), and
+    `__signature__`, which fills in defaults (a missing, extra, repeated or
+    unknown argument raises TypeError), and
     then calls `__post_init__`. `__repr__` shows the fields; two records
     are equal when they are of the same class and their fields are, and the
     hash is that of the fields. Setting or deleting an attribute raises
@@ -76,8 +69,7 @@ class Record:
             [
                 Parameter(
                     f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
-                    default=_FACTORY if f.default_factory is not MISSING
-                    else Parameter.empty if f.default is MISSING else f.default,
+                    default=Parameter.empty if f.default is MISSING else f.default,
                 )
                 for f in table
             ],
@@ -89,8 +81,7 @@ class Record:
         if kwargs or len(args) != len(cls._names):
             bound = cls.__signature__.bind(*args, **kwargs)
             bound.apply_defaults()
-            args = [cls.__dataclass_fields__[name].default_factory() if value is _FACTORY
-                    else value for name, value in bound.arguments.items()]
+            args = bound.arguments.values()
         # each field through object.__setattr__, past the frozen rule: unlike
         # a write to vars(self), this keeps the attributes in the instance's
         # compact layout, which Python reads several times faster
@@ -195,6 +186,14 @@ def vec3(values) -> np.ndarray:
     return v
 
 
+def orthonormality(m: np.ndarray) -> tuple[float, float]:
+    """How far a 3x3 matrix M is from a rotation: the largest entry of
+    |M.T @ M - I|, and det M. Entries too large to square give an inf
+    deviation, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(m.T @ m - np.eye(3)).max()), float(np.linalg.det(m))
+
+
 def rotation_matrix(values) -> np.ndarray:
     """Validate a row-major 3x3 rotation matrix; returns a read-only copy.
 
@@ -205,10 +204,9 @@ def rotation_matrix(values) -> np.ndarray:
         raise GeometryError(f"rotation must be 3x3, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise GeometryError("rotation has non-finite entries")
-    err = np.abs(r.T @ r - np.eye(3)).max()
+    err, det = orthonormality(r)
     if err > ATOL:
         raise GeometryError(f"matrix is not orthonormal (max deviation {err:.3e})")
-    det = float(np.linalg.det(r))
     if abs(det - 1.0) > ATOL:
         raise GeometryError(f"matrix determinant is {det!r}, not +1")
     r.setflags(write=False)
@@ -237,6 +235,14 @@ def row_norms(u) -> np.ndarray:
     length that overflows is inf, without a warning."""
     with np.errstate(over="ignore"):
         return np.sqrt(dot_rows(u, u))
+
+
+def step_lengths(points) -> np.ndarray:
+    """The distance from each row of an (n, 3) array of points to the next;
+    a distance past the float range is inf, and one from a non-finite point
+    inf or nan, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return row_norms(np.diff(points, axis=0))
 
 
 # Largest norm deviation the Quaternion constructor accepts: covers unit
@@ -334,24 +340,15 @@ def rotation_to_quaternion(r) -> Quaternion:
         x = (m[2, 1] - m[1, 2]) / s
         y = (m[0, 2] - m[2, 0]) / s
         z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
     else:
-        s = 2.0 * math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
+        # Shepperd's branch on the largest diagonal entry m[i, i]
+        i = 0 if m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2] else 1 if m[1, 1] > m[2, 2] else 2
+        j, k = (a for a in range(3) if a != i)
+        b, c = (i + 1) % 3, (i + 2) % 3
+        s = 2.0 * math.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
+        xyz = [(m[i, a] + m[a, i]) / s for a in range(3)]
+        xyz[i] = 0.25 * s
+        w, (x, y, z) = (m[c, b] - m[b, c]) / s, xyz
     return Quaternion.unit(w, x, y, z)
 
 

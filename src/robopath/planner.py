@@ -36,8 +36,8 @@ from .geometry import (
     dot_rows,
     invert,
     rotation_to_quaternion,
-    row_norms,
     slerp,
+    step_lengths,
     vec3,
 )
 from .scene import UNIVERSE, Frame, Scene, Workspace
@@ -113,7 +113,7 @@ class PlannedPath(ArrayRecord):
         )
         q = self.orientations
         angle = np.arccos(np.minimum(1.0, np.abs(dot_rows(q[:-1], q[1:]))))
-        same = (_section_lengths(self.positions) <= POSITION_TOL) & (angle <= ANGLE_TOL)
+        same = (step_lengths(self.positions) <= POSITION_TOL) & (angle <= ANGLE_TOL)
         if same.any():
             i = int(same.argmax()) + 1
             raise PlanningError(f"path {self.name!r}: poses {i - 1} and {i} are identical")
@@ -140,13 +140,6 @@ def _pose(positions, orientations, kinds, speeds, interpolated, i: int) -> Targe
         float(speeds[i]),
         bool(interpolated[i]),
     )
-
-
-def _section_lengths(positions: np.ndarray) -> np.ndarray:
-    """Distance from each pose to the next; a distance that overflows is
-    inf, without a warning."""
-    with np.errstate(over="ignore"):
-        return row_norms(np.diff(positions, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +288,7 @@ def interpolate_risk(path: PlannedPath, dt: float) -> PlannedPath:
     run = np.repeat(np.arange(len(entries)), n_sections)  # the run of each section
     first = np.cumsum(n_sections) - n_sections  # each run's first section
     start = np.arange(len(run)) - first[run] + entries[run]
-    lengths = _section_lengths(path.positions)[start]
+    lengths = step_lengths(path.positions)[start]
     short = lengths < POSITION_TOL
     if short.any():
         raise PlanningError(

@@ -47,8 +47,9 @@ from .geometry import (
     RowView,
     Transform,
     code_column,
+    orthonormality,
     quaternion_to_rotation,
-    row_norms,
+    step_lengths,
 )
 
 # Endpoint chaining / distinct-point tolerance, in millimetres.
@@ -64,6 +65,9 @@ NAME_RE = re.compile(NAME)
 
 # Matrices this far from orthonormal are re-projected onto the nearest
 # rotation (hand-written files carry rounded entries); anything worse errors.
+# A matrix within ATOL of orthonormal whose determinant is off 1 by more
+# than ATOL is re-projected too, so a frame is snapped exactly when
+# rotation_matrix would refuse it.
 _SNAP_TOL = 1e-3
 
 
@@ -327,13 +331,12 @@ def _rotation(value, where) -> np.ndarray:
         raise SceneValidationError(f"{where}: rotation must be a 3x3 matrix or a quat object")
     rows = [_point(row, where) for row in value]
     m = np.array(rows, dtype=float)
-    err = np.abs(m.T @ m - np.eye(3)).max()
-    det = float(np.linalg.det(m))
+    err, det = orthonormality(m)
     if err > _SNAP_TOL or det <= 0.0:
         raise SceneValidationError(
             f"{where}: matrix is not a rotation (orthonormality deviation {err:.2e}, det {det:.4f})"
         )
-    if err > ATOL:
+    if err > ATOL or abs(det - 1.0) > ATOL:  # what rotation_matrix would refuse
         # project rounded entries onto the nearest rotation; det(m) > 0, so
         # the nearest orthogonal matrix has determinant +1
         u, _, vt = np.linalg.svd(m)
@@ -359,10 +362,7 @@ def _build_scene(data) -> Scene:
             )
         rotation = _rotation(entry["rotation"], f"{where}.rotation")
         origin = _point(entry["origin"], f"{where}.origin")
-        try:
-            frames.append(Frame(name, Transform(rotation, origin)))
-        except GeometryError as exc:
-            raise SceneValidationError(f"{where}: {exc}") from exc
+        frames.append(Frame(name, Transform(rotation, origin)))
 
     workspace = None
     if "workspace" in data:
@@ -515,8 +515,7 @@ def validate_chain(scene: Scene) -> list[Diagnostic]:
         # own steps, then the step across the join into the next segment; a
         # step too long to square is inf, still far, and one from a
         # non-finite point is inf or nan, neither close nor a gap
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = row_norms(np.diff(path.points, axis=0))
+        dist = step_lengths(path.points)
         # the join into each segment, checked only where it and the segment
         # before it have points
         joins = np.flatnonzero((counts[:-1] > 0) & (counts[1:] > 0)) + 1

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import field, fields
+from dataclasses import fields
 from enum import Enum
 from itertools import chain
 from typing import Callable, Optional
@@ -89,15 +89,18 @@ def _check_sign(config, *, strict: bool, **labels: str) -> None:
 
 
 class Environment(Record):
-    """The perturbed 'real' cell: a rigid miscalibration offset, optional
-    surface roughness, and the contact stiffness (force scenario)."""
+    """The perturbed 'real' cell: a rigid miscalibration offset (None
+    stores the identity), optional surface roughness, and the contact
+    stiffness (force scenario)."""
 
-    offset: Transform = field(default_factory=Transform.identity)
+    offset: Optional[Transform] = None
     roughness_mm: float = 0.0
     seed: int = 0
     stiffness_n_per_mm: float = 10.0
 
     def __post_init__(self):
+        if self.offset is None:
+            self._store(offset=Transform.identity())
         _check_finite(self)
         _check_sign(self, strict=False, roughness_mm="roughness amplitude", seed="seed")
         _check_sign(self, strict=True, stiffness_n_per_mm="surface stiffness")

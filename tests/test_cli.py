@@ -22,9 +22,9 @@ import robopath.cli
 from conftest import FIXTURES
 from robopath.cli import main
 from robopath.codegen import CodegenError, ProgramParseError
-from robopath.geometry import GeometryError, RobopathError
+from robopath.geometry import GeometryError, RobopathError, Transform
 from robopath.planner import MAX_INTERPOLATED_POSES, PlanningError
-from robopath.scene import SceneError, SceneParseError, SceneValidationError
+from robopath.scene import SceneError, SceneParseError, SceneValidationError, parse_scene
 from robopath.simulate import ForceConfig, SeamConfig, SimTrace, SimulationError
 
 
@@ -170,6 +170,8 @@ def _first_segment(scene):
                      "paths[0].segments: expected a list", id="segments_object"),
         pytest.param(lambda s: _first_segment(s).update(risk=1),
                      "paths[0].segments[0].risk: expected true/false", id="risk_number"),
+        pytest.param(lambda s: _first_segment(s).update(colour=_first_segment(s).pop("speed")),
+                     "paths[0].segments[0]: unknown keys ['colour']", id="colour_for_speed"),
     ],
 )
 def test_compile_refuses_a_malformed_scene_field(tmp_path, capsys, edit, message):
@@ -181,6 +183,21 @@ def test_compile_refuses_a_malformed_scene_field(tmp_path, capsys, edit, message
     code, stdout, err = run(capsys, *compile_args(scene_file, out))
     assert (code, stdout, err) == (1, "", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("diagonal", [1.00000000049, 1.0000000006], ids=["det_off", "rows_off"])
+def test_compile_snaps_a_frame_that_is_a_rotation_but_for_rounding(tmp_path, capsys, diagonal):
+    # 1.00000000049 keeps the rows within ATOL of orthonormal but puts the
+    # determinant 1.47e-9 off 1; 1.0000000006 puts the rows off too
+    scene = json.loads((FIXTURES / "straight_seam.scene.json").read_text())
+    _first_frame(scene)["rotation"] = (np.eye(3) * diagonal).tolist()
+    scene_file = tmp_path / "rounded.json"
+    scene_file.write_text(json.dumps(scene))
+    assert parse_scene(scene_file.read_text()).frames[0].transform == Transform.identity()
+    out = tmp_path / "rounded.prog"
+    code, _, err = run(capsys, *compile_args(scene_file, out))
+    assert code == 0, err
+    assert out.read_bytes() == (FIXTURES / "straight_seam.prog").read_bytes()
 
 
 def test_compile_strict_workspace_violation_exits_2(tmp_path, capsys):

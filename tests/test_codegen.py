@@ -1210,6 +1210,12 @@ def test_instruction_arity_checked():
         RobotProgram("p", ("t1", "t2"), *one_pose_columns(2), (Opcode.MOVEL,), [5.0])
 
 
+def test_program_refuses_positions_of_another_shape():
+    with pytest.raises(CodegenError, match=r"^positions has shape \(2, 2\), expected \(2, 3\)$"):
+        RobotProgram("p", ("t1", "t2"), [[0.0, 0.0]] * 2, one_pose_columns(2)[1],
+                     (Opcode.MOVEJ, Opcode.MOVEL), [5.0, 5.0])
+
+
 @pytest.mark.parametrize("speed", [0.0, math.inf, math.nan])
 def test_instruction_speed_must_be_positive_and_finite(speed):
     with pytest.raises(CodegenError, match="positive and finite"):

@@ -6,12 +6,14 @@ from hypothesis import assume, example, given, strategies as st
 
 from conftest import (
     angle_between,
+    axes,
     axis_angle_quaternion,
     finite,
     quaternions,
     reference_dot,
     reference_slerp,
     rodrigues,
+    rotations,
     transforms,
 )
 from robopath.geometry import (
@@ -188,6 +190,74 @@ def test_non_orthonormal_matrix_rejected():
         rotation_to_quaternion(np.eye(3) * 1.01)
     with pytest.raises(GeometryError):
         rotation_matrix(-np.eye(3))  # det -1
+
+
+@pytest.mark.parametrize(
+    "rotation, message",
+    [
+        (np.eye(2), r"rotation must be 3x3, got shape \(2, 2\)"),
+        ([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]],
+         "rotation has non-finite entries"),
+        # finite, but its square overflows: refused without a numpy warning
+        (np.diag([1e200, 1.0, 1.0]), r"matrix is not orthonormal \(max deviation inf\)"),
+    ],
+    ids=["2x2", "nan", "1e200"],
+)
+def test_transform_refuses_a_rotation_it_cannot_check(rotation, message):
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        Transform(rotation, [0.0, 0.0, 0.0])
+
+
+def reference_rotation_to_quaternion(r) -> Quaternion:
+    """Shepperd's conversion with one hand-written branch per diagonal axis,
+    the reference that `rotation_to_quaternion` matches bit for bit."""
+    m = rotation_matrix(r)
+    trace = m[0, 0] + m[1, 1] + m[2, 2]
+    if trace > 0.0:
+        s = 2.0 * math.sqrt(trace + 1.0)
+        w = 0.25 * s
+        x = (m[2, 1] - m[1, 2]) / s
+        y = (m[0, 2] - m[2, 0]) / s
+        z = (m[1, 0] - m[0, 1]) / s
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = 2.0 * math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
+        w = (m[2, 1] - m[1, 2]) / s
+        x = 0.25 * s
+        y = (m[0, 1] + m[1, 0]) / s
+        z = (m[0, 2] + m[2, 0]) / s
+    elif m[1, 1] > m[2, 2]:
+        s = 2.0 * math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
+        w = (m[0, 2] - m[2, 0]) / s
+        x = (m[0, 1] + m[1, 0]) / s
+        y = 0.25 * s
+        z = (m[1, 2] + m[2, 1]) / s
+    else:
+        s = 2.0 * math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
+        w = (m[1, 0] - m[0, 1]) / s
+        x = (m[0, 2] + m[2, 0]) / s
+        y = (m[1, 2] + m[2, 1]) / s
+        z = 0.25 * s
+    return Quaternion.unit(w, x, y, z)
+
+
+# axes of half turns whose diagonal entries tie: two of them, or all three
+TIED_AXES = [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, -1, 0), (1, 1, 1), (1, 0, 0), (0, 0, 1)]
+# a half turn about each coordinate axis, and the identity
+SIGNED_DIAGONALS = [(1, -1, -1), (-1, 1, -1), (-1, -1, 1), (1, 1, 1)]
+
+
+@given(
+    rotations()
+    | st.builds(rodrigues, axes() | st.sampled_from(TIED_AXES), st.just(math.pi))
+    | st.sampled_from(SIGNED_DIAGONALS).map(lambda d: np.diag(np.array(d, dtype=float)))
+)
+@example(rodrigues([1, 1, 0], math.pi))  # m[0, 0] ties m[1, 1]: the y branch
+@example(rodrigues([1, 1, 1], math.pi))  # all three tie: the z branch
+@example(np.diag([1.0, -1.0, -1.0]))
+def test_rotation_to_quaternion_matches_the_four_branch_reference_bit_for_bit(m):
+    q, ref = rotation_to_quaternion(m), reference_rotation_to_quaternion(m)
+    assert np.array([q.w, q.x, q.y, q.z]).tobytes() == np.array(
+        [ref.w, ref.x, ref.y, ref.z]).tobytes()
 
 
 @given(quaternions())

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import FIXTURES, random_transform
+from conftest import FIXTURES, finite, random_transform, rotations
 from robopath.scene import (
     _POINT_COUNT,
+    _rotation,
     CHAIN_TOL,
     MIN_SPLINE_POINTS,
     Diagnostic,
@@ -173,6 +174,30 @@ def test_garbage_matrix_rejected():
     d = doc()
     d["frames"][0]["rotation"] = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(SceneValidationError, match="not a rotation"):
+        parse_scene(json.dumps(d))
+
+
+@given(
+    (rotations() | st.just(np.eye(3))),
+    st.sampled_from([0.0, 1e-10, 4.9e-10, 1e-9, 1e-6, 1e-3, 2e-3, 1.0, 1e200]),
+    st.lists(finite(-1, 1), min_size=9, max_size=9),
+)
+@example(np.eye(3), 4.9e-10, [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])  # det off, rows not
+@example(np.eye(3), 1e200, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # overflows
+def test_every_matrix_a_scene_does_not_refuse_builds_a_transform(rotation, scale, noise):
+    matrix = rotation + scale * np.reshape(noise, (3, 3))
+    try:
+        snapped = _rotation(matrix.tolist(), "frames[0].rotation")
+    except SceneValidationError:
+        return
+    Transform(snapped, [0.0, 0.0, 0.0])
+
+
+def test_matrix_too_large_to_square_is_rejected_without_a_warning():
+    d = doc()
+    d["frames"][0]["rotation"] = [[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(SceneValidationError, match=r"^frames\[0\]\.rotation: matrix is not a "
+                       r"rotation \(orthonormality deviation inf, det 1\d{200}\.0000\)$"):
         parse_scene(json.dumps(d))
 
 
