@@ -52,10 +52,10 @@ class Record:
     every method here reads: each field is bound, shown, compared and
     hashed. `__init__` binds its arguments through the class's
     `__signature__`, which fills in defaults (a missing, extra, repeated or
-    unknown argument raises TypeError), and
-    then calls `__post_init__`. `__repr__` shows the fields; two records
-    are equal when they are of the same class and their fields are, and the
-    hash is that of the fields. Setting or deleting an attribute raises
+    unknown argument raises TypeError), and then calls `__post_init__`.
+    `__repr__` shows the fields; two records are equal when they are of the
+    same class and their fields are, and the hash is that of the fields.
+    Setting or deleting an attribute raises
     `dataclasses.FrozenInstanceError`, so a `__post_init__` that converts
     or derives values writes them through `_store`, the one store rule.
     """
